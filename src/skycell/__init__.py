@@ -9,7 +9,7 @@ bench (real-time factor), cli (entry point).
 __version__ = "0.1.0"
 
 from .bus import Broker, Message, Subscription, topic_matches
-from .geometry import PathBundle, PropagationPath, Scene, los_class, trace_paths
+from .geometry import PathBundle, PropagationPath, Scene, los_class, trace_paths, trace_paths_batch
 from .orchestrator import EpisodeConfig, EpisodeLog, SnapshotRecord, category_wiring, run_episode
 from .phy import CommsConfig, UpaConfig, beam_sweep, dft_codebook, pair_index, steering_vector
 
@@ -22,6 +22,7 @@ __all__ = [
     "PathBundle",
     "PropagationPath",
     "trace_paths",
+    "trace_paths_batch",
     "los_class",
     "EpisodeConfig",
     "EpisodeLog",

@@ -1,8 +1,9 @@
 """Real-time-factor benchmark: wall-clock cost of a fixed virtual duration.
 
 Runs the blueprint loop for 60 virtual seconds with 1..n UAV receivers and
-no rescue pauses, recording wall-clock and per-module step time. A separate
-helper times the tracer under both kernel backends (numba vs numpy).
+no rescue pauses, recording wall-clock and per-module step time. Each UAV
+count runs one discarded warm-up repetition first, which also absorbs the
+one-off image-tree build, so the reported median and minimum are steady state.
 """
 
 from __future__ import annotations
@@ -10,16 +11,14 @@ from __future__ import annotations
 import csv
 import json
 import statistics
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from . import orchestrator as orch
 from .ai import Policy
 from .blueprint import CommsModule, MobilityModule, PolicyModule, offset_plan
-from .geometry import Scene, trace_paths
+from .geometry import Scene
 from .mobility import TrajectoryPlan
 from .phy import CommsConfig
 
@@ -42,6 +41,7 @@ class TimingReport:
     t_mobility_s: float
     t_comms_s: float
     t_ai_s: float
+    tp_min_s: float = float("nan")
     error: str | None = None
 
     @property
@@ -53,6 +53,7 @@ class TimingReport:
             "n_uavs": self.n_uavs,
             "n_snapshots": self.n_snapshots,
             "Tp_s": self.tp_s,
+            "Tp_min_s": self.tp_min_s,
             "Tv_s": self.tv_s,
             "rtf": self.rtf,
             "t_mobility_s": self.t_mobility_s,
@@ -72,7 +73,10 @@ def run_benchmark(
     repetitions: int = 3,
     seed: int = 0,
 ) -> list:
-    """One report per UAV count; Tp is the median of `repetitions` runs."""
+    """One report per UAV count; Tp is the median of `repetitions` timed runs.
+
+    Every count first runs one more repetition whose timings are discarded.
+    """
     if not uav_counts:
         raise ValueError("uav_counts must be non-empty")
     n_snapshots = int(round(virtual_seconds / sampling_interval))
@@ -84,7 +88,7 @@ def run_benchmark(
     for count in uav_counts:
         tp, tm, tc, ta = [], [], [], []
         error = None
-        for rep in range(repetitions):
+        for rep in range(repetitions + 1):
             plans = {
                 f"uav{i}": offset_plan(base_plan, 3.0 * (i - (count - 1) / 2.0))
                 for i in range(count)
@@ -105,6 +109,8 @@ def run_benchmark(
             except orch.EpisodeAbort as exc:
                 error = str(exc)
                 break
+            if rep == 0:
+                continue  # warm-up
             tp.append(log.wall_clock_s)
             tm.append(log.timings["3D"])
             tc.append(log.timings["communications"])
@@ -124,6 +130,7 @@ def run_benchmark(
                 t_mobility_s=statistics.median(tm),
                 t_comms_s=statistics.median(tc),
                 t_ai_s=statistics.median(ta),
+                tp_min_s=min(tp),
             )
         )
     return reports
@@ -141,29 +148,3 @@ def write_csv(reports, path) -> None:
 def write_json(reports, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump([r.to_dict() for r in reports], fh, indent=2)
-
-
-def compare_backends(scene: Scene, n_points: int = 60, repeats: int = 3) -> dict:
-    """Time the tracer across backends on a line of receiver positions.
-
-    Returns {backend: median seconds for n_points traced positions}. The
-    numba figure excludes JIT compilation (one warm-up call).
-    """
-    xs = np.linspace(scene.length * 0.25, scene.length * 0.75, n_points)
-    points = [(float(x), scene.width / 2.0, 40.0) for x in xs]
-    results = {}
-    previous = kernels.active_backend()
-    try:
-        for backend in kernels.available_backends():
-            kernels.set_backend(backend)
-            trace_paths(scene, scene.tx.position, points[0])  # warm-up / JIT
-            times = []
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                for p in points:
-                    trace_paths(scene, scene.tx.position, p)
-                times.append(time.perf_counter() - t0)
-            results[backend] = statistics.median(times)
-    finally:
-        kernels.set_backend(previous)
-    return results

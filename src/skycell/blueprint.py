@@ -5,8 +5,8 @@ traces each UE, runs the full beam sweep, publishes "Ready" on
 "communications.state" (the barrier) and reports throughput on
 "communications.throughput"; the AI module consumes positions plus sweep
 gains and publishes its beam-pair decision. Data that does not fit the
-message contract (the 256-entry gains vector) moves by direct reference,
-mirroring the file-based flow of heavyweight simulators.
+message contract (the gains vector, one entry per beam pair) moves by direct
+reference, mirroring the file-based flow of heavyweight simulators.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from .phy import (
     synthesize_channel,
     throughput_mbps,
 )
-
-N_PAIRS = 256
 
 
 class MobilityModule(orch.ModuleHandle):
@@ -149,7 +147,8 @@ class CommsModule(orch.ModuleHandle):
                 rx_rotation=self.rx_rotation,
             )
         except ChannelOutage:
-            return SweepResult(tuple(position), cls, 0, np.zeros(N_PAIRS))
+            n_pairs = self.tx_codebook.n_codewords * self.rx_codebook.n_codewords
+            return SweepResult(tuple(position), cls, 0, np.zeros(n_pairs))
         best, gains = beam_sweep(h, self.tx_codebook, self.rx_codebook)
         return SweepResult(tuple(position), cls, best, gains)
 

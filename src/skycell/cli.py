@@ -325,13 +325,8 @@ def cmd_bench(args) -> int:
         if r.error:
             print(f"uavs={r.n_uavs} FAILED: {r.error}")
         else:
-            print(f"uavs={r.n_uavs} Tp={r.tp_s:.3f}s Tv={r.tv_s:.1f}s rtf={r.rtf:.4f}")
-    if args.compare_kernels:
-        comparison = bench_mod.compare_backends(scene)
-        with open(out / "kernel_backends.json", "w", encoding="utf-8") as fh:
-            json.dump(comparison, fh, indent=2)
-        for name, seconds in comparison.items():
-            print(f"kernel backend {name}: {seconds:.4f}s")
+            print(f"uavs={r.n_uavs} Tp={r.tp_s:.3f}s (min {r.tp_min_s:.3f}s) "
+                  f"Tv={r.tv_s:.1f}s rtf={r.rtf:.4f}")
     cfgmod.write_manifest(out, "bench", seed, cfg, {"counts": counts})
     return 0
 
@@ -384,8 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="real-time-factor benchmark over UAV counts")
     common(p)
     p.add_argument("--counts", default="1,3,5,10", help="comma-separated UAV counts")
-    p.add_argument("--compare-kernels", action="store_true",
-                   help="also time the tracer under numba and numpy backends")
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -4,7 +4,8 @@ The scene is a flat ground plane plus axis-aligned box buildings inside a
 rectangular boundary. Multipath components are enumerated exactly with the
 image method: line of sight, single specular bounces off every building face
 and the ground, and double bounces via nested mirror images. No diffraction
-or diffuse scattering.
+or diffuse scattering. The scene caches the image tree of its own
+transmitter, and :func:`trace_paths_batch` traces many receivers in one pass.
 """
 
 from __future__ import annotations
@@ -202,6 +203,20 @@ class Scene:
             )
         return self._packed[key]
 
+    def image_tree(self, tx, ground: bool = True) -> kernels.ImageTree:
+        """Static image tree for a transmitter; cached only for the scene's own.
+
+        Any other transmitter gets a fresh, uncached tree, so the cache holds
+        at most one tree per ground flag.
+        """
+        faces = self.faces(ground)
+        if np.asarray(tx, dtype=np.float64).tolist() != list(self.tx.position):
+            return kernels.build_image_tree(tx, *faces)
+        key = ("tree", ground)
+        if key not in self._packed:
+            self._packed[key] = kernels.build_image_tree(tx, *faces)
+        return self._packed[key]
+
 
 def mirror_point(p, axis: int, coord: float) -> np.ndarray:
     """Reflect a point across the axis-aligned plane {x_axis = coord}."""
@@ -247,20 +262,46 @@ def trace_paths(
     reflection coefficients met along the way; phase is -2*pi*length/lambda.
     Paths come back sorted by (kind, length).
     """
+    rx = np.asarray(rx, dtype=np.float64)
+    if rx.shape != (3,):
+        raise ValueError("rx must be one 3D point")
+    return trace_paths_batch(
+        scene, tx, rx[None, :], max_order, carrier_hz, ground_reflection
+    )[0]
+
+
+def trace_paths_batch(
+    scene: Scene,
+    tx,
+    rx,
+    max_order: int = 2,
+    carrier_hz: float = 4e10,
+    ground_reflection: bool = True,
+) -> list:
+    """:func:`trace_paths` for every row of rx (M, 3); one bundle per row.
+
+    The receivers share one vectorised pass over the transmitter's image
+    tree, which the scene caches for its own transmitter.
+    """
     tx = np.asarray(tx, dtype=np.float64)
     rx = np.asarray(rx, dtype=np.float64)
-    if np.array_equal(tx, rx):
+    if tx.shape != (3,) or rx.ndim != 2 or rx.shape[1] != 3:
+        raise ValueError("tx must be a 3D point and rx an (M, 3) array")
+    if (rx == tx).all(axis=1).any():
         raise ValueError("tx and rx must differ")
-    if tx[2] <= 0 or rx[2] <= 0:
+    if tx[2] <= 0 or (rx[:, 2] <= 0).any():
         raise ValueError("tx and rx must be above the ground plane")
     if not 0 <= max_order <= 2:
         raise ValueError("max_order must be 0, 1 or 2")
 
-    f_axis, f_coord, f_sign, f_uv, f_refl = scene.faces(ground=ground_reflection)
-    raw = kernels.trace_candidates(
-        tx, rx, scene.boxes, f_axis, f_coord, f_sign, f_uv, f_refl, max_order
-    )
+    tree = scene.image_tree(tx, ground=ground_reflection)
     lam = SPEED_OF_LIGHT / carrier_hz
+    return [
+        _bundle(raw, lam) for raw in kernels.trace_batch(tree, rx, scene.boxes, max_order)
+    ]
+
+
+def _bundle(raw, lam: float) -> PathBundle:
     paths = []
     for kind_i, h1, h2, length, aod_dir, aoa_dir, refl in raw:
         mag = lam / (4.0 * math.pi * length) * refl

@@ -1,21 +1,21 @@
-"""Low-level tracer kernels: slab occlusion tests and image-method path enumeration.
+"""Tracer kernels in numpy: slab occlusion, the static image tree, batched paths.
 
-These inner loops dominate the wall-clock time of a simulation run, so they
-exist in two interchangeable flavours: numba ``@njit`` kernels and a
-vectorized pure-numpy fallback. The active backend is chosen once at import
-from the ``SKYCELL_BACKEND`` environment variable ("numba" or "numpy",
-default numba when importable) and can be switched at runtime with
-:func:`set_backend`. Both backends evaluate the same expressions per
-candidate path, so their outputs agree bit-for-bit.
+The transmitter is fixed, so its first-order images, the ordered face pairs
+that can carry a second-order path and each pair's second-order image do not
+depend on the receiver. :func:`build_image_tree` computes them once (beam
+tracing from a fixed source, as in Funkhouser et al., SIGGRAPH 1998), and
+:func:`trace_batch` enumerates the paths to many receivers in one vectorised
+pass (Sionna RT batches receivers the same way, arXiv:2303.11103). Every
+surviving candidate is computed with the same per-element expressions as the
+scalar one-receiver enumeration, so the paths come out bit-identical.
 """
 
 from __future__ import annotations
 
-import os
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-
-ENV_BACKEND = "SKYCELL_BACKEND"
 
 # open-segment clip: endpoints sitting on a face do not count as occlusion
 _T_EPS = 1e-9
@@ -23,335 +23,57 @@ _T_EPS = 1e-9
 _PAR_EPS = 1e-12
 # inclusive tolerance for reflection points on face rectangles
 _FACE_EPS = 1e-9
-
-try:
-    from numba import njit
-
-    _NUMBA_OK = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _NUMBA_OK = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-def _resolve_backend() -> str:
-    choice = os.environ.get(ENV_BACKEND, "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice in ("", "numba"):
-        if _NUMBA_OK:
-            return "numba"
-        if choice == "numba":
-            raise RuntimeError("SKYCELL_BACKEND=numba but numba is not importable")
-        return "numpy"
-    raise ValueError(f"unknown {ENV_BACKEND}={choice!r} (expected 'numba' or 'numpy')")
-
-
-_ACTIVE = _resolve_backend()
-
-
-def active_backend() -> str:
-    return _ACTIVE
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if _NUMBA_OK else ("numpy",)
-
-
-def set_backend(name: str) -> None:
-    """Switch kernel backend at runtime (used by tests and the benchmark)."""
-    global _ACTIVE
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not _NUMBA_OK:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _ACTIVE = name
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _seg_blocked_nb(px, py, pz, qx, qy, qz, boxes):
-    dx = qx - px
-    dy = qy - py
-    dz = qz - pz
-    for b in range(boxes.shape[0]):
-        t0 = _T_EPS
-        t1 = 1.0 - _T_EPS
-        hit = True
-        for axis in range(3):
-            if axis == 0:
-                p, d = px, dx
-            elif axis == 1:
-                p, d = py, dy
-            else:
-                p, d = pz, dz
-            lo = boxes[b, axis]
-            hi = boxes[b, axis + 3]
-            if d > _PAR_EPS or d < -_PAR_EPS:
-                ta = (lo - p) / d
-                tb = (hi - p) / d
-                if ta > tb:
-                    ta, tb = tb, ta
-                if ta > t0:
-                    t0 = ta
-                if tb < t1:
-                    t1 = tb
-                if t0 >= t1:
-                    hit = False
-                    break
-            else:
-                if p < lo or p > hi:
-                    hit = False
-                    break
-        if hit and t1 > t0:
-            return True
-    return False
-
-
-@njit(cache=True)
-def _plane_hit_nb(ax, ay, az, bx, by, bz, axis, coord):
-    # crossing point of segment a->b with the axis-aligned plane; t or -1
-    if axis == 0:
-        pa, pb = ax, bx
-    elif axis == 1:
-        pa, pb = ay, by
-    else:
-        pa, pb = az, bz
-    denom = pb - pa
-    if denom < _PAR_EPS and denom > -_PAR_EPS:
-        return -1.0
-    t = (coord - pa) / denom
-    if t <= 0.0 or t >= 1.0:
-        return -1.0
-    return t
-
-
-@njit(cache=True)
-def _on_face_nb(hx, hy, hz, axis, uv):
-    if axis == 0:
-        u, v = hy, hz
-    elif axis == 1:
-        u, v = hz, hx
-    else:
-        u, v = hx, hy
-    return (
-        u >= uv[0] - _FACE_EPS
-        and u <= uv[1] + _FACE_EPS
-        and v >= uv[2] - _FACE_EPS
-        and v <= uv[3] + _FACE_EPS
-    )
-
-
-@njit(cache=True)
-def _trace_nb(
-    tx,
-    rx,
-    boxes,
-    f_axis,
-    f_coord,
-    f_sign,
-    f_uv,
-    f_refl,
-    max_order,
-    out_kind,
-    out_verts,
-    out_len,
-    out_aod,
-    out_aoa,
-    out_refl,
-):
-    n = 0
-    nf = f_axis.shape[0]
-
-    # LOS
-    if not _seg_blocked_nb(tx[0], tx[1], tx[2], rx[0], rx[1], rx[2], boxes):
-        dx = rx[0] - tx[0]
-        dy = rx[1] - tx[1]
-        dz = rx[2] - tx[2]
-        length = np.sqrt(dx * dx + dy * dy + dz * dz)
-        out_kind[n] = 0
-        out_len[n] = length
-        out_aod[n, 0] = dx / length
-        out_aod[n, 1] = dy / length
-        out_aod[n, 2] = dz / length
-        out_aoa[n, 0] = -dx / length
-        out_aoa[n, 1] = -dy / length
-        out_aoa[n, 2] = -dz / length
-        out_refl[n] = 1.0
-        n += 1
-
-    if max_order < 1:
-        return n
-
-    img1 = np.empty(3)
-    img2 = np.empty(3)
-    h1 = np.empty(3)
-    h2 = np.empty(3)
-
-    for i in range(nf):
-        ai = f_axis[i]
-        ci = f_coord[i]
-        si = f_sign[i]
-        if si * (tx[ai] - ci) <= _FACE_EPS:
-            continue
-        img1[0] = tx[0]
-        img1[1] = tx[1]
-        img1[2] = tx[2]
-        img1[ai] = 2.0 * ci - tx[ai]
-
-        # first-order bounce off face i
-        if si * (rx[ai] - ci) > _FACE_EPS:
-            t = _plane_hit_nb(img1[0], img1[1], img1[2], rx[0], rx[1], rx[2], ai, ci)
-            if t > 0.0:
-                h1[0] = img1[0] + t * (rx[0] - img1[0])
-                h1[1] = img1[1] + t * (rx[1] - img1[1])
-                h1[2] = img1[2] + t * (rx[2] - img1[2])
-                if _on_face_nb(h1[0], h1[1], h1[2], ai, f_uv[i]):
-                    if not _seg_blocked_nb(
-                        tx[0], tx[1], tx[2], h1[0], h1[1], h1[2], boxes
-                    ) and not _seg_blocked_nb(
-                        h1[0], h1[1], h1[2], rx[0], rx[1], rx[2], boxes
-                    ):
-                        ix = img1[0] - rx[0]
-                        iy = img1[1] - rx[1]
-                        iz = img1[2] - rx[2]
-                        length = np.sqrt(ix * ix + iy * iy + iz * iz)
-                        dx = h1[0] - tx[0]
-                        dy = h1[1] - tx[1]
-                        dz = h1[2] - tx[2]
-                        dn = np.sqrt(dx * dx + dy * dy + dz * dz)
-                        ex = h1[0] - rx[0]
-                        ey = h1[1] - rx[1]
-                        ez = h1[2] - rx[2]
-                        en = np.sqrt(ex * ex + ey * ey + ez * ez)
-                        out_kind[n] = 1
-                        out_verts[n, 0, 0] = h1[0]
-                        out_verts[n, 0, 1] = h1[1]
-                        out_verts[n, 0, 2] = h1[2]
-                        out_len[n] = length
-                        out_aod[n, 0] = dx / dn
-                        out_aod[n, 1] = dy / dn
-                        out_aod[n, 2] = dz / dn
-                        out_aoa[n, 0] = ex / en
-                        out_aoa[n, 1] = ey / en
-                        out_aoa[n, 2] = ez / en
-                        out_refl[n] = f_refl[i]
-                        n += 1
-
-        if max_order < 2:
-            continue
-
-        # second-order: bounce off face i then face j
-        for j in range(nf):
-            if j == i:
-                continue
-            aj = f_axis[j]
-            cj = f_coord[j]
-            sj = f_sign[j]
-            if sj * (rx[aj] - cj) <= _FACE_EPS:
-                continue
-            img2[0] = img1[0]
-            img2[1] = img1[1]
-            img2[2] = img1[2]
-            img2[aj] = 2.0 * cj - img1[aj]
-            t2 = _plane_hit_nb(rx[0], rx[1], rx[2], img2[0], img2[1], img2[2], aj, cj)
-            if t2 < 0.0:
-                continue
-            h2[0] = rx[0] + t2 * (img2[0] - rx[0])
-            h2[1] = rx[1] + t2 * (img2[1] - rx[1])
-            h2[2] = rx[2] + t2 * (img2[2] - rx[2])
-            if not _on_face_nb(h2[0], h2[1], h2[2], aj, f_uv[j]):
-                continue
-            if si * (h2[ai] - ci) <= _FACE_EPS:
-                continue
-            t1 = _plane_hit_nb(h2[0], h2[1], h2[2], img1[0], img1[1], img1[2], ai, ci)
-            if t1 < 0.0:
-                continue
-            h1[0] = h2[0] + t1 * (img1[0] - h2[0])
-            h1[1] = h2[1] + t1 * (img1[1] - h2[1])
-            h1[2] = h2[2] + t1 * (img1[2] - h2[2])
-            if not _on_face_nb(h1[0], h1[1], h1[2], ai, f_uv[i]):
-                continue
-            if sj * (h1[aj] - cj) <= _FACE_EPS:
-                continue
-            if _seg_blocked_nb(tx[0], tx[1], tx[2], h1[0], h1[1], h1[2], boxes):
-                continue
-            if _seg_blocked_nb(h1[0], h1[1], h1[2], h2[0], h2[1], h2[2], boxes):
-                continue
-            if _seg_blocked_nb(h2[0], h2[1], h2[2], rx[0], rx[1], rx[2], boxes):
-                continue
-            ix = img2[0] - rx[0]
-            iy = img2[1] - rx[1]
-            iz = img2[2] - rx[2]
-            length = np.sqrt(ix * ix + iy * iy + iz * iz)
-            dx = h1[0] - tx[0]
-            dy = h1[1] - tx[1]
-            dz = h1[2] - tx[2]
-            dn = np.sqrt(dx * dx + dy * dy + dz * dz)
-            ex = h2[0] - rx[0]
-            ey = h2[1] - rx[1]
-            ez = h2[2] - rx[2]
-            en = np.sqrt(ex * ex + ey * ey + ez * ez)
-            out_kind[n] = 2
-            out_verts[n, 0, 0] = h1[0]
-            out_verts[n, 0, 1] = h1[1]
-            out_verts[n, 0, 2] = h1[2]
-            out_verts[n, 1, 0] = h2[0]
-            out_verts[n, 1, 1] = h2[1]
-            out_verts[n, 1, 2] = h2[2]
-            out_len[n] = length
-            out_aod[n, 0] = dx / dn
-            out_aod[n, 1] = dy / dn
-            out_aod[n, 2] = dz / dn
-            out_aoa[n, 0] = ex / en
-            out_aoa[n, 1] = ey / en
-            out_aoa[n, 2] = ez / en
-            out_refl[n] = f_refl[i] * f_refl[j]
-            n += 1
-
-    return n
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy backend
-# ---------------------------------------------------------------------------
+# margin by which the static pair pruning grows every face; far above the
+# rounding of any reflection point, so pruning never drops a valid path
+_PRUNE_EPS = 1e-6
+# row k is the one-hot mask of axis k
+_AXES = np.eye(3, dtype=bool)
+# the 8 corners of a box: True picks the upper bound on that axis
+_CORNERS = np.array([[(c >> b) & 1 for b in range(3)] for c in range(8)], dtype=bool)
 
 
 def _seg_blocked_np_many(p, q, boxes):
-    """Occlusion test for M segments against B boxes; returns (M,) bool."""
+    """Occlusion test for M segments against B boxes; returns (M,) bool.
+
+    A broad phase keeps the (segment, box) pairs whose bounding boxes
+    overlap and the slab test runs on those alone. A slab hit implies
+    overlapping bounding boxes, so the broad phase changes no result.
+    """
     p = np.atleast_2d(p)
     q = np.atleast_2d(q)
-    if boxes.shape[0] == 0:
-        return np.zeros(p.shape[0], dtype=bool)
-    d = (q - p)[:, None, :]  # (M,1,3)
-    pp = p[:, None, :]
-    lo = boxes[None, :, :3]
-    hi = boxes[None, :, 3:]
+    blocked = np.zeros(p.shape[0], dtype=bool)
+    if boxes.shape[0] == 0 or p.shape[0] == 0:
+        return blocked
+    # axis-major (3, M, B) comparisons keep the inner loops long and contiguous
+    bt = np.ascontiguousarray(boxes.T)[:, None, :]
+    near = (np.minimum(p, q).T[:, :, None] <= bt[3:]) & (np.maximum(p, q).T[:, :, None] >= bt[:3])
+    seg, box = np.nonzero(near[0] & near[1] & near[2])
+    if seg.size == 0:
+        return blocked
+    pp = p[seg]
+    d = q[seg] - pp
+    lo = boxes[box, :3]
+    hi = boxes[box, 3:]
     par = np.abs(d) <= _PAR_EPS
     with np.errstate(divide="ignore", invalid="ignore"):
         ta = (lo - pp) / d
         tb = (hi - pp) / d
     t_enter = np.minimum(ta, tb)
     t_exit = np.maximum(ta, tb)
-    # parallel axes: inside the slab leaves t unconstrained, outside kills the box
-    inside = (pp >= lo) & (pp <= hi)
-    t_enter = np.where(par, np.where(inside, -np.inf, np.inf), t_enter)
-    t_exit = np.where(par, np.where(inside, np.inf, -np.inf), t_exit)
-    t0 = np.maximum(t_enter.max(axis=2), _T_EPS)
-    t1 = np.minimum(t_exit.min(axis=2), 1.0 - _T_EPS)
-    return (t1 > t0).any(axis=1)
+    if par.any():
+        # parallel axes: inside the slab leaves t unconstrained, outside kills the box
+        inside = (pp >= lo) & (pp <= hi)
+        t_enter = np.where(par, np.where(inside, -np.inf, np.inf), t_enter)
+        t_exit = np.where(par, np.where(inside, np.inf, -np.inf), t_exit)
+    t0 = np.maximum(t_enter.max(axis=1), _T_EPS)
+    t1 = np.minimum(t_exit.min(axis=1), 1.0 - _T_EPS)
+    blocked[seg[t1 > t0]] = True
+    return blocked
 
 
 def _norm_rows(v):
-    return np.sqrt(v[:, 0] ** 2 + v[:, 1] ** 2 + v[:, 2] ** 2)
+    x, y, z = v.T
+    return np.sqrt(x * x + y * y + z * z)
 
 
 def _mirror_rows(points, axes, coords):
@@ -361,169 +83,263 @@ def _mirror_rows(points, axes, coords):
     return out
 
 
-def _on_face_rows(hits, axes, uv):
-    rows = np.arange(hits.shape[0])
-    u = hits[rows, (axes + 1) % 3]
-    v = hits[rows, (axes + 2) % 3]
-    # face uv convention: axis 0 -> (y,z), axis 1 -> (z,x), axis 2 -> (x,y)
-    return (
-        (u >= uv[:, 0] - _FACE_EPS)
-        & (u <= uv[:, 1] + _FACE_EPS)
-        & (v >= uv[:, 2] - _FACE_EPS)
-        & (v <= uv[:, 3] + _FACE_EPS)
-    )
+def _face_hit(a, b, coord, lo, hi):
+    """Where segment a->b crosses a face plane {x_axis = coord}: (t, ok).
 
-
-def _plane_hit_rows(a, b, axes, coords):
-    rows = np.arange(a.shape[0])
-    pa = a[rows, axes]
-    pb = b[rows, axes]
-    denom = pb - pa
-    ok = np.abs(denom) > _PAR_EPS
-    t = np.where(ok, (coords - pa) / np.where(ok, denom, 1.0), -1.0)
-    ok &= (t > 0.0) & (t < 1.0)
+    ``a`` and ``b`` hold each end along the face axis, then along its two
+    in-plane axes, as shape (..., 3, N); ``lo``/``hi`` (2, N) are the face
+    rectangle grown by _FACE_EPS. ok is True where the crossing lies
+    strictly inside the segment and on the rectangle. The crossing point is
+    a + t * (b - a) component by component, bit-identical to computing it
+    as a 3-vector and selecting. Call under np.errstate(divide="ignore",
+    invalid="ignore"): t is garbage wherever ok is False.
+    """
+    pa = a[..., 0, :]
+    denom = b[..., 0, :] - pa
+    t = (coord - pa) / denom
+    ok = (np.abs(denom) > _PAR_EPS) & (t > 0.0) & (t < 1.0)
+    au = a[..., 1:, :]
+    uv = au + t[..., None, :] * (b[..., 1:, :] - au)
+    ok &= ((uv >= lo) & (uv <= hi)).all(axis=-2)
     return t, ok
 
 
-def _emit_np(tx, rx, h1, h2, img_last, refl, kind, sink):
-    ivec = img_last - rx[None, :]
-    length = _norm_rows(ivec)
-    dvec = h1 - tx[None, :]
-    dn = _norm_rows(dvec)
-    evec = (h2 if h2 is not None else h1) - rx[None, :]
-    en = _norm_rows(evec)
-    for k in range(h1.shape[0]):
-        sink.append(
-            (
-                kind,
-                h1[k],
-                None if h2 is None else h2[k],
-                length[k],
-                dvec[k] / dn[k],
-                evec[k] / en[k],
-                refl[k],
-            )
-        )
+# ---------------------------------------------------------------------------
+# static image tree
+# ---------------------------------------------------------------------------
 
 
-def _trace_np(tx, rx, boxes, f_axis, f_coord, f_sign, f_uv, f_refl, max_order):
-    paths = []
-    if not bool(_seg_blocked_np_many(tx[None, :], rx[None, :], boxes)[0]):
-        d = rx - tx
-        length = float(np.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2))
-        paths.append((0, None, None, length, d / length, -d / length, 1.0))
-    if max_order < 1 or f_axis.shape[0] == 0:
-        return paths
+class Planes(NamedTuple):
+    """Per-row constants of a face-crossing test; see :func:`_face_hit`."""
 
+    cols: np.ndarray  # (3, N): the face axis, then its two in-plane axes
+    coord: np.ndarray  # (N,) plane coordinate
+    lo: np.ndarray  # (2, N) face rectangle grown by _FACE_EPS
+    hi: np.ndarray  # (2, N)
+    img: np.ndarray  # (3, N) the row's image point along cols
+
+
+def _planes(img, axes, coords, uv) -> Planes:
+    cols = np.stack([axes, (axes + 1) % 3, (axes + 2) % 3])
+    return Planes(
+        cols=cols,
+        coord=coords,
+        lo=np.stack([uv[:, 0] - _FACE_EPS, uv[:, 2] - _FACE_EPS]),
+        hi=np.stack([uv[:, 1] + _FACE_EPS, uv[:, 3] + _FACE_EPS]),
+        img=img[np.arange(img.shape[0]), cols],
+    )
+
+
+@dataclass(frozen=True)
+class ImageTree:
+    """Receiver-independent part of the image method for one transmitter.
+
+    ``img1[f]`` is the transmitter mirrored in face f. First-order paths can
+    only use the faces in ``r1_faces`` (those facing the transmitter), whose
+    planes and images ``r1`` holds. Pair k bounces off face ``pair_i[k]``
+    then ``pair_j[k]``, has second-order image ``img2[k]``, and ``r2`` holds
+    face j's plane with that image; ``pair_r1[k]`` is face i's row in r1.
+    Pairs keep (i, j) order.
+    """
+
+    tx: np.ndarray
+    faces: tuple  # (axis, coord, sign, uv, reflection), as Scene.faces returns
+    img1: np.ndarray
+    r1_faces: np.ndarray
+    r1: Planes
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    pair_r1: np.ndarray
+    img2: np.ndarray
+    r2: Planes
+
+
+def _face_boxes(f_axis, f_coord, f_uv):
+    """Each face rectangle as a 3D box (lo, hi), grown by _PRUNE_EPS."""
+    nf = f_axis.shape[0]
+    rows = np.arange(nf)
+    lo = np.empty((nf, 3))
+    hi = np.empty((nf, 3))
+    lo[rows, f_axis] = hi[rows, f_axis] = f_coord
+    lo[rows, (f_axis + 1) % 3], hi[rows, (f_axis + 1) % 3] = f_uv[:, 0], f_uv[:, 1]
+    lo[rows, (f_axis + 2) % 3], hi[rows, (f_axis + 2) % 3] = f_uv[:, 2], f_uv[:, 3]
+    return lo - _PRUNE_EPS, hi + _PRUNE_EPS
+
+
+def _clip_front(lo, hi, axes, coords, signs):
+    """Clip boxes to the closed half-spaces in front of planes."""
+    on_axis = _AXES[axes]
+    c = coords[:, None]
+    lo = np.where(on_axis & (signs > 0)[:, None], np.maximum(lo, c), lo)
+    hi = np.where(on_axis & (signs < 0)[:, None], np.minimum(hi, c), hi)
+    return lo, hi
+
+
+def build_image_tree(tx, f_axis, f_coord, f_sign, f_uv, f_refl) -> ImageTree:
+    """First-order images and the pruned second-order pair list for tx.
+
+    A pair (i, j) is kept only if all three conservative tests pass:
+    face i faces the transmitter; each face has a part in front of the
+    other; and, seen from the first image (central projection onto plane i),
+    the part of face j in front of face i can land on the part of face i in
+    front of face j. A path off i then j needs all three, since its second
+    bounce point projects from the first image to its first bounce point.
+    """
+    tx = np.asarray(tx, dtype=np.float64)
     nf = f_axis.shape[0]
     tx_side = f_sign * (tx[f_axis] - f_coord) > _FACE_EPS
-    rx_side = f_sign * (rx[f_axis] - f_coord) > _FACE_EPS
-    img1_all = _mirror_rows(np.broadcast_to(tx, (nf, 3)).copy(), f_axis, f_coord)
+    img1 = _mirror_rows(np.broadcast_to(tx, (nf, 3)).copy(), f_axis, f_coord)
 
-    # first order
-    cand = np.where(tx_side & rx_side)[0]
-    if cand.size:
-        img1 = img1_all[cand]
-        t, ok = _plane_hit_rows(img1, np.broadcast_to(rx, (cand.size, 3)), f_axis[cand], f_coord[cand])
-        cand, img1, t = cand[ok], img1[ok], t[ok]
-        if cand.size:
-            h1 = img1 + t[:, None] * (rx[None, :] - img1)
-            ok = _on_face_rows(h1, f_axis[cand], f_uv[cand])
-            cand, img1, h1 = cand[ok], img1[ok], h1[ok]
-        if cand.size:
-            ok = ~_seg_blocked_np_many(np.broadcast_to(tx, (cand.size, 3)), h1, boxes)
-            ok &= ~_seg_blocked_np_many(h1, np.broadcast_to(rx, (cand.size, 3)), boxes)
-            cand, img1, h1 = cand[ok], img1[ok], h1[ok]
-        if cand.size:
-            _emit_np(tx, rx, h1, None, img1, f_refl[cand], 1, paths)
+    lo, hi = _face_boxes(f_axis, f_coord, f_uv)
+    # ahead[i, j]: some point of face j lies on or in front of plane i
+    ahead = np.where(
+        (f_sign > 0)[:, None], hi[:, f_axis].T >= f_coord[:, None], lo[:, f_axis].T <= f_coord[:, None]
+    )
+    I, J = np.nonzero(tx_side[:, None] & ahead & ahead.T & ~np.eye(nf, dtype=bool))
+    lo_j, hi_j = _clip_front(lo[J], hi[J], f_axis[I], f_coord[I], f_sign[I])
+    lo_i, hi_i = _clip_front(lo[I], hi[I], f_axis[J], f_coord[J], f_sign[J])
 
-    if max_order < 2:
-        return paths
-
-    # second order: all ordered pairs (i, j), i != j
-    I, J = np.meshgrid(np.arange(nf), np.arange(nf), indexing="ij")
-    I, J = I.ravel(), J.ravel()
-    keep = (I != J) & tx_side[I] & rx_side[J]
+    # corners of the clipped face-j boxes, projected from img1 onto plane i;
+    # img1 lies strictly behind plane i, so the central projection keeps the
+    # box convex and the projected corners bound every projected point
+    corners = np.where(_CORNERS[:, None, :], hi_j, lo_j)  # (8, P, 3)
+    axis = f_axis[I]
+    x_a = corners[:, np.arange(I.size), axis]
+    t = (f_coord[I] - x_a) / (img1[I, axis] - x_a)
+    proj = img1[I] - corners
+    proj *= t[:, :, None]
+    proj += corners
+    # overlap with the clipped face-i box across plane i's two in-plane axes
+    within = (proj.min(axis=0) <= hi_i) & (proj.max(axis=0) >= lo_i)
+    keep = (within | _AXES[axis]).all(axis=1)
     I, J = I[keep], J[keep]
-    if I.size == 0:
-        return paths
-    img1 = img1_all[I]
-    img2 = _mirror_rows(img1, f_axis[J], f_coord[J])
-    t2, ok = _plane_hit_rows(np.broadcast_to(rx, (I.size, 3)), img2, f_axis[J], f_coord[J])
-    I, J, img1, img2, t2 = I[ok], J[ok], img1[ok], img2[ok], t2[ok]
-    if I.size == 0:
-        return paths
-    h2 = rx[None, :] + t2[:, None] * (img2 - rx[None, :])
-    ok = _on_face_rows(h2, f_axis[J], f_uv[J])
-    rows = np.arange(h2.shape[0])
-    ok &= f_sign[I] * (h2[rows, f_axis[I]] - f_coord[I]) > _FACE_EPS
-    I, J, img1, img2, h2 = I[ok], J[ok], img1[ok], img2[ok], h2[ok]
-    if I.size == 0:
-        return paths
-    t1, ok = _plane_hit_rows(h2, img1, f_axis[I], f_coord[I])
-    I, J, img1, img2, h2, t1 = I[ok], J[ok], img1[ok], img2[ok], h2[ok], t1[ok]
-    if I.size == 0:
-        return paths
+
+    r1_faces = np.nonzero(tx_side)[0]
+    img2 = _mirror_rows(img1[I], f_axis[J], f_coord[J])
+    return ImageTree(
+        tx=tx,
+        faces=(f_axis, f_coord, f_sign, f_uv, f_refl),
+        img1=img1,
+        r1_faces=r1_faces,
+        r1=_planes(img1[r1_faces], f_axis[r1_faces], f_coord[r1_faces], f_uv[r1_faces]),
+        pair_i=I,
+        pair_j=J,
+        pair_r1=np.searchsorted(r1_faces, I),
+        img2=img2,
+        r2=_planes(img2, f_axis[J], f_coord[J], f_uv[J]),
+    )
+
+
+# ---------------------------------------------------------------------------
+# batched enumeration
+# ---------------------------------------------------------------------------
+
+
+def _first_order(tree, rx, rx_side):
+    """Valid-geometry R1 candidates: (receiver row, face, image, bounce point)."""
+    r1 = tree.r1
+    t, ok = _face_hit(r1.img, rx[:, r1.cols], r1.coord, r1.lo, r1.hi)
+    mm, k = np.nonzero(ok & rx_side[:, tree.r1_faces])
+    ff = tree.r1_faces[k]
+    img1 = tree.img1[ff]
+    rxr = rx[mm]
+    h1 = img1 + t[mm, k][:, None] * (rxr - img1)
+    return mm, ff, img1, h1
+
+
+def _second_order(tree, rx, rx_side):
+    """Valid-geometry R2 candidates: (receiver row, pair, image, h1, h2)."""
+    f_axis, f_coord, f_sign, _f_uv, _f_refl = tree.faces
+    r1, r2 = tree.r1, tree.r2
+    t2, ok = _face_hit(rx[:, r2.cols], r2.img, r2.coord, r2.lo, r2.hi)
+    mm, pp = np.nonzero(ok & rx_side[:, tree.pair_j])
+    img2 = tree.img2[pp]
+    rxr = rx[mm]
+    h2 = rxr + t2[mm, pp][:, None] * (img2 - rxr)
+    # back from h2 to the first image: the bounce off face i, then both
+    # bounce points in front of the other face
+    I, J, k = tree.pair_i[pp], tree.pair_j[pp], tree.pair_r1[pp]
+    rows = np.arange(pp.size)
+    t1, ok = _face_hit(h2[rows, r1.cols[:, k]], r1.img[:, k], r1.coord[k], r1.lo[:, k], r1.hi[:, k])
+    img1 = tree.img1[I]
     h1 = h2 + t1[:, None] * (img1 - h2)
-    ok = _on_face_rows(h1, f_axis[I], f_uv[I])
-    rows = np.arange(h1.shape[0])
+    ok &= f_sign[I] * (h2[rows, f_axis[I]] - f_coord[I]) > _FACE_EPS
     ok &= f_sign[J] * (h1[rows, f_axis[J]] - f_coord[J]) > _FACE_EPS
-    I, J, img2, h1, h2 = I[ok], J[ok], img2[ok], h1[ok], h2[ok]
-    if I.size == 0:
-        return paths
-    m = I.size
-    ok = ~_seg_blocked_np_many(np.broadcast_to(tx, (m, 3)), h1, boxes)
-    ok &= ~_seg_blocked_np_many(h1, h2, boxes)
-    ok &= ~_seg_blocked_np_many(h2, np.broadcast_to(rx, (m, 3)), boxes)
-    I, J, img2, h1, h2 = I[ok], J[ok], img2[ok], h1[ok], h2[ok]
-    if I.size:
-        _emit_np(tx, rx, h1, h2, img2, f_refl[I] * f_refl[J], 2, paths)
-    return paths
+    return mm[ok], pp[ok], img2[ok], h1[ok], h2[ok]
 
 
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
+def trace_batch(tree: ImageTree, rx, boxes, max_order: int) -> list:
+    """Enumerate valid LOS/R1/R2 paths from the tree's transmitter to each rx row.
+
+    Returns one list per receiver of tuples (kind, h1|None, h2|None, length,
+    aod_dir, aoa_dir, reflection_product) in enumeration order: LOS, then
+    first order by face, then second order by (i, j). Callers apply gains
+    and sorting. All occlusion tests run as one broad-phase call.
+    """
+    tx = tree.tx
+    rx = np.asarray(rx, dtype=np.float64).reshape(-1, 3)
+    n_rx = rx.shape[0]
+    f_axis, f_coord, f_sign, _f_uv, f_refl = tree.faces
+    rx_side = f_sign[None, :] * (rx[:, f_axis] - f_coord[None, :]) > _FACE_EPS
+
+    empty = np.zeros((0, 3))
+    no_rows = np.zeros(0, dtype=np.int64)
+    m1, f1, img1, h1_1 = no_rows, no_rows, empty, empty
+    m2, p2, img2, h1_2, h2_2 = no_rows, no_rows, empty, empty, empty
+    if max_order >= 1 and f_axis.shape[0]:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m1, f1, img1, h1_1 = _first_order(tree, rx, rx_side)
+            if max_order >= 2:
+                m2, p2, img2, h1_2, h2_2 = _second_order(tree, rx, rx_side)
+
+    # one occlusion call; segments: LOS tx-rx | R1 tx-h1, h1-rx | R2 tx-h1, h1-h2, h2-rx
+    n1, n2 = m1.size, m2.size
+    rx1, rx2 = rx[m1], rx[m2]
+    starts = np.concatenate([tx[None, :].repeat(n_rx + n1, 0), h1_1, tx[None, :].repeat(n2, 0), h1_2, h2_2])
+    ends = np.concatenate([rx, h1_1, rx1, h1_2, h2_2, rx2])
+    free = ~_seg_blocked_np_many(starts, ends, boxes)
+    k = n_rx + 2 * n1
+    ok1 = free[n_rx:n_rx + n1] & free[n_rx + n1:k]
+    ok2 = free[k:k + n2] & free[k + n2:k + 2 * n2] & free[k + 2 * n2:]
+
+    out = [[] for _ in range(n_rx)]
+    s0, s1, s2 = np.flatnonzero(free[:n_rx]), np.flatnonzero(ok1), np.flatnonzero(ok2)
+    if s0.size:
+        d = rx[s0] - tx
+        length = _norm_rows(d)[:, None]
+        rows = zip(length[:, 0].tolist(), (d / length).tolist(), (-d / length).tolist())
+        for m, row in zip(s0.tolist(), rows):
+            out[m].append((0, None, None, *row, 1.0))
+    if s1.size:
+        _emit(out, 1, m1[s1], rx1[s1], tx, h1_1[s1], None, img1[s1], f_refl[f1[s1]])
+    if s2.size:
+        pi, pj = tree.pair_i[p2[s2]], tree.pair_j[p2[s2]]
+        _emit(out, 2, m2[s2], rx2[s2], tx, h1_2[s2], h2_2[s2], img2[s2], f_refl[pi] * f_refl[pj])
+    return out
+
+
+def _emit(out, kind, mm, rxr, tx, h1, h2, img_last, refl):
+    """Append one path tuple per row to its receiver's list, as Python floats."""
+    n = mm.size
+    dvec = h1 - tx[None, :]
+    evec = (h1 if h2 is None else h2) - rxr
+    norms = _norm_rows(np.concatenate([img_last - rxr, dvec, evec]))
+    length = norms[:n]
+    aod = dvec / norms[n:2 * n, None]
+    aoa = evec / norms[2 * n:, None]
+    h2_rows = [None] * mm.size if h2 is None else h2.tolist()
+    rows = zip(h1.tolist(), h2_rows, length.tolist(), aod.tolist(), aoa.tolist(), refl.tolist())
+    for m, row in zip(mm.tolist(), rows):
+        out[m].append((kind, *row))
 
 
 def segment_blocked(p, q, boxes) -> bool:
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 6)
-    if _ACTIVE == "numba":
-        return bool(_seg_blocked_nb(p[0], p[1], p[2], q[0], q[1], q[2], boxes))
     return bool(_seg_blocked_np_many(p[None, :], q[None, :], boxes)[0])
 
 
-def trace_candidates(tx, rx, boxes, f_axis, f_coord, f_sign, f_uv, f_refl, max_order):
-    """Enumerate valid LOS/R1/R2 paths.
-
-    Returns a list of tuples (kind, h1|None, h2|None, length, aod_dir, aoa_dir,
-    reflection_product) in enumeration order; callers apply gains and sorting.
-    """
-    tx = np.asarray(tx, dtype=np.float64)
-    rx = np.asarray(rx, dtype=np.float64)
-    if _ACTIVE == "numpy":
-        return _trace_np(tx, rx, boxes, f_axis, f_coord, f_sign, f_uv, f_refl, max_order)
-
-    nf = f_axis.shape[0]
-    cap = 1 + nf + nf * nf if max_order >= 2 else 1 + nf
-    out_kind = np.empty(cap, dtype=np.int64)
-    out_verts = np.empty((cap, 2, 3), dtype=np.float64)
-    out_len = np.empty(cap, dtype=np.float64)
-    out_aod = np.empty((cap, 3), dtype=np.float64)
-    out_aoa = np.empty((cap, 3), dtype=np.float64)
-    out_refl = np.empty(cap, dtype=np.float64)
-    n = _trace_nb(
-        tx, rx, boxes, f_axis, f_coord, f_sign, f_uv, f_refl, max_order,
-        out_kind, out_verts, out_len, out_aod, out_aoa, out_refl,
-    )
-    paths = []
-    for k in range(n):
-        kind = int(out_kind[k])
-        h1 = out_verts[k, 0].copy() if kind >= 1 else None
-        h2 = out_verts[k, 1].copy() if kind >= 2 else None
-        paths.append(
-            (kind, h1, h2, float(out_len[k]), out_aod[k].copy(), out_aoa[k].copy(), float(out_refl[k]))
-        )
-    return paths
+def active_backend() -> str:
+    """Name of the tracer implementation; numpy is the only one."""
+    return "numpy"

@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from skycell import kernels
 from skycell.ai import TOPK_GRID, BeamDataset, DecisionTreeModel, Policy, topk_accuracy
 from skycell.bench import run_benchmark
 from skycell.bus import Broker, topic_matches

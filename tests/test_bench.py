@@ -3,8 +3,7 @@ import json
 
 import pytest
 
-from skycell import kernels
-from skycell.bench import CSV_FIELDS, TimingReport, compare_backends, rtf, run_benchmark, write_csv, write_json
+from skycell.bench import CSV_FIELDS, TimingReport, rtf, run_benchmark, write_csv, write_json
 from skycell.config import default_scene
 from skycell.geometry import Scene, TxPose
 
@@ -44,6 +43,7 @@ def test_benchmark_reports(small_reports):
         assert r.n_snapshots == 10
         assert r.rtf == pytest.approx(r.tp_s / r.tv_s, abs=1e-15)
         assert r.t_mobility_s + r.t_comms_s + r.t_ai_s <= r.tp_s
+        assert 0 < r.tp_min_s <= r.tp_s
 
 
 def test_benchmark_csv_and_json(tmp_path, small_reports):
@@ -56,6 +56,7 @@ def test_benchmark_csv_and_json(tmp_path, small_reports):
     docs = json.loads((tmp_path / "bench.json").read_text())
     assert docs[0]["n_uavs"] == 1
     assert docs[0]["rtf"] == pytest.approx(docs[0]["Tp_s"] / docs[0]["Tv_s"])
+    assert docs[0]["Tp_min_s"] <= docs[0]["Tp_s"]
 
 
 def test_benchmark_rejects_bad_args():
@@ -64,10 +65,3 @@ def test_benchmark_rejects_bad_args():
         run_benchmark(scene, [])
     with pytest.raises(ValueError):
         run_benchmark(scene, [1], virtual_seconds=0.7, sampling_interval=0.5)
-
-
-def test_compare_backends_reports_available():
-    scene = default_scene()
-    result = compare_backends(scene, n_points=5, repeats=1)
-    assert set(result) == set(kernels.available_backends())
-    assert all(v > 0 for v in result.values())

@@ -1,0 +1,72 @@
+import json
+
+from skycell import blueprint
+from skycell import orchestrator as orch
+from skycell.blueprint import CommsModule
+from skycell.bus import Broker
+from skycell.geometry import Building, Material, Scene, TxPose, los_class
+from skycell.phy import CommsConfig, UpaConfig
+
+CONCRETE = Material("concrete", 0.5)
+
+
+def _publish(broker, ue_id, pos):
+    doc = {"UE_type": "UAV", "UE_Id": ue_id, "position": {"x": pos[0], "y": pos[1], "z": pos[2]}}
+    broker.publish(orch.POSITIONS_TOPIC, json.dumps(doc), publisher=ue_id)
+
+
+def _comms(scene, cfg=None, **kwargs):
+    broker = Broker()
+    comms = CommsModule(scene, cfg or CommsConfig(), **kwargs)
+    comms.init(0.0, broker)
+    return broker, comms
+
+
+def test_outage_gains_sized_from_codebooks():
+    # a tall box hides the receiver from the transmitter; LOS only, so outage
+    scene = Scene(300, 300, TxPose((20.0, 50.0, 30.0)),
+                  [Building((40, 0.1, 0), (60, 100, 200), CONCRETE)])
+    cfg = CommsConfig(tx_upa=UpaConfig(4, 4))
+    broker, comms = _comms(scene, cfg, max_order=0)
+    _publish(broker, "hidden", (80.0, 50.0, 30.0))
+    _publish(broker, "seen", (20.0, 150.0, 30.0))
+    comms.step(0.0, broker)
+    assert comms.last["hidden"].los == "outage"
+    assert comms.last["seen"].los == "LOS"
+    for result in comms.last.values():
+        assert result.gains.shape == (16 * 4,)
+
+
+def test_step_traces_each_moved_ue_once(monkeypatch):
+    scene = Scene(719.2, 693.4, TxPose((100.0, 100.0, 50.0)),
+                  [Building((50, 40, 0), (90, 90, 60), CONCRETE)])
+    calls = []
+    real = blueprint.trace_paths
+
+    def spy(scene, tx, rx, **kwargs):
+        calls.append(tuple(rx))
+        return real(scene, tx, rx, **kwargs)
+
+    monkeypatch.setattr(blueprint, "trace_paths", spy)
+    broker, comms = _comms(scene)
+    best = broker.subscribe(orch.BEST_PAIR_TOPIC)
+
+    a, b, c = (200.0, 150.0, 40.0), (30.0, 120.0, 25.0), (120.0, 20.0, 60.0)
+    for ue_id, pos in (("u2", a), ("u0", b), ("u1", a)):
+        _publish(broker, ue_id, pos)
+    comms.step(0.0, broker)
+    assert calls == [a, b, a]
+    assert [json.loads(m.payload)["UE_Id"] for m in best.drain()] == ["u2", "u0", "u1"]
+    for ue_id, pos in (("u2", a), ("u0", b), ("u1", a)):
+        bundle = real(scene, scene.tx.position, pos)
+        assert comms.last[ue_id].los == los_class(bundle)
+
+    # only the UE that moved is traced again; a snapshot with none traces nothing
+    for ue_id, pos in (("u2", a), ("u0", c), ("u1", a)):
+        _publish(broker, ue_id, pos)
+    comms.step(0.5, broker)
+    assert calls == [a, b, a, c]
+    for ue_id, pos in (("u2", a), ("u0", c), ("u1", a)):
+        _publish(broker, ue_id, pos)
+    comms.step(1.0, broker)
+    assert len(calls) == 4

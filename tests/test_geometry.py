@@ -1,9 +1,13 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+import trace_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from skycell import kernels
+from skycell.config import default_scene
 from skycell.geometry import (
     SPEED_OF_LIGHT,
     Building,
@@ -14,6 +18,7 @@ from skycell.geometry import (
     mirror_point,
     segment_occluded,
     trace_paths,
+    trace_paths_batch,
 )
 
 CONCRETE = Material("concrete", 0.5)
@@ -205,33 +210,107 @@ def test_trace_rejects_degenerate_and_out_of_range():
         trace_paths(scene, (1, 1, 5), (2, 2, 10), max_order=3)
 
 
-@pytest.mark.skipif("numba" not in kernels.available_backends(), reason="numba unavailable")
-def test_backends_agree_bitwise():
-    scene = Scene(
-        719.2, 693.4, TxPose((100, 100, 50)),
-        [
-            Building((50, 40, 0), (90, 90, 60), CONCRETE),
-            Building((150, 30, 0), (200, 80, 45), Material("metal", 0.95)),
-            Building((100, 150, 0), (160, 210, 80), CONCRETE),
-        ],
-    )
+def _assert_same_bundle(got, ref):
+    assert len(got.paths) == len(ref.paths)
+    for p, q in zip(got.paths, ref.paths):
+        assert p.kind == q.kind
+        assert p.vertices == q.vertices
+        assert p.length == q.length
+        assert p.aod == q.aod
+        assert p.aoa == q.aoa
+        assert p.gain == q.gain
+
+
+def _random_points(rng, scene, n, z_max=150.0):
+    return np.column_stack([
+        rng.uniform(1.0, scene.length - 1.0, n),
+        rng.uniform(1.0, scene.width - 1.0, n),
+        rng.uniform(1.0, z_max, n),
+    ])
+
+
+def test_tracer_matches_oracle():
+    """Fast path vs the frozen scalar tracer, compared with exact equality."""
+    kinds = Counter()
     rng = np.random.default_rng(0)
-    previous = kernels.active_backend()
-    try:
-        for _ in range(40):
-            a = (rng.uniform(10, 400), rng.uniform(10, 400), rng.uniform(4, 140))
-            b = (rng.uniform(10, 400), rng.uniform(10, 400), rng.uniform(4, 140))
-            kernels.set_backend("numba")
-            nb = trace_paths(scene, a, b)
-            kernels.set_backend("numpy")
-            np_ = trace_paths(scene, a, b)
-            assert len(nb.paths) == len(np_.paths)
-            for p, q in zip(nb.paths, np_.paths):
-                assert p.kind == q.kind
-                assert p.length == pytest.approx(q.length, rel=1e-12)
-                assert p.gain == pytest.approx(q.gain, rel=1e-9)
-    finally:
-        kernels.set_backend(previous)
+
+    # shipped scene, its own transmitter (cached tree), single and batched
+    scene = default_scene()
+    tx = scene.tx.position
+    points = _random_points(rng, scene, 120)
+    for p, got in zip(points, trace_paths_batch(scene, tx, points)):
+        ref = trace_oracle.trace_paths(scene, tx, p)
+        _assert_same_bundle(got, ref)
+        _assert_same_bundle(trace_paths(scene, tx, p), ref)
+        kinds.update(q.kind for q in ref.paths)
+
+    # shipped scene, arbitrary transmitters (uncached trees)
+    for _ in range(40):
+        a, b = _random_points(rng, scene, 2)
+        _assert_same_bundle(trace_paths(scene, a, b), trace_oracle.trace_paths(scene, a, b))
+
+    # criterion 5's random walls, both max orders and ground flags
+    concrete = Material("concrete", 0.5)
+    for _ in range(60):
+        x0 = float(rng.uniform(5, 300))
+        wall = Building((x0, float(rng.uniform(1, 200)), 0.0),
+                        (x0 + float(rng.uniform(2, 30)), float(rng.uniform(300, 600)),
+                         float(rng.uniform(40, 150))), concrete)
+        walls = Scene(719.2, 693.4, TxPose((1, 1, 1)), [wall])
+        side = 1 if rng.random() < 0.5 else -1
+        face_x = wall.max_corner[0] if side > 0 else wall.min_corner[0]
+        a = (face_x + side * float(rng.uniform(1, 80)), float(rng.uniform(210, 290)),
+             float(rng.uniform(5, 120)))
+        b = (face_x + side * float(rng.uniform(1, 80)), float(rng.uniform(210, 290)),
+             float(rng.uniform(5, 120)))
+        for kwargs in ({}, {"max_order": 1, "ground_reflection": False}):
+            ref = trace_oracle.trace_paths(walls, a, b, **kwargs)
+            _assert_same_bundle(trace_paths(walls, a, b, **kwargs), ref)
+            kinds.update(q.kind for q in ref.paths)
+
+    assert min(kinds["LOS"], kinds["R1"], kinds["R2"]) >= 50, kinds
+
+
+_SHIPPED = default_scene()
+_coord = st.tuples(
+    st.floats(1.0, _SHIPPED.length - 1.0),
+    st.floats(1.0, _SHIPPED.width - 1.0),
+    st.floats(1.0, 150.0),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_coord, min_size=1, max_size=6), st.randoms(use_true_random=False))
+def test_batch_equals_single_calls_in_any_order(points, rnd):
+    tx = _SHIPPED.tx.position
+    singles = [trace_paths(_SHIPPED, tx, p) for p in points]
+    order = list(range(len(points)))
+    rnd.shuffle(order)
+    batch = trace_paths_batch(_SHIPPED, tx, [points[k] for k in order])
+    assert batch == [singles[k] for k in order]
+
+
+def test_image_tree_cached_for_scene_tx_only():
+    scene = default_scene()
+    tree = scene.image_tree(scene.tx.position)
+    assert scene.image_tree(np.array(scene.tx.position)) is tree
+    assert scene.image_tree(scene.tx.position, ground=False) is not tree
+    other = (100.0, 100.0, 30.0)
+    assert scene.image_tree(other) is not scene.image_tree(other)
+    n_faces = scene.faces()[0].size
+    assert 0 < tree.pair_i.size < n_faces * (n_faces - 1)
+
+
+def test_trace_batch_validation():
+    scene = empty_scene()
+    tx = (1.0, 1.0, 5.0)
+    assert trace_paths_batch(scene, tx, np.zeros((0, 3))) == []
+    with pytest.raises(ValueError):
+        trace_paths_batch(scene, tx, [(2.0, 2.0, 10.0), tx])
+    with pytest.raises(ValueError):
+        trace_paths_batch(scene, tx, [(2.0, 2.0, 10.0), (3.0, 3.0, -1.0)])
+    with pytest.raises(ValueError):
+        trace_paths_batch(scene, tx, [2.0, 2.0, 10.0])
 
 
 def test_scene_json_round_trip(tmp_path):
