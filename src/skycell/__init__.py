@@ -11,7 +11,14 @@ __version__ = "0.1.0"
 from .bus import Broker, Message, Subscription, topic_matches
 from .geometry import PathBundle, PropagationPath, Scene, los_class, trace_paths, trace_paths_batch
 from .orchestrator import EpisodeConfig, EpisodeLog, SnapshotRecord, category_wiring, run_episode
-from .phy import CommsConfig, UpaConfig, beam_sweep, dft_codebook, pair_index, steering_vector
+from .phy import (
+    CommsConfig,
+    UpaConfig,
+    beam_sweep,
+    dft_codebook,
+    pair_index,
+    steering_from_direction,
+)
 
 __all__ = [
     "Broker",
@@ -32,7 +39,7 @@ __all__ = [
     "CommsConfig",
     "UpaConfig",
     "dft_codebook",
-    "steering_vector",
+    "steering_from_direction",
     "beam_sweep",
     "pair_index",
     "__version__",

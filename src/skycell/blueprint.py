@@ -61,7 +61,7 @@ class MobilityModule(orch.ModuleHandle):
             if self._hold[ue_id] > 0:
                 self._hold[ue_id] -= 1
             else:
-                state = step_kinematics(state, self.sampling_interval, now=t)
+                state = step_kinematics(state, self.sampling_interval)
                 self.states[ue_id] = state
             broker.publish(
                 orch.POSITIONS_TOPIC, position_payload(self.states[ue_id]), publisher=ue_id
@@ -223,7 +223,11 @@ class PolicyModule(orch.ModuleHandle):
                 json.dumps({"UE_type": doc["UE_type"], "UE_Id": ue_id, "pair": pair}),
                 publisher=self.name,
             )
-            self.comms.report_throughput(ue_id, pair, broker)
+            tput = self.comms.report_throughput(ue_id, pair, broker)
+            self.on_throughput(t, broker, ue_id, pos, tput)
+
+    def on_throughput(self, t: float, broker: Broker, ue_id: str, pos, tput: float) -> None:
+        """Per-UE hook after the throughput report; subclasses add behaviour."""
 
 
 def offset_plan(plan: TrajectoryPlan, offset_m: float) -> TrajectoryPlan:

@@ -190,18 +190,6 @@ class Broker:
         return self._closed
 
 
-def publish(broker: Broker, topic: str, payload: str, publisher: str = "default") -> int:
-    return broker.publish(topic, payload, publisher)
-
-
-def subscribe(broker: Broker, pattern: str) -> Subscription:
-    return broker.subscribe(pattern)
-
-
-def next_message(sub: Subscription, timeout: float = None):
-    return sub.next_message(timeout)
-
-
 # ---------------------------------------------------------------------------
 # TCP transport: 4-byte big-endian length prefix + UTF-8 JSON envelope
 # ---------------------------------------------------------------------------

@@ -28,11 +28,8 @@ from .ai import (
     train_tree,
 )
 from .blueprint import CommsModule, MobilityModule, PolicyModule, ReplayModule, generate_dataset_rows
-from .mission import MissionConfig, estimate_rescue_curve, run_mission
-
-
-class ConfigError(Exception):
-    """Bad usage or configuration; maps to exit code 2."""
+from .config import ConfigError
+from .mission import estimate_rescue_curve, run_mission
 
 
 def _out_dir(args) -> Path:
@@ -47,17 +44,17 @@ def _load_config(args) -> dict:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     if args.seed is not None:
-        cfg.setdefault("episode", {})["seed"] = args.seed
+        cfg["episode"]["seed"] = args.seed
     return cfg
 
 
 def _seed(cfg: dict) -> int:
-    return int(cfg.get("episode", {}).get("seed", 0))
+    return int(cfg["episode"]["seed"])
 
 
 def _policy(cfg: dict, kind: str | None, model_path: str | None) -> Policy:
-    kind = kind or cfg.get("policy", {}).get("kind", "oracle")
-    model_path = model_path or cfg.get("policy", {}).get("model_path")
+    kind = kind or cfg["policy"]["kind"]
+    model_path = model_path or cfg["policy"]["model_path"]
     if kind not in ("random", "tree", "oracle"):
         raise ConfigError(f"unknown policy {kind!r}")
     model = None
@@ -72,13 +69,13 @@ def _policy(cfg: dict, kind: str | None, model_path: str | None) -> Policy:
 
 
 def _episode_config(cfg: dict, category: str | None = None, n_snapshots: int | None = None):
-    e = cfg.get("episode", {})
+    e = cfg["episode"]
     return orch.EpisodeConfig(
-        n_snapshots=n_snapshots or int(e.get("n_snapshots", 120)),
-        sampling_interval=float(e.get("sampling_interval", 0.5)),
-        category=category or e.get("category", orch.ALL_IN_LOOP),
+        n_snapshots=n_snapshots or int(e["n_snapshots"]),
+        sampling_interval=float(e["sampling_interval"]),
+        category=category or e["category"],
         seed=_seed(cfg),
-        barrier_timeout_s=float(e.get("barrier_timeout_s", 60.0)),
+        barrier_timeout_s=float(e["barrier_timeout_s"]),
     )
 
 
@@ -95,15 +92,14 @@ def cmd_run(args) -> int:
     comms_cfg = cfgmod.comms_config(cfg)
     ep = _episode_config(cfg)
 
-    randomize = cfg.get("mobility", {}).get("randomize_waypoints", True)
-    if randomize:
+    if cfg["mobility"]["randomize_waypoints"]:
         plan = cfgmod.seeded_route(cfg, cfgmod.stream_seed(seed, "mobility", 0))
     else:
         plan = cfgmod.base_route(cfg)
 
     modules = []
     if ep.category == orch.AI_COMM_IN_LOOP:
-        replay_path = args.replay or cfg.get("replay_log")
+        replay_path = args.replay or cfg["replay_log"]
         if not replay_path:
             raise ConfigError("AiCommInLoop needs --replay pointing at a recorded episode log")
         try:
@@ -149,7 +145,7 @@ def cmd_dataset(args) -> int:
     scene = cfgmod.load_scene(cfg)
     comms_cfg = cfgmod.comms_config(cfg)
     ep = _episode_config(cfg)
-    n_episodes = args.episodes or int(cfg.get("dataset", {}).get("episodes", 10))
+    n_episodes = args.episodes or int(cfg["dataset"]["episodes"])
     if n_episodes < 1:
         raise ConfigError("--episodes must be >= 1")
 
@@ -181,7 +177,7 @@ def _topk_table(model, grids: dict) -> list:
 
 
 def _maybe_filter(ds: BeamDataset, cfg: dict) -> BeamDataset:
-    if cfg.get("dataset", {}).get("filter_nlos", True):
+    if cfg["dataset"]["filter_nlos"]:
         return filter_nlos(ds)
     return ds
 
@@ -205,12 +201,13 @@ def cmd_train(args) -> int:
     full = _maybe_filter(full, cfg)
     if len(full) < 2:
         raise ConfigError("dataset too small to split after NLOS filtering")
-    train_frac = float(cfg.get("dataset", {}).get("train_frac", 0.7))
+    d = cfg["dataset"]
+    train_frac = float(d["train_frac"])
     train, validation = split_dataset(
         full, train_frac=train_frac, seed=cfgmod.stream_seed(seed, "split")
     )
-    max_depth = args.max_depth or int(cfg.get("dataset", {}).get("max_depth", 15))
-    min_leaf = int(cfg.get("dataset", {}).get("min_leaf", 1))
+    max_depth = args.max_depth or int(d["max_depth"])
+    min_leaf = int(d["min_leaf"])
     model = train_tree(train, max_depth=max_depth, min_leaf=min_leaf)
     model.save(out / "model.json")
 
@@ -260,16 +257,7 @@ def cmd_mission(args) -> int:
     scene = cfgmod.load_scene(cfg)
     comms_cfg = cfgmod.comms_config(cfg)
     policy = _policy(cfg, args.policy, args.model)
-    m = cfg.get("mission", {})
-    mission_cfg = MissionConfig(
-        payload_bytes=float(m.get("payload_bytes", 4e7)),
-        n_targets=int(m.get("n_targets", 5)),
-        detection_radius_m=float(m.get("detection_radius_m", 20.0)),
-        psnr_detect_threshold_db=float(m.get("psnr_detect_threshold_db", 12.0)),
-        target_fractions=tuple(m.get("target_fractions", (0.15, 0.35, 0.55, 0.75, 0.90))),
-        fixed_wait=bool(m.get("fixed_wait", True)),
-        max_snapshots=int(m.get("max_snapshots", 100_000)),
-    )
+    mission_cfg = cfgmod.mission_config(cfg)
     plan = cfgmod.seeded_route(cfg, cfgmod.stream_seed(seed, "mission-route"))
     ep = _episode_config(cfg, category=orch.ALL_IN_LOOP, n_snapshots=mission_cfg.max_snapshots)
     metrics, log = run_mission(
@@ -308,15 +296,15 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"bad --counts: {exc}") from exc
     if not counts or any(c < 1 for c in counts):
         raise ConfigError("--counts needs positive integers")
-    b = cfg.get("bench", {})
+    b = cfg["bench"]
     reports = bench_mod.run_benchmark(
         scene,
         counts,
-        virtual_seconds=float(b.get("virtual_seconds", 60.0)),
-        sampling_interval=float(cfg.get("episode", {}).get("sampling_interval", 0.5)),
+        virtual_seconds=float(b["virtual_seconds"]),
+        sampling_interval=float(cfg["episode"]["sampling_interval"]),
         base_plan=cfgmod.base_route(cfg),
         comms_cfg=cfgmod.comms_config(cfg),
-        repetitions=int(b.get("repetitions", 3)),
+        repetitions=int(b["repetitions"]),
         seed=seed,
     )
     bench_mod.write_csv(reports, out / "bench.csv")

@@ -1,7 +1,10 @@
 """Run configuration: JSON loading, defaults, seed substreams and manifests.
 
 Every piece of randomness in a run derives from one 64-bit master seed via
-named substreams, so a (config, seed) pair pins the entire pipeline.
+named substreams, so a (config, seed) pair pins the entire pipeline. The
+shipped default_config.json is the one source of default values: a user's
+JSON is validated against it and merged over it, so every section and key
+is present afterwards.
 """
 
 from __future__ import annotations
@@ -14,8 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Scene
+from .mission import MissionConfig
 from .mobility import Corridor, TrajectoryPlan, random_waypoints
 from .phy import CommsConfig, UpaConfig
+
+
+class ConfigError(Exception):
+    """Bad usage or configuration; maps to exit code 2."""
 
 
 def stream_seed(master_seed: int, *names) -> tuple:
@@ -45,13 +53,23 @@ def default_scene() -> Scene:
     return Scene.from_dict(json.loads(_data_text("urban_canyon.json")))
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _merge(base: dict, override, where: str = "") -> dict:
+    """Deep-merge override over base; keys must exist and sections stay dicts.
+
+    A key whose default is not a dict (a leaf such as "scene", which may be a
+    path string or a scene dict) takes the override as given.
+    """
+    if not isinstance(override, dict):
+        what = f"config section {where!r}" if where else "config"
+        raise ConfigError(f"{what} must be a JSON object, got {type(override).__name__}")
     out = dict(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
+        path = f"{where}.{key}" if where else key
+        if key not in base:
+            raise ConfigError(f"unknown config key {path!r}")
+        if isinstance(base[key], dict):
+            value = _merge(base[key], value, path)
+        out[key] = value
     return out
 
 
@@ -65,7 +83,7 @@ def load_config(path=None) -> dict:
 
 
 def load_scene(cfg: dict) -> Scene:
-    source = cfg.get("scene", "builtin")
+    source = cfg["scene"]
     if isinstance(source, dict):
         return Scene.from_dict(source)
     if source in ("builtin", None):
@@ -74,41 +92,55 @@ def load_scene(cfg: dict) -> Scene:
 
 
 def comms_config(cfg: dict) -> CommsConfig:
-    c = cfg.get("comms", {})
+    c = cfg["comms"]
+    spacing = float(c["spacing_wl"])
     return CommsConfig(
-        tx_power_dbm=float(c.get("tx_power_dbm", 30.0)),
-        bandwidth_hz=float(c.get("bandwidth_hz", 1e8)),
-        noise_figure_db=float(c.get("noise_figure_db", 7.0)),
-        max_throughput_mbps=float(c.get("max_throughput_mbps", 90.0)),
-        carrier_hz=float(c.get("carrier_hz", 4e10)),
-        tx_upa=UpaConfig(*c.get("tx_array", (8, 8)), spacing=float(c.get("spacing_wl", 0.5))),
-        rx_upa=UpaConfig(*c.get("rx_array", (2, 2)), spacing=float(c.get("spacing_wl", 0.5))),
-        rx_azimuth_deg=float(c.get("rx_azimuth_deg", 90.0)),
-        rx_downtilt_deg=float(c.get("rx_downtilt_deg", -45.0)),
+        tx_power_dbm=float(c["tx_power_dbm"]),
+        bandwidth_hz=float(c["bandwidth_hz"]),
+        noise_figure_db=float(c["noise_figure_db"]),
+        max_throughput_mbps=float(c["max_throughput_mbps"]),
+        carrier_hz=float(c["carrier_hz"]),
+        tx_upa=UpaConfig(*c["tx_array"], spacing=spacing),
+        rx_upa=UpaConfig(*c["rx_array"], spacing=spacing),
+        rx_azimuth_deg=float(c["rx_azimuth_deg"]),
+        rx_downtilt_deg=float(c["rx_downtilt_deg"]),
+    )
+
+
+def mission_config(cfg: dict) -> MissionConfig:
+    m = cfg["mission"]
+    return MissionConfig(
+        payload_bytes=float(m["payload_bytes"]),
+        n_targets=int(m["n_targets"]),
+        detection_radius_m=float(m["detection_radius_m"]),
+        psnr_detect_threshold_db=float(m["psnr_detect_threshold_db"]),
+        min_detect_throughput_mbps=float(m["min_detect_throughput_mbps"]),
+        target_fractions=tuple(m["target_fractions"]),
+        fixed_wait=bool(m["fixed_wait"]),
+        max_snapshots=int(m["max_snapshots"]),
     )
 
 
 def base_route(cfg: dict) -> TrajectoryPlan:
-    m = cfg.get("mobility", {})
-    route = m.get("route", {})
+    route = cfg["mobility"]["route"]
     return TrajectoryPlan(
-        start=tuple(route.get("start", (190.0, 325.0, 40.0))),
-        end=tuple(route.get("end", (521.0, 325.0, 40.0))),
-        waypoints=tuple(tuple(w) for w in route.get("waypoints", ())),
-        speed_mps=float(route.get("speed_mps", 5.0)),
+        start=tuple(route["start"]),
+        end=tuple(route["end"]),
+        waypoints=tuple(tuple(w) for w in route["waypoints"]),
+        speed_mps=float(route["speed_mps"]),
     )
 
 
 def seeded_route(cfg: dict, seed_entropy) -> TrajectoryPlan:
     """Base A->B route with seeded random waypoints inside the corridor."""
-    m = cfg.get("mobility", {})
+    m = cfg["mobility"]
     base = base_route(cfg)
     corridor = Corridor(
         start=base.start,
         end=base.end,
-        half_width=float(m.get("corridor_half_width", 30.0)),
+        half_width=float(m["corridor_half_width"]),
     )
-    plan = random_waypoints(seed_entropy, corridor, k=int(m.get("n_waypoints", 5)))
+    plan = random_waypoints(seed_entropy, corridor, k=int(m["n_waypoints"]))
     return TrajectoryPlan(
         start=plan.start, end=plan.end, waypoints=plan.waypoints, speed_mps=base.speed_mps
     )

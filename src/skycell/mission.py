@@ -9,7 +9,6 @@ throughput seen at detection.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -239,50 +238,46 @@ class MissionModule(PolicyModule):
             self._pause_left = 1  # adaptive: re-evaluated every snapshot
             self.mobility.hold(self.ue_id, 1)
 
-    def step(self, t: float, broker: Broker) -> None:
-        for msg in self._sub.drain():
-            doc = json.loads(msg.payload)
-            if doc["UE_Id"] != self.ue_id:
-                continue
-            pos = (doc["position"]["x"], doc["position"]["y"], doc["position"]["z"])
-            pair = self.decide(self.ue_id, pos)
-            self.last_choice[self.ue_id] = pair
-            broker.publish(
-                orch.DECISION_TOPIC,
-                json.dumps({"UE_type": doc["UE_type"], "UE_Id": self.ue_id, "pair": pair}),
-                publisher=self.name,
-            )
-            tput = self.comms.report_throughput(self.ue_id, pair, broker)
-            tier = degradation(tput)
-
-            if self._await_rate:
-                # a detection is waiting for a non-zero rate to start the upload
-                self._begin_pause(broker, t, tput)
-            elif self._pause_left > 0:
-                if self.cfg.fixed_wait:
-                    self._pause_left -= 1
-                else:
-                    self._remaining_bits -= tput * 1e6 * self.sampling_interval
-                    if self._remaining_bits > 0:
-                        self.mobility.hold(self.ue_id, 1)
-                    else:
-                        self._pause_left = 0
+    def on_throughput(self, t: float, broker: Broker, ue_id: str, pos, tput: float) -> None:
+        """Detection and rescue-pause state machine for the mission's own UE."""
+        if ue_id != self.ue_id:
+            return
+        tier = degradation(tput)
+        if self._await_rate:
+            # a detection is waiting for a non-zero rate to start the upload
+            self._begin_pause(broker, t, tput)
+        elif self._pause_left > 0:
+            if self.cfg.fixed_wait:
+                self._pause_left -= 1
             else:
-                self._check_targets(broker, t, pos, tier, tput)
+                self._remaining_bits -= tput * 1e6 * self.sampling_interval
+                if self._remaining_bits > 0:
+                    self.mobility.hold(self.ue_id, 1)
+                else:
+                    self._pause_left = 0
+        else:
+            self._check_targets(broker, t, pos, tier, tput)
 
-            if (
-                self.mobility.route_complete(self.ue_id)
-                and self._pause_left == 0
-                and not self._await_rate
-            ):
-                for i, s in enumerate(self.state):
-                    if s == "pending":
-                        self.state[i] = "missed"
-                        self.outcome_t[i] = t
-                        self._event(broker, f"missed:{i}")
-                if not self.finished:
-                    self._event(broker, "mission_complete")
-                self.finished = True
+    def step(self, t: float, broker: Broker) -> None:
+        """The policy step, then the end-of-route check.
+
+        Defined here rather than inherited so that perfbench's span recorder,
+        which wraps MissionModule.step by name, sees the mission layer.
+        """
+        super().step(t, broker)
+        if (
+            self.mobility.route_complete(self.ue_id)
+            and self._pause_left == 0
+            and not self._await_rate
+        ):
+            for i, s in enumerate(self.state):
+                if s == "pending":
+                    self.state[i] = "missed"
+                    self.outcome_t[i] = t
+                    self._event(broker, f"missed:{i}")
+            if not self.finished:
+                self._event(broker, "mission_complete")
+            self.finished = True
 
     def _check_targets(self, broker: Broker, t: float, pos, tier, tput: float) -> None:
         for i, target in enumerate(self.targets):

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 UE_TYPES = ("UAV", "CAR", "PERSON")
-POSITIONS_TOPIC = "3D.mobility.positions"
 
 
 @dataclass(frozen=True)
@@ -23,7 +22,6 @@ class UeState:
     position: tuple
     speed: float
     waypoints: tuple = ()
-    paused_until: float | None = None
 
     def __post_init__(self):
         if self.ue_type not in UE_TYPES:
@@ -117,14 +115,10 @@ def uav_state(ue_id: str, plan: TrajectoryPlan) -> UeState:
     )
 
 
-def step_kinematics(state: UeState, dt: float, now: float = 0.0) -> UeState:
+def step_kinematics(state: UeState, dt: float) -> UeState:
     """Advance along the remaining route by speed*dt, never overshooting."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if state.paused_until is not None:
-        if now < state.paused_until:
-            return state
-        state = replace(state, paused_until=None)
     if not state.waypoints or state.speed == 0:
         return state
     pos = np.asarray(state.position, dtype=float)
@@ -154,10 +148,6 @@ def position_payload(state: UeState) -> str:
             "position": {"x": x, "y": y, "z": z},
         }
     )
-
-
-def publish_position(state: UeState, broker) -> None:
-    broker.publish(POSITIONS_TOPIC, position_payload(state), publisher=state.ue_id)
 
 
 def random_waypoints(seed: int, corridor: Corridor, k: int = 5) -> TrajectoryPlan:

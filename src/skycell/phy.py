@@ -72,22 +72,12 @@ class CommsConfig:
         return 10.0 ** ((noise_dbm - 30.0) / 10.0)
 
 
-def steering_vector(upa: UpaConfig, azimuth: float, elevation: float) -> np.ndarray:
-    """Unit-norm array response; elevation measured from array boresight.
-
-    Element (m, n) carries phase 2*pi*spacing*(m*u + n*v) with
-    u = sin(el)*cos(az), v = sin(el)*sin(az); rows flatten row-major.
-    """
-    u = math.sin(elevation) * math.cos(azimuth)
-    v = math.sin(elevation) * math.sin(azimuth)
-    m = np.arange(upa.rows)[:, None]
-    n = np.arange(upa.cols)[None, :]
-    phase = 2.0 * math.pi * upa.spacing * (m * u + n * v)
-    return (np.exp(1j * phase) / math.sqrt(upa.n_elements)).ravel()
-
-
 def steering_from_direction(upa: UpaConfig, d_local: np.ndarray) -> np.ndarray:
-    """Array response for a unit direction already in the array frame."""
+    """Unit-norm array response for a unit direction already in the array frame.
+
+    Element (m, n) carries phase 2*pi*spacing*(m*u + n*v) with (u, v) the
+    first two components of the direction; rows flatten row-major.
+    """
     u = d_local[0]
     v = d_local[1]
     m = np.arange(upa.rows)[:, None]

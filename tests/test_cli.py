@@ -186,3 +186,37 @@ def test_bench_bad_counts_exits_2(tmp_path):
     cfg = _write_cfg(tmp_path)
     assert main(["bench", "--config", cfg, "--counts", "0", "--out", str(tmp_path / "bench")]) == 2
     assert main(["bench", "--config", cfg, "--counts", "x", "--out", str(tmp_path / "bench")]) == 2
+
+
+def test_mission_honours_min_detect_throughput(tmp_path):
+    # the oracle rescues 5/5 on this route when detection needs only 1 Mbps
+    cfg = _write_cfg(tmp_path, mission={"min_detect_throughput_mbps": 1e6})
+    out = tmp_path / "m"
+    assert main(["mission", "--config", cfg, "--policy", "oracle", "--seed", "3",
+                 "--out", str(out)]) == 0
+    metrics = json.loads((out / "mission.json").read_text())
+    assert (metrics["rescued"], metrics["n_targets"]) == (0, 5)
+    assert [o["outcome"] for o in metrics["outcomes"]] == ["missed"] * 5
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"mision": {"n_targets": 1}}, {"comms": {"tx_powr_dbm": 30.0}}, {"mission": None}, [1, 2]],
+)
+@pytest.mark.parametrize("command", ["run", "mission"])
+def test_bad_config_exits_2(tmp_path, capsys, doc, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_manifest_lists_every_default_key(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["replay_log"] is None
+    assert manifest["config"]["comms"]["rx_azimuth_deg"] == 90.0
+    assert manifest["config"]["comms"]["rx_downtilt_deg"] == -45.0

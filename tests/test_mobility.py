@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from skycell import orchestrator as orch
+from skycell.blueprint import MobilityModule
 from skycell.bus import Broker
 from skycell.mobility import (
     Corridor,
     TrajectoryPlan,
     UeState,
     position_payload,
-    publish_position,
     random_waypoints,
     step_kinematics,
     uav_state,
@@ -44,32 +45,33 @@ def test_route_completes_in_133_snapshots():
     assert steps == math.ceil(331.0 / 2.5) == 133
 
 
+def _fly(mobility, n_snapshots, dt=0.5):
+    """Step a mobility module n times; the position payloads it published."""
+    broker = Broker()
+    sub = broker.subscribe(orch.POSITIONS_TOPIC)
+    for k in range(n_snapshots):
+        mobility.step(k * dt, broker)
+    return [m.payload for m in sub.drain()]
+
+
 def test_pause_holds_position_until_deadline():
-    state = uav_state("uav0", straight_plan())
-    from dataclasses import replace
-    state = replace(state, paused_until=2.0)
-    positions = []
-    t = 0.0
-    for _ in range(6):
-        state = step_kinematics(state, 0.5, now=t)
-        positions.append(state.position)
-        t += 0.5
-    # paused at t=0,0.5,1.0,1.5; moves from t=2.0
+    mobility = MobilityModule({"uav0": straight_plan()}, 0.5)
+    mobility.hold("uav0", 4)
+    positions = [json.loads(p)["position"] for p in _fly(mobility, 6)]
+    # held at t=0,0.5,1.0,1.5; moves from t=2.0
     assert positions[0] == positions[1] == positions[2] == positions[3]
-    assert positions[4] != positions[3]
+    assert positions[0] == {"x": 0.0, "y": 0.0, "z": 40.0}
+    assert positions[4] == {"x": 2.5, "y": 0.0, "z": 40.0}
+    assert positions[5] == {"x": 5.0, "y": 0.0, "z": 40.0}
 
 
 def test_consecutive_published_positions_identical_while_paused():
-    broker = Broker()
-    sub = broker.subscribe("3D.mobility.positions")
-    state = uav_state("uav0", straight_plan())
-    from dataclasses import replace
-    state = replace(state, paused_until=10.0)
-    for t in (0.0, 0.5, 1.0):
-        state = step_kinematics(state, 0.5, now=t)
-        publish_position(state, broker)
-    payloads = [m.payload for m in sub.drain()]
+    mobility = MobilityModule({"uav0": straight_plan()}, 0.5)
+    mobility.hold("uav0", 20)
+    mobility.hold("uav0", 1)  # a shorter hold never cuts a longer one short
+    payloads = _fly(mobility, 3)
     assert payloads[0] == payloads[1] == payloads[2]
+    assert payloads[0] == position_payload(uav_state("uav0", straight_plan()))
 
 
 def test_position_payload_wire_shape():
@@ -86,12 +88,12 @@ def test_payload_round_trip():
 
 
 def test_two_uavs_publish_distinct_messages():
-    broker = Broker()
-    sub = broker.subscribe("3D.mobility.positions")
-    for ue_id in ("uav0", "uav1"):
-        publish_position(UeState("UAV", ue_id, (1.0, 2.0, 3.0), 5.0), broker)
-    ids = {json.loads(m.payload)["UE_Id"] for m in sub.drain()}
-    assert ids == {"uav0", "uav1"}
+    plan = straight_plan()
+    mobility = MobilityModule({"uav0": plan, "uav1": plan}, 0.5)
+    mobility.hold("uav1", 1)
+    docs = [json.loads(p) for p in _fly(mobility, 1)]
+    assert [doc["UE_Id"] for doc in docs] == ["uav0", "uav1"]
+    assert docs[0]["position"] != docs[1]["position"]
 
 
 def test_ue_type_restricted():
@@ -149,7 +151,7 @@ def test_distance_conservation():
         state = uav_state("uav0", plan)
         n = int(rng.integers(10, 400))
         for k in range(n):
-            state = step_kinematics(state, dt, now=k * dt)
+            state = step_kinematics(state, dt)
         arc = min(plan.speed_mps * n * dt, plan.total_length)
         expected = _point_at_arc(plan.points, arc)
         assert np.asarray(state.position) == pytest.approx(expected, abs=1e-9)
@@ -161,7 +163,7 @@ def test_altitude_constant_on_level_routes():
     corridor = Corridor(start=(0.0, 0.0, 40.0), end=(300.0, 0.0, 40.0), half_width=25.0)
     state = uav_state("uav0", random_waypoints(9, corridor, k=5))
     for k in range(200):
-        state = step_kinematics(state, 0.5, now=k * 0.5)
+        state = step_kinematics(state, 0.5)
         assert state.position[2] == pytest.approx(40.0, abs=1e-12)
 
 

@@ -16,7 +16,7 @@ from skycell.phy import (
     boresight_rotation,
     dft_codebook,
     pair_index,
-    steering_vector,
+    steering_from_direction,
     synthesize_channel,
     throughput_mbps,
 )
@@ -29,8 +29,18 @@ def _path(gain, aod, aoa, length=100.0):
     return PropagationPath(kind="LOS", vertices=(), length=length, aod=aod, aoa=aoa, gain=gain)
 
 
+def steering(upa, azimuth, elevation):
+    """Response toward a local direction given by azimuth and angle off boresight."""
+    d = np.array([
+        math.sin(elevation) * math.cos(azimuth),
+        math.sin(elevation) * math.sin(azimuth),
+        math.cos(elevation),
+    ])
+    return steering_from_direction(upa, d)
+
+
 def test_steering_broadside_uniform():
-    a = steering_vector(TX, 0.0, 0.0)
+    a = steering(TX, 0.0, 0.0)
     assert np.allclose(a, np.full(64, 1 / 8.0))
     assert abs(np.linalg.norm(a) - 1.0) <= 1e-12
 
@@ -39,12 +49,12 @@ def test_steering_unit_norm_any_angles():
     rng = np.random.default_rng(5)
     for _ in range(50):
         az, el = rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi / 2, np.pi / 2)
-        assert abs(np.linalg.norm(steering_vector(TX, az, el)) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(steering(TX, az, el)) - 1.0) <= 1e-12
 
 
 def test_steering_2x2_u1_alternating_rows():
     # u = sin(el)cos(az) = 1 at el=pi/2, az=0: element (m,n) phase = pi*m
-    a = steering_vector(RX, 0.0, math.pi / 2) * 2.0
+    a = steering(RX, 0.0, math.pi / 2) * 2.0
     phases = np.angle(a)
     assert phases[0] == pytest.approx(0.0, abs=1e-12)
     assert phases[1] == pytest.approx(0.0, abs=1e-12)
