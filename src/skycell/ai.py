@@ -2,7 +2,8 @@
 
 The tree is plain greedy CART over the UAV coordinates (x, y, z) with Gini
 impurity and midpoint thresholds, trained on NLOS rows only. Baselines are a
-uniform random pair picker and the full-sweep oracle.
+uniform random pair picker and the full-sweep oracle. The pair count is the
+width of the sweep gains each function is handed, never a constant.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .phy import pair_index
 
 logger = logging.getLogger(__name__)
 
-N_PAIRS = 256
 TOPK_GRID = (1, 2, 3, 4, 5, 10, 25, 50, 75, 100)
 
 
@@ -29,7 +29,7 @@ class BeamDataset:
     positions: np.ndarray  # (n, 3)
     los: np.ndarray  # (n,) str
     best_pair: np.ndarray  # (n,) int
-    gains: np.ndarray  # (n, 256)
+    gains: np.ndarray  # (n, n_pairs)
 
     def __len__(self) -> int:
         return self.positions.shape[0]
@@ -53,11 +53,11 @@ class BeamDataset:
             positions = np.zeros((0, 3))
             los = np.zeros(0, dtype=object)
             best = np.zeros(0, dtype=np.int64)
-            gains = np.zeros((0, N_PAIRS))
+            gains = np.zeros((0, 0))  # no sweep seen, so no gain columns
         return cls(positions, los, best, gains)
 
     def save_csv(self, path) -> None:
-        header = ["x", "y", "z", "los", "best_pair"] + [f"g{i}" for i in range(N_PAIRS)]
+        header = ["x", "y", "z", "los", "best_pair"] + [f"g{i}" for i in range(self.gains.shape[1])]
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -127,17 +127,13 @@ class TreeNode:
 class DecisionTreeModel:
     root: TreeNode
     max_depth: int
-    n_classes: int = N_PAIRS
+    n_classes: int
 
     def leaf_for(self, position) -> TreeNode:
         node = self.root
         while not node.is_leaf:
             node = node.left if position[node.feature] <= node.threshold else node.right
         return node
-
-    def predict(self, position) -> int:
-        counts = self.leaf_for(position).counts
-        return int(np.argmax(counts))
 
     def depth(self) -> int:
         def walk(node):
@@ -167,7 +163,9 @@ class DecisionTreeModel:
     @classmethod
     def from_json(cls, text: str) -> "DecisionTreeModel":
         doc = json.loads(text)
-        n_classes = int(doc.get("n_classes", N_PAIRS))
+        if "n_classes" not in doc:
+            raise ValueError("model file lacks n_classes, the pair count it was trained on")
+        n_classes = int(doc["n_classes"])
 
         def decode(d) -> TreeNode:
             if "counts" in d:
@@ -192,10 +190,6 @@ class DecisionTreeModel:
     def load(cls, path) -> "DecisionTreeModel":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read())
-
-
-def _gini_from_counts(counts, total):
-    return 1.0 - np.sum((counts / total) ** 2)
 
 
 def _best_split(x, y, n_classes, min_leaf):
@@ -237,22 +231,23 @@ def _best_split(x, y, n_classes, min_leaf):
 
 
 def train_tree(train: BeamDataset, max_depth: int = 15, min_leaf: int = 1) -> DecisionTreeModel:
-    """Greedy CART fit; deterministic given the input row order."""
+    """Greedy CART fit, one class per gain column; deterministic given the row order."""
     if len(train) == 0:
         raise ValueError("cannot train on an empty dataset")
     x = np.asarray(train.positions, dtype=np.float64)
     y = np.asarray(train.best_pair, dtype=np.int64)
+    n_classes = train.gains.shape[1]
 
     def build(idx, depth) -> TreeNode:
         ys = y[idx]
-        counts = np.bincount(ys, minlength=N_PAIRS)
+        counts = np.bincount(ys, minlength=n_classes)
         if depth >= max_depth or idx.size <= min_leaf or np.unique(ys).size == 1:
             return TreeNode(counts=counts)
-        split = _best_split(x[idx], ys, N_PAIRS, min_leaf)
+        split = _best_split(x[idx], ys, n_classes, min_leaf)
         if split is None:
             return TreeNode(counts=counts)
         weighted, feature, threshold = split
-        if weighted >= _gini_from_counts(counts, idx.size) - 1e-12:
+        if weighted >= 1.0 - np.sum((counts / idx.size) ** 2) - 1e-12:  # no Gini gain
             return TreeNode(counts=counts)
         mask = x[idx, feature] <= threshold
         return TreeNode(
@@ -262,7 +257,8 @@ def train_tree(train: BeamDataset, max_depth: int = 15, min_leaf: int = 1) -> De
             right=build(idx[~mask], depth + 1),
         )
 
-    return DecisionTreeModel(root=build(np.arange(len(train)), 0), max_depth=max_depth)
+    root = build(np.arange(len(train)), 0)
+    return DecisionTreeModel(root=root, max_depth=max_depth, n_classes=n_classes)
 
 
 def _rank_desc(values) -> np.ndarray:
@@ -287,6 +283,8 @@ def topk_accuracy(model: DecisionTreeModel, eval_ds: BeamDataset, k: int) -> flo
     """Fraction of rows whose predicted top-k meets the gains' true top-k."""
     if len(eval_ds) == 0:
         raise ValueError("evaluation dataset is empty")
+    if eval_ds.gains.shape[1] != model.n_classes:
+        raise ValueError(f"dataset has {eval_ds.gains.shape[1]} pairs, model {model.n_classes}")
     hits = 0
     for i in range(len(eval_ds)):
         pred = predict_topk(model, eval_ds.positions[i], k)
@@ -314,11 +312,12 @@ class Policy:
 
 
 def policy_decide(policy: Policy, position, gains, rng) -> int:
-    """Pick a beam pair: uniform random, tree top-1 or the sweep oracle."""
-    if policy.kind == "random":
-        return pair_index(int(rng.integers(0, 4)), int(rng.integers(0, 64)))
+    """Flat pair index in the (n_rx, n_tx) gains grid: uniform random, tree top-1 or oracle."""
     if policy.kind == "tree":
         return predict_topk(policy.model, position, 1)[0]
     if gains is None:
-        raise ValueError("oracle policy requires the snapshot's gains vector")
+        raise ValueError(f"{policy.kind} policy requires the snapshot's gains grid")
+    if policy.kind == "random":
+        n_rx, n_tx = gains.shape
+        return pair_index(int(rng.integers(0, n_rx)), int(rng.integers(0, n_tx)), n_tx, n_rx)
     return int(np.argmax(gains))

@@ -66,10 +66,10 @@ class TimingReport:
 def run_benchmark(
     scene: Scene,
     uav_counts,
+    base_plan: TrajectoryPlan,
+    comms_cfg: CommsConfig,
     virtual_seconds: float = 60.0,
     sampling_interval: float = 0.5,
-    base_plan: TrajectoryPlan | None = None,
-    comms_cfg: CommsConfig | None = None,
     repetitions: int = 3,
     seed: int = 0,
 ) -> list:
@@ -82,8 +82,6 @@ def run_benchmark(
     n_snapshots = int(round(virtual_seconds / sampling_interval))
     if abs(n_snapshots * sampling_interval - virtual_seconds) > 1e-12:
         raise ValueError("virtual_seconds must be a multiple of the sampling interval")
-    if base_plan is None:
-        base_plan = TrajectoryPlan(start=(190.0, 325.0, 40.0), end=(521.0, 325.0, 40.0))
     reports = []
     for count in uav_counts:
         tp, tm, tc, ta = [], [], [], []
@@ -94,7 +92,7 @@ def run_benchmark(
                 for i in range(count)
             }
             mobility = MobilityModule(plans, sampling_interval)
-            comms = CommsModule(scene, comms_cfg or CommsConfig())
+            comms = CommsModule(scene, comms_cfg)
             ai_mod = PolicyModule(
                 Policy(kind="random"), comms, np.random.default_rng((seed, count, rep))
             )

@@ -12,6 +12,7 @@ reference, mirroring the file-based flow of heavyweight simulators.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,18 +108,18 @@ class CommsModule(orch.ModuleHandle):
     def __init__(
         self,
         scene: Scene,
-        cfg: CommsConfig | None = None,
-        max_order: int = 2,
+        cfg: CommsConfig,
         publish_throughput_in_step: bool = False,
         sweep_hook=None,
     ):
         self.scene = scene
-        self.cfg = cfg or CommsConfig()
-        self.max_order = max_order
+        self.cfg = cfg
         self.publish_throughput_in_step = publish_throughput_in_step
         self.sweep_hook = sweep_hook
         self.tx_codebook = dft_codebook(self.cfg.tx_upa)
         self.rx_codebook = dft_codebook(self.cfg.rx_upa)
+        # the sweep's gains vector is this (n_rx, n_tx) grid flattened row-major
+        self.pair_grid = (self.rx_codebook.n_codewords, self.tx_codebook.n_codewords)
         self.tx_rotation = boresight_rotation(scene.tx.azimuth_deg, scene.tx.downtilt_deg)
         self.rx_rotation = boresight_rotation(self.cfg.rx_azimuth_deg, self.cfg.rx_downtilt_deg)
         self.last: dict = {}
@@ -133,7 +134,6 @@ class CommsModule(orch.ModuleHandle):
             self.scene,
             self.scene.tx.position,
             position,
-            max_order=self.max_order,
             carrier_hz=self.cfg.carrier_hz,
         )
         cls = los_class(bundle)
@@ -147,8 +147,7 @@ class CommsModule(orch.ModuleHandle):
                 rx_rotation=self.rx_rotation,
             )
         except ChannelOutage:
-            n_pairs = self.tx_codebook.n_codewords * self.rx_codebook.n_codewords
-            return SweepResult(tuple(position), cls, 0, np.zeros(n_pairs))
+            return SweepResult(tuple(position), cls, 0, np.zeros(math.prod(self.pair_grid)))
         best, gains = beam_sweep(h, self.tx_codebook, self.rx_codebook)
         return SweepResult(tuple(position), cls, best, gains)
 
@@ -198,26 +197,24 @@ class PolicyModule(orch.ModuleHandle):
     name = "ai"
 
     def __init__(self, policy: Policy, comms: CommsModule, rng):
+        n_pairs = math.prod(comms.pair_grid)
+        if policy.model is not None and policy.model.n_classes != n_pairs:
+            raise ValueError(f"tree model has {policy.model.n_classes} pairs, arrays {n_pairs}")
         self.policy = policy
         self.comms = comms
         self.rng = rng
-        self.last_choice: dict = {}
         self._sub = None
 
     def init(self, t: float, broker: Broker) -> None:
         self._sub = broker.subscribe(orch.POSITIONS_TOPIC)
-
-    def decide(self, ue_id: str, position) -> int:
-        sweep = self.comms.last[ue_id]
-        return policy_decide(self.policy, position, sweep.gains, self.rng)
 
     def step(self, t: float, broker: Broker) -> None:
         for msg in self._sub.drain():
             doc = json.loads(msg.payload)
             ue_id = doc["UE_Id"]
             pos = (doc["position"]["x"], doc["position"]["y"], doc["position"]["z"])
-            pair = self.decide(ue_id, pos)
-            self.last_choice[ue_id] = pair
+            grid = self.comms.last[ue_id].gains.reshape(self.comms.pair_grid)
+            pair = policy_decide(self.policy, pos, grid, self.rng)
             broker.publish(
                 orch.DECISION_TOPIC,
                 json.dumps({"UE_type": doc["UE_type"], "UE_Id": ue_id, "pair": pair}),

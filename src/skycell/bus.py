@@ -173,9 +173,11 @@ class Broker:
         return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
+        """Stop delivery to sub; once drained, its next_message raises BrokerClosed."""
         with self._lock:
             if sub in self._subs:
                 self._subs.remove(sub)
+                sub._queue.put(_CLOSED)
 
     def close(self) -> None:
         with self._lock:
@@ -251,6 +253,7 @@ class BusServer:
 
     def _serve(self, conn: socket.socket, addr) -> None:
         publisher = f"tcp:{addr[0]}:{addr[1]}"
+        subs: list[Subscription] = []
         pumps: list[threading.Thread] = []
         send_lock = threading.Lock()
         try:
@@ -263,6 +266,7 @@ class BusServer:
                     self.broker.publish(doc["topic"], doc["payload"], publisher=publisher)
                 elif op == "sub":
                     sub = self.broker.subscribe(doc["topic"])
+                    subs.append(sub)
                     t = threading.Thread(
                         target=self._pump, args=(conn, sub, send_lock), daemon=True
                     )
@@ -273,7 +277,15 @@ class BusServer:
         except (TopicError, PayloadTooLarge, BrokerClosed) as exc:
             logger.warning("closing connection %s: %s", addr, exc)
         finally:
+            for sub in subs:  # each pump sees BrokerClosed and returns
+                self.broker.unsubscribe(sub)
+            try:
+                conn.shutdown(socket.SHUT_RDWR)  # wakes a pump blocked in send
+            except OSError:
+                pass
             conn.close()
+            for t in pumps:
+                t.join()
 
     def _pump(self, conn: socket.socket, sub: Subscription, send_lock) -> None:
         while True:

@@ -168,7 +168,7 @@ def cmd_dataset(args) -> int:
 
 def _topk_table(model, grids: dict) -> list:
     table = []
-    for k in TOPK_GRID:
+    for k in (k for k in TOPK_GRID if k <= model.n_classes):
         row = {"k": k}
         for name, ds in grids.items():
             row[name] = topk_accuracy(model, ds, k)

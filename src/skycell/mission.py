@@ -150,7 +150,6 @@ class MissionConfig:
     # below this rate no image reaches the detector within a snapshot
     min_detect_throughput_mbps: float = 1.0
     target_fractions: tuple = (0.15, 0.35, 0.55, 0.75, 0.90)
-    targets: tuple | None = None  # explicit (x, y, z); overrides fractions
     fixed_wait: bool = True
     max_snapshots: int = 100_000
 
@@ -161,8 +160,6 @@ class MissionConfig:
             raise ValueError("n_targets must be >= 0")
 
     def target_positions(self, plan: TrajectoryPlan) -> list:
-        if self.targets is not None:
-            return [tuple(t) for t in self.targets][: self.n_targets]
         pts = [plan.arc_point(f) for f in self.target_fractions[: self.n_targets]]
         return [(p[0], p[1], 0.0) for p in pts]
 
@@ -313,18 +310,15 @@ def run_mission(
     trajectory: TrajectoryPlan,
     mission_cfg: MissionConfig,
     episode_cfg: orch.EpisodeConfig,
-    broker: Broker | None = None,
-    policy: Policy | None = None,
-    comms_cfg: CommsConfig | None = None,
-    rng=None,
+    comms_cfg: CommsConfig,
+    policy: Policy,
+    rng,
 ):
     """Fly the rescue mission all-in-loop; returns (metrics, episode log)."""
     if episode_cfg.category != orch.ALL_IN_LOOP:
         raise ValueError("run_mission requires the AllInLoop category")
-    policy = policy or Policy(kind="oracle")
-    rng = rng if rng is not None else np.random.default_rng(episode_cfg.seed)
     mobility = MobilityModule({"uav0": trajectory}, episode_cfg.sampling_interval)
-    comms = CommsModule(scene, comms_cfg or CommsConfig())
+    comms = CommsModule(scene, comms_cfg)
     mission = MissionModule(
         policy,
         comms,
@@ -337,7 +331,6 @@ def run_mission(
     log = orch.run_episode(
         episode_cfg,
         [mobility, comms, mission],
-        broker=broker,
         stop_early=lambda rec: mission.finished,
     )
     total_time = len(log.records) * episode_cfg.sampling_interval

@@ -8,7 +8,7 @@ vectors, with angles expressed in each array's local frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,16 +51,16 @@ class ChannelMatrix:
 
 @dataclass
 class CommsConfig:
-    tx_power_dbm: float = 30.0
-    bandwidth_hz: float = 1e8
-    noise_figure_db: float = 7.0
-    max_throughput_mbps: float = 90.0
-    carrier_hz: float = 4e10
-    tx_upa: UpaConfig = field(default_factory=lambda: UpaConfig(8, 8))
-    rx_upa: UpaConfig = field(default_factory=lambda: UpaConfig(2, 2))
+    tx_power_dbm: float
+    bandwidth_hz: float
+    noise_figure_db: float
+    max_throughput_mbps: float
+    carrier_hz: float
+    tx_upa: UpaConfig
+    rx_upa: UpaConfig
     # receive-array boresight on the drone; -90 downtilt points straight up
-    rx_azimuth_deg: float = 90.0
-    rx_downtilt_deg: float = -45.0
+    rx_azimuth_deg: float
+    rx_downtilt_deg: float
 
     @property
     def tx_power_w(self) -> float:
@@ -133,7 +133,7 @@ def synthesize_channel(
     return ChannelMatrix(entries=h, carrier_hz=carrier_hz)
 
 
-def pair_index(rx_idx: int, tx_idx: int, n_tx: int = 64, n_rx: int = 4) -> int:
+def pair_index(rx_idx: int, tx_idx: int, n_tx: int, n_rx: int) -> int:
     """Flatten a (receive, transmit) codeword pair; Tx index in the low bits."""
     if not 0 <= rx_idx < n_rx:
         raise ValueError(f"rx_idx {rx_idx} out of range [0, {n_rx})")

@@ -16,6 +16,7 @@ from skycell.bench import run_benchmark
 from skycell.bus import Broker, topic_matches
 from skycell.cli import main as cli_main
 from skycell.config import (
+    base_route,
     comms_config,
     default_scene,
     load_config,
@@ -45,12 +46,17 @@ from skycell.mission import (
 from skycell.orchestrator import ALL_IN_LOOP, EpisodeConfig
 from skycell.phy import (
     ChannelMatrix,
-    CommsConfig,
     UpaConfig,
     beam_sweep,
     dft_codebook,
     pair_index,
 )
+
+
+# the separate test trajectory of criterion 6: its own seed and flight level
+TEST_SEED_OFFSET = 555
+TEST_EPISODES = 6
+TEST_ROUTE_Z = 32.0
 
 
 def _report(num, text, t0):
@@ -68,15 +74,15 @@ def pipeline(tmp_path_factory):
 
     # separate test trajectory: distinct seed, lower flight level
     test_cfg = dict(cfg)
-    test_seed = int(cfg["episode"]["seed"]) + int(cfg["dataset"]["test_seed_offset"])
-    z = float(cfg["dataset"]["test_route_z"])
+    test_seed = int(cfg["episode"]["seed"]) + TEST_SEED_OFFSET
+    z = TEST_ROUTE_Z
     test_cfg_path = root / "test_cfg.json"
     test_cfg_path.write_text(json.dumps({
         "episode": {"seed": test_seed},
         "mobility": {"route": {"start": [190.0, 325.0, z], "end": [521.0, 325.0, z]}},
     }))
     test_dir = root / "test_dataset"
-    n_test = str(cfg["dataset"]["test_episodes"])
+    n_test = str(TEST_EPISODES)
     assert cli_main(["dataset", "--config", str(test_cfg_path), "--episodes", n_test,
                      "--out", str(test_dir)]) == 0
 
@@ -137,7 +143,7 @@ def test_criterion_4_sweep_oracle_equivalence():
         brute = np.empty(256)
         for i in range(4):
             for j in range(64):
-                brute[pair_index(i, j)] = abs(
+                brute[pair_index(i, j, 64, 4)] = abs(
                     np.conj(rx_cb.codewords[i]) @ entries @ tx_cb.codewords[j]
                 )
         assert np.allclose(gains, brute, rtol=0, atol=1e-12)
@@ -315,8 +321,8 @@ def test_criterion_10_benchmark():
     t0 = time.perf_counter()
     scene = default_scene()
     cfg = load_config(None)
-    reports = run_benchmark(scene, [1, 3, 5, 10], virtual_seconds=60.0,
-                            sampling_interval=0.5, comms_cfg=comms_config(cfg),
+    reports = run_benchmark(scene, [1, 3, 5, 10], base_route(cfg), comms_config(cfg),
+                            virtual_seconds=60.0, sampling_interval=0.5,
                             repetitions=3, seed=0)
     assert [r.n_uavs for r in reports] == [1, 3, 5, 10]
     for r in reports:

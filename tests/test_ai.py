@@ -1,8 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
 from skycell.ai import (
-    N_PAIRS,
     TOPK_GRID,
     BeamDataset,
     DecisionTreeModel,
@@ -17,6 +18,12 @@ from skycell.ai import (
     train_tree,
     truth_topk,
 )
+
+N_PAIRS = 256  # the shipped 8x8 transmit and 2x2 receive codebooks
+
+
+def _top1(model, position):
+    return predict_topk(model, position, 1)[0]
 
 
 def _dataset(positions, labels, gains=None, los=None):
@@ -78,13 +85,13 @@ def test_single_class_yields_single_leaf():
     ds = _dataset([[i, 0, 0] for i in range(10)], [4] * 10)
     model = train_tree(ds)
     assert model.root.is_leaf
-    assert model.predict((3.0, 0.0, 0.0)) == 4
+    assert _top1(model, (3.0, 0.0, 0.0)) == 4
 
 
 def test_separable_clusters_reach_perfect_train_accuracy():
     ds = _cluster_dataset()
     model = train_tree(ds, max_depth=1)
-    hits = sum(model.predict(p) == y for p, y in zip(ds.positions, ds.best_pair))
+    hits = sum(_top1(model, p) == y for p, y in zip(ds.positions, ds.best_pair))
     assert hits == len(ds)
     assert model.root.feature == 0  # splits on x
 
@@ -98,7 +105,7 @@ def test_deeper_trees_never_hurt_train_accuracy():
 
     def train_acc(depth):
         model = train_tree(ds, max_depth=depth)
-        return np.mean([model.predict(p) == y for p, y in zip(ds.positions, ds.best_pair)])
+        return np.mean([_top1(model, p) == y for p, y in zip(ds.positions, ds.best_pair)])
 
     assert train_acc(15) >= train_acc(1)
 
@@ -122,9 +129,9 @@ def test_depth_respects_max():
 def test_predict_topk_from_leaf_histogram():
     counts = np.zeros(N_PAIRS, dtype=np.int64)
     counts[7], counts[3] = 10, 2
-    model = DecisionTreeModel(root=TreeNode(counts=counts), max_depth=1)
+    model = DecisionTreeModel(root=TreeNode(counts=counts), max_depth=1, n_classes=N_PAIRS)
     assert predict_topk(model, (0, 0, 0), 2) == [7, 3]
-    assert predict_topk(model, (0, 0, 0), 1) == [model.predict((0, 0, 0))]
+    assert predict_topk(model, (0, 0, 0), 1) == [int(np.argmax(counts))]
     # padding by ascending unseen index after the seen classes
     assert predict_topk(model, (0, 0, 0), 5) == [7, 3, 0, 1, 2]
     full = predict_topk(model, (0, 0, 0), 256)
@@ -138,7 +145,7 @@ def test_predict_topk_from_leaf_histogram():
 def test_leaf_tie_breaks_toward_lower_index():
     counts = np.zeros(N_PAIRS, dtype=np.int64)
     counts[20] = counts[10] = 5
-    model = DecisionTreeModel(root=TreeNode(counts=counts), max_depth=1)
+    model = DecisionTreeModel(root=TreeNode(counts=counts), max_depth=1, n_classes=N_PAIRS)
     assert predict_topk(model, (0, 0, 0), 2) == [10, 20]
 
 
@@ -162,7 +169,7 @@ def test_model_json_round_trip():
     model = train_tree(ds, max_depth=4)
     clone = DecisionTreeModel.from_json(model.to_json())
     for p in ds.positions:
-        assert model.predict(p) == clone.predict(p)
+        assert _top1(model, p) == _top1(clone, p)
     assert clone.to_json() == model.to_json()
 
 
@@ -198,8 +205,9 @@ def test_policy_random_rx_frequencies():
     policy = Policy(kind="random")
     draws = 10**6
     counts = np.zeros(4, dtype=np.int64)
+    grid = np.zeros((4, 64))
     for _ in range(draws):
-        pair = policy_decide(policy, None, None, rng)
+        pair = policy_decide(policy, None, grid, rng)
         counts[pair // 64] += 1
     freq = counts / draws
     assert np.all(np.abs(freq - 0.25) <= 0.01)
@@ -207,10 +215,12 @@ def test_policy_random_rx_frequencies():
 
 def test_policy_oracle_equals_argmax():
     rng = np.random.default_rng(0)
-    gains = rng.random(N_PAIRS)
-    assert policy_decide(Policy(kind="oracle"), None, gains, rng) == int(np.argmax(gains))
-    with pytest.raises(ValueError):
-        policy_decide(Policy(kind="oracle"), None, None, rng)
+    grid = rng.random((4, 64))
+    assert policy_decide(Policy(kind="oracle"), None, grid, rng) == int(np.argmax(grid))
+    assert grid.ravel()[int(np.argmax(grid))] == grid.max()
+    for kind in ("oracle", "random"):
+        with pytest.raises(ValueError):
+            policy_decide(Policy(kind=kind), None, None, rng)
 
 
 def test_policy_tree_on_training_row():
@@ -244,3 +254,43 @@ def test_dataset_csv_round_trip(tmp_path):
     assert np.array_equal(loaded.gains, ds.gains)
     assert list(loaded.los) == list(ds.los)
     assert np.array_equal(loaded.gains.argmax(axis=1), loaded.best_pair)
+
+
+def test_pair_count_follows_gains_width(tmp_path):
+    # a 4x4 transmit array with the 2x2 receive array: 64 pairs, not 256
+    rng = np.random.default_rng(41)
+    gains = rng.random((40, 64))
+    ds = _dataset(rng.uniform(-10, 10, size=(40, 3)), gains.argmax(axis=1), gains=gains)
+    path = tmp_path / "ds.csv"
+    ds.save_csv(path)
+    header = path.read_text().splitlines()[0].split(",")
+    assert header[5:] == [f"g{i}" for i in range(64)]
+    loaded = BeamDataset.load_csv(path)
+    assert loaded.gains.shape == (40, 64)
+    model = train_tree(loaded, max_depth=3)
+    assert model.n_classes == 64
+    assert all(leaf_counts.shape == (64,) for leaf_counts in _leaf_counts(model.root))
+    assert json.loads(model.to_json())["n_classes"] == 64
+    assert DecisionTreeModel.from_json(model.to_json()).n_classes == 64
+    assert topk_accuracy(model, loaded, 64) == 1.0
+
+
+def _leaf_counts(node):
+    if node.is_leaf:
+        return [node.counts]
+    return _leaf_counts(node.left) + _leaf_counts(node.right)
+
+
+def test_empty_dataset_has_no_gain_columns(tmp_path):
+    ds = BeamDataset.from_rows([])
+    assert len(ds) == 0 and ds.gains.shape == (0, 0)
+    ds.save_csv(tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_text().strip() == "x,y,z,los,best_pair"
+
+
+def test_topk_accuracy_rejects_other_pair_count():
+    ds = _cluster_dataset(seed=4)
+    model = train_tree(ds, max_depth=2)
+    narrow = _dataset(ds.positions, ds.best_pair, gains=ds.gains[:, :64])
+    with pytest.raises(ValueError, match="64 pairs, model 256"):
+        topk_accuracy(model, narrow, 1)

@@ -4,8 +4,11 @@ import json
 import pytest
 
 from skycell.bench import CSV_FIELDS, TimingReport, rtf, run_benchmark, write_csv, write_json
-from skycell.config import default_scene
+from skycell.config import base_route, comms_config, default_scene, load_config
 from skycell.geometry import Scene, TxPose
+
+CFG = load_config(None)
+ROUTE, COMMS = base_route(CFG), comms_config(CFG)
 
 
 def test_rtf_examples():
@@ -30,8 +33,8 @@ def test_virtual_duration_exact():
 @pytest.fixture(scope="module")
 def small_reports():
     scene = default_scene()
-    return run_benchmark(scene, [1, 2], virtual_seconds=5.0, sampling_interval=0.5,
-                         repetitions=1, seed=0)
+    return run_benchmark(scene, [1, 2], ROUTE, COMMS, virtual_seconds=5.0,
+                         sampling_interval=0.5, repetitions=1, seed=0)
 
 
 def test_benchmark_reports(small_reports):
@@ -62,6 +65,6 @@ def test_benchmark_csv_and_json(tmp_path, small_reports):
 def test_benchmark_rejects_bad_args():
     scene = Scene(100, 100, TxPose((50, 50, 20)), [])
     with pytest.raises(ValueError):
-        run_benchmark(scene, [])
+        run_benchmark(scene, [], ROUTE, COMMS)
     with pytest.raises(ValueError):
-        run_benchmark(scene, [1], virtual_seconds=0.7, sampling_interval=0.5)
+        run_benchmark(scene, [1], ROUTE, COMMS, virtual_seconds=0.7, sampling_interval=0.5)

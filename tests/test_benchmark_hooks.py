@@ -5,14 +5,20 @@ attribute or a class's own __dict__) and reports a missing one as "not
 observed" without failing. A refactor that renames such a name or moves a
 method into a base class would silently blind the benchmark; this test makes
 it fail instead. The file is loaded read-only; nothing is patched.
+
+The workloads' entry points (perfbench/workloads.py) are run for one
+snapshot each, so a signature or config-key change that would crash the
+benchmark fails here first.
 """
 
+import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _load_spans():
@@ -31,3 +37,16 @@ TARGETS = spans.SPAN_TARGETS + spans.COUNT_TARGETS
 @pytest.mark.parametrize("owner, attr, name", TARGETS, ids=[name for *_, name in TARGETS])
 def test_hook_target_is_defined_on_its_owner(owner, attr, name):
     assert attr in vars(spans._resolve(owner)), f"{name}: {owner}.{attr} is not defined there"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("workloads")
+
+
+@pytest.mark.parametrize("workload", ["swarm10", "dataset10", "mission_random"])
+def test_workload_first_snapshot_runs(workloads, workload, tmp_path):
+    assert workload in workloads.WORKLOADS
+    ctx = workloads.Context.load(tmp_path)
+    workloads.first_snapshot(ctx, workload, 0)

@@ -1,13 +1,20 @@
+import dataclasses
 import json
+
+import numpy as np
+import pytest
 
 from skycell import blueprint
 from skycell import orchestrator as orch
-from skycell.blueprint import CommsModule
+from skycell.ai import DecisionTreeModel, Policy, TreeNode
+from skycell.blueprint import CommsModule, PolicyModule
 from skycell.bus import Broker
+from skycell.config import comms_config, load_config
 from skycell.geometry import Building, Material, Scene, TxPose, los_class
-from skycell.phy import CommsConfig, UpaConfig
+from skycell.phy import UpaConfig
 
 CONCRETE = Material("concrete", 0.5)
+SHIPPED = comms_config(load_config(None))
 
 
 def _publish(broker, ue_id, pos):
@@ -15,19 +22,19 @@ def _publish(broker, ue_id, pos):
     broker.publish(orch.POSITIONS_TOPIC, json.dumps(doc), publisher=ue_id)
 
 
-def _comms(scene, cfg=None, **kwargs):
+def _comms(scene, cfg=SHIPPED, **kwargs):
     broker = Broker()
-    comms = CommsModule(scene, cfg or CommsConfig(), **kwargs)
+    comms = CommsModule(scene, cfg, **kwargs)
     comms.init(0.0, broker)
     return broker, comms
 
 
 def test_outage_gains_sized_from_codebooks():
-    # a tall box hides the receiver from the transmitter; LOS only, so outage
+    # a tall box hides the receiver from the transmitter: no path of any order
     scene = Scene(300, 300, TxPose((20.0, 50.0, 30.0)),
                   [Building((40, 0.1, 0), (60, 100, 200), CONCRETE)])
-    cfg = CommsConfig(tx_upa=UpaConfig(4, 4))
-    broker, comms = _comms(scene, cfg, max_order=0)
+    cfg = dataclasses.replace(SHIPPED, tx_upa=UpaConfig(4, 4))
+    broker, comms = _comms(scene, cfg)
     _publish(broker, "hidden", (80.0, 50.0, 30.0))
     _publish(broker, "seen", (20.0, 150.0, 30.0))
     comms.step(0.0, broker)
@@ -70,3 +77,18 @@ def test_step_traces_each_moved_ue_once(monkeypatch):
         _publish(broker, ue_id, pos)
     comms.step(1.0, broker)
     assert len(calls) == 4
+
+
+def test_policy_module_rejects_model_of_other_pair_count():
+    scene = Scene(300, 300, TxPose((20.0, 50.0, 30.0)), [])
+    comms = CommsModule(scene, dataclasses.replace(SHIPPED, tx_upa=UpaConfig(4, 4)))
+    assert comms.pair_grid == (4, 16)
+    rng = np.random.default_rng(0)
+    for n_classes, ok in ((64, True), (256, False)):
+        counts = np.zeros(n_classes, dtype=np.int64)
+        model = DecisionTreeModel(TreeNode(counts=counts), 1, n_classes)
+        if ok:
+            PolicyModule(Policy(kind="tree", model=model), comms, rng)
+        else:
+            with pytest.raises(ValueError, match="256 pairs, arrays 64"):
+                PolicyModule(Policy(kind="tree", model=model), comms, rng)

@@ -159,6 +159,18 @@ def test_wildcard_matches_brute_force(pattern, topic):
     assert topic_matches(pattern, topic) == _ref_match(pattern, topic)
 
 
+def _subscribe_and_sync(client, pattern, probe_topic):
+    """Subscribe, then wait for a probe the client publishes itself.
+
+    The server handles one connection's frames in order, so once the probe is
+    back the subscription is registered with the broker.
+    """
+    client.subscribe(pattern)
+    client.publish(probe_topic, "probe")
+    msg = client.next_message(timeout=5.0)
+    assert msg is not None and (msg.topic, msg.payload) == (probe_topic, "probe")
+
+
 def test_tcp_transport_round_trip():
     broker = Broker()
     server = BusServer(broker)
@@ -166,7 +178,7 @@ def test_tcp_transport_round_trip():
     sub_client = BusClient(host, port)
     pub_client = BusClient(host, port)
     try:
-        sub_client.subscribe("3D.>")
+        _subscribe_and_sync(sub_client, "3D.>", "3D.probe")
         local = broker.subscribe("3D.mobility.positions")
         payload = '{"UE_type":"UAV", "UE_Id":"uav0", "position":{"x":0, "y":0, "z":0}}'
         pub_client.publish("3D.mobility.positions", payload)
@@ -180,3 +192,39 @@ def test_tcp_transport_round_trip():
         pub_client.close()
         server.close()
         broker.close()
+
+
+def test_tcp_subscription_ends_with_its_connection():
+    broker = Broker()
+    server = BusServer(broker)
+    client = BusClient(*server.address)
+    try:
+        _subscribe_and_sync(client, "a.>", "a.probe")
+        (sub,) = broker._subs
+        client.close()
+        # the connection's thread unsubscribes and joins its pumps before it ends
+        for t in list(server._threads):
+            t.join(timeout=5.0)
+            assert not t.is_alive()
+        assert broker._subs == []
+        for i in range(1000):
+            broker.publish("a.b", str(i))
+        assert sub.drain() == []  # nothing queued for the closed client
+        with pytest.raises(BrokerClosed):
+            sub.next_message(timeout=0)
+    finally:
+        client.close()
+        server.close()
+        broker.close()
+
+
+def test_unsubscribe_stops_delivery_and_closes_the_queue():
+    broker = Broker()
+    sub = broker.subscribe("a.>")
+    broker.publish("a.b", "kept")
+    broker.unsubscribe(sub)
+    broker.publish("a.b", "dropped")
+    assert sub.next_message(timeout=0).payload == "kept"
+    with pytest.raises(BrokerClosed):
+        sub.next_message(timeout=0)
+    broker.unsubscribe(sub)  # a second call is a no-op

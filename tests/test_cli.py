@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from skycell.ai import TOPK_GRID, BeamDataset
+from skycell.ai import TOPK_GRID, BeamDataset, DecisionTreeModel, TreeNode
 from skycell.cli import main
 from skycell.orchestrator import EpisodeLog
 
@@ -220,3 +220,80 @@ def test_manifest_lists_every_default_key(tmp_path):
     assert manifest["config"]["replay_log"] is None
     assert manifest["config"]["comms"]["rx_azimuth_deg"] == 90.0
     assert manifest["config"]["comms"]["rx_downtilt_deg"] == -45.0
+
+
+def _decisions(path):
+    return [rec.chosen_pair for rec in EpisodeLog.read_jsonl(path).records]
+
+
+def test_random_policy_stays_inside_a_smaller_pair_space(tmp_path):
+    # a 4x4 transmit array gives 16 x 4 = 64 beam pairs
+    cfg = _write_cfg(tmp_path, comms={"tx_array": [4, 4]})
+    for command in ("run", "mission"):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--policy", "random", "--out", str(out)]) == 0
+        decisions = _decisions(out / "episode.jsonl")
+        assert decisions and all(0 <= d < 64 for d in decisions)
+
+
+def test_random_policy_reaches_every_receive_codeword(tmp_path):
+    # a 16x8 transmit array gives 128 x 4 = 512 pairs; rx codewords 2 and 3
+    # start at pair 256
+    cfg = _write_cfg(tmp_path, comms={"tx_array": [16, 8]},
+                     episode={"n_snapshots": 120, "seed": 7})
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--policy", "random", "--out", str(out)]) == 0
+    decisions = _decisions(out / "episode.jsonl")
+    assert len(decisions) == 120
+    assert max(decisions) >= 256 and all(0 <= d < 512 for d in decisions)
+
+
+def test_larger_pair_space_through_dataset_train_and_mission(tmp_path):
+    cfg = _write_cfg(tmp_path, comms={"tx_array": [16, 8]})
+    ds_dir, model_dir = tmp_path / "ds", tmp_path / "model"
+    assert main(["dataset", "--config", cfg, "--out", str(ds_dir)]) == 0
+    lines = (ds_dir / "dataset.csv").read_text().splitlines()
+    widths = {len(line.split(",")) for line in lines}
+    assert widths == {5 + 512}
+    assert main(["train", "--config", cfg, "--dataset", str(ds_dir / "dataset.csv"),
+                 "--out", str(model_dir)]) == 0
+    model = json.loads((model_dir / "model.json").read_text())
+    assert model["n_classes"] == 512
+    assert main(["mission", "--config", cfg, "--policy", "tree",
+                 "--model", str(model_dir / "model.json"), "--out", str(tmp_path / "m")]) == 0
+
+
+def test_topk_table_lists_only_k_up_to_the_pair_count(tmp_path):
+    # 2x2 transmit and 2x2 receive arrays: 16 pairs
+    cfg = _write_cfg(tmp_path, comms={"tx_array": [2, 2]})
+    ds_dir, model_dir = tmp_path / "ds", tmp_path / "model"
+    assert main(["dataset", "--config", cfg, "--out", str(ds_dir)]) == 0
+    assert main(["train", "--config", cfg, "--dataset", str(ds_dir / "dataset.csv"),
+                 "--out", str(model_dir)]) == 0
+    table = (model_dir / "topk_accuracy.csv").read_text().strip().splitlines()
+    assert [int(line.split(",")[0]) for line in table[1:]] == [k for k in TOPK_GRID if k <= 16]
+
+
+def test_model_of_another_pair_count_exits_2(tmp_path, capsys):
+    # a model over the shipped 8x8 x 2x2 pairs, flown or evaluated at 4x4 x 2x2
+    model_path = tmp_path / "model.json"
+    DecisionTreeModel(TreeNode(counts=np.ones(256, dtype=np.int64)), 1, 256).save(model_path)
+    cfg = _write_cfg(tmp_path, comms={"tx_array": [4, 4]})
+    for command in ("run", "mission"):
+        rc = main([command, "--config", cfg, "--policy", "tree", "--model", str(model_path),
+                   "--out", str(tmp_path / command)])
+        assert rc == 2
+        assert "256 pairs, arrays 64" in capsys.readouterr().err
+    doc = json.loads(model_path.read_text())
+    del doc["n_classes"]
+    model_path.with_name("old.json").write_text(json.dumps(doc))
+    rc = main(["run", "--config", cfg, "--policy", "tree",
+               "--model", str(model_path.with_name("old.json")), "--out", str(tmp_path / "old")])
+    assert rc == 2
+    assert "lacks n_classes" in capsys.readouterr().err
+    ds_dir = tmp_path / "ds"
+    assert main(["dataset", "--config", cfg, "--out", str(ds_dir)]) == 0
+    rc = main(["eval", "--config", cfg, "--model", str(model_path),
+               "--dataset", str(ds_dir / "dataset.csv"), "--out", str(tmp_path / "eval")])
+    assert rc == 2
+    assert "64 pairs, model 256" in capsys.readouterr().err

@@ -209,7 +209,8 @@ def test_mission_requires_all_in_loop(sar_env):
     plan = seeded_route(cfg, stream_seed(0, "mission-route"))
     ep = EpisodeConfig(n_snapshots=10, category="Mob3dCommInLoop")
     with pytest.raises(ValueError):
-        run_mission(scene, plan, MissionConfig(), ep)
+        run_mission(scene, plan, MissionConfig(), ep, ccfg, Policy(kind="oracle"),
+                    rng_for(0, "random-policy"))
 
 
 def test_mission_config_validation():
@@ -225,8 +226,6 @@ def test_target_positions_on_route_ground():
     targets = cfgm.target_positions(plan)
     assert [t[0] for t in targets] == pytest.approx([20.0, 50.0, 80.0])
     assert all(t[2] == 0.0 for t in targets)
-    explicit = MissionConfig(n_targets=1, targets=((5.0, 6.0, 0.0),))
-    assert explicit.target_positions(plan) == [(5.0, 6.0, 0.0)]
 
 
 def test_metrics_serialization(sar_env):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skycell.ai import Policy, policy_decide
+from skycell.config import comms_config, load_config
 from skycell.geometry import PathBundle, PropagationPath
 from skycell.phy import (
     ChannelMatrix,
     ChannelOutage,
     Codebook,
-    CommsConfig,
     UpaConfig,
     beam_sweep,
     boresight_rotation,
@@ -23,6 +25,7 @@ from skycell.phy import (
 
 TX = UpaConfig(8, 8)
 RX = UpaConfig(2, 2)
+SHIPPED = comms_config(load_config(None))
 
 
 def _path(gain, aod, aoa, length=100.0):
@@ -100,15 +103,19 @@ def test_synthesize_outage_is_distinct():
 
 
 def test_pair_index_examples():
-    assert pair_index(0, 0) == 0
-    assert pair_index(3, 63) == 255
-    assert pair_index(1, 2) == 66
+    assert pair_index(0, 0, 64, 4) == 0
+    assert pair_index(3, 63, 64, 4) == 255
+    assert pair_index(1, 2, 64, 4) == 66
+    assert pair_index(1, 2, 16, 4) == 18
+    assert pair_index(0, 127, 128, 4) == 127
     with pytest.raises(ValueError):
-        pair_index(4, 0)
+        pair_index(4, 0, 64, 4)
     with pytest.raises(ValueError):
-        pair_index(0, 64)
+        pair_index(0, 64, 64, 4)
     with pytest.raises(ValueError):
-        pair_index(-1, 0)
+        pair_index(0, 16, 16, 4)
+    with pytest.raises(ValueError):
+        pair_index(-1, 0, 64, 4)
 
 
 def _random_channel(rng):
@@ -127,7 +134,7 @@ def test_sweep_matches_brute_force_on_100_random_channels():
             for j in range(64):
                 w = rx_cb.codewords[i]
                 f = tx_cb.codewords[j]
-                brute[pair_index(i, j)] = abs(np.conj(w) @ h.entries @ f)
+                brute[pair_index(i, j, 64, 4)] = abs(np.conj(w) @ h.entries @ f)
         assert np.allclose(gains, brute, rtol=0, atol=1e-12)
         assert best == int(np.argmax(brute))
 
@@ -137,7 +144,7 @@ def test_sweep_on_codeword_aligned_channel():
     for (i, j) in ((0, 0), (2, 17), (3, 63)):
         entries = np.outer(rx_cb.codewords[i], tx_cb.codewords[j].conj())
         best, gains = beam_sweep(ChannelMatrix(entries, 4e10), tx_cb, rx_cb)
-        assert best == pair_index(i, j)
+        assert best == pair_index(i, j, 64, 4)
         assert gains[best] == pytest.approx(1.0, rel=1e-12)
 
 
@@ -169,7 +176,7 @@ def test_sweep_energy_bounded_by_spectral_norm():
 
 
 def test_throughput_endpoints():
-    cfg = CommsConfig()
+    cfg = SHIPPED
     assert throughput_mbps(0.0, cfg) == 0.0
     assert throughput_mbps(1.0, cfg) == cfg.max_throughput_mbps
     with pytest.raises(ValueError):
@@ -179,13 +186,13 @@ def test_throughput_endpoints():
 @given(st.floats(min_value=0, max_value=1e-3), st.floats(min_value=0, max_value=1e-3))
 @settings(max_examples=200)
 def test_throughput_monotone(g1, g2):
-    cfg = CommsConfig()
+    cfg = SHIPPED
     lo, hi = sorted((g1, g2))
     assert throughput_mbps(lo, cfg) <= throughput_mbps(hi, cfg)
 
 
 def test_noise_power_matches_closed_form():
-    cfg = CommsConfig(bandwidth_hz=1e8, noise_figure_db=7.0)
+    cfg = dataclasses.replace(SHIPPED, bandwidth_hz=1e8, noise_figure_db=7.0)
     expected_dbm = -174.0 + 10 * math.log10(1e8) + 7.0
     assert 10 * math.log10(cfg.noise_power_w * 1000) == pytest.approx(expected_dbm)
 
@@ -196,3 +203,31 @@ def test_boresight_rotation_is_orthonormal_and_points_down():
     boresight = r[:, 2]
     assert boresight[1] == pytest.approx(-math.cos(math.radians(45.0)))
     assert boresight[2] == pytest.approx(-math.sin(math.radians(45.0)))
+
+
+_side = st.integers(min_value=1, max_value=4)
+
+
+@given(tx_rows=_side, tx_cols=_side, rx_rows=_side, rx_cols=_side,
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_pair_space_follows_any_array_shape(tx_rows, tx_cols, rx_rows, rx_cols, seed):
+    tx_cb = dft_codebook(UpaConfig(tx_rows, tx_cols))
+    rx_cb = dft_codebook(UpaConfig(rx_rows, rx_cols))
+    n_tx, n_rx = tx_cb.n_codewords, rx_cb.n_codewords
+    rng = np.random.default_rng(seed)
+    entries = rng.normal(size=(n_rx, n_tx)) + 1j * rng.normal(size=(n_rx, n_tx))
+    h = ChannelMatrix(entries=entries, carrier_hz=4e10)
+    best, gains = beam_sweep(h, tx_cb, rx_cb)
+    assert gains.shape == (n_rx * n_tx,)
+    for i in range(n_rx):
+        for j in range(n_tx):
+            expected = abs(np.conj(rx_cb.codewords[i]) @ entries @ tx_cb.codewords[j])
+            assert gains[pair_index(i, j, n_tx, n_rx)] == pytest.approx(expected, rel=1e-9)
+    grid = gains.reshape(n_rx, n_tx)
+    assert policy_decide(Policy(kind="oracle"), None, grid, rng) == best
+    for _ in range(8):
+        pair = policy_decide(Policy(kind="random"), None, grid, rng)
+        rx_idx, tx_idx = divmod(pair, n_tx)
+        assert 0 <= rx_idx < n_rx and 0 <= tx_idx < n_tx
+        assert pair == pair_index(rx_idx, tx_idx, n_tx, n_rx)
