@@ -1,0 +1,47 @@
+"""Microseconds per Broker.publish of one position message to 8 subscribers.
+
+    PYTHONPATH=src python3 scripts/bus_publish_bench.py [--publishes 20000]
+
+Eight subscriptions match the published topic (exact, '*' and '>' patterns)
+and two do not. Publishes run in blocks of 100; each subscription is drained
+between blocks, outside the timed span. Prints the median and the quartiles
+of the per-block cost.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import time
+
+from skycell.bus import Broker
+
+TOPIC = "3D.mobility.positions"
+MATCHING = (
+    TOPIC, TOPIC, TOPIC, "3D.*.positions", "*.mobility.positions", "3D.>", "*.*.*", ">",
+)
+OTHERS = ("communications.state", "*.events")
+PAYLOAD = '{"UE_type": "UAV", "UE_Id": "uav0", "position": {"x": 12.5, "y": -3.25, "z": 40.0}}'
+BLOCK = 100
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--publishes", type=int, default=20_000)
+    args = ap.parse_args()
+    broker = Broker()
+    subs = [broker.subscribe(p) for p in MATCHING + OTHERS]
+    per_block = []
+    for _ in range(max(1, args.publishes // BLOCK)):
+        t0 = time.perf_counter()
+        for _ in range(BLOCK):
+            broker.publish(TOPIC, PAYLOAD, publisher="uav0")
+        per_block.append((time.perf_counter() - t0) / BLOCK * 1e6)
+        delivered = sum(len(s.drain()) for s in subs)
+        assert delivered == BLOCK * len(MATCHING), delivered
+    q1, med, q3 = statistics.quantiles(per_block, n=4)
+    print(f"publish to {len(MATCHING)} subscribers: {med:.2f} us (quartiles {q1:.2f}-{q3:.2f})")
+
+
+if __name__ == "__main__":
+    main()

@@ -54,6 +54,12 @@ class BeamDataset:
             los = np.zeros(0, dtype=object)
             best = np.zeros(0, dtype=np.int64)
             gains = np.zeros((0, 0))  # no sweep seen, so no gain columns
+        bad = (best < 0) | (best >= gains.shape[1])
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"row {i}: best_pair {int(best[i])} is outside the {gains.shape[1]} gain columns"
+            )
         return cls(positions, los, best, gains)
 
     def save_csv(self, path) -> None:

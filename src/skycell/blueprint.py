@@ -153,7 +153,7 @@ class CommsModule(orch.ModuleHandle):
 
     def step(self, t: float, broker: Broker) -> None:
         for msg in self._sub.drain():
-            doc = json.loads(msg.payload)
+            doc = msg.doc
             ue_id = doc["UE_Id"]
             self._ue_types[ue_id] = doc["UE_type"]
             pos = (doc["position"]["x"], doc["position"]["y"], doc["position"]["z"])
@@ -210,7 +210,7 @@ class PolicyModule(orch.ModuleHandle):
 
     def step(self, t: float, broker: Broker) -> None:
         for msg in self._sub.drain():
-            doc = json.loads(msg.payload)
+            doc = msg.doc
             ue_id = doc["UE_Id"]
             pos = (doc["position"]["x"], doc["position"]["y"], doc["position"]["z"])
             grid = self.comms.last[ue_id].gains.reshape(self.comms.pair_grid)

@@ -12,18 +12,20 @@ from __future__ import annotations
 
 import json
 import logging
-import queue
 import socket
 import struct
 import threading
+from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 logger = logging.getLogger(__name__)
 
 MAX_PAYLOAD_BYTES = 1 << 20
 QUEUE_HIGH_WATER = 10_000
-
-_CLOSED = object()
+# distinct published topics whose subscriber tuples a broker keeps; TCP
+# clients may publish any topic, so the map is bounded (oldest entry goes)
+ROUTE_CACHE_SIZE = 1024
 
 
 class TopicError(ValueError):
@@ -38,10 +40,10 @@ class BrokerClosed(RuntimeError):
     """The broker was shut down and the queue is drained."""
 
 
-def split_topic(topic: str, allow_wildcards: bool) -> list:
+def split_topic(topic: str, allow_wildcards: bool) -> tuple:
     if not isinstance(topic, str) or not topic:
         raise TopicError(f"topic must be a non-empty string, got {topic!r}")
-    segments = topic.split(".")
+    segments = tuple(topic.split("."))
     for i, seg in enumerate(segments):
         if not seg:
             raise TopicError(f"empty segment in topic {topic!r}")
@@ -54,10 +56,8 @@ def split_topic(topic: str, allow_wildcards: bool) -> list:
     return segments
 
 
-def topic_matches(pattern: str, topic: str) -> bool:
-    """Segment-wise wildcard match: '*' = one segment, trailing '>' = one+."""
-    pat = split_topic(pattern, allow_wildcards=True)
-    top = split_topic(topic, allow_wildcards=False)
+def _segments_match(pat: tuple, top: tuple) -> bool:
+    """Match split segments: '*' = one segment, trailing '>' = one or more."""
     for i, p in enumerate(pat):
         if p == ">":
             return len(top) >= i + 1
@@ -68,6 +68,13 @@ def topic_matches(pattern: str, topic: str) -> bool:
     return len(top) == len(pat)
 
 
+def topic_matches(pattern: str, topic: str) -> bool:
+    """Segment-wise wildcard match, the rule the broker routes by."""
+    return _segments_match(
+        split_topic(pattern, allow_wildcards=True), split_topic(topic, allow_wildcards=False)
+    )
+
+
 @dataclass(frozen=True)
 class Message:
     topic: str
@@ -76,58 +83,82 @@ class Message:
     publisher: str
     publish_time: float
 
+    @cached_property
+    def doc(self):
+        """The payload parsed as JSON on first access, then shared: treat as read-only."""
+        return json.loads(self.payload)
+
 
 class Subscription:
-    """FIFO delivery queue for one wildcard pattern."""
+    """FIFO delivery queue for one wildcard pattern, compiled at subscribe."""
 
     def __init__(self, broker: "Broker", pattern: str):
         self.pattern = pattern
+        self.segments = split_topic(pattern, allow_wildcards=True)
         self._broker = broker
-        self._queue: queue.Queue = queue.Queue()
+        self._items: deque = deque()
+        self._lock = threading.Lock()
+        self._ready = threading.Condition(self._lock)
+        self._waiting = 0  # readers blocked in next_message; delivery notifies only then
+        self._closed = False
         self._warned = False
 
     def _deliver(self, msg: Message) -> None:
-        self._queue.put(msg)
-        if not self._warned and self._queue.qsize() > QUEUE_HIGH_WATER:
-            self._warned = True
-            logger.warning(
-                "subscription %r exceeded %d queued messages", self.pattern, QUEUE_HIGH_WATER
-            )
+        with self._lock:
+            self._items.append(msg)
+            if self._waiting:
+                self._ready.notify()
+            if not self._warned and len(self._items) > QUEUE_HIGH_WATER:
+                self._warned = True
+                logger.warning(
+                    "subscription %r exceeded %d queued messages", self.pattern, QUEUE_HIGH_WATER
+                )
+
+    def _close(self) -> None:
+        with self._lock:
+            self._closed = True
+            self._ready.notify_all()
+
+    def _readable(self) -> bool:
+        return bool(self._items) or self._closed
 
     def next_message(self, timeout: float = None):
         """Oldest undelivered message, or None once the timeout elapses.
 
         Raises BrokerClosed after shutdown once the queue is drained.
         """
-        try:
-            item = self._queue.get(block=timeout is None or timeout > 0, timeout=timeout)
-        except queue.Empty:
+        with self._lock:
+            self._waiting += 1
+            try:
+                self._ready.wait_for(self._readable, timeout)
+            finally:
+                self._waiting -= 1
+            if self._items:
+                return self._items.popleft()
+            if self._closed:
+                raise BrokerClosed("broker was shut down")
             return None
-        if item is _CLOSED:
-            self._queue.put(_CLOSED)  # keep the terminal marker for later calls
-            raise BrokerClosed("broker was shut down")
-        return item
 
     def drain(self) -> list:
         """All currently queued messages, without blocking."""
-        out = []
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                return out
-            if item is _CLOSED:
-                self._queue.put(_CLOSED)
-                return out
-            out.append(item)
+        with self._lock:
+            out = list(self._items)
+            self._items.clear()
+        return out
 
 
 class Broker:
-    """Linearizable in-process pub/sub hub with a virtual-time stamp."""
+    """Linearizable in-process pub/sub hub with a virtual-time stamp.
+
+    Each published topic is validated once and mapped to the tuple of
+    subscriptions whose compiled pattern matches it; the map is cleared
+    whenever the subscription set changes.
+    """
 
     def __init__(self, max_payload_bytes: int = MAX_PAYLOAD_BYTES):
         self._lock = threading.Lock()
         self._subs: list[Subscription] = []
+        self._routes: dict = {}  # published topic -> matching subscriptions
         self._seq: dict = {}
         self._closed = False
         self._virtual_time = 0.0
@@ -137,15 +168,32 @@ class Broker:
         with self._lock:
             self._virtual_time = float(t)
 
+    def _route(self, topic: str) -> tuple:
+        """Validate a topic not in the route map and add its subscribers (lock held)."""
+        top = split_topic(topic, allow_wildcards=False)
+        subs = tuple(sub for sub in self._subs if _segments_match(sub.segments, top))
+        if len(self._routes) >= ROUTE_CACHE_SIZE:
+            del self._routes[next(iter(self._routes))]
+        self._routes[topic] = subs
+        return subs
+
     def publish(self, topic: str, payload: str, publisher: str = "default") -> int:
-        split_topic(topic, allow_wildcards=False)
-        if not isinstance(payload, str):
-            raise TypeError("payload must be text")
-        if len(payload.encode("utf-8")) > self.max_payload_bytes:
-            raise PayloadTooLarge(
-                f"payload of {len(payload)} chars exceeds {self.max_payload_bytes} bytes"
-            )
+        if not isinstance(topic, str):  # ahead of the lookup: a list topic is unhashable
+            raise TopicError(f"topic must be a non-empty string, got {topic!r}")
         with self._lock:
+            subs = self._routes.get(topic)
+            if subs is None:
+                subs = self._route(topic)
+            if not isinstance(payload, str):
+                raise TypeError("payload must be text")
+            # UTF-8 takes at most 4 bytes per code point, so most payloads skip encoding
+            if (
+                4 * len(payload) > self.max_payload_bytes
+                and len(payload.encode("utf-8")) > self.max_payload_bytes
+            ):
+                raise PayloadTooLarge(
+                    f"payload of {len(payload)} chars exceeds {self.max_payload_bytes} bytes"
+                )
             if self._closed:
                 raise BrokerClosed("cannot publish on a closed broker")
             key = (publisher, topic)
@@ -158,18 +206,17 @@ class Broker:
                 publisher=publisher,
                 publish_time=self._virtual_time,
             )
-            for sub in self._subs:
-                if topic_matches(sub.pattern, topic):
-                    sub._deliver(msg)
+            for sub in subs:
+                sub._deliver(msg)
         return seq
 
     def subscribe(self, pattern: str) -> Subscription:
-        split_topic(pattern, allow_wildcards=True)
         sub = Subscription(self, pattern)
         with self._lock:
             if self._closed:
                 raise BrokerClosed("cannot subscribe on a closed broker")
             self._subs.append(sub)
+            self._routes.clear()
         return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
@@ -177,15 +224,17 @@ class Broker:
         with self._lock:
             if sub in self._subs:
                 self._subs.remove(sub)
-                sub._queue.put(_CLOSED)
+                self._routes.clear()
+                sub._close()
 
     def close(self) -> None:
         with self._lock:
             if self._closed:
                 return
             self._closed = True
+            self._routes.clear()
             for sub in self._subs:
-                sub._queue.put(_CLOSED)
+                sub._close()
 
     @property
     def closed(self) -> bool:

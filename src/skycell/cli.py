@@ -29,7 +29,7 @@ from .ai import (
 )
 from .blueprint import CommsModule, MobilityModule, PolicyModule, ReplayModule, generate_dataset_rows
 from .config import ConfigError
-from .mission import estimate_rescue_curve, run_mission
+from .mission import DEGRADATION_CEILING_MBPS, estimate_rescue_curve, run_mission
 
 
 def _out_dir(args) -> Path:
@@ -272,7 +272,9 @@ def cmd_mission(args) -> int:
     log.write_jsonl(out / "episode.jsonl")
     with open(out / "mission.json", "w", encoding="utf-8") as fh:
         json.dump(metrics.to_dict(), fh, indent=2)
-    curve = estimate_rescue_curve(mission_cfg.payload_bytes, range(1, 91))
+    curve = estimate_rescue_curve(
+        mission_cfg.payload_bytes, range(1, int(DEGRADATION_CEILING_MBPS) + 1)
+    )
     with open(out / "rescue_curve.csv", "w", encoding="utf-8") as fh:
         fh.write("throughput_mbps,wait_s\n")
         for tput, wait in curve:

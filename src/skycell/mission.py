@@ -42,13 +42,15 @@ DEGRADATION_TIERS = (
     DegradationTier(30.0, 60.0, 25.0, 12.39),
     DegradationTier(0.0, 30.0, 50.0, 9.37),
 )
+DEGRADATION_CEILING_MBPS = DEGRADATION_TIERS[0].hi_mbps
 
 
 def degradation(throughput: float) -> DegradationTier:
     """Tier lookup for a throughput in Mbps; out-of-range values clamp."""
-    if throughput < 0.0 or throughput > 90.0:
-        logger.warning("throughput %.3f outside [0, 90] Mbps; clamping", throughput)
-        throughput = min(90.0, max(0.0, throughput))
+    top = DEGRADATION_CEILING_MBPS
+    if throughput < 0.0 or throughput > top:
+        logger.warning("throughput %.3f outside [0, %g] Mbps; clamping", throughput, top)
+        throughput = min(top, max(0.0, throughput))
     for tier in DEGRADATION_TIERS[:-1]:
         if throughput > tier.lo_mbps:
             return tier
@@ -317,6 +319,11 @@ def run_mission(
     """Fly the rescue mission all-in-loop; returns (metrics, episode log)."""
     if episode_cfg.category != orch.ALL_IN_LOOP:
         raise ValueError("run_mission requires the AllInLoop category")
+    if comms_cfg.max_throughput_mbps > DEGRADATION_CEILING_MBPS:
+        raise ValueError(
+            f"comms.max_throughput_mbps {comms_cfg.max_throughput_mbps:g} is above the "
+            f"{DEGRADATION_CEILING_MBPS:g} Mbps the degradation table grades"
+        )
     mobility = MobilityModule({"uav0": trajectory}, episode_cfg.sampling_interval)
     comms = CommsModule(scene, comms_cfg)
     mission = MissionModule(

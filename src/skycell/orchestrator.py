@@ -223,19 +223,19 @@ def run_episode(
                     )
         positions = [
             (doc["UE_type"], doc["UE_Id"], _position_tuple(doc["position"]))
-            for doc in (json.loads(m.payload) for m in sub_pos.drain())
+            for doc in (m.doc for m in sub_pos.drain())
         ]
         best_msgs = sub_best.drain()
         decision_msgs = sub_decision.drain()
         tput_msgs = sub_tput.drain()
         chosen = 0
         if decision_msgs:
-            chosen = int(json.loads(decision_msgs[-1].payload)["pair"])
+            chosen = int(decision_msgs[-1].doc["pair"])
         elif best_msgs:
-            chosen = int(json.loads(best_msgs[-1].payload)["pair"])
+            chosen = int(best_msgs[-1].doc["pair"])
         throughput = 0.0
         if tput_msgs:
-            throughput = float(json.loads(tput_msgs[-1].payload)["throughput"])
+            throughput = float(tput_msgs[-1].doc["throughput"])
         record = SnapshotRecord(
             t=t,
             ue_states=positions,

@@ -288,6 +288,13 @@ def test_empty_dataset_has_no_gain_columns(tmp_path):
     assert (tmp_path / "empty.csv").read_text().strip() == "x,y,z,los,best_pair"
 
 
+@pytest.mark.parametrize("best", [2, 3, -1])
+def test_best_pair_must_index_a_gain_column(best):
+    rows = [((0.0, 0.0, 0.0), "NLOS", 1, np.zeros(2)), ((1.0, 0.0, 0.0), "NLOS", best, np.zeros(2))]
+    with pytest.raises(ValueError, match=f"row 1: best_pair {best} is outside the 2 gain"):
+        BeamDataset.from_rows(rows)
+
+
 def test_topk_accuracy_rejects_other_pair_count():
     ds = _cluster_dataset(seed=4)
     model = train_tree(ds, max_depth=2)

@@ -50,3 +50,36 @@ def test_workload_first_snapshot_runs(workloads, workload, tmp_path):
     assert workload in workloads.WORKLOADS
     ctx = workloads.Context.load(tmp_path)
     workloads.first_snapshot(ctx, workload, 0)
+
+
+def test_delivery_counter_sees_every_drained_message(monkeypatch):
+    """spans.py counts bus.deliveries by wrapping Subscription._deliver on the class.
+
+    A router that kept bound methods, or queued without calling _deliver,
+    would let messages through uncounted and silently zero the counter.
+    """
+    from skycell import bus
+
+    broker = bus.Broker()
+    subs = [broker.subscribe(p) for p in ("3D.mobility.positions", "3D.>", "*.*.positions",
+                                          "communications.*", ">", "ai.events")]
+    broker.publish("3D.mobility.positions", "{}")  # route map warm before the counter goes in
+    for sub in subs:
+        sub.drain()
+    delivered = 0
+    raw = vars(bus.Subscription)["_deliver"]
+
+    def counted(self, msg):
+        nonlocal delivered
+        delivered += 1
+        return raw(self, msg)
+
+    monkeypatch.setattr(bus.Subscription, "_deliver", counted)
+    topics = ("3D.mobility.positions", "communications.state", "ai.events", "x.y.positions")
+    for i in range(40):
+        broker.publish(topics[i % len(topics)], str(i), publisher=f"p{i % 3}")
+    late = broker.subscribe("ai.>")
+    for i in range(10):
+        broker.publish("ai.events", str(i))
+    drained = sum(len(sub.drain()) for sub in subs + [late])
+    assert drained == delivered == 10 * (4 + 2 + 2 + 2) + 10 * 3

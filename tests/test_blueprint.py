@@ -1,15 +1,16 @@
 import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
 
-from skycell import blueprint
+from skycell import blueprint, bus
 from skycell import orchestrator as orch
 from skycell.ai import DecisionTreeModel, Policy, TreeNode
 from skycell.blueprint import CommsModule, PolicyModule
 from skycell.bus import Broker
-from skycell.config import comms_config, load_config
+from skycell.config import base_route, comms_config, load_config, load_scene
 from skycell.geometry import Building, Material, Scene, TxPose, los_class
 from skycell.phy import UpaConfig
 
@@ -92,3 +93,22 @@ def test_policy_module_rejects_model_of_other_pair_count():
         else:
             with pytest.raises(ValueError, match="256 pairs, arrays 64"):
                 PolicyModule(Policy(kind="tree", model=model), comms, rng)
+
+
+def test_each_message_is_decoded_once_per_snapshot(monkeypatch):
+    """Orchestrator, comms and policy share one parse of each position message."""
+    decoded = []
+    monkeypatch.setattr(bus, "json", types.SimpleNamespace(
+        loads=lambda text: decoded.append(text) or json.loads(text)))
+    cfg = load_config(None)
+    route = base_route(cfg)
+    plans = {f"uav{i}": blueprint.offset_plan(route, 3.0 * i) for i in range(2)}
+    mobility = blueprint.MobilityModule(plans, 0.5)
+    comms = CommsModule(load_scene(cfg), SHIPPED)
+    ai = PolicyModule(Policy(kind="random"), comms, np.random.default_rng(0))
+    ep = orch.EpisodeConfig(n_snapshots=3, category=orch.ALL_IN_LOOP)
+    log = orch.run_episode(ep, [mobility, comms, ai])
+    assert len(log.records) == 3
+    # per snapshot: two positions (three readers each), the last decision, the last throughput
+    assert len(decoded) == 3 * 4
+    assert sum("position" in json.loads(text) for text in decoded) == 3 * 2

@@ -1,9 +1,14 @@
+import json
+import logging
+import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skycell import bus
 from skycell.bus import (
     Broker,
     BrokerClosed,
@@ -69,13 +74,16 @@ def test_no_loss_no_duplication():
 
 def test_malformed_topics_rejected():
     broker = Broker()
-    for bad in ("", "a..b", "a b.c", "a.>.b", ".a", "a."):
+    sub = broker.subscribe("a.>")
+    broker.publish("a.b", "warm")  # rejections hold with the route map filled
+    for bad in ("", "a..b", "a b.c", "a.>.b", ".a", "a.", None, 3, ["a"]):
         with pytest.raises(TopicError):
             broker.publish(bad, "x")
     with pytest.raises(TopicError):
         broker.publish("a.*", "wildcards not allowed on publish")
     with pytest.raises(TopicError):
         broker.subscribe("a.>.b")
+    assert [m.payload for m in sub.drain()] == ["warm"]
 
 
 def test_payload_size_limit():
@@ -83,6 +91,113 @@ def test_payload_size_limit():
     with pytest.raises(PayloadTooLarge):
         broker.publish("a.b", "x" * 65)
     broker.publish("a.b", "x" * 64)
+    # the limit counts UTF-8 bytes; 4 bytes per character: 16 fill it exactly
+    broker.publish("a.b", "\U0001F600" * 16)
+    with pytest.raises(PayloadTooLarge):
+        broker.publish("a.b", "\U0001F600" * 16 + "x")
+    # 2 bytes per character: more characters than a 4-byte bound would admit unencoded
+    broker.publish("a.b", "\u00e9" * 32)
+    with pytest.raises(PayloadTooLarge):
+        broker.publish("a.b", "\u00e9" * 32 + "x")
+    with pytest.raises(PayloadTooLarge):
+        broker.publish("a.b", "\u20ac" * 21 + "xx")  # 3 * 21 + 2 = 65 bytes
+
+
+def test_route_map_stays_bounded(monkeypatch):
+    monkeypatch.setattr(bus, "ROUTE_CACHE_SIZE", 4)
+    broker = Broker()
+    subs = {p: broker.subscribe(p) for p in ("t.>", "t.*", "t.k3")}
+    for round_ in range(2):
+        for i in range(10):
+            broker.publish(f"t.k{i}", f"{round_}:{i}")
+            assert len(broker._routes) <= 4
+    assert len(subs["t.>"].drain()) == 20
+    assert len(subs["t.*"].drain()) == 20
+    assert [m.payload for m in subs["t.k3"].drain()] == ["0:3", "1:3"]
+
+
+def test_publish_after_unsubscribe_reaches_only_live_subscriptions():
+    broker = Broker()
+    gone = broker.subscribe("a.b")
+    kept = broker.subscribe("a.*")
+    broker.publish("a.b", "1")  # fills the route map with both subscriptions
+    broker.unsubscribe(gone)
+    broker.publish("a.b", "2")
+    later = broker.subscribe("a.>")
+    broker.publish("a.b", "3")
+    assert [m.payload for m in gone.drain()] == ["1"]
+    assert [m.payload for m in kept.drain()] == ["1", "2", "3"]
+    assert [m.payload for m in later.drain()] == ["3"]
+
+
+def test_message_doc_is_decoded_once_and_shared():
+    broker = Broker()
+    a, b = broker.subscribe("x.y"), broker.subscribe("x.>")
+    payload = '{"k": [1, 2.5], "s": "t"}'
+    broker.publish("x.y", payload)
+    (ma,), (mb,) = a.drain(), b.drain()
+    assert ma is mb
+    assert ma.doc == json.loads(payload)
+    assert ma.doc is mb.doc
+    assert ma.payload == payload  # the wire text is untouched
+    assert ma == bus.Message("x.y", payload, 1, "default", 0.0)
+
+
+def test_close_keeps_queued_messages_for_drain():
+    broker = Broker()
+    sub = broker.subscribe("a.b")
+    broker.publish("a.b", "1")
+    broker.publish("a.b", "2")
+    broker.close()
+    assert [m.payload for m in sub.drain()] == ["1", "2"]
+    assert sub.drain() == []
+    with pytest.raises(BrokerClosed):
+        sub.next_message(timeout=None)
+
+
+def _wait_for(condition, what):
+    deadline = time.monotonic() + 5.0
+    while not condition():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.001)
+
+
+def test_blocked_reader_wakes_on_publish_and_on_close():
+    broker = Broker()
+    sub = broker.subscribe("a.b")
+    got = []
+
+    def reader():
+        got.append(sub.next_message(timeout=None).payload)
+        try:
+            sub.next_message(timeout=None)
+        except BrokerClosed:
+            got.append("closed")
+
+    t = threading.Thread(target=reader, daemon=True)
+    t.start()
+    blocked = lambda: sub._waiting == 1  # noqa: E731
+    _wait_for(blocked, "reader never blocked")
+    broker.publish("a.b", "hello")
+    _wait_for(lambda: got == ["hello"], "publish did not wake the reader")
+    _wait_for(blocked, "reader never blocked again")
+    broker.close()
+    t.join(timeout=5.0)
+    assert not t.is_alive()
+    assert got == ["hello", "closed"]
+
+
+def test_high_water_warning_once(monkeypatch, caplog):
+    monkeypatch.setattr(bus, "QUEUE_HIGH_WATER", 3)
+    broker = Broker()
+    sub = broker.subscribe("a.b")
+    with caplog.at_level(logging.WARNING, logger="skycell.bus"):
+        for i in range(10):
+            broker.publish("a.b", str(i))
+    assert [r.getMessage() for r in caplog.records] == [
+        "subscription 'a.b' exceeded 3 queued messages"
+    ]
+    assert len(sub.drain()) == 10
 
 
 def test_timeout_and_close():
@@ -99,6 +214,52 @@ def test_timeout_and_close():
         sub.next_message(timeout=0)
     with pytest.raises(BrokerClosed):
         broker.publish("a.b", "no")
+
+
+def test_publish_races_subscription_churn_and_drains():
+    """Four publishers, a subscribe/unsubscribe loop and a drainer share one broker."""
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        broker = Broker()
+        stable = broker.subscribe("t.>")
+        n, names = 2000, [f"p{i}" for i in range(4)]
+        stop = threading.Event()
+        got = []
+
+        def publish(name):
+            for i in range(n):
+                broker.publish(f"t.k{i % 3}", str(i), publisher=name)
+
+        def churn():
+            while not stop.is_set():
+                broker.unsubscribe(broker.subscribe("t.*"))
+
+        def drain():
+            while not stop.is_set():
+                got.extend(stable.drain())
+
+        helpers = [threading.Thread(target=f, daemon=True) for f in (churn, drain)]
+        publishers = [threading.Thread(target=publish, args=(p,), daemon=True) for p in names]
+        for t in helpers + publishers:
+            t.start()
+        for t in publishers:
+            t.join(timeout=30.0)
+            assert not t.is_alive()
+        stop.set()
+        for t in helpers:
+            t.join(timeout=5.0)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    got.extend(stable.drain())
+    assert len(got) == len(names) * n
+    last = {}
+    for msg in got:  # per (publisher, topic): every seq once, in order
+        key = (msg.publisher, msg.topic)
+        assert msg.seq == last.get(key, 0) + 1
+        last[key] = msg.seq
+    assert broker._subs == [stable]
 
 
 def test_concurrent_publishers_keep_per_publisher_fifo():
@@ -157,6 +318,43 @@ def _pattern(draw):
 @settings(max_examples=400)
 def test_wildcard_matches_brute_force(pattern, topic):
     assert topic_matches(pattern, topic) == _ref_match(pattern, topic)
+
+
+_op = st.one_of(
+    st.tuples(st.just("sub"), _pattern()),
+    st.tuples(st.just("unsub"), st.integers(0, 7)),
+    st.tuples(st.just("pub"), _topic),
+    st.tuples(st.just("drain"), st.integers(0, 7)),
+)
+
+
+@given(ops=st.lists(_op, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_routing_matches_brute_force_across_subscription_changes(ops):
+    """Each subscription drains what a scan of every live pattern would deliver."""
+    broker = Broker()
+    subs, expected, live = [], [], []
+    for i, (kind, arg) in enumerate(ops):
+        if kind == "sub":
+            subs.append(broker.subscribe(arg))
+            expected.append([])
+            live.append(True)
+        elif kind == "pub":
+            payload = f"{i}:{arg}"
+            broker.publish(arg, payload)
+            for k, sub in enumerate(subs):
+                if live[k] and _ref_match(sub.pattern, arg):
+                    expected[k].append(payload)
+        elif subs:
+            k = arg % len(subs)
+            if kind == "unsub":
+                broker.unsubscribe(subs[k])
+                live[k] = False
+            else:
+                assert [m.payload for m in subs[k].drain()] == expected[k]
+                expected[k] = []
+    for sub, want in zip(subs, expected):
+        assert [m.payload for m in sub.drain()] == want
 
 
 def _subscribe_and_sync(client, pattern, probe_topic):

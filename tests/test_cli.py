@@ -297,3 +297,32 @@ def test_model_of_another_pair_count_exits_2(tmp_path, capsys):
                "--dataset", str(ds_dir / "dataset.csv"), "--out", str(tmp_path / "eval")])
     assert rc == 2
     assert "64 pairs, model 256" in capsys.readouterr().err
+
+
+def test_best_pair_outside_the_gain_columns_exits_2(tmp_path, capsys):
+    # two gain columns, so only pairs 0 and 1 exist
+    lines = ["x,y,z,los,best_pair,g0,g1"]
+    lines += [f"{i}.0,{2 * i}.0,30.0,NLOS,{pair},0.5,0.25" for i, pair in enumerate((5, 7, -1))]
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    cfg = _write_cfg(tmp_path)
+    rc = main(["train", "--config", cfg, "--dataset", str(path), "--out", str(tmp_path / "t")])
+    assert rc == 2
+    assert "row 0: best_pair 5 is outside the 2 gain columns" in capsys.readouterr().err
+    assert not (tmp_path / "t" / "model.json").exists()
+    model_path = tmp_path / "model.json"
+    DecisionTreeModel(TreeNode(counts=np.ones(2, dtype=np.int64)), 1, 2).save(model_path)
+    rc = main(["eval", "--config", cfg, "--model", str(model_path), "--dataset", str(path),
+               "--out", str(tmp_path / "e")])
+    assert rc == 2
+    assert "best_pair 5" in capsys.readouterr().err
+
+
+def test_mission_rejects_a_cap_above_the_degradation_table(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, comms={"max_throughput_mbps": 400.0})
+    rc = main(["mission", "--config", cfg, "--policy", "random", "--out", str(tmp_path / "m")])
+    assert rc == 2
+    assert "max_throughput_mbps 400 is above the 90 Mbps" in capsys.readouterr().err
+    assert not (tmp_path / "m" / "mission.json").exists()
+    # the run command has no degradation table and keeps the cap
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
