@@ -29,10 +29,12 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--publishes", type=int, default=20_000)
     args = ap.parse_args()
+    if args.publishes < 2 * BLOCK:  # the quartiles need at least two blocks
+        ap.error(f"--publishes must be at least {2 * BLOCK}, got {args.publishes}")
     broker = Broker()
     subs = [broker.subscribe(p) for p in MATCHING + OTHERS]
     per_block = []
-    for _ in range(max(1, args.publishes // BLOCK)):
+    for _ in range(args.publishes // BLOCK):
         t0 = time.perf_counter()
         for _ in range(BLOCK):
             broker.publish(TOPIC, PAYLOAD, publisher="uav0")

@@ -177,6 +177,8 @@ class DecisionTreeModel:
             if "counts" in d:
                 counts = np.zeros(n_classes, dtype=np.int64)
                 for k, v in d["counts"].items():
+                    if not 0 <= int(k) < n_classes:
+                        raise ValueError(f"model leaf class {k} is outside its {n_classes} pairs")
                     counts[int(k)] = int(v)
                 return TreeNode(counts=counts)
             return TreeNode(
@@ -186,7 +188,13 @@ class DecisionTreeModel:
                 right=decode(d["right"]),
             )
 
-        return cls(root=decode(doc["root"]), max_depth=int(doc["max_depth"]), n_classes=n_classes)
+        try:
+            root = decode(doc["root"])
+            return cls(root=root, max_depth=int(doc["max_depth"]), n_classes=n_classes)
+        except KeyError as exc:
+            raise ValueError(f"model file lacks key {exc}") from exc
+        except (TypeError, AttributeError) as exc:  # a non-object where a node belongs
+            raise ValueError(f"malformed model file: {exc}") from exc
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -4,16 +4,13 @@ Topics are dot-separated segments ("3D.mobility.positions"). Subscription
 patterns may use "*" to match exactly one segment and a trailing ">" to match
 one or more segments. Delivery is per-publisher, per-topic FIFO with no
 replay and no persistence. The broker is safe for concurrent publishers and
-subscribers; an optional TCP transport (length-prefixed JSON frames) bridges
-remote processes to the same semantics.
+subscribers.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import socket
-import struct
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -23,8 +20,8 @@ logger = logging.getLogger(__name__)
 
 MAX_PAYLOAD_BYTES = 1 << 20
 QUEUE_HIGH_WATER = 10_000
-# distinct published topics whose subscriber tuples a broker keeps; TCP
-# clients may publish any topic, so the map is bounded (oldest entry goes)
+# distinct published topics whose subscriber tuples a broker keeps; a library
+# caller may publish any topic and the bound is cheap (oldest entry goes)
 ROUTE_CACHE_SIZE = 1024
 
 
@@ -92,10 +89,9 @@ class Message:
 class Subscription:
     """FIFO delivery queue for one wildcard pattern, compiled at subscribe."""
 
-    def __init__(self, broker: "Broker", pattern: str):
+    def __init__(self, pattern: str):
         self.pattern = pattern
         self.segments = split_topic(pattern, allow_wildcards=True)
-        self._broker = broker
         self._items: deque = deque()
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
@@ -211,7 +207,7 @@ class Broker:
         return seq
 
     def subscribe(self, pattern: str) -> Subscription:
-        sub = Subscription(self, pattern)
+        sub = Subscription(pattern)
         with self._lock:
             if self._closed:
                 raise BrokerClosed("cannot subscribe on a closed broker")
@@ -235,161 +231,3 @@ class Broker:
             self._routes.clear()
             for sub in self._subs:
                 sub._close()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-
-# ---------------------------------------------------------------------------
-# TCP transport: 4-byte big-endian length prefix + UTF-8 JSON envelope
-# ---------------------------------------------------------------------------
-
-
-def _send_frame(sock: socket.socket, doc: dict) -> None:
-    data = json.dumps(doc).encode("utf-8")
-    sock.sendall(struct.pack(">I", len(data)) + data)
-
-
-def _recv_frame(sock: socket.socket):
-    header = _recv_exact(sock, 4)
-    if header is None:
-        return None
-    (size,) = struct.unpack(">I", header)
-    body = _recv_exact(sock, size)
-    if body is None:
-        return None
-    return json.loads(body.decode("utf-8"))
-
-
-def _recv_exact(sock: socket.socket, size: int):
-    buf = b""
-    while len(buf) < size:
-        try:
-            chunk = sock.recv(size - len(buf))
-        except OSError:
-            return None
-        if not chunk:
-            return None
-        buf += chunk
-    return buf
-
-
-class BusServer:
-    """Exposes a Broker over TCP with the frame format above."""
-
-    def __init__(self, broker: Broker, host: str = "127.0.0.1", port: int = 0):
-        self.broker = broker
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen()
-        self.address = self._sock.getsockname()
-        self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
-
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, addr = self._sock.accept()
-            except OSError:
-                return
-            t = threading.Thread(target=self._serve, args=(conn, addr), daemon=True)
-            t.start()
-            self._threads.append(t)
-
-    def _serve(self, conn: socket.socket, addr) -> None:
-        publisher = f"tcp:{addr[0]}:{addr[1]}"
-        subs: list[Subscription] = []
-        pumps: list[threading.Thread] = []
-        send_lock = threading.Lock()
-        try:
-            while True:
-                doc = _recv_frame(conn)
-                if doc is None:
-                    return
-                op = doc.get("op")
-                if op == "pub":
-                    self.broker.publish(doc["topic"], doc["payload"], publisher=publisher)
-                elif op == "sub":
-                    sub = self.broker.subscribe(doc["topic"])
-                    subs.append(sub)
-                    t = threading.Thread(
-                        target=self._pump, args=(conn, sub, send_lock), daemon=True
-                    )
-                    t.start()
-                    pumps.append(t)
-                else:
-                    logger.warning("ignoring unknown frame op %r", op)
-        except (TopicError, PayloadTooLarge, BrokerClosed) as exc:
-            logger.warning("closing connection %s: %s", addr, exc)
-        finally:
-            for sub in subs:  # each pump sees BrokerClosed and returns
-                self.broker.unsubscribe(sub)
-            try:
-                conn.shutdown(socket.SHUT_RDWR)  # wakes a pump blocked in send
-            except OSError:
-                pass
-            conn.close()
-            for t in pumps:
-                t.join()
-
-    def _pump(self, conn: socket.socket, sub: Subscription, send_lock) -> None:
-        while True:
-            try:
-                msg = sub.next_message(timeout=0.2)
-            except BrokerClosed:
-                return
-            if msg is None:
-                if self._stop.is_set():
-                    return
-                continue
-            try:
-                with send_lock:
-                    _send_frame(
-                        conn,
-                        {"op": "msg", "topic": msg.topic, "payload": msg.payload, "seq": msg.seq},
-                    )
-            except OSError:
-                return
-
-    def close(self) -> None:
-        self._stop.set()
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-
-class BusClient:
-    """Blocking TCP client mirroring the in-process API."""
-
-    def __init__(self, host: str, port: int, timeout: float = 5.0):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-
-    def publish(self, topic: str, payload: str) -> None:
-        _send_frame(self._sock, {"op": "pub", "topic": topic, "payload": payload, "seq": 0})
-
-    def subscribe(self, pattern: str) -> None:
-        _send_frame(self._sock, {"op": "sub", "topic": pattern, "payload": "", "seq": 0})
-
-    def next_message(self, timeout: float = None):
-        self._sock.settimeout(timeout)
-        try:
-            doc = _recv_frame(self._sock)
-        except socket.timeout:
-            return None
-        if doc is None or doc.get("op") != "msg":
-            return None
-        return Message(
-            topic=doc["topic"],
-            payload=doc["payload"],
-            seq=doc["seq"],
-            publisher="remote",
-            publish_time=0.0,
-        )
-
-    def close(self) -> None:
-        self._sock.close()

@@ -53,8 +53,8 @@ def _seed(cfg: dict) -> int:
 
 
 def _policy(cfg: dict, kind: str | None, model_path: str | None) -> Policy:
-    kind = kind or cfg["policy"]["kind"]
-    model_path = model_path or cfg["policy"]["model_path"]
+    kind = cfg["policy"]["kind"] if kind is None else kind
+    model_path = cfg["policy"]["model_path"] if model_path is None else model_path
     if kind not in ("random", "tree", "oracle"):
         raise ConfigError(f"unknown policy {kind!r}")
     model = None
@@ -71,9 +71,9 @@ def _policy(cfg: dict, kind: str | None, model_path: str | None) -> Policy:
 def _episode_config(cfg: dict, category: str | None = None, n_snapshots: int | None = None):
     e = cfg["episode"]
     return orch.EpisodeConfig(
-        n_snapshots=n_snapshots or int(e["n_snapshots"]),
+        n_snapshots=int(e["n_snapshots"]) if n_snapshots is None else n_snapshots,
         sampling_interval=float(e["sampling_interval"]),
-        category=category or e["category"],
+        category=e["category"] if category is None else category,
         seed=_seed(cfg),
         barrier_timeout_s=float(e["barrier_timeout_s"]),
     )
@@ -99,13 +99,15 @@ def cmd_run(args) -> int:
 
     modules = []
     if ep.category == orch.AI_COMM_IN_LOOP:
-        replay_path = args.replay or cfg["replay_log"]
+        replay_path = cfg["replay_log"] if args.replay is None else args.replay
         if not replay_path:
             raise ConfigError("AiCommInLoop needs --replay pointing at a recorded episode log")
         try:
             recorded = orch.EpisodeLog.read_jsonl(replay_path)
         except OSError as exc:
             raise ConfigError(f"cannot read replay log: {exc}") from exc
+        if not recorded.records:
+            raise ConfigError(f"replay log {replay_path} has no records")
         modules.append(ReplayModule(recorded.records))
         ep = _episode_config(cfg, n_snapshots=min(ep.n_snapshots, len(recorded.records)),
                              category=ep.category)
@@ -145,9 +147,9 @@ def cmd_dataset(args) -> int:
     scene = cfgmod.load_scene(cfg)
     comms_cfg = cfgmod.comms_config(cfg)
     ep = _episode_config(cfg)
-    n_episodes = args.episodes or int(cfg["dataset"]["episodes"])
+    n_episodes = int(cfg["dataset"]["episodes"]) if args.episodes is None else args.episodes
     if n_episodes < 1:
-        raise ConfigError("--episodes must be >= 1")
+        raise ConfigError(f"episodes must be >= 1, got {n_episodes}")
 
     rows = []
     for e in range(n_episodes):
@@ -206,7 +208,9 @@ def cmd_train(args) -> int:
     train, validation = split_dataset(
         full, train_frac=train_frac, seed=cfgmod.stream_seed(seed, "split")
     )
-    max_depth = args.max_depth or int(d["max_depth"])
+    max_depth = int(d["max_depth"]) if args.max_depth is None else args.max_depth
+    if max_depth < 1:
+        raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
     min_leaf = int(d["min_leaf"])
     model = train_tree(train, max_depth=max_depth, min_leaf=min_leaf)
     model.save(out / "model.json")

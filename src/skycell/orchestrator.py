@@ -101,15 +101,20 @@ class SnapshotRecord:
     @classmethod
     def from_json(cls, line: str) -> "SnapshotRecord":
         doc = json.loads(line)
-        return cls(
-            t=doc["t"],
-            ue_states=[
-                (u["UE_type"], u["UE_Id"], tuple(u["position"])) for u in doc["ue_states"]
-            ],
-            chosen_pair=doc["chosen_pair"],
-            throughput_mbps=doc["throughput_mbps"],
-            events=list(doc["events"]),
-        )
+        try:
+            return cls(
+                t=doc["t"],
+                ue_states=[
+                    (u["UE_type"], u["UE_Id"], tuple(u["position"])) for u in doc["ue_states"]
+                ],
+                chosen_pair=doc["chosen_pair"],
+                throughput_mbps=doc["throughput_mbps"],
+                events=list(doc["events"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"episode-log record lacks key {exc}") from exc
+        except TypeError as exc:  # a non-object where an object or a list belongs
+            raise ValueError(f"malformed episode-log record: {exc}") from exc
 
 
 @dataclass

@@ -112,3 +112,24 @@ def test_each_message_is_decoded_once_per_snapshot(monkeypatch):
     # per snapshot: two positions (three readers each), the last decision, the last throughput
     assert len(decoded) == 3 * 4
     assert sum("position" in json.loads(text) for text in decoded) == 3 * 2
+
+
+def test_broker_state_is_fixed_by_the_loop_not_its_length():
+    """The loop publishes a fixed set of (publisher, topic) pairs, so longer runs add none."""
+    cfg = load_config(None)
+    route = base_route(cfg)
+    scene = load_scene(cfg)
+
+    def broker_after(n_snapshots):
+        plans = {f"uav{i}": blueprint.offset_plan(route, 3.0 * (i - 1)) for i in range(3)}
+        comms = CommsModule(scene, SHIPPED)
+        modules = [blueprint.MobilityModule(plans, 0.5), comms,
+                   PolicyModule(Policy(kind="random"), comms, np.random.default_rng(0))]
+        broker = Broker()
+        ep = orch.EpisodeConfig(n_snapshots=n_snapshots, category=orch.ALL_IN_LOOP)
+        assert len(orch.run_episode(ep, modules, broker=broker).records) == n_snapshots
+        return len(broker._seq), len(broker._routes)
+
+    short, long = broker_after(5), broker_after(40)
+    assert short == long
+    assert short[0] >= 3  # one position key per UAV at least

@@ -1,8 +1,11 @@
 import json
 import logging
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +15,6 @@ from skycell import bus
 from skycell.bus import (
     Broker,
     BrokerClosed,
-    BusClient,
-    BusServer,
     PayloadTooLarge,
     TopicError,
     topic_matches,
@@ -357,65 +358,6 @@ def test_routing_matches_brute_force_across_subscription_changes(ops):
         assert [m.payload for m in sub.drain()] == want
 
 
-def _subscribe_and_sync(client, pattern, probe_topic):
-    """Subscribe, then wait for a probe the client publishes itself.
-
-    The server handles one connection's frames in order, so once the probe is
-    back the subscription is registered with the broker.
-    """
-    client.subscribe(pattern)
-    client.publish(probe_topic, "probe")
-    msg = client.next_message(timeout=5.0)
-    assert msg is not None and (msg.topic, msg.payload) == (probe_topic, "probe")
-
-
-def test_tcp_transport_round_trip():
-    broker = Broker()
-    server = BusServer(broker)
-    host, port = server.address
-    sub_client = BusClient(host, port)
-    pub_client = BusClient(host, port)
-    try:
-        _subscribe_and_sync(sub_client, "3D.>", "3D.probe")
-        local = broker.subscribe("3D.mobility.positions")
-        payload = '{"UE_type":"UAV", "UE_Id":"uav0", "position":{"x":0, "y":0, "z":0}}'
-        pub_client.publish("3D.mobility.positions", payload)
-        msg = sub_client.next_message(timeout=5.0)
-        assert msg is not None
-        assert msg.topic == "3D.mobility.positions"
-        assert msg.payload == payload  # byte-identical text
-        assert local.next_message(timeout=1.0).payload == payload
-    finally:
-        sub_client.close()
-        pub_client.close()
-        server.close()
-        broker.close()
-
-
-def test_tcp_subscription_ends_with_its_connection():
-    broker = Broker()
-    server = BusServer(broker)
-    client = BusClient(*server.address)
-    try:
-        _subscribe_and_sync(client, "a.>", "a.probe")
-        (sub,) = broker._subs
-        client.close()
-        # the connection's thread unsubscribes and joins its pumps before it ends
-        for t in list(server._threads):
-            t.join(timeout=5.0)
-            assert not t.is_alive()
-        assert broker._subs == []
-        for i in range(1000):
-            broker.publish("a.b", str(i))
-        assert sub.drain() == []  # nothing queued for the closed client
-        with pytest.raises(BrokerClosed):
-            sub.next_message(timeout=0)
-    finally:
-        client.close()
-        server.close()
-        broker.close()
-
-
 def test_unsubscribe_stops_delivery_and_closes_the_queue():
     broker = Broker()
     sub = broker.subscribe("a.>")
@@ -426,3 +368,21 @@ def test_unsubscribe_stops_delivery_and_closes_the_queue():
     with pytest.raises(BrokerClosed):
         sub.next_message(timeout=0)
     broker.unsubscribe(sub)  # a second call is a no-op
+
+
+def test_publish_bench_script_needs_two_blocks():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+    def run(n):
+        return subprocess.run(
+            [sys.executable, str(root / "scripts" / "bus_publish_bench.py"), "--publishes", str(n)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    ok = run(200)
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.startswith("publish to 8 subscribers:")
+    short = run(100)
+    assert short.returncode == 2
+    assert "--publishes must be at least 200" in short.stderr

@@ -326,3 +326,96 @@ def test_mission_rejects_a_cap_above_the_degradation_table(tmp_path, capsys):
     assert not (tmp_path / "m" / "mission.json").exists()
     # the run command has no degradation table and keeps the cap
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+
+
+def _nlos_dataset(path):
+    rng = np.random.default_rng(0)
+    rows = [((float(i), 2.0 * i, 30.0), "NLOS", int(rng.integers(256)), rng.random(256))
+            for i in range(24)]
+    BeamDataset.from_rows(rows).save_csv(path)
+
+
+def test_zero_episodes_exits_2(tmp_path, capsys):
+    # a zero flag is a value, not an absent flag: the config's flight count must not stand in
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "ds"
+    assert main(["dataset", "--config", cfg, "--episodes", "0", "--out", str(out)]) == 2
+    assert "episodes must be >= 1, got 0" in capsys.readouterr().err
+    assert not (out / "dataset.csv").exists()
+
+
+def test_zero_max_depth_exits_2(tmp_path, capsys):
+    path = tmp_path / "ds.csv"
+    _nlos_dataset(path)
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "t"
+    rc = main(["train", "--config", cfg, "--dataset", str(path), "--max-depth", "0",
+               "--out", str(out)])
+    assert rc == 2
+    assert "max_depth must be >= 1, got 0" in capsys.readouterr().err
+    assert not (out / "model.json").exists()
+    cfg = _write_cfg(tmp_path, dataset={"max_depth": 0})
+    assert main(["train", "--config", cfg, "--dataset", str(path), "--out", str(out)]) == 2
+    assert main(["train", "--config", cfg, "--dataset", str(path), "--max-depth", "2",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "model.json").read_text())["max_depth"] == 2
+
+
+def test_empty_replay_log_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, episode={"n_snapshots": 4, "seed": 3,
+                                        "category": "AiCommInLoop"})
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    rc = main(["run", "--config", cfg, "--replay", str(empty), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "has no records" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("{}", "episode-log record lacks key 't'"),
+        ('{"t": 0.0, "ue_states": [{"UE_type": "UAV", "UE_Id": "uav0"}], "chosen_pair": 1,'
+         ' "throughput_mbps": 5.0, "events": []}', "episode-log record lacks key 'position'"),
+        ('{"t": 0.0, "ue_states": 5, "chosen_pair": 1, "throughput_mbps": 5.0, "events": []}',
+         "malformed episode-log record"),
+    ],
+)
+def test_malformed_replay_record_exits_2(tmp_path, capsys, line, message):
+    cfg = _write_cfg(tmp_path, episode={"n_snapshots": 4, "seed": 3,
+                                        "category": "AiCommInLoop"})
+    log = tmp_path / "bad.jsonl"
+    log.write_text(line + "\n")
+    rc = main(["run", "--config", cfg, "--replay", str(log), "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def _leaf_model(counts, **drop):
+    doc = {"max_depth": 1, "n_classes": 256, "root": {"counts": counts}}
+    for key in drop:
+        del doc[key]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_leaf_model({"3": 1}, root=True), "model file lacks key 'root'"),
+        (_leaf_model({"3": 1}, max_depth=True), "model file lacks key 'max_depth'"),
+        (json.dumps({"max_depth": 1, "n_classes": 256, "root": {"feature": 0}}),
+         "model file lacks key 'threshold'"),
+        (_leaf_model({"999": 1}), "model leaf class 999 is outside its 256 pairs"),
+        (_leaf_model({"-1": 1}), "model leaf class -1 is outside its 256 pairs"),
+        (json.dumps({"max_depth": 1, "n_classes": 256, "root": 3}), "malformed model file"),
+        (_leaf_model([3]), "malformed model file"),
+    ],
+)
+def test_malformed_model_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    cfg = _write_cfg(tmp_path)
+    rc = main(["mission", "--config", cfg, "--policy", "tree", "--model", str(path),
+               "--out", str(tmp_path / "m")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
