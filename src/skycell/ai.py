@@ -244,7 +244,7 @@ def _best_split(x, y, n_classes, min_leaf):
     return best
 
 
-def train_tree(train: BeamDataset, max_depth: int = 15, min_leaf: int = 1) -> DecisionTreeModel:
+def train_tree(train: BeamDataset, max_depth: int, min_leaf: int) -> DecisionTreeModel:
     """Greedy CART fit, one class per gain column; deterministic given the row order."""
     if len(train) == 0:
         raise ValueError("cannot train on an empty dataset")

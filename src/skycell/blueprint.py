@@ -1,8 +1,9 @@
 """Concrete in-loop modules wiring the tracer, arrays and kinematics together.
 
 The position source publishes on "3D.mobility.positions"; communications
-traces each UE, runs the full beam sweep, publishes "Ready" on
-"communications.state" (the barrier) and reports throughput on
+traces each UE, runs the full beam sweep, queues "Ready" on
+"communications.state" before its step returns (the loop checks it there, the
+ray-tracing barrier) and reports throughput on
 "communications.throughput"; the AI module consumes positions plus sweep
 gains and publishes its beam-pair decision. Data that does not fit the
 message contract (the gains vector, one entry per beam pair) moves by direct
@@ -24,6 +25,7 @@ from .geometry import Scene, los_class, trace_paths
 from .mobility import (
     TrajectoryPlan,
     UeState,
+    position_of,
     position_payload,
     step_kinematics,
     uav_state,
@@ -67,9 +69,6 @@ class MobilityModule(orch.ModuleHandle):
             broker.publish(
                 orch.POSITIONS_TOPIC, position_payload(self.states[ue_id]), publisher=ue_id
             )
-
-    def shutdown(self) -> None:
-        pass
 
 
 class ReplayModule(orch.ModuleHandle):
@@ -123,10 +122,9 @@ class CommsModule(orch.ModuleHandle):
         self.tx_rotation = boresight_rotation(scene.tx.azimuth_deg, scene.tx.downtilt_deg)
         self.rx_rotation = boresight_rotation(self.cfg.rx_azimuth_deg, self.cfg.rx_downtilt_deg)
         self.last: dict = {}
-        self._ue_types: dict = {}
         self._sub = None
 
-    def init(self, t: float, broker: Broker) -> None:
+    def init(self, broker: Broker) -> None:
         self._sub = broker.subscribe(orch.POSITIONS_TOPIC)
 
     def _sweep_at(self, position) -> SweepResult:
@@ -155,8 +153,7 @@ class CommsModule(orch.ModuleHandle):
         for msg in self._sub.drain():
             doc = msg.doc
             ue_id = doc["UE_Id"]
-            self._ue_types[ue_id] = doc["UE_type"]
-            pos = (doc["position"]["x"], doc["position"]["y"], doc["position"]["z"])
+            pos = position_of(doc)
             cached = self.last.get(ue_id)
             if cached is None or cached.position != pos:
                 result = self._sweep_at(pos)
@@ -171,20 +168,16 @@ class CommsModule(orch.ModuleHandle):
             if self.sweep_hook is not None:
                 self.sweep_hook(t, ue_id, result)
             if self.publish_throughput_in_step:
-                self.report_throughput(ue_id, result.best_pair, broker)
+                self.report_throughput(doc, result.best_pair, broker)
         broker.publish(orch.READY_TOPIC, orch.READY_PAYLOAD, publisher=self.name)
 
-    def report_throughput(self, ue_id: str, pair: int, broker: Broker) -> float:
-        """Throughput of the chosen pair for a UE, published on the wire topic."""
-        result = self.last[ue_id]
-        tput = throughput_mbps(float(result.gains[pair]), self.cfg)
+    def report_throughput(self, doc: dict, pair: int, broker: Broker) -> float:
+        """Throughput of the chosen pair for the UE of a position message, published."""
+        ue_id = doc["UE_Id"]
+        tput = throughput_mbps(float(self.last[ue_id].gains[pair]), self.cfg)
         broker.publish(
             orch.THROUGHPUT_TOPIC,
-            json.dumps({
-                "UE_type": self._ue_types.get(ue_id, "UAV"),
-                "UE_Id": ue_id,
-                "throughput": tput,
-            }),
+            json.dumps({"UE_type": doc["UE_type"], "UE_Id": ue_id, "throughput": tput}),
             publisher=self.name,
         )
         return tput
@@ -205,14 +198,14 @@ class PolicyModule(orch.ModuleHandle):
         self.rng = rng
         self._sub = None
 
-    def init(self, t: float, broker: Broker) -> None:
+    def init(self, broker: Broker) -> None:
         self._sub = broker.subscribe(orch.POSITIONS_TOPIC)
 
     def step(self, t: float, broker: Broker) -> None:
         for msg in self._sub.drain():
             doc = msg.doc
             ue_id = doc["UE_Id"]
-            pos = (doc["position"]["x"], doc["position"]["y"], doc["position"]["z"])
+            pos = position_of(doc)
             grid = self.comms.last[ue_id].gains.reshape(self.comms.pair_grid)
             pair = policy_decide(self.policy, pos, grid, self.rng)
             broker.publish(
@@ -220,7 +213,7 @@ class PolicyModule(orch.ModuleHandle):
                 json.dumps({"UE_type": doc["UE_type"], "UE_Id": ue_id, "pair": pair}),
                 publisher=self.name,
             )
-            tput = self.comms.report_throughput(ue_id, pair, broker)
+            tput = self.comms.report_throughput(doc, pair, broker)
             self.on_throughput(t, broker, ue_id, pos, tput)
 
     def on_throughput(self, t: float, broker: Broker, ue_id: str, pos, tput: float) -> None:

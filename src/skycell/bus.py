@@ -121,7 +121,7 @@ class Subscription:
     def next_message(self, timeout: float = None):
         """Oldest undelivered message, or None once the timeout elapses.
 
-        Raises BrokerClosed after shutdown once the queue is drained.
+        Raises BrokerClosed after Broker.close once the queue is drained.
         """
         with self._lock:
             self._waiting += 1

@@ -22,7 +22,7 @@ from .mobility import Corridor, TrajectoryPlan, random_waypoints
 from .phy import CommsConfig, UpaConfig
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Bad usage or configuration; maps to exit code 2."""
 
 

@@ -317,8 +317,6 @@ def run_mission(
     rng,
 ):
     """Fly the rescue mission all-in-loop; returns (metrics, episode log)."""
-    if episode_cfg.category != orch.ALL_IN_LOOP:
-        raise ValueError("run_mission requires the AllInLoop category")
     if comms_cfg.max_throughput_mbps > DEGRADATION_CEILING_MBPS:
         raise ValueError(
             f"comms.max_throughput_mbps {comms_cfg.max_throughput_mbps:g} is above the "

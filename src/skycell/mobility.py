@@ -150,6 +150,12 @@ def position_payload(state: UeState) -> str:
     )
 
 
+def position_of(doc: dict) -> tuple:
+    """The (x, y, z) floats of a decoded position message."""
+    p = doc["position"]
+    return (float(p["x"]), float(p["y"]), float(p["z"]))
+
+
 def random_waypoints(seed: int, corridor: Corridor, k: int = 5) -> TrajectoryPlan:
     """Deterministic plan with k intermediate waypoints uniform in the corridor.
 

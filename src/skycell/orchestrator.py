@@ -2,9 +2,10 @@
 
 One episode is N snapshots at t = 0, Ts, 2*Ts, ... Modules run sequentially
 inside each snapshot in registration order (position source, communications,
-AI). After the communications step the loop blocks until "Ready" appears on
-"communications.state" - the ray-tracing barrier - before any later module
-runs. The virtual clock never depends on wall-clock time.
+AI). Every step is a synchronous in-process call, so after the communications
+step the loop checks that it queued "Ready" on "communications.state" - the
+ray-tracing barrier - and aborts the episode if it did not; it never blocks.
+The virtual clock never depends on wall-clock time.
 """
 
 from __future__ import annotations
@@ -14,11 +15,19 @@ import time
 from dataclasses import dataclass, field
 
 from .bus import Broker
+from .mobility import position_of
 
 ALL_IN_LOOP = "AllInLoop"
 AI_COMM_IN_LOOP = "AiCommInLoop"
 MOB3D_COMM_IN_LOOP = "Mob3dCommInLoop"
-CATEGORIES = (ALL_IN_LOOP, AI_COMM_IN_LOOP, MOB3D_COMM_IN_LOOP)
+# module roles of each category in registration order; "replay" is a recorded
+# trajectory standing in for "mobility"
+_WIRING = {
+    ALL_IN_LOOP: ("mobility", "comms", "ai"),
+    AI_COMM_IN_LOOP: ("replay", "comms", "ai"),
+    MOB3D_COMM_IN_LOOP: ("mobility", "comms"),
+}
+CATEGORIES = tuple(_WIRING)
 
 READY_TOPIC = "communications.state"
 READY_PAYLOAD = "Ready"
@@ -27,9 +36,6 @@ POSITIONS_TOPIC = "3D.mobility.positions"
 BEST_PAIR_TOPIC = "communications.best_pair"
 DECISION_TOPIC = "ai.decision"
 EVENTS_PATTERN = "*.events"
-
-# role order inside one snapshot; "replay" substitutes for "mobility"
-_ROLE_ORDER = {"mobility": 0, "replay": 0, "comms": 1, "ai": 2}
 
 
 class EpisodeAbort(RuntimeError):
@@ -47,7 +53,6 @@ class EpisodeConfig:
     sampling_interval: float = 0.5
     category: str = ALL_IN_LOOP
     seed: int = 0
-    barrier_timeout_s: float = 60.0
 
     def __post_init__(self):
         if self.n_snapshots < 1:
@@ -68,14 +73,18 @@ class ModuleHandle:
     name = "module"
     role = "module"
 
-    def init(self, t: float, broker: Broker) -> None:  # pragma: no cover - interface
+    def init(self, broker: Broker) -> None:  # pragma: no cover - interface
         pass
 
     def step(self, t: float, broker: Broker) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def shutdown(self) -> None:  # pragma: no cover - interface
-        pass
+
+def _replay_position(pos) -> tuple:
+    """A recorded position: a list of exactly three JSON numbers."""
+    if type(pos) is not list or len(pos) != 3 or not all(type(v) in (int, float) for v in pos):
+        raise ValueError(f"episode-log position must be a list of three numbers, got {pos!r}")
+    return tuple(pos)
 
 
 @dataclass
@@ -105,7 +114,8 @@ class SnapshotRecord:
             return cls(
                 t=doc["t"],
                 ue_states=[
-                    (u["UE_type"], u["UE_Id"], tuple(u["position"])) for u in doc["ue_states"]
+                    (u["UE_type"], u["UE_Id"], _replay_position(u["position"]))
+                    for u in doc["ue_states"]
                 ],
                 chosen_pair=doc["chosen_pair"],
                 throughput_mbps=doc["throughput_mbps"],
@@ -139,36 +149,12 @@ class EpisodeLog:
         return log
 
 
-def category_wiring(category: str) -> frozenset:
-    """In-loop module roles for a simulation category."""
-    if category == ALL_IN_LOOP:
-        return frozenset({"mobility", "comms", "ai"})
-    if category == AI_COMM_IN_LOOP:
-        return frozenset({"comms", "ai"})
-    if category == MOB3D_COMM_IN_LOOP:
-        return frozenset({"mobility", "comms"})
-    raise ValueError(f"unknown category {category!r}")
-
-
-def _check_modules(category: str, modules) -> None:
-    roles = [m.role for m in modules]
-    wanted = set(category_wiring(category))
-    if category == AI_COMM_IN_LOOP:
-        if "replay" not in roles:
-            raise ValueError("AiCommInLoop requires a pre-recorded trajectory source")
-        wanted |= {"replay"}
-    if category == MOB3D_COMM_IN_LOOP and "ai" in roles:
-        raise ValueError("Mob3dCommInLoop must not register an AI module in-loop")
-    present = set(roles)
-    missing = wanted - present
-    if missing:
-        raise ValueError(f"category {category} needs modules with roles {sorted(missing)}")
-    unexpected = present - wanted
-    if unexpected:
-        raise ValueError(f"category {category} does not admit roles {sorted(unexpected)}")
-    order = [_ROLE_ORDER[r] for r in roles]
-    if order != sorted(order):
-        raise ValueError("modules must register in order: positions, communications, AI")
+def category_wiring(category: str) -> tuple:
+    """Roles of a category's in-loop modules, in registration order."""
+    try:
+        return _WIRING[category]
+    except KeyError:
+        raise ValueError(f"unknown category {category!r}") from None
 
 
 def run_episode(
@@ -184,7 +170,10 @@ def run_episode(
     length depends on in-loop decisions).
     """
     modules = list(modules)
-    _check_modules(config.category, modules)
+    wiring = category_wiring(config.category)
+    roles = tuple(m.role for m in modules)
+    if roles != wiring:
+        raise ValueError(f"category {config.category} needs module roles {wiring}, got {roles}")
     broker = broker or Broker()
 
     sub_ready = broker.subscribe(READY_TOPIC)
@@ -198,17 +187,12 @@ def run_episode(
     t_start = time.perf_counter()
 
     def abort(diagnostic: str):
-        for m in modules:
-            try:
-                m.shutdown()
-            except Exception:  # noqa: BLE001 - best-effort teardown
-                pass
         log.wall_clock_s = time.perf_counter() - t_start
         return EpisodeAbort(diagnostic, log)
 
     broker.set_virtual_time(0.0)
     for m in modules:
-        m.init(0.0, broker)
+        m.init(broker)
 
     for k in range(config.n_snapshots):
         t = k * config.sampling_interval
@@ -220,43 +204,25 @@ def run_episode(
             except Exception as exc:  # noqa: BLE001 - module failure aborts the run
                 raise abort(f"module {m.name!r} failed at t={t}: {exc}") from exc
             log.timings[m.name] += time.perf_counter() - t0
-            if m.role == "comms":
-                msg = sub_ready.next_message(timeout=config.barrier_timeout_s)
-                if msg is None:
-                    raise abort(
-                        f"barrier timeout: no {READY_PAYLOAD!r} on {READY_TOPIC} at t={t}"
-                    )
+            if m.role == "comms" and sub_ready.next_message(timeout=0) is None:
+                raise abort(f"barrier: no {READY_PAYLOAD!r} queued on {READY_TOPIC} at t={t}")
         positions = [
-            (doc["UE_type"], doc["UE_Id"], _position_tuple(doc["position"]))
+            (doc["UE_type"], doc["UE_Id"], position_of(doc))
             for doc in (m.doc for m in sub_pos.drain())
         ]
         best_msgs = sub_best.drain()
-        decision_msgs = sub_decision.drain()
+        pair_msgs = sub_decision.drain() or best_msgs  # the AI decision wins over the sweep
         tput_msgs = sub_tput.drain()
-        chosen = 0
-        if decision_msgs:
-            chosen = int(decision_msgs[-1].doc["pair"])
-        elif best_msgs:
-            chosen = int(best_msgs[-1].doc["pair"])
-        throughput = 0.0
-        if tput_msgs:
-            throughput = float(tput_msgs[-1].doc["throughput"])
         record = SnapshotRecord(
             t=t,
             ue_states=positions,
-            chosen_pair=chosen,
-            throughput_mbps=throughput,
+            chosen_pair=int(pair_msgs[-1].doc["pair"]) if pair_msgs else 0,
+            throughput_mbps=float(tput_msgs[-1].doc["throughput"]) if tput_msgs else 0.0,
             events=[m.payload for m in sub_events.drain()],
         )
         log.records.append(record)
         if stop_early is not None and stop_early(record):
             break
 
-    for m in modules:
-        m.shutdown()
     log.wall_clock_s = time.perf_counter() - t_start
     return log
-
-
-def _position_tuple(doc: dict) -> tuple:
-    return (float(doc["x"]), float(doc["y"]), float(doc["z"]))

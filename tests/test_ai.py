@@ -83,14 +83,14 @@ def test_split_sizes_and_disjointness():
 
 def test_single_class_yields_single_leaf():
     ds = _dataset([[i, 0, 0] for i in range(10)], [4] * 10)
-    model = train_tree(ds)
+    model = train_tree(ds, max_depth=15, min_leaf=1)
     assert model.root.is_leaf
     assert _top1(model, (3.0, 0.0, 0.0)) == 4
 
 
 def test_separable_clusters_reach_perfect_train_accuracy():
     ds = _cluster_dataset()
-    model = train_tree(ds, max_depth=1)
+    model = train_tree(ds, max_depth=1, min_leaf=1)
     hits = sum(_top1(model, p) == y for p, y in zip(ds.positions, ds.best_pair))
     assert hits == len(ds)
     assert model.root.feature == 0  # splits on x
@@ -104,7 +104,7 @@ def test_deeper_trees_never_hurt_train_accuracy():
     ds = _dataset(pos, labels)
 
     def train_acc(depth):
-        model = train_tree(ds, max_depth=depth)
+        model = train_tree(ds, max_depth=depth, min_leaf=1)
         return np.mean([_top1(model, p) == y for p, y in zip(ds.positions, ds.best_pair)])
 
     assert train_acc(15) >= train_acc(1)
@@ -112,8 +112,8 @@ def test_deeper_trees_never_hurt_train_accuracy():
 
 def test_deterministic_training():
     ds = _cluster_dataset(seed=5)
-    a = train_tree(ds, max_depth=15).to_json()
-    b = train_tree(ds, max_depth=15).to_json()
+    a = train_tree(ds, max_depth=15, min_leaf=1).to_json()
+    b = train_tree(ds, max_depth=15, min_leaf=1).to_json()
     assert a == b
 
 
@@ -123,7 +123,7 @@ def test_depth_respects_max():
     labels = rng.integers(0, 256, size=200)
     ds = _dataset(pos, labels)
     for depth in (1, 3, 15):
-        assert train_tree(ds, max_depth=depth).depth() <= depth
+        assert train_tree(ds, max_depth=depth, min_leaf=1).depth() <= depth
 
 
 def test_predict_topk_from_leaf_histogram():
@@ -157,7 +157,7 @@ def test_truth_topk_tie_breaks_toward_lower_index():
 
 def test_topk_accuracy_saturates_and_monotone():
     ds = _cluster_dataset(seed=9)
-    model = train_tree(ds, max_depth=15)
+    model = train_tree(ds, max_depth=15, min_leaf=1)
     accs = [topk_accuracy(model, ds, k) for k in TOPK_GRID]
     assert all(a2 >= a1 for a1, a2 in zip(accs, accs[1:]))
     assert topk_accuracy(model, ds, 256) == 1.0
@@ -166,7 +166,7 @@ def test_topk_accuracy_saturates_and_monotone():
 
 def test_model_json_round_trip():
     ds = _cluster_dataset(seed=2)
-    model = train_tree(ds, max_depth=4)
+    model = train_tree(ds, max_depth=4, min_leaf=1)
     clone = DecisionTreeModel.from_json(model.to_json())
     for p in ds.positions:
         assert _top1(model, p) == _top1(clone, p)
@@ -225,7 +225,7 @@ def test_policy_oracle_equals_argmax():
 
 def test_policy_tree_on_training_row():
     ds = _cluster_dataset(seed=21)
-    model = train_tree(ds, max_depth=15)
+    model = train_tree(ds, max_depth=15, min_leaf=1)
     policy = Policy(kind="tree", model=model)
     rng = np.random.default_rng(0)
     for i in (0, 10, 60, 99):
@@ -267,7 +267,7 @@ def test_pair_count_follows_gains_width(tmp_path):
     assert header[5:] == [f"g{i}" for i in range(64)]
     loaded = BeamDataset.load_csv(path)
     assert loaded.gains.shape == (40, 64)
-    model = train_tree(loaded, max_depth=3)
+    model = train_tree(loaded, max_depth=3, min_leaf=1)
     assert model.n_classes == 64
     assert all(leaf_counts.shape == (64,) for leaf_counts in _leaf_counts(model.root))
     assert json.loads(model.to_json())["n_classes"] == 64
@@ -297,7 +297,7 @@ def test_best_pair_must_index_a_gain_column(best):
 
 def test_topk_accuracy_rejects_other_pair_count():
     ds = _cluster_dataset(seed=4)
-    model = train_tree(ds, max_depth=2)
+    model = train_tree(ds, max_depth=2, min_leaf=1)
     narrow = _dataset(ds.positions, ds.best_pair, gains=ds.gains[:, :64])
     with pytest.raises(ValueError, match="64 pairs, model 256"):
         topk_accuracy(model, narrow, 1)

@@ -26,7 +26,7 @@ def _publish(broker, ue_id, pos):
 def _comms(scene, cfg=SHIPPED, **kwargs):
     broker = Broker()
     comms = CommsModule(scene, cfg, **kwargs)
-    comms.init(0.0, broker)
+    comms.init(broker)
     return broker, comms
 
 

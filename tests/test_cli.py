@@ -161,6 +161,18 @@ def test_unknown_policy_rejected(tmp_path):
     assert err.value.code == 2
 
 
+def test_unknown_policy_kind_in_config_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, policy={"kind": "bogus"})
+    assert main(["mission", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
+    assert "unknown policy kind 'bogus'" in capsys.readouterr().err
+
+
+def test_removed_barrier_timeout_key_exits_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, episode={"barrier_timeout_s": 5})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "unknown config key 'episode.barrier_timeout_s'" in capsys.readouterr().err
+
+
 def test_train_dataset_too_small_exits_2(tmp_path):
     ds = BeamDataset.from_rows([((0.0, 0.0, 0.0), "NLOS", 0, np.zeros(256))])
     path = tmp_path / "tiny.csv"
@@ -379,6 +391,12 @@ def test_empty_replay_log_exits_2(tmp_path, capsys):
          ' "throughput_mbps": 5.0, "events": []}', "episode-log record lacks key 'position'"),
         ('{"t": 0.0, "ue_states": 5, "chosen_pair": 1, "throughput_mbps": 5.0, "events": []}',
          "malformed episode-log record"),
+        ('{"t": 0.0, "ue_states": [{"UE_type": "UAV", "UE_Id": "uav0", "position": '
+         '{"x": 300, "y": 325, "z": 40}}], "chosen_pair": 1, "throughput_mbps": 5.0,'
+         ' "events": []}', "position must be a list of three numbers"),
+        ('{"t": 0.0, "ue_states": [{"UE_type": "UAV", "UE_Id": "uav0", "position": [300, 325]}],'
+         ' "chosen_pair": 1, "throughput_mbps": 5.0, "events": []}',
+         "position must be a list of three numbers"),
     ],
 )
 def test_malformed_replay_record_exits_2(tmp_path, capsys, line, message):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -63,7 +64,7 @@ class FakeAi(ModuleHandle):
         self.ready_seen_before_step = []
         self._sub = None
 
-    def init(self, t, broker):
+    def init(self, broker):
         self._sub = broker.subscribe(orch.READY_TOPIC)
 
     def step(self, t, broker):
@@ -114,11 +115,30 @@ def test_n_from_virtual_duration():
 
 
 def test_category_wiring():
-    assert category_wiring(ALL_IN_LOOP) == {"mobility", "comms", "ai"}
-    assert category_wiring(AI_COMM_IN_LOOP) == {"comms", "ai"}
-    assert category_wiring(MOB3D_COMM_IN_LOOP) == {"mobility", "comms"}
+    assert category_wiring(ALL_IN_LOOP) == ("mobility", "comms", "ai")
+    assert category_wiring(AI_COMM_IN_LOOP) == ("replay", "comms", "ai")
+    assert category_wiring(MOB3D_COMM_IN_LOOP) == ("mobility", "comms")
     with pytest.raises(ValueError):
         category_wiring("bogus")
+
+
+def _role_module(role):
+    fake = {"mobility": FakeMobility, "comms": FakeComms, "ai": FakeAi}
+    return FakeReplay([[]]) if role == "replay" else fake[role]()
+
+
+@pytest.mark.parametrize("category", orch.CATEGORIES)
+def test_run_episode_accepts_exactly_the_category_wiring(category):
+    roles = ("mobility", "replay", "comms", "ai")
+    cfg = EpisodeConfig(n_snapshots=1, category=category)
+    for n in range(1, 5):
+        for seq in itertools.product(roles, repeat=n):
+            modules = [_role_module(r) for r in seq]
+            if seq == category_wiring(category):
+                assert len(run_episode(cfg, modules).records) == 1
+            else:
+                with pytest.raises(ValueError):
+                    run_episode(cfg, modules)
 
 
 def test_mob3d_rejects_ai_module():
@@ -162,12 +182,13 @@ def test_barrier_ready_precedes_ai_step():
 
 
 def test_barrier_timeout_aborts_with_partial_log():
-    cfg = EpisodeConfig(n_snapshots=5, category=ALL_IN_LOOP, barrier_timeout_s=0.05)
-    silent = FakeComms(publish_ready=False)
+    cfg = EpisodeConfig(n_snapshots=5, category=ALL_IN_LOOP)
+    silent, ai = FakeComms(publish_ready=False), FakeAi()
     with pytest.raises(EpisodeAbort) as err:
-        run_episode(cfg, [FakeMobility(), silent, FakeAi()])
-    assert "barrier timeout" in str(err.value)
+        run_episode(cfg, [FakeMobility(), silent, ai])
+    assert "barrier" in str(err.value)
     assert len(err.value.log.records) == 0  # failed in the first snapshot
+    assert ai.ready_seen_before_step == []  # no later module ran
 
 
 class ExplodingAi(FakeAi):
@@ -177,19 +198,12 @@ class ExplodingAi(FakeAi):
         super().step(t, broker)
 
 
-def test_module_failure_aborts_and_shuts_down():
-    shutdowns = []
-
-    class TrackedMobility(FakeMobility):
-        def shutdown(self):
-            shutdowns.append("3D")
-
+def test_module_failure_aborts_with_partial_log():
     cfg = EpisodeConfig(n_snapshots=5, category=ALL_IN_LOOP)
     with pytest.raises(EpisodeAbort) as err:
-        run_episode(cfg, [TrackedMobility(), FakeComms(), ExplodingAi()])
+        run_episode(cfg, [FakeMobility(), FakeComms(), ExplodingAi()])
     assert "boom" in str(err.value)
     assert len(err.value.log.records) == 2  # t=0 and t=0.5 completed
-    assert shutdowns == ["3D"]
 
 
 def test_determinism_byte_identical_logs(tmp_path):
