@@ -124,8 +124,9 @@ class CommsModule(orch.ModuleHandle):
         self.last: dict = {}
         self._sub = None
 
-    def init(self, broker: Broker) -> None:
+    def init(self, broker: Broker) -> tuple:
         self._sub = broker.subscribe(orch.POSITIONS_TOPIC)
+        return (self._sub,)
 
     def _sweep_at(self, position) -> SweepResult:
         bundle = trace_paths(
@@ -140,7 +141,6 @@ class CommsModule(orch.ModuleHandle):
                 bundle,
                 self.cfg.tx_upa,
                 self.cfg.rx_upa,
-                carrier_hz=self.cfg.carrier_hz,
                 tx_rotation=self.tx_rotation,
                 rx_rotation=self.rx_rotation,
             )
@@ -198,8 +198,9 @@ class PolicyModule(orch.ModuleHandle):
         self.rng = rng
         self._sub = None
 
-    def init(self, broker: Broker) -> None:
+    def init(self, broker: Broker) -> tuple:
         self._sub = broker.subscribe(orch.POSITIONS_TOPIC)
+        return (self._sub,)
 
     def step(self, t: float, broker: Broker) -> None:
         for msg in self._sub.drain():

@@ -1,8 +1,10 @@
 """Command-line entry point: run / dataset / train / eval / mission / bench.
 
 Exit codes: 0 success, 1 runtime failure inside a simulation, 2 usage or
-configuration errors. Every command writes a manifest (resolved config +
-seed) next to its outputs so a run can be reproduced exactly.
+configuration errors. Each override flag writes its config key, every
+command reads its settings from that resolved config alone, and the manifest
+next to its outputs records that config and the seed, so a run can be
+reproduced exactly from it.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import bench as bench_mod
 from . import config as cfgmod
@@ -32,19 +32,31 @@ from .config import ConfigError
 from .mission import DEGRADATION_CEILING_MBPS, estimate_rescue_curve, run_mission
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+# argparse dest of each override flag -> the config key it writes
+_FLAG_KEYS = {
+    "seed": "episode.seed",
+    "replay": "replay_log",
+    "policy": "policy.kind",
+    "model": "policy.model_path",
+    "episodes": "dataset.episodes",
+    "max_depth": "dataset.max_depth",
+}
 
 
 def _load_config(args) -> dict:
+    """Defaults, then the --config JSON, then every override flag that was given."""
     try:
         cfg = cfgmod.load_config(args.config)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    if args.seed is not None:
-        cfg["episode"]["seed"] = args.seed
+    for dest, key in _FLAG_KEYS.items():
+        value = vars(args).get(dest)
+        if value is not None:  # an absent flag leaves its key alone; a 0 is a value
+            *sections, leaf = key.split(".")
+            node = cfg
+            for section in sections:
+                node = node[section]
+            node[leaf] = value
     return cfg
 
 
@@ -52,13 +64,12 @@ def _seed(cfg: dict) -> int:
     return int(cfg["episode"]["seed"])
 
 
-def _policy(cfg: dict, kind: str | None, model_path: str | None) -> Policy:
-    kind = cfg["policy"]["kind"] if kind is None else kind
-    model_path = cfg["policy"]["model_path"] if model_path is None else model_path
+def _policy(cfg: dict) -> Policy:
+    kind, model_path = cfg["policy"]["kind"], cfg["policy"]["model_path"]
     model = None
     if kind == "tree":
         if not model_path:
-            raise ConfigError("tree policy requires --model PATH")
+            raise ConfigError("tree policy requires --model PATH (policy.model_path)")
         try:
             model = DecisionTreeModel.load(model_path)
         except OSError as exc:
@@ -79,24 +90,18 @@ def _episode_config(cfg: dict, category: str | None = None, n_snapshots: int | N
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
+# Each command reads its settings from the resolved config alone (args only for
+# the input files and --counts), writes into out, and returns manifest extras.
 
 
-def cmd_run(args) -> int:
-    cfg = _load_config(args)
+def cmd_run(cfg: dict, args, out: Path) -> None:
     seed = _seed(cfg)
-    out = _out_dir(args)
     scene = cfgmod.load_scene(cfg)
     comms_cfg = cfgmod.comms_config(cfg)
     ep = _episode_config(cfg)
-
-    if cfg["mobility"]["randomize_waypoints"]:
-        plan = cfgmod.seeded_route(cfg, cfgmod.stream_seed(seed, "mobility", 0))
-    else:
-        plan = cfgmod.base_route(cfg)
-
     modules = []
     if ep.category == orch.AI_COMM_IN_LOOP:
-        replay_path = cfg["replay_log"] if args.replay is None else args.replay
+        replay_path = cfg["replay_log"]
         if not replay_path:
             raise ConfigError("AiCommInLoop needs --replay pointing at a recorded episode log")
         try:
@@ -106,9 +111,9 @@ def cmd_run(args) -> int:
         if not recorded.records:
             raise ConfigError(f"replay log {replay_path} has no records")
         modules.append(ReplayModule(recorded.records))
-        ep = _episode_config(cfg, n_snapshots=min(ep.n_snapshots, len(recorded.records)),
-                             category=ep.category)
+        ep = _episode_config(cfg, n_snapshots=min(ep.n_snapshots, len(recorded.records)))
     else:
+        plan = cfgmod.seeded_route(cfg, cfgmod.stream_seed(seed, "mobility", 0))
         modules.append(MobilityModule({"uav0": plan}, ep.sampling_interval))
 
     comms = CommsModule(
@@ -116,8 +121,7 @@ def cmd_run(args) -> int:
     )
     modules.append(comms)
     if ep.category in (orch.ALL_IN_LOOP, orch.AI_COMM_IN_LOOP):
-        policy = _policy(cfg, getattr(args, "policy", None), getattr(args, "model", None))
-        modules.append(PolicyModule(policy, comms, cfgmod.rng_for(seed, "random-policy")))
+        modules.append(PolicyModule(_policy(cfg), comms, cfgmod.rng_for(seed, "random-policy")))
 
     log = orch.run_episode(ep, modules)
     log.write_jsonl(out / "episode.jsonl")
@@ -132,19 +136,15 @@ def cmd_run(args) -> int:
             fh,
             indent=2,
         )
-    cfgmod.write_manifest(out, "run", seed, cfg)
     print(f"episode complete: {len(log.records)} snapshots -> {out / 'episode.jsonl'}")
-    return 0
 
 
-def cmd_dataset(args) -> int:
-    cfg = _load_config(args)
+def cmd_dataset(cfg: dict, args, out: Path) -> dict:
     seed = _seed(cfg)
-    out = _out_dir(args)
     scene = cfgmod.load_scene(cfg)
     comms_cfg = cfgmod.comms_config(cfg)
     ep = _episode_config(cfg)
-    n_episodes = int(cfg["dataset"]["episodes"]) if args.episodes is None else args.episodes
+    n_episodes = int(cfg["dataset"]["episodes"])
     if n_episodes < 1:
         raise ConfigError(f"episodes must be >= 1, got {n_episodes}")
 
@@ -160,9 +160,8 @@ def cmd_dataset(args) -> int:
         print("warning: dataset contains no NLOS rows", file=sys.stderr)
     path = out / "dataset.csv"
     dataset.save_csv(path)
-    cfgmod.write_manifest(out, "dataset", seed, cfg, {"episodes": n_episodes, "rows": len(dataset)})
     print(f"dataset: {len(dataset)} rows ({n_nlos} NLOS) over {n_episodes} flights -> {path}")
-    return 0
+    return {"rows": len(dataset)}
 
 
 def _topk_table(model, grids: dict) -> list:
@@ -175,12 +174,6 @@ def _topk_table(model, grids: dict) -> list:
     return table
 
 
-def _maybe_filter(ds: BeamDataset, cfg: dict) -> BeamDataset:
-    if cfg["dataset"]["filter_nlos"]:
-        return filter_nlos(ds)
-    return ds
-
-
 def _write_table(table: list, path: Path) -> None:
     names = [k for k in table[0] if k != "k"]
     with open(path, "w", encoding="utf-8") as fh:
@@ -189,23 +182,19 @@ def _write_table(table: list, path: Path) -> None:
             fh.write(",".join([str(row["k"])] + [repr(row[n]) for n in names]) + "\n")
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args)
-    seed = _seed(cfg)
-    out = _out_dir(args)
+def cmd_train(cfg: dict, args, out: Path) -> dict:
     try:
-        full = BeamDataset.load_csv(args.dataset)
+        full = filter_nlos(BeamDataset.load_csv(args.dataset))
     except OSError as exc:
         raise ConfigError(f"cannot read dataset: {exc}") from exc
-    full = _maybe_filter(full, cfg)
     if len(full) < 2:
         raise ConfigError("dataset too small to split after NLOS filtering")
     d = cfg["dataset"]
     train_frac = float(d["train_frac"])
     train, validation = split_dataset(
-        full, train_frac=train_frac, seed=cfgmod.stream_seed(seed, "split")
+        full, train_frac=train_frac, seed=cfgmod.stream_seed(_seed(cfg), "split")
     )
-    max_depth = int(d["max_depth"]) if args.max_depth is None else args.max_depth
+    max_depth = int(d["max_depth"])
     if max_depth < 1:
         raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
     min_leaf = int(d["min_leaf"])
@@ -215,49 +204,40 @@ def cmd_train(args) -> int:
     grids = {"validation": validation}
     if args.test_dataset:
         try:
-            test = _maybe_filter(BeamDataset.load_csv(args.test_dataset), cfg)
+            test = filter_nlos(BeamDataset.load_csv(args.test_dataset))
         except OSError as exc:
             raise ConfigError(f"cannot read test dataset: {exc}") from exc
         if len(test):
             grids["test"] = test
     table = _topk_table(model, grids)
     _write_table(table, out / "topk_accuracy.csv")
-    cfgmod.write_manifest(
-        out, "train", seed, cfg,
-        {"train_rows": len(train), "validation_rows": len(validation), "max_depth": max_depth},
-    )
     for row in table:
         cells = "  ".join(f"{n}={row[n]:.4f}" for n in row if n != "k")
         print(f"top-{row['k']:<3d} {cells}")
     print(f"model -> {out / 'model.json'}")
-    return 0
+    return {"train_rows": len(train), "validation_rows": len(validation)}
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
+def cmd_eval(cfg: dict, args, out: Path) -> dict:
     try:
-        model = DecisionTreeModel.load(args.model)
-        ds = _maybe_filter(BeamDataset.load_csv(args.dataset), cfg)
+        model = DecisionTreeModel.load(cfg["policy"]["model_path"])
+        ds = filter_nlos(BeamDataset.load_csv(args.dataset))
     except OSError as exc:
         raise ConfigError(f"cannot read inputs: {exc}") from exc
     if len(ds) == 0:
         raise ConfigError("evaluation dataset is empty after filtering")
     table = _topk_table(model, {"eval": ds})
     _write_table(table, out / "topk_accuracy.csv")
-    cfgmod.write_manifest(out, "eval", _seed(cfg), cfg, {"rows": len(ds)})
     for row in table:
         print(f"top-{row['k']:<3d} eval={row['eval']:.4f}")
-    return 0
+    return {"rows": len(ds)}
 
 
-def cmd_mission(args) -> int:
-    cfg = _load_config(args)
+def cmd_mission(cfg: dict, args, out: Path) -> None:
     seed = _seed(cfg)
-    out = _out_dir(args)
     scene = cfgmod.load_scene(cfg)
     comms_cfg = cfgmod.comms_config(cfg)
-    policy = _policy(cfg, args.policy, args.model)
+    policy = _policy(cfg)
     mission_cfg = cfgmod.mission_config(cfg)
     plan = cfgmod.seeded_route(cfg, cfgmod.stream_seed(seed, "mission-route"))
     ep = _episode_config(cfg, category=orch.ALL_IN_LOOP, n_snapshots=mission_cfg.max_snapshots)
@@ -280,18 +260,13 @@ def cmd_mission(args) -> int:
         fh.write("throughput_mbps,wait_s\n")
         for tput, wait in curve:
             fh.write(f"{tput},{wait!r}\n")
-    cfgmod.write_manifest(out, "mission", seed, cfg, {"policy": policy.kind})
     print(
         f"policy={policy.kind} total_time_s={metrics.total_time_s:.2f} "
         f"rescued={metrics.rescued}/{metrics.n_targets}"
     )
-    return 0
 
 
-def cmd_bench(args) -> int:
-    cfg = _load_config(args)
-    seed = _seed(cfg)
-    out = _out_dir(args)
+def cmd_bench(cfg: dict, args, out: Path) -> dict:
     scene = cfgmod.load_scene(cfg)
     try:
         counts = [int(c) for c in args.counts.split(",") if c.strip()]
@@ -308,7 +283,7 @@ def cmd_bench(args) -> int:
         base_plan=cfgmod.base_route(cfg),
         comms_cfg=cfgmod.comms_config(cfg),
         repetitions=int(b["repetitions"]),
-        seed=seed,
+        seed=_seed(cfg),
     )
     bench_mod.write_csv(reports, out / "bench.csv")
     bench_mod.write_json(reports, out / "bench.json")
@@ -318,8 +293,7 @@ def cmd_bench(args) -> int:
         else:
             print(f"uavs={r.n_uavs} Tp={r.tp_s:.3f}s (min {r.tp_min_s:.3f}s) "
                   f"Tv={r.tv_s:.1f}s rtf={r.rtf:.4f}")
-    cfgmod.write_manifest(out, "bench", seed, cfg, {"counts": counts})
-    return 0
+    return {"counts": counts}
 
 
 # ---------------------------------------------------------------------------
@@ -331,40 +305,44 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="skycell", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def override(p, flag, help, **kwargs):
+        key = _FLAG_KEYS[flag[2:].replace("-", "_")]
+        p.add_argument(flag, default=None, help=f"{help}; sets config {key}", **kwargs)
+
     def common(p):
         p.add_argument("--config", default=None, help="JSON config (merged over defaults)")
-        p.add_argument("--seed", type=int, default=None, help="64-bit master seed")
+        override(p, "--seed", "64-bit master seed", type=int)
         p.add_argument("--out", default="skycell_out", help="output directory")
 
     p = sub.add_parser("run", help="run one episode in the configured category")
     common(p)
-    p.add_argument("--replay", default=None, help="recorded episode log for AiCommInLoop")
-    p.add_argument("--policy", choices=["random", "tree", "oracle"], default=None)
-    p.add_argument("--model", default=None, help="tree model JSON")
+    override(p, "--replay", "recorded episode log for AiCommInLoop")
+    override(p, "--policy", "beam-pair policy", choices=["random", "tree", "oracle"])
+    override(p, "--model", "tree model JSON")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("dataset", help="generate a beam-selection dataset CSV")
     common(p)
-    p.add_argument("--episodes", type=int, default=None, help="number of randomized flights")
+    override(p, "--episodes", "number of randomized flights", type=int)
     p.set_defaults(func=cmd_dataset)
 
     p = sub.add_parser("train", help="train the decision tree and report top-K accuracy")
     common(p)
     p.add_argument("--dataset", required=True, help="training dataset CSV")
     p.add_argument("--test-dataset", default=None, help="separate test-trajectory CSV")
-    p.add_argument("--max-depth", type=int, default=None)
+    override(p, "--max-depth", "deepest split of the tree", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a saved model on a dataset")
     common(p)
-    p.add_argument("--model", required=True)
+    override(p, "--model", "tree model JSON", required=True)
     p.add_argument("--dataset", required=True)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("mission", help="fly the search-and-rescue mission")
     common(p)
-    p.add_argument("--policy", choices=["random", "tree", "oracle"], default=None)
-    p.add_argument("--model", default=None, help="tree model JSON (for --policy tree)")
+    override(p, "--policy", "beam-pair policy", choices=["random", "tree", "oracle"])
+    override(p, "--model", "tree model JSON (for --policy tree)")
     p.set_defaults(func=cmd_mission)
 
     p = sub.add_parser("bench", help="real-time-factor benchmark over UAV counts")
@@ -376,15 +354,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Resolve the config, run the command into --out, then write its manifest."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _load_config(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        extra = args.func(cfg, args, out)
+        cfgmod.write_manifest(out, args.command, _seed(cfg), cfg, extra)
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except orch.EpisodeAbort as exc:
         print(f"aborted: {exc.diagnostic}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

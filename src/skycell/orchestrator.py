@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from .bus import Broker
-from .mobility import position_of
+from .mobility import UE_TYPES, position_of
 
 ALL_IN_LOOP = "AllInLoop"
 AI_COMM_IN_LOOP = "AiCommInLoop"
@@ -73,18 +73,22 @@ class ModuleHandle:
     name = "module"
     role = "module"
 
-    def init(self, broker: Broker) -> None:  # pragma: no cover - interface
-        pass
+    def init(self, broker: Broker) -> tuple:
+        """Open the module's subscriptions; the episode closes the ones returned."""
+        return ()
 
     def step(self, t: float, broker: Broker) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
 
-def _replay_position(pos) -> tuple:
-    """A recorded position: a list of exactly three JSON numbers."""
+def _replay_state(u) -> tuple:
+    """A recorded UE state: a known UE_type and a list of exactly three JSON numbers."""
+    ue_type, ue_id, pos = u["UE_type"], u["UE_Id"], u["position"]
+    if ue_type not in UE_TYPES:
+        raise ValueError(f"episode-log UE_type must be one of {UE_TYPES}, got {ue_type!r}")
     if type(pos) is not list or len(pos) != 3 or not all(type(v) in (int, float) for v in pos):
         raise ValueError(f"episode-log position must be a list of three numbers, got {pos!r}")
-    return tuple(pos)
+    return ue_type, ue_id, tuple(pos)
 
 
 @dataclass
@@ -113,10 +117,7 @@ class SnapshotRecord:
         try:
             return cls(
                 t=doc["t"],
-                ue_states=[
-                    (u["UE_type"], u["UE_Id"], _replay_position(u["position"]))
-                    for u in doc["ue_states"]
-                ],
+                ue_states=[_replay_state(u) for u in doc["ue_states"]],
                 chosen_pair=doc["chosen_pair"],
                 throughput_mbps=doc["throughput_mbps"],
                 events=list(doc["events"]),
@@ -168,6 +169,10 @@ def run_episode(
     stop_early, when given, sees each completed SnapshotRecord and may end
     the episode ahead of the configured N (used by the rescue mission, whose
     length depends on in-loop decisions).
+
+    The episode's own subscriptions and those its modules' init returns are
+    closed when it ends, aborted or not; a caller's own subscriptions on a
+    passed-in broker stay open.
     """
     modules = list(modules)
     wiring = category_wiring(config.category)
@@ -182,6 +187,7 @@ def run_episode(
     sub_best = broker.subscribe(BEST_PAIR_TOPIC)
     sub_decision = broker.subscribe(DECISION_TOPIC)
     sub_events = broker.subscribe(EVENTS_PATTERN)
+    subs = [sub_ready, sub_pos, sub_tput, sub_best, sub_decision, sub_events]
 
     log = EpisodeLog(timings={m.name: 0.0 for m in modules})
     t_start = time.perf_counter()
@@ -190,39 +196,42 @@ def run_episode(
         log.wall_clock_s = time.perf_counter() - t_start
         return EpisodeAbort(diagnostic, log)
 
-    broker.set_virtual_time(0.0)
-    for m in modules:
-        m.init(broker)
-
-    for k in range(config.n_snapshots):
-        t = k * config.sampling_interval
-        broker.set_virtual_time(t)
+    try:
+        broker.set_virtual_time(0.0)
         for m in modules:
-            t0 = time.perf_counter()
-            try:
-                m.step(t, broker)
-            except Exception as exc:  # noqa: BLE001 - module failure aborts the run
-                raise abort(f"module {m.name!r} failed at t={t}: {exc}") from exc
-            log.timings[m.name] += time.perf_counter() - t0
-            if m.role == "comms" and sub_ready.next_message(timeout=0) is None:
-                raise abort(f"barrier: no {READY_PAYLOAD!r} queued on {READY_TOPIC} at t={t}")
-        positions = [
-            (doc["UE_type"], doc["UE_Id"], position_of(doc))
-            for doc in (m.doc for m in sub_pos.drain())
-        ]
-        best_msgs = sub_best.drain()
-        pair_msgs = sub_decision.drain() or best_msgs  # the AI decision wins over the sweep
-        tput_msgs = sub_tput.drain()
-        record = SnapshotRecord(
-            t=t,
-            ue_states=positions,
-            chosen_pair=int(pair_msgs[-1].doc["pair"]) if pair_msgs else 0,
-            throughput_mbps=float(tput_msgs[-1].doc["throughput"]) if tput_msgs else 0.0,
-            events=[m.payload for m in sub_events.drain()],
-        )
-        log.records.append(record)
-        if stop_early is not None and stop_early(record):
-            break
+            subs.extend(m.init(broker))
+        for k in range(config.n_snapshots):
+            t = k * config.sampling_interval
+            broker.set_virtual_time(t)
+            for m in modules:
+                t0 = time.perf_counter()
+                try:
+                    m.step(t, broker)
+                except Exception as exc:  # noqa: BLE001 - module failure aborts the run
+                    raise abort(f"module {m.name!r} failed at t={t}: {exc}") from exc
+                log.timings[m.name] += time.perf_counter() - t0
+                if m.role == "comms" and sub_ready.next_message(timeout=0) is None:
+                    raise abort(f"barrier: no {READY_PAYLOAD!r} queued on {READY_TOPIC} at t={t}")
+            positions = [
+                (doc["UE_type"], doc["UE_Id"], position_of(doc))
+                for doc in (m.doc for m in sub_pos.drain())
+            ]
+            best_msgs = sub_best.drain()
+            pair_msgs = sub_decision.drain() or best_msgs  # the AI decision wins over the sweep
+            tput_msgs = sub_tput.drain()
+            record = SnapshotRecord(
+                t=t,
+                ue_states=positions,
+                chosen_pair=int(pair_msgs[-1].doc["pair"]) if pair_msgs else 0,
+                throughput_mbps=float(tput_msgs[-1].doc["throughput"]) if tput_msgs else 0.0,
+                events=[m.payload for m in sub_events.drain()],
+            )
+            log.records.append(record)
+            if stop_early is not None and stop_early(record):
+                break
+    finally:
+        for sub in subs:
+            broker.unsubscribe(sub)
 
     log.wall_clock_s = time.perf_counter() - t_start
     return log

@@ -43,12 +43,6 @@ class Codebook:
         return self.codewords.shape[0]
 
 
-@dataclass(frozen=True)
-class ChannelMatrix:
-    entries: np.ndarray  # (Nr, Nt) complex
-    carrier_hz: float
-
-
 @dataclass
 class CommsConfig:
     tx_power_dbm: float
@@ -112,11 +106,10 @@ def synthesize_channel(
     bundle: PathBundle,
     tx_upa: UpaConfig,
     rx_upa: UpaConfig,
-    carrier_hz: float = 4e10,
     tx_rotation: np.ndarray | None = None,
     rx_rotation: np.ndarray | None = None,
-) -> ChannelMatrix:
-    """Sum of per-path rank-one terms: H = sum gain * a_rx(aoa) a_tx(aod)^H."""
+) -> np.ndarray:
+    """The (Nr, Nt) complex matrix H = sum over paths of gain * a_rx(aoa) a_tx(aod)^H."""
     if not bundle.paths:
         raise ChannelOutage("no propagation paths; channel is in outage")
     h = np.zeros((rx_upa.n_elements, tx_upa.n_elements), dtype=np.complex128)
@@ -130,7 +123,7 @@ def synthesize_channel(
         a_tx = steering_from_direction(tx_upa, d_tx)
         a_rx = steering_from_direction(rx_upa, d_rx)
         h += path.gain * np.outer(a_rx, a_tx.conj())
-    return ChannelMatrix(entries=h, carrier_hz=carrier_hz)
+    return h
 
 
 def pair_index(rx_idx: int, tx_idx: int, n_tx: int, n_rx: int) -> int:
@@ -142,16 +135,15 @@ def pair_index(rx_idx: int, tx_idx: int, n_tx: int, n_rx: int) -> int:
     return rx_idx * n_tx + tx_idx
 
 
-def beam_sweep(h: ChannelMatrix, tx_cb: Codebook, rx_cb: Codebook):
+def beam_sweep(h: np.ndarray, tx_cb: Codebook, rx_cb: Codebook):
     """Evaluate |w^H H f| for every codeword pair; the full sweep is the oracle.
 
     Returns (best_pair, gains) where gains[rx*n_tx + tx] covers all pairs and
     best_pair is the argmax with ties broken toward the lowest index.
     """
-    entries = h.entries
-    if entries.shape != (rx_cb.codewords.shape[1], tx_cb.codewords.shape[1]):
+    if h.shape != (rx_cb.codewords.shape[1], tx_cb.codewords.shape[1]):
         raise ValueError("codebook sizes do not match channel dimensions")
-    combined = rx_cb.codewords.conj() @ entries @ tx_cb.codewords.T
+    combined = rx_cb.codewords.conj() @ h @ tx_cb.codewords.T
     gains = np.abs(combined).ravel()
     return int(np.argmax(gains)), gains
 

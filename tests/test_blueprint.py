@@ -126,10 +126,30 @@ def test_broker_state_is_fixed_by_the_loop_not_its_length():
         modules = [blueprint.MobilityModule(plans, 0.5), comms,
                    PolicyModule(Policy(kind="random"), comms, np.random.default_rng(0))]
         broker = Broker()
+        routes = []  # read while the episode's subscriptions are open
         ep = orch.EpisodeConfig(n_snapshots=n_snapshots, category=orch.ALL_IN_LOOP)
-        assert len(orch.run_episode(ep, modules, broker=broker).records) == n_snapshots
-        return len(broker._seq), len(broker._routes)
+        log = orch.run_episode(ep, modules, broker=broker,
+                               stop_early=lambda rec: routes.append(len(broker._routes)))
+        assert len(log.records) == n_snapshots
+        return len(broker._seq), routes[-1]
 
     short, long = broker_after(5), broker_after(40)
     assert short == long
     assert short[0] >= 3  # one position key per UAV at least
+
+
+def test_episodes_on_one_broker_close_their_subscriptions():
+    """Comms and policy return their subscriptions from init, and the episode closes them."""
+    cfg = load_config(None)
+    plans = {"uav0": base_route(cfg)}
+    scene = load_scene(cfg)
+    broker = Broker()
+    probe = broker.subscribe(orch.DECISION_TOPIC)
+    ep = orch.EpisodeConfig(n_snapshots=5, category=orch.ALL_IN_LOOP)
+    for _ in range(3):
+        comms = CommsModule(scene, SHIPPED)
+        modules = [blueprint.MobilityModule(plans, 0.5), comms,
+                   PolicyModule(Policy(kind="random"), comms, np.random.default_rng(0))]
+        orch.run_episode(ep, modules, broker=broker)
+        assert broker._subs == [probe]
+    assert len(probe.drain()) == 3 * 5

@@ -83,7 +83,7 @@ def test_dataset_rows_and_invariant(tmp_path):
     assert 0 < len(ds) <= 400
     assert np.array_equal(ds.gains.argmax(axis=1), ds.best_pair)
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["episodes"] == 1
+    assert manifest["config"]["dataset"]["episodes"] == 1
 
 
 def test_train_eval_mission_pipeline(tmp_path):
@@ -168,9 +168,13 @@ def test_unknown_policy_kind_in_config_exits_2(tmp_path, capsys):
 
 
 def test_removed_barrier_timeout_key_exits_2(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, episode={"barrier_timeout_s": 5})
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-    assert "unknown config key 'episode.barrier_timeout_s'" in capsys.readouterr().err
+    removed = {"episode": "barrier_timeout_s", "mobility": "randomize_waypoints",
+               "dataset": "filter_nlos"}
+    for section, key in removed.items():
+        cfg = _write_cfg(tmp_path, **{section: {key: 5}})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert f"unknown config key '{section}.{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 def test_train_dataset_too_small_exits_2(tmp_path):
@@ -232,6 +236,53 @@ def test_manifest_lists_every_default_key(tmp_path):
     assert manifest["config"]["replay_log"] is None
     assert manifest["config"]["comms"]["rx_azimuth_deg"] == 90.0
     assert manifest["config"]["comms"]["rx_downtilt_deg"] == -45.0
+
+
+def _replay_log(tmp_path):
+    out = tmp_path / "recorded"
+    out.mkdir()
+    assert main(["run", "--config", _write_cfg(out), "--out", str(out)]) == 0
+    return ["--replay", str(out / "episode.jsonl")]
+
+
+def _nlos_dataset_flags(tmp_path):
+    path = tmp_path / "input.csv"
+    _nlos_dataset(path)
+    return ["--dataset", str(path)]
+
+
+def _leaf_model_flags(tmp_path):
+    path = tmp_path / "leaf.json"
+    DecisionTreeModel(TreeNode(counts=np.arange(256, dtype=np.int64)), 1, 256).save(path)
+    return ["--model", str(path)]
+
+
+@pytest.mark.parametrize(
+    "command, config, flags, inputs, artifacts",
+    [
+        ("run", {}, lambda p: ["--policy", "random"], None, ["episode.jsonl"]),
+        ("run", {"episode": {"category": "AiCommInLoop"}}, _replay_log, None, ["episode.jsonl"]),
+        ("dataset", {}, lambda p: ["--episodes", "2"], None, ["dataset.csv"]),
+        ("train", {}, lambda p: ["--max-depth", "3"], _nlos_dataset_flags,
+         ["model.json", "topk_accuracy.csv"]),
+        ("mission", {}, lambda p: ["--policy", "tree", *_leaf_model_flags(p)], None,
+         ["episode.jsonl", "mission.json"]),
+    ],
+    ids=["run-policy", "run-replay", "dataset-episodes", "train-max-depth", "mission-model"],
+)
+def test_manifest_reproduces_the_run(tmp_path, command, config, flags, inputs, artifacts):
+    """Every override flag lands in the manifest's config, so that config alone re-runs it."""
+    cfg = _write_cfg(tmp_path, **config)
+    inputs = inputs(tmp_path) if inputs else []
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main([command, "--config", cfg, *flags(tmp_path), *inputs, "--out", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    resolved = tmp_path / "resolved.json"
+    resolved.write_text(json.dumps(manifest["config"]))
+    assert main([command, "--config", str(resolved), *inputs, "--out", str(again)]) == 0
+    for name in artifacts:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+    assert json.loads((again / "manifest.json").read_text()) == manifest
 
 
 def _decisions(path):
@@ -397,6 +448,9 @@ def test_empty_replay_log_exits_2(tmp_path, capsys):
         ('{"t": 0.0, "ue_states": [{"UE_type": "UAV", "UE_Id": "uav0", "position": [300, 325]}],'
          ' "chosen_pair": 1, "throughput_mbps": 5.0, "events": []}',
          "position must be a list of three numbers"),
+        ('{"t": 0.0, "ue_states": [{"UE_type": "BOAT", "UE_Id": "uav0", "position": [300, 325,'
+         ' 40]}], "chosen_pair": 1, "throughput_mbps": 5.0, "events": []}',
+         "UE_type must be one of ('UAV', 'CAR', 'PERSON'), got 'BOAT'"),
     ],
 )
 def test_malformed_replay_record_exits_2(tmp_path, capsys, line, message):

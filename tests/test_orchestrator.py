@@ -66,6 +66,7 @@ class FakeAi(ModuleHandle):
 
     def init(self, broker):
         self._sub = broker.subscribe(orch.READY_TOPIC)
+        return (self._sub,)
 
     def step(self, t, broker):
         # the barrier must have let the Ready message through already
@@ -204,6 +205,19 @@ def test_module_failure_aborts_with_partial_log():
         run_episode(cfg, [FakeMobility(), FakeComms(), ExplodingAi()])
     assert "boom" in str(err.value)
     assert len(err.value.log.records) == 2  # t=0 and t=0.5 completed
+
+
+def test_episodes_close_their_subscriptions_even_when_aborted():
+    broker = Broker()
+    probe = broker.subscribe(orch.DECISION_TOPIC)  # the caller's own, opened first
+    cfg = EpisodeConfig(n_snapshots=5, category=ALL_IN_LOOP)
+    for _ in range(3):
+        run_episode(cfg, [FakeMobility(), FakeComms(), FakeAi()], broker=broker)
+        assert broker._subs == [probe]
+    with pytest.raises(EpisodeAbort):
+        run_episode(cfg, [FakeMobility(), FakeComms(), ExplodingAi()], broker=broker)
+    assert broker._subs == [probe]
+    assert len(probe.drain()) == 3 * 5 + 2  # the aborted episode decided at t=0 and t=0.5
 
 
 def test_determinism_byte_identical_logs(tmp_path):

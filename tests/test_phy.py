@@ -10,7 +10,6 @@ from skycell.ai import Policy, policy_decide
 from skycell.config import comms_config, load_config
 from skycell.geometry import PathBundle, PropagationPath
 from skycell.phy import (
-    ChannelMatrix,
     ChannelOutage,
     Codebook,
     UpaConfig,
@@ -83,7 +82,7 @@ def test_codebook_orthonormal(upa):
 def test_synthesize_single_path_rank_one():
     bundle = PathBundle(paths=(_path(2e-6 + 1e-6j, (0.3, 0.2), (1.0, -0.4)),))
     h = synthesize_channel(bundle, TX, RX)
-    s = np.linalg.svd(h.entries, compute_uv=False)
+    s = np.linalg.svd(h, compute_uv=False)
     assert s[0] == pytest.approx(abs(2e-6 + 1e-6j), rel=1e-9)
     assert np.all(s[1:] <= s[0] * 1e-12)
 
@@ -92,8 +91,8 @@ def test_synthesize_linearity_two_equal_paths():
     g = 1.5e-6 * np.exp(0.7j)
     one = PathBundle(paths=(_path(g, (0.1, 0.0), (0.2, 0.3)),))
     two = PathBundle(paths=(_path(g, (0.1, 0.0), (0.2, 0.3)),) * 2)
-    h1 = synthesize_channel(one, TX, RX).entries
-    h2 = synthesize_channel(two, TX, RX).entries
+    h1 = synthesize_channel(one, TX, RX)
+    h2 = synthesize_channel(two, TX, RX)
     assert np.allclose(h2, 2 * h1)
 
 
@@ -120,7 +119,7 @@ def test_pair_index_examples():
 
 def _random_channel(rng):
     entries = rng.normal(size=(4, 64)) + 1j * rng.normal(size=(4, 64))
-    return ChannelMatrix(entries=entries * 1e-6, carrier_hz=4e10)
+    return entries * 1e-6
 
 
 def test_sweep_matches_brute_force_on_100_random_channels():
@@ -134,7 +133,7 @@ def test_sweep_matches_brute_force_on_100_random_channels():
             for j in range(64):
                 w = rx_cb.codewords[i]
                 f = tx_cb.codewords[j]
-                brute[pair_index(i, j, 64, 4)] = abs(np.conj(w) @ h.entries @ f)
+                brute[pair_index(i, j, 64, 4)] = abs(np.conj(w) @ h @ f)
         assert np.allclose(gains, brute, rtol=0, atol=1e-12)
         assert best == int(np.argmax(brute))
 
@@ -143,14 +142,14 @@ def test_sweep_on_codeword_aligned_channel():
     tx_cb, rx_cb = dft_codebook(TX), dft_codebook(RX)
     for (i, j) in ((0, 0), (2, 17), (3, 63)):
         entries = np.outer(rx_cb.codewords[i], tx_cb.codewords[j].conj())
-        best, gains = beam_sweep(ChannelMatrix(entries, 4e10), tx_cb, rx_cb)
+        best, gains = beam_sweep(entries, tx_cb, rx_cb)
         assert best == pair_index(i, j, 64, 4)
         assert gains[best] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_sweep_zero_channel_tie_break():
     tx_cb, rx_cb = dft_codebook(TX), dft_codebook(RX)
-    best, gains = beam_sweep(ChannelMatrix(np.zeros((4, 64), complex), 4e10), tx_cb, rx_cb)
+    best, gains = beam_sweep(np.zeros((4, 64), complex), tx_cb, rx_cb)
     assert best == 0
     assert np.all(gains == 0)
 
@@ -161,8 +160,7 @@ def test_sweep_argmax_invariant_under_positive_scaling():
     h = _random_channel(rng)
     best, _ = beam_sweep(h, tx_cb, rx_cb)
     for c in (1e-3, 7.0, 1e4):
-        scaled = ChannelMatrix(h.entries * c, h.carrier_hz)
-        assert beam_sweep(scaled, tx_cb, rx_cb)[0] == best
+        assert beam_sweep(h * c, tx_cb, rx_cb)[0] == best
 
 
 def test_sweep_energy_bounded_by_spectral_norm():
@@ -171,7 +169,7 @@ def test_sweep_energy_bounded_by_spectral_norm():
     for _ in range(20):
         h = _random_channel(rng)
         _, gains = beam_sweep(h, tx_cb, rx_cb)
-        spectral = np.linalg.svd(h.entries, compute_uv=False)[0]
+        spectral = np.linalg.svd(h, compute_uv=False)[0]
         assert gains.max() <= spectral + 1e-9
 
 
@@ -217,8 +215,7 @@ def test_pair_space_follows_any_array_shape(tx_rows, tx_cols, rx_rows, rx_cols, 
     n_tx, n_rx = tx_cb.n_codewords, rx_cb.n_codewords
     rng = np.random.default_rng(seed)
     entries = rng.normal(size=(n_rx, n_tx)) + 1j * rng.normal(size=(n_rx, n_tx))
-    h = ChannelMatrix(entries=entries, carrier_hz=4e10)
-    best, gains = beam_sweep(h, tx_cb, rx_cb)
+    best, gains = beam_sweep(entries, tx_cb, rx_cb)
     assert gains.shape == (n_rx * n_tx,)
     for i in range(n_rx):
         for j in range(n_tx):
