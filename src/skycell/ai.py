@@ -141,14 +141,6 @@ class DecisionTreeModel:
             node = node.left if position[node.feature] <= node.threshold else node.right
         return node
 
-    def depth(self) -> int:
-        def walk(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
-
     def to_json(self) -> str:
         def encode(node):
             if node.is_leaf:

@@ -3,8 +3,9 @@
 Topics are dot-separated segments ("3D.mobility.positions"). Subscription
 patterns may use "*" to match exactly one segment and a trailing ">" to match
 one or more segments. Delivery is per-publisher, per-topic FIFO with no
-replay and no persistence. The broker is safe for concurrent publishers and
-subscribers.
+replay and no persistence. Reads never block: every module step is a
+synchronous call, so a reader takes what is already queued. The broker is
+safe for concurrent publishers and subscribers.
 """
 
 from __future__ import annotations
@@ -31,10 +32,6 @@ class TopicError(ValueError):
 
 class PayloadTooLarge(ValueError):
     """Payload exceeds the broker's configured maximum size."""
-
-
-class BrokerClosed(RuntimeError):
-    """The broker was shut down and the queue is drained."""
 
 
 def split_topic(topic: str, allow_wildcards: bool) -> tuple:
@@ -94,49 +91,24 @@ class Subscription:
         self.segments = split_topic(pattern, allow_wildcards=True)
         self._items: deque = deque()
         self._lock = threading.Lock()
-        self._ready = threading.Condition(self._lock)
-        self._waiting = 0  # readers blocked in next_message; delivery notifies only then
-        self._closed = False
         self._warned = False
 
     def _deliver(self, msg: Message) -> None:
         with self._lock:
             self._items.append(msg)
-            if self._waiting:
-                self._ready.notify()
             if not self._warned and len(self._items) > QUEUE_HIGH_WATER:
                 self._warned = True
                 logger.warning(
                     "subscription %r exceeded %d queued messages", self.pattern, QUEUE_HIGH_WATER
                 )
 
-    def _close(self) -> None:
+    def next_message(self):
+        """Oldest queued message, or None when the queue is empty."""
         with self._lock:
-            self._closed = True
-            self._ready.notify_all()
-
-    def _readable(self) -> bool:
-        return bool(self._items) or self._closed
-
-    def next_message(self, timeout: float = None):
-        """Oldest undelivered message, or None once the timeout elapses.
-
-        Raises BrokerClosed after Broker.close once the queue is drained.
-        """
-        with self._lock:
-            self._waiting += 1
-            try:
-                self._ready.wait_for(self._readable, timeout)
-            finally:
-                self._waiting -= 1
-            if self._items:
-                return self._items.popleft()
-            if self._closed:
-                raise BrokerClosed("broker was shut down")
-            return None
+            return self._items.popleft() if self._items else None
 
     def drain(self) -> list:
-        """All currently queued messages, without blocking."""
+        """All currently queued messages, oldest first."""
         with self._lock:
             out = list(self._items)
             self._items.clear()
@@ -156,7 +128,6 @@ class Broker:
         self._subs: list[Subscription] = []
         self._routes: dict = {}  # published topic -> matching subscriptions
         self._seq: dict = {}
-        self._closed = False
         self._virtual_time = 0.0
         self.max_payload_bytes = max_payload_bytes
 
@@ -190,8 +161,6 @@ class Broker:
                 raise PayloadTooLarge(
                     f"payload of {len(payload)} chars exceeds {self.max_payload_bytes} bytes"
                 )
-            if self._closed:
-                raise BrokerClosed("cannot publish on a closed broker")
             key = (publisher, topic)
             seq = self._seq.get(key, 0) + 1
             self._seq[key] = seq
@@ -209,25 +178,13 @@ class Broker:
     def subscribe(self, pattern: str) -> Subscription:
         sub = Subscription(pattern)
         with self._lock:
-            if self._closed:
-                raise BrokerClosed("cannot subscribe on a closed broker")
             self._subs.append(sub)
             self._routes.clear()
         return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
-        """Stop delivery to sub; once drained, its next_message raises BrokerClosed."""
+        """Stop delivery to sub; what it already queued can still be read."""
         with self._lock:
             if sub in self._subs:
                 self._subs.remove(sub)
                 self._routes.clear()
-                sub._close()
-
-    def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._routes.clear()
-            for sub in self._subs:
-                sub._close()

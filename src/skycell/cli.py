@@ -44,7 +44,10 @@ _FLAG_KEYS = {
 
 
 def _load_config(args) -> dict:
-    """Defaults, then the --config JSON, then every override flag that was given."""
+    """Defaults, then the --config JSON, then every override flag that was given.
+
+    A path flag is stored resolved, so the manifest re-runs from any directory.
+    """
     try:
         cfg = cfgmod.load_config(args.config)
     except (OSError, json.JSONDecodeError) as exc:
@@ -52,6 +55,8 @@ def _load_config(args) -> dict:
     for dest, key in _FLAG_KEYS.items():
         value = vars(args).get(dest)
         if value is not None:  # an absent flag leaves its key alone; a 0 is a value
+            if dest in ("replay", "model"):
+                value = str(Path(value).resolve())
             *sections, leaf = key.split(".")
             node = cfg
             for section in sections:

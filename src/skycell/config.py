@@ -84,11 +84,23 @@ def load_config(path=None) -> dict:
 
 def load_scene(cfg: dict) -> Scene:
     source = cfg["scene"]
-    if isinstance(source, dict):
-        return Scene.from_dict(source)
-    if source in ("builtin", None):
-        return default_scene()
-    return Scene.from_file(source)
+    try:
+        if isinstance(source, dict):
+            return Scene.from_dict(source)
+        if source in ("builtin", None):
+            return default_scene()
+        return Scene.from_file(source)
+    except KeyError as exc:
+        raise ConfigError(f"scene lacks key {exc}") from exc
+    except (OSError, TypeError) as exc:
+        raise ConfigError(f"cannot load scene: {exc}") from exc
+
+
+def _upa(c: dict, key: str, spacing: float) -> UpaConfig:
+    try:
+        return UpaConfig(*c[key], spacing=spacing)
+    except TypeError as exc:
+        raise ConfigError(f"comms.{key} must be [rows, cols], got {c[key]!r}") from exc
 
 
 def comms_config(cfg: dict) -> CommsConfig:
@@ -100,8 +112,8 @@ def comms_config(cfg: dict) -> CommsConfig:
         noise_figure_db=float(c["noise_figure_db"]),
         max_throughput_mbps=float(c["max_throughput_mbps"]),
         carrier_hz=float(c["carrier_hz"]),
-        tx_upa=UpaConfig(*c["tx_array"], spacing=spacing),
-        rx_upa=UpaConfig(*c["rx_array"], spacing=spacing),
+        tx_upa=_upa(c, "tx_array", spacing),
+        rx_upa=_upa(c, "rx_array", spacing),
         rx_azimuth_deg=float(c["rx_azimuth_deg"]),
         rx_downtilt_deg=float(c["rx_downtilt_deg"]),
     )

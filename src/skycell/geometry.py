@@ -218,22 +218,6 @@ class Scene:
         return self._packed[key]
 
 
-def mirror_point(p, axis: int, coord: float) -> np.ndarray:
-    """Reflect a point across the axis-aligned plane {x_axis = coord}."""
-    out = np.array(p, dtype=np.float64)
-    out[axis] = 2.0 * coord - out[axis]
-    return out
-
-
-def segment_occluded(scene: Scene, p, q) -> bool:
-    """True iff the open segment (p, q) passes through any building."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if np.array_equal(p, q):
-        raise ValueError("segment endpoints must differ")
-    return kernels.segment_blocked(p, q, scene.boxes)
-
-
 def _angles(direction) -> tuple:
     az = math.atan2(direction[1], direction[0])
     el = math.atan2(direction[2], math.hypot(direction[0], direction[1]))

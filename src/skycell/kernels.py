@@ -333,13 +333,6 @@ def _emit(out, kind, mm, rxr, tx, h1, h2, img_last, refl):
         out[m].append((kind, *row))
 
 
-def segment_blocked(p, q, boxes) -> bool:
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 6)
-    return bool(_seg_blocked_np_many(p[None, :], q[None, :], boxes)[0])
-
-
 def active_backend() -> str:
     """Name of the tracer implementation; numpy is the only one."""
     return "numpy"

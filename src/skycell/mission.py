@@ -160,6 +160,11 @@ class MissionConfig:
             raise ValueError("payload_bytes must be positive")
         if self.n_targets < 0:
             raise ValueError("n_targets must be >= 0")
+        n = len(self.target_fractions)
+        if self.n_targets > n:
+            raise ValueError(f"n_targets {self.n_targets} exceeds the {n} target_fractions")
+        if not all(0.0 <= f <= 1.0 for f in self.target_fractions):
+            raise ValueError(f"target_fractions must lie in [0, 1], got {self.target_fractions}")
 
     def target_positions(self, plan: TrajectoryPlan) -> list:
         pts = [plan.arc_point(f) for f in self.target_fractions[: self.n_targets]]

@@ -74,7 +74,7 @@ class ModuleHandle:
     role = "module"
 
     def init(self, broker: Broker) -> tuple:
-        """Open the module's subscriptions; the episode closes the ones returned."""
+        """Open the module's subscriptions; the episode unsubscribes the ones returned."""
         return ()
 
     def step(self, t: float, broker: Broker) -> None:  # pragma: no cover - interface
@@ -171,7 +171,7 @@ def run_episode(
     length depends on in-loop decisions).
 
     The episode's own subscriptions and those its modules' init returns are
-    closed when it ends, aborted or not; a caller's own subscriptions on a
+    unsubscribed when it ends, aborted or not; a caller's own subscriptions on a
     passed-in broker stay open.
     """
     modules = list(modules)
@@ -210,7 +210,7 @@ def run_episode(
                 except Exception as exc:  # noqa: BLE001 - module failure aborts the run
                     raise abort(f"module {m.name!r} failed at t={t}: {exc}") from exc
                 log.timings[m.name] += time.perf_counter() - t0
-                if m.role == "comms" and sub_ready.next_message(timeout=0) is None:
+                if m.role == "comms" and sub_ready.next_message() is None:
                     raise abort(f"barrier: no {READY_PAYLOAD!r} queued on {READY_TOPIC} at t={t}")
             positions = [
                 (doc["UE_type"], doc["UE_Id"], position_of(doc))

@@ -117,13 +117,17 @@ def test_deterministic_training():
     assert a == b
 
 
+def _depth(node) -> int:
+    return 0 if node.is_leaf else 1 + max(_depth(node.left), _depth(node.right))
+
+
 def test_depth_respects_max():
     rng = np.random.default_rng(0)
     pos = rng.uniform(-1, 1, size=(200, 3))
     labels = rng.integers(0, 256, size=200)
     ds = _dataset(pos, labels)
     for depth in (1, 3, 15):
-        assert train_tree(ds, max_depth=depth, min_leaf=1).depth() <= depth
+        assert _depth(train_tree(ds, max_depth=depth, min_leaf=1).root) <= depth
 
 
 def test_predict_topk_from_leaf_histogram():

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -257,6 +258,11 @@ def _leaf_model_flags(tmp_path):
     return ["--model", str(path)]
 
 
+def _relative(flags):
+    """The same flags with each path given relative to tmp_path, the first run's directory."""
+    return lambda p: [os.path.relpath(a, p) if os.path.isabs(a) else a for a in flags(p)]
+
+
 @pytest.mark.parametrize(
     "command, config, flags, inputs, artifacts",
     [
@@ -267,11 +273,20 @@ def _leaf_model_flags(tmp_path):
          ["model.json", "topk_accuracy.csv"]),
         ("mission", {}, lambda p: ["--policy", "tree", *_leaf_model_flags(p)], None,
          ["episode.jsonl", "mission.json"]),
+        ("run", {"episode": {"category": "AiCommInLoop"}}, _relative(_replay_log), None,
+         ["episode.jsonl"]),
+        ("mission", {}, _relative(lambda p: ["--policy", "tree", *_leaf_model_flags(p)]), None,
+         ["episode.jsonl", "mission.json"]),
     ],
-    ids=["run-policy", "run-replay", "dataset-episodes", "train-max-depth", "mission-model"],
+    ids=["run-policy", "run-replay", "dataset-episodes", "train-max-depth", "mission-model",
+         "run-relative-replay", "mission-relative-model"],
 )
-def test_manifest_reproduces_the_run(tmp_path, command, config, flags, inputs, artifacts):
-    """Every override flag lands in the manifest's config, so that config alone re-runs it."""
+def test_manifest_reproduces_the_run(
+    tmp_path, monkeypatch, command, config, flags, inputs, artifacts
+):
+    """Every override flag lands in the manifest's config, so that config alone re-runs it,
+    also from another directory."""
+    monkeypatch.chdir(tmp_path)
     cfg = _write_cfg(tmp_path, **config)
     inputs = inputs(tmp_path) if inputs else []
     first, again = tmp_path / "first", tmp_path / "again"
@@ -279,10 +294,34 @@ def test_manifest_reproduces_the_run(tmp_path, command, config, flags, inputs, a
     manifest = json.loads((first / "manifest.json").read_text())
     resolved = tmp_path / "resolved.json"
     resolved.write_text(json.dumps(manifest["config"]))
+    sibling = tmp_path / "elsewhere"
+    sibling.mkdir()
+    monkeypatch.chdir(sibling)
     assert main([command, "--config", str(resolved), *inputs, "--out", str(again)]) == 0
     for name in artifacts:
         assert (again / name).read_bytes() == (first / name).read_bytes(), name
     assert json.loads((again / "manifest.json").read_text()) == manifest
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"scene": "missing-scene.json"}, "cannot load scene: [Errno 2] No such file"),
+        ({"scene": {"bounds": {"length": 100.0, "width": 100.0}}}, "scene lacks key 'tx'"),
+        ({"comms": {"tx_array": [8]}}, "comms.tx_array must be [rows, cols], got [8]"),
+        ({"mission": {"n_targets": 7}}, "n_targets 7 exceeds the 5 target_fractions"),
+        ({"mission": {"target_fractions": [0.15, 0.35, 1.5, 0.75, 0.9]}},
+         "target_fractions must lie in [0, 1]"),
+    ],
+    ids=["missing-scene-file", "scene-without-tx", "one-number-array",
+         "more-targets-than-fractions", "fraction-above-one"],
+)
+def test_bad_scene_array_or_targets_exit_2(tmp_path, capsys, doc, message):
+    cfg = _write_cfg(tmp_path, **doc)
+    out = tmp_path / "m"
+    assert main(["mission", "--config", cfg, "--policy", "random", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "mission.json").exists()
 
 
 def _decisions(path):

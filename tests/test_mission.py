@@ -218,6 +218,12 @@ def test_mission_config_validation():
         MissionConfig(payload_bytes=0)
     with pytest.raises(ValueError):
         MissionConfig(n_targets=-1)
+    with pytest.raises(ValueError, match="n_targets 4 exceeds the 3 target_fractions"):
+        MissionConfig(n_targets=4, target_fractions=(0.2, 0.5, 0.8))
+    for bad in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="target_fractions must lie in"):
+            MissionConfig(n_targets=2, target_fractions=(0.2, bad))
+    assert MissionConfig(n_targets=2, target_fractions=(0.0, 1.0)).n_targets == 2
 
 
 def test_target_positions_on_route_ground():

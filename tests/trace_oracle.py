@@ -162,6 +162,13 @@ def trace_candidates(tx, rx, boxes, f_axis, f_coord, f_sign, f_uv, f_refl, max_o
     return paths
 
 
+def mirror_point(p, axis: int, coord: float) -> np.ndarray:
+    """Reflect a point across the axis-aligned plane {x_axis = coord}."""
+    out = np.array(p, dtype=np.float64)
+    out[axis] = 2.0 * coord - out[axis]
+    return out
+
+
 def _angles(direction) -> tuple:
     az = math.atan2(direction[1], direction[0])
     el = math.atan2(direction[2], math.hypot(direction[0], direction[1]))
