@@ -1,9 +1,10 @@
 """Real-time-factor benchmark: wall-clock cost of a fixed virtual duration.
 
 Runs the blueprint loop for 60 virtual seconds with 1..n UAV receivers and
-no rescue pauses, recording wall-clock and per-module step time. Each UAV
-count runs one discarded warm-up repetition first, which also absorbs the
-one-off image-tree build, so the reported median and minimum are steady state.
+no rescue pauses, recording wall-clock and per-module step time. The counts
+are interleaved: every repetition runs each count once, in turn. A first,
+discarded warm-up round also absorbs the one-off image-tree build, so the
+reported median and minimum are steady state.
 """
 
 from __future__ import annotations
@@ -75,18 +76,22 @@ def run_benchmark(
 ) -> list:
     """One report per UAV count; Tp is the median of `repetitions` timed runs.
 
-    Every count first runs one more repetition whose timings are discarded.
+    One more round of every count runs first, and its timings are discarded.
+    A count whose episode aborts is reported with its error and not run again.
     """
     if not uav_counts:
         raise ValueError("uav_counts must be non-empty")
     n_snapshots = int(round(virtual_seconds / sampling_interval))
     if abs(n_snapshots * sampling_interval - virtual_seconds) > 1e-12:
         raise ValueError("virtual_seconds must be a multiple of the sampling interval")
-    reports = []
-    for count in uav_counts:
-        tp, tm, tc, ta = [], [], [], []
-        error = None
-        for rep in range(repetitions + 1):
+    # each repetition runs every count in turn, so drift in host speed over
+    # the run hits all counts alike; repetition 0 is the discarded warm-up
+    samples = [([], [], [], []) for _ in uav_counts]  # tp, t_mobility, t_comms, t_ai
+    errors = [None] * len(uav_counts)
+    for rep in range(repetitions + 1):
+        for k, count in enumerate(uav_counts):
+            if errors[k] is not None:
+                continue
             plans = {
                 f"uav{i}": offset_plan(base_plan, 3.0 * (i - (count - 1) / 2.0))
                 for i in range(count)
@@ -105,14 +110,17 @@ def run_benchmark(
             try:
                 log = orch.run_episode(cfg, [mobility, comms, ai_mod])
             except orch.EpisodeAbort as exc:
-                error = str(exc)
-                break
+                errors[k] = str(exc)
+                continue
             if rep == 0:
                 continue  # warm-up
+            tp, tm, tc, ta = samples[k]
             tp.append(log.wall_clock_s)
             tm.append(log.timings["3D"])
             tc.append(log.timings["communications"])
             ta.append(log.timings["ai"])
+    reports = []
+    for count, (tp, tm, tc, ta), error in zip(uav_counts, samples, errors):
         if error is not None:
             reports.append(
                 TimingReport(count, n_snapshots, float("nan"), n_snapshots * sampling_interval,

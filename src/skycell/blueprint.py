@@ -1,9 +1,9 @@
 """Concrete in-loop modules wiring the tracer, arrays and kinematics together.
 
 The position source publishes on "3D.mobility.positions"; communications
-traces each UE, runs the full beam sweep, queues "Ready" on
-"communications.state" before its step returns (the loop checks it there, the
-ray-tracing barrier) and reports throughput on
+traces every UE that moved in one batch, runs the full beam sweep per UE,
+queues "Ready" on "communications.state" before its step returns (the loop
+checks it there, the ray-tracing barrier) and reports throughput on
 "communications.throughput"; the AI module consumes positions plus sweep
 gains and publishes its beam-pair decision. Data that does not fit the
 message contract (the gains vector, one entry per beam pair) moves by direct
@@ -21,7 +21,9 @@ import numpy as np
 from . import orchestrator as orch
 from .ai import Policy, policy_decide
 from .bus import Broker
-from .geometry import Scene, los_class, trace_paths
+# trace_paths and synthesize_channel stay importable here: perfbench's spans
+# wrap these one-receiver names on this module
+from .geometry import Scene, los_class, trace_paths, trace_paths_batch  # noqa: F401
 from .mobility import (
     TrajectoryPlan,
     UeState,
@@ -30,13 +32,13 @@ from .mobility import (
     step_kinematics,
     uav_state,
 )
-from .phy import (
-    ChannelOutage,
+from .phy import (  # noqa: F401
     CommsConfig,
     beam_sweep,
     boresight_rotation,
     dft_codebook,
     synthesize_channel,
+    synthesize_channels,
     throughput_mbps,
 )
 
@@ -99,7 +101,7 @@ class SweepResult:
 
 
 class CommsModule(orch.ModuleHandle):
-    """Ray tracing, channel synthesis and the exhaustive beam sweep per UE."""
+    """One batched trace and channel synthesis per snapshot, then the beam sweep per UE."""
 
     role = "comms"
     name = "communications"
@@ -128,38 +130,41 @@ class CommsModule(orch.ModuleHandle):
         self._sub = broker.subscribe(orch.POSITIONS_TOPIC)
         return (self._sub,)
 
-    def _sweep_at(self, position) -> SweepResult:
-        bundle = trace_paths(
-            self.scene,
-            self.scene.tx.position,
-            position,
-            carrier_hz=self.cfg.carrier_hz,
+    def _sweep(self, positions) -> list:
+        """One SweepResult per position: one trace and one synthesis for them all."""
+        bundles = trace_paths_batch(
+            self.scene, self.scene.tx.position, positions, carrier_hz=self.cfg.carrier_hz
         )
-        cls = los_class(bundle)
-        try:
-            h = synthesize_channel(
-                bundle,
-                self.cfg.tx_upa,
-                self.cfg.rx_upa,
-                tx_rotation=self.tx_rotation,
-                rx_rotation=self.rx_rotation,
+        lit = [b for b in bundles if b.paths]
+        channels = iter(
+            synthesize_channels(
+                lit, self.cfg.tx_upa, self.cfg.rx_upa, self.tx_rotation, self.rx_rotation
             )
-        except ChannelOutage:
-            return SweepResult(tuple(position), cls, 0, np.zeros(math.prod(self.pair_grid)))
-        best, gains = beam_sweep(h, self.tx_codebook, self.rx_codebook)
-        return SweepResult(tuple(position), cls, best, gains)
+        )
+        results = []
+        for position, bundle in zip(positions, bundles):
+            if bundle.paths:
+                best, gains = beam_sweep(next(channels), self.tx_codebook, self.rx_codebook)
+                results.append(SweepResult(position, los_class(bundle), best, gains))
+            else:
+                results.append(
+                    SweepResult(position, "outage", 0, np.zeros(math.prod(self.pair_grid)))
+                )
+        return results
 
     def step(self, t: float, broker: Broker) -> None:
-        for msg in self._sub.drain():
-            doc = msg.doc
-            ue_id = doc["UE_Id"]
+        docs = [msg.doc for msg in self._sub.drain()]
+        moved = {}  # UE_Id -> new position, in message order
+        for doc in docs:
             pos = position_of(doc)
-            cached = self.last.get(ue_id)
+            cached = self.last.get(doc["UE_Id"])
             if cached is None or cached.position != pos:
-                result = self._sweep_at(pos)
-                self.last[ue_id] = result
-            else:
-                result = cached
+                moved[doc["UE_Id"]] = pos
+        if moved:
+            self.last.update(zip(moved, self._sweep(list(moved.values()))))
+        for doc in docs:
+            ue_id = doc["UE_Id"]
+            result = self.last[ue_id]
             broker.publish(
                 orch.BEST_PAIR_TOPIC,
                 json.dumps({"UE_type": doc["UE_type"], "UE_Id": ue_id, "pair": result.best_pair}),

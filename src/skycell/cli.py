@@ -10,6 +10,7 @@ reproduced exactly from it.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -69,6 +70,31 @@ def _seed(cfg: dict) -> int:
     return int(cfg["episode"]["seed"])
 
 
+def _inputs(**paths) -> dict:
+    """Manifest entry for the input files a command read: resolved path and SHA-256.
+
+    A None path (an input the command did not read) is left out.
+    """
+    files = {}
+    for name, path in paths.items():
+        if path is not None:
+            path = Path(path).resolve()
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            files[name] = {"path": str(path), "sha256": digest}
+    return {"inputs": files}
+
+
+def _scene_path(cfg: dict):
+    """The scene's file when the config gives it as a path, else None."""
+    source = cfg["scene"]
+    return source if isinstance(source, str) and source != "builtin" else None
+
+
+def _model_path(cfg: dict):
+    """The tree model's file when the policy reads one, else None."""
+    return cfg["policy"]["model_path"] if cfg["policy"]["kind"] == "tree" else None
+
+
 def _policy(cfg: dict) -> Policy:
     kind, model_path = cfg["policy"]["kind"], cfg["policy"]["model_path"]
     model = None
@@ -99,12 +125,13 @@ def _episode_config(cfg: dict, category: str | None = None, n_snapshots: int | N
 # the input files and --counts), writes into out, and returns manifest extras.
 
 
-def cmd_run(cfg: dict, args, out: Path) -> None:
+def cmd_run(cfg: dict, args, out: Path) -> dict:
     seed = _seed(cfg)
     scene = cfgmod.load_scene(cfg)
     comms_cfg = cfgmod.comms_config(cfg)
     ep = _episode_config(cfg)
     modules = []
+    replay_path = None
     if ep.category == orch.AI_COMM_IN_LOOP:
         replay_path = cfg["replay_log"]
         if not replay_path:
@@ -125,8 +152,10 @@ def cmd_run(cfg: dict, args, out: Path) -> None:
         scene, comms_cfg, publish_throughput_in_step=ep.category == orch.MOB3D_COMM_IN_LOOP
     )
     modules.append(comms)
+    model_path = None
     if ep.category in (orch.ALL_IN_LOOP, orch.AI_COMM_IN_LOOP):
         modules.append(PolicyModule(_policy(cfg), comms, cfgmod.rng_for(seed, "random-policy")))
+        model_path = _model_path(cfg)
 
     log = orch.run_episode(ep, modules)
     log.write_jsonl(out / "episode.jsonl")
@@ -142,6 +171,7 @@ def cmd_run(cfg: dict, args, out: Path) -> None:
             indent=2,
         )
     print(f"episode complete: {len(log.records)} snapshots -> {out / 'episode.jsonl'}")
+    return _inputs(scene=_scene_path(cfg), replay_log=replay_path, model=model_path)
 
 
 def cmd_dataset(cfg: dict, args, out: Path) -> dict:
@@ -166,7 +196,7 @@ def cmd_dataset(cfg: dict, args, out: Path) -> dict:
     path = out / "dataset.csv"
     dataset.save_csv(path)
     print(f"dataset: {len(dataset)} rows ({n_nlos} NLOS) over {n_episodes} flights -> {path}")
-    return {"rows": len(dataset)}
+    return {"rows": len(dataset), **_inputs(scene=_scene_path(cfg))}
 
 
 def _topk_table(model, grids: dict) -> list:
@@ -220,7 +250,11 @@ def cmd_train(cfg: dict, args, out: Path) -> dict:
         cells = "  ".join(f"{n}={row[n]:.4f}" for n in row if n != "k")
         print(f"top-{row['k']:<3d} {cells}")
     print(f"model -> {out / 'model.json'}")
-    return {"train_rows": len(train), "validation_rows": len(validation)}
+    return {
+        "train_rows": len(train),
+        "validation_rows": len(validation),
+        **_inputs(dataset=args.dataset, test_dataset=args.test_dataset),
+    }
 
 
 def cmd_eval(cfg: dict, args, out: Path) -> dict:
@@ -235,10 +269,10 @@ def cmd_eval(cfg: dict, args, out: Path) -> dict:
     _write_table(table, out / "topk_accuracy.csv")
     for row in table:
         print(f"top-{row['k']:<3d} eval={row['eval']:.4f}")
-    return {"rows": len(ds)}
+    return {"rows": len(ds), **_inputs(model=cfg["policy"]["model_path"], dataset=args.dataset)}
 
 
-def cmd_mission(cfg: dict, args, out: Path) -> None:
+def cmd_mission(cfg: dict, args, out: Path) -> dict:
     seed = _seed(cfg)
     scene = cfgmod.load_scene(cfg)
     comms_cfg = cfgmod.comms_config(cfg)
@@ -269,6 +303,7 @@ def cmd_mission(cfg: dict, args, out: Path) -> None:
         f"policy={policy.kind} total_time_s={metrics.total_time_s:.2f} "
         f"rescued={metrics.rescued}/{metrics.n_targets}"
     )
+    return _inputs(scene=_scene_path(cfg), model=_model_path(cfg))
 
 
 def cmd_bench(cfg: dict, args, out: Path) -> dict:
@@ -298,7 +333,7 @@ def cmd_bench(cfg: dict, args, out: Path) -> dict:
         else:
             print(f"uavs={r.n_uavs} Tp={r.tp_s:.3f}s (min {r.tp_min_s:.3f}s) "
                   f"Tv={r.tv_s:.1f}s rtf={r.rtf:.4f}")
-    return {"counts": counts}
+    return {"counts": counts, **_inputs(scene=_scene_path(cfg))}
 
 
 # ---------------------------------------------------------------------------

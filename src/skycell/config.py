@@ -84,6 +84,11 @@ def load_config(path=None) -> dict:
 
 def load_scene(cfg: dict) -> Scene:
     source = cfg["scene"]
+    # open() takes an integer as a file descriptor, so only a path string may reach it
+    if source is not None and not isinstance(source, (str, dict)):
+        raise ConfigError(
+            f"scene must be a path, a scene object or null, got {type(source).__name__}"
+        )
     try:
         if isinstance(source, dict):
             return Scene.from_dict(source)

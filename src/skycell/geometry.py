@@ -224,14 +224,6 @@ def _angles(direction) -> tuple:
     return (az, el)
 
 
-def direction_from_angles(azimuth: float, elevation: float) -> np.ndarray:
-    ce = math.cos(elevation)
-    return np.array(
-        [ce * math.cos(azimuth), ce * math.sin(azimuth), math.sin(elevation)],
-        dtype=np.float64,
-    )
-
-
 def trace_paths(
     scene: Scene,
     tx,

@@ -115,17 +115,23 @@ class SnapshotRecord:
     def from_json(cls, line: str) -> "SnapshotRecord":
         doc = json.loads(line)
         try:
-            return cls(
+            record = cls(
                 t=doc["t"],
                 ue_states=[_replay_state(u) for u in doc["ue_states"]],
                 chosen_pair=doc["chosen_pair"],
                 throughput_mbps=doc["throughput_mbps"],
                 events=list(doc["events"]),
             )
+            seen = set()
+            for _, ue_id, _ in record.ue_states:  # a UE has one position per snapshot
+                if ue_id in seen:
+                    raise ValueError(f"episode-log record lists UE_Id {ue_id!r} twice")
+                seen.add(ue_id)
         except KeyError as exc:
             raise ValueError(f"episode-log record lacks key {exc}") from exc
         except TypeError as exc:  # a non-object where an object or a list belongs
             raise ValueError(f"malformed episode-log record: {exc}") from exc
+        return record
 
 
 @dataclass

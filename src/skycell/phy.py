@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PathBundle, direction_from_angles
+from .geometry import PathBundle
 
 
 class ChannelOutage(Exception):
@@ -67,17 +67,22 @@ class CommsConfig:
 
 
 def steering_from_direction(upa: UpaConfig, d_local: np.ndarray) -> np.ndarray:
-    """Unit-norm array response for a unit direction already in the array frame.
+    """Unit-norm array response for a unit direction already in the array frame."""
+    return _steering(upa, np.asarray(d_local)[None, :])[0]
+
+
+def _steering(upa: UpaConfig, d_local: np.ndarray) -> np.ndarray:
+    """(P, n_elements) responses for the P unit directions (rows) of d_local.
 
     Element (m, n) carries phase 2*pi*spacing*(m*u + n*v) with (u, v) the
     first two components of the direction; rows flatten row-major.
     """
-    u = d_local[0]
-    v = d_local[1]
+    u = d_local[:, 0, None, None]
+    v = d_local[:, 1, None, None]
     m = np.arange(upa.rows)[:, None]
     n = np.arange(upa.cols)[None, :]
     phase = 2.0 * math.pi * upa.spacing * (m * u + n * v)
-    return (np.exp(1j * phase) / math.sqrt(upa.n_elements)).ravel()
+    return (np.exp(1j * phase) / math.sqrt(upa.n_elements)).reshape(len(d_local), upa.n_elements)
 
 
 def dft_codebook(upa: UpaConfig) -> Codebook:
@@ -110,20 +115,60 @@ def synthesize_channel(
     rx_rotation: np.ndarray | None = None,
 ) -> np.ndarray:
     """The (Nr, Nt) complex matrix H = sum over paths of gain * a_rx(aoa) a_tx(aod)^H."""
-    if not bundle.paths:
+    return synthesize_channels([bundle], tx_upa, rx_upa, tx_rotation, rx_rotation)[0]
+
+
+def _directions(angles) -> np.ndarray:
+    """(P, 3) unit vectors (cos el cos az, cos el sin az, sin el) of (az, el) pairs.
+
+    Scalar math.cos/math.sin: numpy's vectorised trig is not guaranteed to
+    match libm bit for bit, and the golden artifacts pin these bits.
+    """
+    rows = []
+    for azimuth, elevation in angles:
+        ce = math.cos(elevation)
+        rows.append((ce * math.cos(azimuth), ce * math.sin(azimuth), math.sin(elevation)))
+    return np.array(rows, dtype=np.float64).reshape(-1, 3)
+
+
+def synthesize_channels(
+    bundles,
+    tx_upa: UpaConfig,
+    rx_upa: UpaConfig,
+    tx_rotation: np.ndarray | None = None,
+    rx_rotation: np.ndarray | None = None,
+) -> np.ndarray:
+    """(M, Nr, Nt) channels of M bundles that all carry paths, in one pass.
+
+    Each receiver sums its paths in bundle order, one path index at a time,
+    so every H is bit-equal to the bundle's own path-by-path sum.
+    """
+    counts = [len(b.paths) for b in bundles]
+    if not all(counts):
         raise ChannelOutage("no propagation paths; channel is in outage")
-    h = np.zeros((rx_upa.n_elements, tx_upa.n_elements), dtype=np.complex128)
-    for path in bundle.paths:
-        d_tx = direction_from_angles(*path.aod)
-        d_rx = direction_from_angles(*path.aoa)
-        if tx_rotation is not None:
-            d_tx = tx_rotation.T @ d_tx
-        if rx_rotation is not None:
-            d_rx = rx_rotation.T @ d_rx
-        a_tx = steering_from_direction(tx_upa, d_tx)
-        a_rx = steering_from_direction(rx_upa, d_rx)
-        h += path.gain * np.outer(a_rx, a_tx.conj())
-    return h
+    # bundles by descending path count, so the depth[k] that hold a path k are
+    # a prefix; paths laid out path index first, so each k is one contiguous run
+    order = sorted(range(len(bundles)), key=counts.__getitem__, reverse=True)
+    depth = [sum(c > k for c in counts) for k in range(max(counts, default=0))]
+    paths = [bundles[i].paths[k] for k, m in enumerate(depth) for i in order[:m]]
+    d_tx = _directions(p.aod for p in paths)
+    d_rx = _directions(p.aoa for p in paths)
+    if tx_rotation is not None:
+        d_tx = d_tx @ tx_rotation
+    if rx_rotation is not None:
+        d_rx = d_rx @ rx_rotation
+    a_tx = _steering(tx_upa, d_tx).conj()
+    a_rx = _steering(rx_upa, d_rx)
+    gains = np.array([p.gain for p in paths], dtype=np.complex128)
+    h = np.zeros((len(bundles), rx_upa.n_elements, tx_upa.n_elements), dtype=np.complex128)
+    start = 0
+    for m in depth:
+        run = slice(start, start + m)
+        h[:m] += gains[run, None, None] * (a_rx[run, :, None] * a_tx[run, None, :])
+        start += m
+    if order == sorted(order):
+        return h
+    return h[np.argsort(order)]
 
 
 def pair_index(rx_idx: int, tx_idx: int, n_tx: int, n_rx: int) -> int:

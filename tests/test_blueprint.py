@@ -1,9 +1,13 @@
 import dataclasses
 import json
 import types
+from unittest import mock
 
 import numpy as np
 import pytest
+import trace_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skycell import blueprint, bus
 from skycell import orchestrator as orch
@@ -11,8 +15,8 @@ from skycell.ai import DecisionTreeModel, Policy, TreeNode
 from skycell.blueprint import CommsModule, PolicyModule
 from skycell.bus import Broker
 from skycell.config import base_route, comms_config, load_config, load_scene
-from skycell.geometry import Building, Material, Scene, TxPose, los_class
-from skycell.phy import UpaConfig
+from skycell.geometry import Building, Material, Scene, TxPose, los_class, trace_paths
+from skycell.phy import UpaConfig, beam_sweep, boresight_rotation, dft_codebook
 
 CONCRETE = Material("concrete", 0.5)
 SHIPPED = comms_config(load_config(None))
@@ -48,14 +52,14 @@ def test_outage_gains_sized_from_codebooks():
 def test_step_traces_each_moved_ue_once(monkeypatch):
     scene = Scene(719.2, 693.4, TxPose((100.0, 100.0, 50.0)),
                   [Building((50, 40, 0), (90, 90, 60), CONCRETE)])
-    calls = []
-    real = blueprint.trace_paths
+    calls = []  # the receivers of each batch trace call
+    real = blueprint.trace_paths_batch
 
     def spy(scene, tx, rx, **kwargs):
-        calls.append(tuple(rx))
+        calls.append([tuple(p) for p in rx])
         return real(scene, tx, rx, **kwargs)
 
-    monkeypatch.setattr(blueprint, "trace_paths", spy)
+    monkeypatch.setattr(blueprint, "trace_paths_batch", spy)
     broker, comms = _comms(scene)
     best = broker.subscribe(orch.BEST_PAIR_TOPIC)
 
@@ -63,21 +67,92 @@ def test_step_traces_each_moved_ue_once(monkeypatch):
     for ue_id, pos in (("u2", a), ("u0", b), ("u1", a)):
         _publish(broker, ue_id, pos)
     comms.step(0.0, broker)
-    assert calls == [a, b, a]
+    assert calls == [[a, b, a]]
     assert [json.loads(m.payload)["UE_Id"] for m in best.drain()] == ["u2", "u0", "u1"]
     for ue_id, pos in (("u2", a), ("u0", b), ("u1", a)):
-        bundle = real(scene, scene.tx.position, pos)
+        bundle = trace_paths(scene, scene.tx.position, pos)
         assert comms.last[ue_id].los == los_class(bundle)
 
     # only the UE that moved is traced again; a snapshot with none traces nothing
     for ue_id, pos in (("u2", a), ("u0", c), ("u1", a)):
         _publish(broker, ue_id, pos)
     comms.step(0.5, broker)
-    assert calls == [a, b, a, c]
+    assert calls == [[a, b, a], [c]]
     for ue_id, pos in (("u2", a), ("u0", c), ("u1", a)):
         _publish(broker, ue_id, pos)
     comms.step(1.0, broker)
-    assert len(calls) == 4
+    assert len(calls) == 2
+
+
+# a tall wall hides the point behind it from the transmitter; a low block adds reflections
+_WALLED = Scene(300, 300, TxPose((20.0, 50.0, 30.0)),
+                [Building((40, 0.1, 0), (60, 100, 200), CONCRETE),
+                 Building((100, 150, 0), (140, 200, 40), CONCRETE)])
+_HIDDEN = (80.0, 50.0, 30.0)
+_point = st.tuples(st.floats(1.0, 299.0), st.floats(1.0, 299.0), st.floats(1.0, 120.0))
+
+
+def _oracle_sweep(scene, cfg, pos):
+    """(los, best_pair, gains) of one UE from the frozen tracer and path-by-path synthesis."""
+    bundle = trace_oracle.trace_paths(scene, scene.tx.position, pos, carrier_hz=cfg.carrier_hz)
+    tx_cb, rx_cb = dft_codebook(cfg.tx_upa), dft_codebook(cfg.rx_upa)
+    if not bundle.paths:
+        return "outage", 0, np.zeros(tx_cb.n_codewords * rx_cb.n_codewords)
+    h = trace_oracle.synthesize_channel(
+        bundle, cfg.tx_upa, cfg.rx_upa,
+        boresight_rotation(scene.tx.azimuth_deg, scene.tx.downtilt_deg),
+        boresight_rotation(cfg.rx_azimuth_deg, cfg.rx_downtilt_deg),
+    )
+    best, gains = beam_sweep(h, tx_cb, rx_cb)
+    return los_class(bundle), best, gains
+
+
+@given(
+    first=st.lists(_point, min_size=0, max_size=3),
+    moves=st.lists(st.one_of(st.none(), _point, st.just(_HIDDEN)), min_size=6, max_size=6),
+    orders=st.tuples(st.permutations(range(6)), st.permutations(range(6))),
+)
+@settings(max_examples=15, deadline=None)
+def test_step_matches_per_ue_oracle_sweeps(first, moves, orders):
+    """Over two snapshots, each UE's SweepResult and the best-pair wire equal per-UE sweeps
+    on the oracle; u0 and u1 share a position, u2 starts in outage, a held UE keeps its
+    cached result, and each snapshot traces its moved UEs in one batch call."""
+    ues = [f"u{i}" for i in range(6)]
+    shared = first[0] if first else (200.0, 250.0, 60.0)
+    start = [shared, shared, _HIDDEN, *first[1:]]
+    start += [(30.0 + 40.0 * i, 280.0, 50.0) for i in range(6 - len(start))]
+    snapshots = [dict(zip(ues, start))]
+    snapshots.append({u: pos if move is None else move
+                      for (u, pos), move in zip(snapshots[0].items(), moves)})
+    assert _oracle_sweep(_WALLED, SHIPPED, _HIDDEN)[0] == "outage"
+
+    broker, comms = _comms(_WALLED)
+    best = broker.subscribe(orch.BEST_PAIR_TOPIC)
+    before = {}
+    for k, (positions, order) in enumerate(zip(snapshots, orders)):
+        sent = [ues[i] for i in order]
+        for ue_id in sent:
+            _publish(broker, ue_id, positions[ue_id])
+        batch = mock.Mock(wraps=blueprint.trace_paths_batch)
+        with mock.patch.object(blueprint, "trace_paths_batch", batch):
+            comms.step(0.5 * k, broker)
+        moved = [positions[u] for u in sent
+                 if u not in before or before[u].position != positions[u]]
+        assert [[tuple(p) for p in c.args[2]] for c in batch.call_args_list] == (
+            [moved] if moved else [])
+        wire = [(m.doc["UE_Id"], m.doc["pair"]) for m in best.drain()]
+        expected = []
+        for ue_id in sent:
+            los, pair, gains = _oracle_sweep(_WALLED, SHIPPED, positions[ue_id])
+            result = comms.last[ue_id]
+            assert result.position == positions[ue_id]
+            assert (result.los, result.best_pair) == (los, pair)
+            assert result.gains.tobytes() == gains.tobytes()
+            if ue_id in before and before[ue_id].position == positions[ue_id]:
+                assert result is before[ue_id]
+            expected.append((ue_id, pair))
+        assert wire == expected
+        before = dict(comms.last)
 
 
 def test_policy_module_rejects_model_of_other_pair_count():

@@ -1,11 +1,16 @@
+import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from skycell.ai import TOPK_GRID, BeamDataset, DecisionTreeModel, TreeNode
 from skycell.cli import main
+from skycell.config import load_config, load_scene
 from skycell.orchestrator import EpisodeLog
 
 
@@ -324,6 +329,49 @@ def test_bad_scene_array_or_targets_exit_2(tmp_path, capsys, doc, message):
     assert not (out / "mission.json").exists()
 
 
+@pytest.mark.parametrize("scene", [0, True, 5], ids=["zero", "true", "five"])
+def test_scene_of_another_type_exits_2(tmp_path, scene):
+    """open() would take the number as a file descriptor; stdin is /dev/null so a read ends."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    cfg = _write_cfg(tmp_path, scene=scene)
+    proc = subprocess.run(
+        [sys.executable, "-m", "skycell.cli", "run", "--config", cfg, "--out", str(tmp_path / "x")],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    kind = type(scene).__name__
+    assert f"scene must be a path, a scene object or null, got {kind}" in proc.stderr
+
+
+def _digest(path):
+    return {"path": str(Path(path).resolve()),
+            "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+
+
+def test_manifest_names_each_input_by_digest(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+    _nlos_dataset(train_csv)
+    _nlos_dataset(test_csv, seed=1)
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "model"
+    assert main(["train", "--config", cfg, "--dataset", "train.csv", "--test-dataset", "test.csv",
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == {"dataset": _digest(train_csv), "test_dataset": _digest(test_csv)}
+
+    # a scene given as a path is an input too; the built-in scene is not
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(load_scene(load_config(None)).to_dict()))
+    for source, inputs in (("builtin", {}), ("scene.json", {"scene": _digest(scene)})):
+        run_out = tmp_path / f"run-{source}"
+        assert main(["run", "--config", _write_cfg(tmp_path, scene=source),
+                     "--out", str(run_out)]) == 0
+        assert json.loads((run_out / "manifest.json").read_text())["inputs"] == inputs
+
+
 def _decisions(path):
     return [rec.chosen_pair for rec in EpisodeLog.read_jsonl(path).records]
 
@@ -430,8 +478,8 @@ def test_mission_rejects_a_cap_above_the_degradation_table(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
 
 
-def _nlos_dataset(path):
-    rng = np.random.default_rng(0)
+def _nlos_dataset(path, seed=0):
+    rng = np.random.default_rng(seed)
     rows = [((float(i), 2.0 * i, 30.0), "NLOS", int(rng.integers(256)), rng.random(256))
             for i in range(24)]
     BeamDataset.from_rows(rows).save_csv(path)
@@ -490,6 +538,10 @@ def test_empty_replay_log_exits_2(tmp_path, capsys):
         ('{"t": 0.0, "ue_states": [{"UE_type": "BOAT", "UE_Id": "uav0", "position": [300, 325,'
          ' 40]}], "chosen_pair": 1, "throughput_mbps": 5.0, "events": []}',
          "UE_type must be one of ('UAV', 'CAR', 'PERSON'), got 'BOAT'"),
+        ('{"t": 0.0, "ue_states": [{"UE_type": "UAV", "UE_Id": "uav0", "position": [300, 325,'
+         ' 40]}, {"UE_type": "UAV", "UE_Id": "uav0", "position": [310, 325, 40]}],'
+         ' "chosen_pair": 1, "throughput_mbps": 5.0, "events": []}',
+         "episode-log record lists UE_Id 'uav0' twice"),
     ],
 )
 def test_malformed_replay_record_exits_2(tmp_path, capsys, line, message):

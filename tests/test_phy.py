@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import trace_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from skycell.phy import (
     pair_index,
     steering_from_direction,
     synthesize_channel,
+    synthesize_channels,
     throughput_mbps,
 )
 
@@ -99,6 +101,51 @@ def test_synthesize_linearity_two_equal_paths():
 def test_synthesize_outage_is_distinct():
     with pytest.raises(ChannelOutage):
         synthesize_channel(PathBundle(paths=()), TX, RX)
+    lit = PathBundle(paths=(_path(1e-6, (0.1, 0.0), (0.2, 0.3)),))
+    with pytest.raises(ChannelOutage):
+        synthesize_channels([lit, PathBundle(paths=())], TX, RX)
+
+
+_angles = st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi / 2, math.pi / 2))
+_gain = st.builds(complex, st.floats(-1e-5, 1e-5), st.floats(-1e-5, 1e-5))
+_any_path = st.builds(_path, _gain, _angles, _angles, st.floats(1.0, 1e3))
+
+
+def _bundles(min_paths, max_paths):
+    paths = st.lists(_any_path, min_size=min_paths, max_size=max_paths)
+    return st.lists(paths.map(lambda ps: PathBundle(paths=tuple(ps))), min_size=1, max_size=3)
+
+
+_rotation = st.one_of(
+    st.none(), st.builds(boresight_rotation, st.floats(-180.0, 180.0), st.floats(-90.0, 90.0))
+)
+_shape = st.tuples(st.integers(1, 4), st.integers(1, 4))
+
+
+@given(
+    tx_shape=_shape,
+    rx_shape=_shape,
+    batch=st.tuples(_bundles(1, 1), _bundles(2, 9)).flatmap(lambda t: st.permutations(t[0] + t[1])),
+    tx_rotation=_rotation,
+    rx_rotation=_rotation,
+)
+@settings(max_examples=80, deadline=None)
+def test_batched_synthesis_is_bit_equal_to_the_path_by_path_oracle(
+    tx_shape, rx_shape, batch, tx_rotation, rx_rotation
+):
+    """Every receiver of a batch that mixes one-path and many-path bundles gets the
+    bits of its own path-by-path sum, and so does the one-bundle form."""
+    tx_upa, rx_upa = UpaConfig(*tx_shape), UpaConfig(*rx_shape)
+    h = synthesize_channels(batch, tx_upa, rx_upa, tx_rotation, rx_rotation)
+    assert h.shape == (len(batch), rx_upa.n_elements, tx_upa.n_elements)
+    for got, bundle in zip(h, batch):
+        ref = trace_oracle.synthesize_channel(bundle, tx_upa, rx_upa, tx_rotation, rx_rotation)
+        assert got.tobytes() == ref.tobytes()
+        one = synthesize_channel(bundle, tx_upa, rx_upa, tx_rotation, rx_rotation)
+        assert one.tobytes() == ref.tobytes()
+    d = trace_oracle.direction_from_angles(*batch[0].paths[0].aod)
+    assert (steering_from_direction(tx_upa, d).tobytes()
+            == trace_oracle.steering_from_direction(tx_upa, d).tobytes())
 
 
 def test_pair_index_examples():

@@ -1,9 +1,12 @@
-"""Frozen reference tracer: the scalar numpy enumeration the fast path replaced.
+"""Frozen references: the scalar tracer and the path-by-path channel synthesis.
 
-Test-only. It traces one receiver at a time with no precomputed image tree,
-enumerates every ordered face pair and runs the slab test against every box.
-The batched tracer in ``skycell.kernels`` evaluates the same per-candidate
-expressions, so the two must agree exactly on every path they return.
+Test-only. The tracer traces one receiver at a time with no precomputed image
+tree, enumerates every ordered face pair and runs the slab test against every
+box. The batched tracer in ``skycell.kernels`` evaluates the same
+per-candidate expressions, so the two must agree exactly on every path they
+return. The synthesis builds each channel one path at a time from one
+direction and one steering vector per path; ``skycell.phy.synthesize_channels``
+must give the same bits for every receiver of a batch.
 """
 
 from __future__ import annotations
@@ -201,3 +204,37 @@ def trace_paths(scene, tx, rx, max_order=2, carrier_hz=4e10, ground_reflection=T
         ))
     paths.sort(key=lambda p: (PATH_KINDS.index(p.kind), p.length, p.aod, p.aoa))
     return PathBundle(paths=tuple(paths))
+
+
+def direction_from_angles(azimuth: float, elevation: float) -> np.ndarray:
+    ce = math.cos(elevation)
+    return np.array(
+        [ce * math.cos(azimuth), ce * math.sin(azimuth), math.sin(elevation)],
+        dtype=np.float64,
+    )
+
+
+def steering_from_direction(upa, d_local) -> np.ndarray:
+    u = d_local[0]
+    v = d_local[1]
+    m = np.arange(upa.rows)[:, None]
+    n = np.arange(upa.cols)[None, :]
+    phase = 2.0 * math.pi * upa.spacing * (m * u + n * v)
+    return (np.exp(1j * phase) / math.sqrt(upa.n_elements)).ravel()
+
+
+def synthesize_channel(bundle, tx_upa, rx_upa, tx_rotation=None, rx_rotation=None) -> np.ndarray:
+    """The reference (Nr, Nt) channel of one bundle that carries paths, path by path."""
+    assert bundle.paths, "the reference covers bundles with paths only"
+    h = np.zeros((rx_upa.n_elements, tx_upa.n_elements), dtype=np.complex128)
+    for path in bundle.paths:
+        d_tx = direction_from_angles(*path.aod)
+        d_rx = direction_from_angles(*path.aoa)
+        if tx_rotation is not None:
+            d_tx = tx_rotation.T @ d_tx
+        if rx_rotation is not None:
+            d_rx = rx_rotation.T @ d_rx
+        a_tx = steering_from_direction(tx_upa, d_tx)
+        a_rx = steering_from_direction(rx_upa, d_rx)
+        h += path.gain * np.outer(a_rx, a_tx.conj())
+    return h
