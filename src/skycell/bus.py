@@ -10,12 +10,11 @@ safe for concurrent publishers and subscribers.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import threading
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
 
 logger = logging.getLogger(__name__)
 
@@ -24,6 +23,11 @@ QUEUE_HIGH_WATER = 10_000
 # distinct published topics whose subscriber tuples a broker keeps; a library
 # caller may publish any topic and the bound is cheap (oldest entry goes)
 ROUTE_CACHE_SIZE = 1024
+# distinct payload texts whose parsed doc a broker keeps, least recently read
+# goes first; a held UE republishes one text, so a small bound catches it.
+# A longer text is parsed per message, which bounds what the cache holds.
+DOC_CACHE_SIZE = 256
+DOC_CACHE_MAX_CHARS = 4096
 
 
 class TopicError(ValueError):
@@ -69,18 +73,55 @@ def topic_matches(pattern: str, topic: str) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Message:
-    topic: str
-    payload: str
-    seq: int
-    publisher: str
-    publish_time: float
+def _decode(text: str):
+    return json.loads(text)
 
-    @cached_property
+
+_UNPARSED = object()
+
+
+class Message:
+    """One published message: its fields, and the payload parsed on demand.
+
+    Messages with equal fields compare equal; ``doc`` is not a field.
+    """
+
+    __slots__ = ("topic", "payload", "seq", "publisher", "publish_time", "_parse", "_doc")
+
+    def __init__(self, topic, payload, seq, publisher, publish_time, parse=_decode):
+        self.topic = topic
+        self.payload = payload
+        self.seq = seq
+        self.publisher = publisher
+        self.publish_time = publish_time
+        self._parse = parse
+        self._doc = _UNPARSED
+
+    def _fields(self) -> tuple:
+        return (self.topic, self.payload, self.seq, self.publisher, self.publish_time)
+
+    def __eq__(self, other):
+        if type(other) is not Message:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "Message(topic=%r, payload=%r, seq=%r, publisher=%r, publish_time=%r)" % (
+            self._fields()
+        )
+
+    @property
     def doc(self):
-        """The payload parsed as JSON on first access, then shared: treat as read-only."""
-        return json.loads(self.payload)
+        """The payload parsed as JSON, shared by every message with equal payload
+        text on one broker (its DOC_CACHE_SIZE most recently read texts of at most
+        DOC_CACHE_MAX_CHARS characters): treat as read-only."""
+        doc = self._doc
+        if doc is _UNPARSED:
+            doc = self._doc = self._parse(self.payload)
+        return doc
 
 
 class Subscription:
@@ -120,7 +161,8 @@ class Broker:
 
     Each published topic is validated once and mapped to the tuple of
     subscriptions whose compiled pattern matches it; the map is cleared
-    whenever the subscription set changes.
+    whenever the subscription set changes. Payloads are parsed through one
+    bounded cache, so messages with equal payload text share one doc.
     """
 
     def __init__(self, max_payload_bytes: int = MAX_PAYLOAD_BYTES):
@@ -129,6 +171,7 @@ class Broker:
         self._routes: dict = {}  # published topic -> matching subscriptions
         self._seq: dict = {}
         self._virtual_time = 0.0
+        self._parse = functools.lru_cache(maxsize=DOC_CACHE_SIZE)(_decode)
         self.max_payload_bytes = max_payload_bytes
 
     def set_virtual_time(self, t: float) -> None:
@@ -164,13 +207,8 @@ class Broker:
             key = (publisher, topic)
             seq = self._seq.get(key, 0) + 1
             self._seq[key] = seq
-            msg = Message(
-                topic=topic,
-                payload=payload,
-                seq=seq,
-                publisher=publisher,
-                publish_time=self._virtual_time,
-            )
+            parse = self._parse if len(payload) <= DOC_CACHE_MAX_CHARS else _decode
+            msg = Message(topic, payload, seq, publisher, self._virtual_time, parse)
             for sub in subs:
                 sub._deliver(msg)
         return seq

@@ -11,8 +11,10 @@ The virtual clock never depends on wall-clock time.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .bus import Broker
 from .mobility import UE_TYPES, position_of
@@ -82,13 +84,36 @@ class ModuleHandle:
 
 
 def _replay_state(u) -> tuple:
-    """A recorded UE state: a known UE_type and a list of exactly three JSON numbers."""
+    """A recorded UE state: a known UE_type, a string UE_Id and a list of exactly
+    three JSON numbers."""
     ue_type, ue_id, pos = u["UE_type"], u["UE_Id"], u["position"]
     if ue_type not in UE_TYPES:
         raise ValueError(f"episode-log UE_type must be one of {UE_TYPES}, got {ue_type!r}")
+    if type(ue_id) is not str:
+        raise ValueError(f"episode-log UE_Id must be a string, got {ue_id!r}")
     if type(pos) is not list or len(pos) != 3 or not all(type(v) in (int, float) for v in pos):
         raise ValueError(f"episode-log position must be a list of three numbers, got {pos!r}")
     return ue_type, ue_id, tuple(pos)
+
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _leaf(v) -> str:
+    """v as _encode writes it; text, finite numbers and lists of them skip the encoder."""
+    tv = type(v)
+    if tv is str:
+        return encode_basestring_ascii(v)
+    if tv is int or (tv is float and math.isfinite(v)):
+        return repr(v)
+    if tv is list or tv is tuple:
+        return _leaf_list(v)
+    return _encode(v)
+
+
+def _leaf_list(items) -> str:
+    """The JSON array of an iterable's items."""
+    return "[" + ",".join(map(_leaf, items)) + "]"
 
 
 @dataclass
@@ -100,16 +125,21 @@ class SnapshotRecord:
     events: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        doc = {
-            "t": self.t,
-            "ue_states": [
-                {"UE_type": k, "UE_Id": i, "position": list(p)} for k, i, p in self.ue_states
-            ],
-            "chosen_pair": self.chosen_pair,
-            "throughput_mbps": self.throughput_mbps,
-            "events": self.events,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        """One compact line with sorted keys, as json.dumps(sort_keys=True) writes it.
+
+        The keys are fixed, so only the leaf values go through the encoder.
+        """
+        states = ",".join(
+            '{"UE_Id":%s,"UE_type":%s,"position":%s}' % (_leaf(i), _leaf(k), _leaf_list(p))
+            for k, i, p in self.ue_states
+        )
+        return '{"chosen_pair":%s,"events":%s,"t":%s,"throughput_mbps":%s,"ue_states":[%s]}' % (
+            _leaf(self.chosen_pair),
+            _leaf(self.events),
+            _leaf(self.t),
+            _leaf(self.throughput_mbps),
+            states,
+        )
 
     @classmethod
     def from_json(cls, line: str) -> "SnapshotRecord":
@@ -202,6 +232,10 @@ def run_episode(
         log.wall_clock_s = time.perf_counter() - t_start
         return EpisodeAbort(diagnostic, log)
 
+    # looked up once: (name, step, whether the barrier follows it) per module
+    steps = [(m.name, m.step, m.role == "comms") for m in modules]
+    clock, timings, records = time.perf_counter, log.timings, log.records
+    ready = sub_ready.next_message
     try:
         broker.set_virtual_time(0.0)
         for m in modules:
@@ -209,18 +243,18 @@ def run_episode(
         for k in range(config.n_snapshots):
             t = k * config.sampling_interval
             broker.set_virtual_time(t)
-            for m in modules:
-                t0 = time.perf_counter()
+            for name, step, barrier in steps:
+                t0 = clock()
                 try:
-                    m.step(t, broker)
+                    step(t, broker)
                 except Exception as exc:  # noqa: BLE001 - module failure aborts the run
-                    raise abort(f"module {m.name!r} failed at t={t}: {exc}") from exc
-                log.timings[m.name] += time.perf_counter() - t0
-                if m.role == "comms" and sub_ready.next_message() is None:
+                    raise abort(f"module {name!r} failed at t={t}: {exc}") from exc
+                timings[name] += clock() - t0
+                if barrier and ready() is None:
                     raise abort(f"barrier: no {READY_PAYLOAD!r} queued on {READY_TOPIC} at t={t}")
             positions = [
                 (doc["UE_type"], doc["UE_Id"], position_of(doc))
-                for doc in (m.doc for m in sub_pos.drain())
+                for doc in [m.doc for m in sub_pos.drain()]
             ]
             best_msgs = sub_best.drain()
             pair_msgs = sub_decision.drain() or best_msgs  # the AI decision wins over the sweep
@@ -232,7 +266,7 @@ def run_episode(
                 throughput_mbps=float(tput_msgs[-1].doc["throughput"]) if tput_msgs else 0.0,
                 events=[m.payload for m in sub_events.drain()],
             )
-            log.records.append(record)
+            records.append(record)
             if stop_early is not None and stop_early(record):
                 break
     finally:

@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import json
+import math
 import types
 from unittest import mock
 
@@ -171,46 +173,97 @@ def test_policy_module_rejects_model_of_other_pair_count():
 
 
 def test_each_message_is_decoded_once_per_snapshot(monkeypatch):
-    """Orchestrator, comms and policy share one parse of each position message."""
+    """Each distinct payload text is parsed at most once, and every reader gets that doc:
+    the orchestrator, comms and policy read every position message through Message.doc."""
     decoded = []
     monkeypatch.setattr(bus, "json", types.SimpleNamespace(
         loads=lambda text: decoded.append(text) or json.loads(text)))
+    reads = collections.Counter()  # id of a position message -> reads of its doc
+    doc = bus.Message.doc
+
+    def read(msg):
+        if msg.topic == orch.POSITIONS_TOPIC:  # kept alive by the probe, so ids stay unique
+            reads[id(msg)] += 1
+        return doc.fget(msg)
+
+    monkeypatch.setattr(bus.Message, "doc", property(read))
     cfg = load_config(None)
     route = base_route(cfg)
     plans = {f"uav{i}": blueprint.offset_plan(route, 3.0 * i) for i in range(2)}
     mobility = blueprint.MobilityModule(plans, 0.5)
+    mobility.hold("uav1", 3)  # uav1 sends its start position for three snapshots
     comms = CommsModule(load_scene(cfg), SHIPPED)
     ai = PolicyModule(Policy(kind="random"), comms, np.random.default_rng(0))
-    ep = orch.EpisodeConfig(n_snapshots=3, category=orch.ALL_IN_LOOP)
-    log = orch.run_episode(ep, [mobility, comms, ai])
-    assert len(log.records) == 3
-    # per snapshot: two positions (three readers each), the last decision, the last throughput
-    assert len(decoded) == 3 * 4
-    assert sum("position" in json.loads(text) for text in decoded) == 3 * 2
+    broker = Broker()
+    probe = broker.subscribe(orch.POSITIONS_TOPIC)
+    ep = orch.EpisodeConfig(n_snapshots=6, category=orch.ALL_IN_LOOP)
+    log = orch.run_episode(ep, [mobility, comms, ai], broker=broker)
+    assert len(log.records) == 6
+    positions = probe.drain()
+    assert len(positions) == 6 * 2
+    assert all(reads[id(msg)] == 3 for msg in positions)
+    assert len(decoded) == len(set(decoded))
+    texts = {msg.payload for msg in positions}
+    assert len(texts) == 6 + 4  # uav0 moves every snapshot, uav1 from its fourth on
+    assert {text for text in decoded if "position" in json.loads(text)} == texts
 
 
-def test_broker_state_is_fixed_by_the_loop_not_its_length():
-    """The loop publishes a fixed set of (publisher, topic) pairs, so longer runs add none."""
+def test_a_held_snapshot_encodes_nothing(monkeypatch):
+    """While a UE holds and its sweep is cached, the position, best-pair, decision and
+    throughput texts are all reused; a move encodes afresh."""
+    encoded = []
+
+    def spy(fn):
+        return lambda *args: encoded.append(fn.__name__) or fn(*args)
+
+    monkeypatch.setattr(blueprint, "json", types.SimpleNamespace(dumps=spy(json.dumps)))
+    monkeypatch.setattr(blueprint, "position_payload", spy(blueprint.position_payload))
+    monkeypatch.setattr(blueprint, "throughput_mbps", spy(blueprint.throughput_mbps))
+    cfg = load_config(None)
+    mobility = blueprint.MobilityModule({"uav0": base_route(cfg)}, 0.5)
+    mobility.hold("uav0", 5)
+    comms = CommsModule(load_scene(cfg), SHIPPED)
+    ai = PolicyModule(Policy(kind="oracle"), comms, np.random.default_rng(0))
+    counts = []
+    ep = orch.EpisodeConfig(n_snapshots=7, category=orch.ALL_IN_LOOP)
+    orch.run_episode(ep, [mobility, comms, ai], stop_early=lambda rec: counts.append(len(encoded)))
+    # position, best pair, decision, throughput (its rate and its text) once, then nothing
+    assert sorted(encoded[:5]) == ["dumps", "dumps", "dumps", "position_payload",
+                                   "throughput_mbps"]
+    assert counts[:5] == [5] * 5
+    assert counts[5] > 5
+
+
+def test_broker_state_is_fixed_by_the_loop_not_its_length(monkeypatch):
+    """The loop publishes a fixed set of (publisher, topic) pairs, so longer runs add none;
+    the payload and doc caches are bounded by the UEs, the pair count and DOC_CACHE_SIZE."""
+    monkeypatch.setattr(bus, "DOC_CACHE_SIZE", 16)  # so that both runs reach it
     cfg = load_config(None)
     route = base_route(cfg)
     scene = load_scene(cfg)
+    n_pairs = math.prod(CommsModule(scene, SHIPPED).pair_grid)
 
     def broker_after(n_snapshots):
         plans = {f"uav{i}": blueprint.offset_plan(route, 3.0 * (i - 1)) for i in range(3)}
         comms = CommsModule(scene, SHIPPED)
-        modules = [blueprint.MobilityModule(plans, 0.5), comms,
-                   PolicyModule(Policy(kind="random"), comms, np.random.default_rng(0))]
+        mobility = blueprint.MobilityModule(plans, 0.5)
+        ai = PolicyModule(Policy(kind="random"), comms, np.random.default_rng(0))
         broker = Broker()
         routes = []  # read while the episode's subscriptions are open
         ep = orch.EpisodeConfig(n_snapshots=n_snapshots, category=orch.ALL_IN_LOOP)
-        log = orch.run_episode(ep, modules, broker=broker,
+        log = orch.run_episode(ep, [mobility, comms, ai], broker=broker,
                                stop_early=lambda rec: routes.append(len(broker._routes)))
         assert len(log.records) == n_snapshots
-        return len(broker._seq), routes[-1]
+        assert len(comms._best) <= 3 * n_pairs
+        assert len(ai._decisions) <= 3 * n_pairs
+        assert all(len(reports) <= n_pairs for _, reports in comms._tput.values())
+        return (len(broker._seq), routes[-1], len(mobility._payloads), len(comms._tput),
+                broker._parse.cache_info().currsize)
 
     short, long = broker_after(5), broker_after(40)
     assert short == long
     assert short[0] >= 3  # one position key per UAV at least
+    assert short[2:] == (3, 3, 16)
 
 
 def test_episodes_on_one_broker_close_their_subscriptions():

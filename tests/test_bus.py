@@ -142,6 +142,31 @@ def test_message_doc_is_decoded_once_and_shared():
     assert ma == bus.Message("x.y", payload, 1, "default", 0.0)
 
 
+def test_equal_payload_texts_share_one_doc_within_the_cache_bound(monkeypatch):
+    monkeypatch.setattr(bus, "DOC_CACHE_SIZE", 2)
+    broker = Broker()
+    sub = broker.subscribe("x.y")
+    text = '{"k": [1, 2.5]}'
+    broker.publish("x.y", text)
+    broker.publish("x.y", "".join(['{"k": ', '[1, 2.5]}']))  # equal text, another object
+    first, second = sub.drain()
+    assert first != second
+    assert first.doc is second.doc
+    for other in ('{"a": 1}', '{"b": 2}'):  # two other texts push it out of the cache
+        broker.publish("x.y", other)
+        assert sub.drain()[0].doc == json.loads(other)
+    broker.publish("x.y", text)
+    (third,) = sub.drain()
+    assert third.doc == first.doc
+    assert third.doc is not first.doc
+    monkeypatch.setattr(bus, "DOC_CACHE_MAX_CHARS", len(text) - 1)  # too long to keep
+    broker.publish("x.y", text)
+    broker.publish("x.y", text)
+    fourth, fifth = sub.drain()
+    assert fourth.doc == fifth.doc
+    assert fourth.doc is not fifth.doc
+
+
 def test_high_water_warning_once(monkeypatch, caplog):
     monkeypatch.setattr(bus, "QUEUE_HIGH_WATER", 3)
     broker = Broker()

@@ -542,6 +542,12 @@ def test_empty_replay_log_exits_2(tmp_path, capsys):
          ' 40]}, {"UE_type": "UAV", "UE_Id": "uav0", "position": [310, 325, 40]}],'
          ' "chosen_pair": 1, "throughput_mbps": 5.0, "events": []}',
          "episode-log record lists UE_Id 'uav0' twice"),
+        ('{"t": 0.0, "ue_states": [{"UE_type": "UAV", "UE_Id": 5, "position": [300, 325, 40]}],'
+         ' "chosen_pair": 1, "throughput_mbps": 5.0, "events": []}',
+         "episode-log UE_Id must be a string, got 5"),
+        ('{"t": 0.0, "ue_states": [{"UE_type": "UAV", "UE_Id": null, "position": [300, 325,'
+         ' 40]}], "chosen_pair": 1, "throughput_mbps": 5.0, "events": []}',
+         "episode-log UE_Id must be a string, got None"),
     ],
 )
 def test_malformed_replay_record_exits_2(tmp_path, capsys, line, message):

@@ -1,7 +1,11 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
+import trace_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skycell import orchestrator as orch
 from skycell.bus import Broker
@@ -260,6 +264,35 @@ def test_snapshot_record_json_round_trip():
                          chosen_pair=20, throughput_mbps=88.25, events=["rescued:1"])
     again = SnapshotRecord.from_json(rec.to_json())
     assert again == rec
+
+
+_number = st.one_of(st.floats(), st.integers(), st.booleans(), st.floats().map(np.float64))
+_json = st.recursive(
+    st.one_of(st.none(), _number, st.text()),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(
+    t=_number,
+    ue_states=st.lists(st.tuples(
+        st.one_of(st.sampled_from(("UAV", "CAR", "PERSON")), st.text()),
+        st.one_of(st.text(), _number, st.none()),
+        st.one_of(st.tuples(_number, _number, _number), st.lists(_number, max_size=4)),
+    ), max_size=4),
+    chosen_pair=_number,
+    throughput=_number,
+    events=st.one_of(st.lists(st.text(), max_size=4), st.lists(_json, max_size=3),
+                     st.tuples(st.text()), _json),
+)
+@settings(max_examples=300, deadline=None)
+def test_record_line_equals_one_dumps_of_the_record(t, ue_states, chosen_pair, throughput,
+                                                    events):
+    """to_json writes exactly the bytes of one sorted, compact json.dumps of the record."""
+    rec = SnapshotRecord(t=t, ue_states=ue_states, chosen_pair=chosen_pair,
+                         throughput_mbps=throughput, events=events)
+    assert rec.to_json() == trace_oracle.snapshot_to_json(rec)
 
 
 def test_episode_log_jsonl_round_trip(tmp_path):

@@ -1,4 +1,5 @@
-"""Frozen references: the scalar tracer and the path-by-path channel synthesis.
+"""Frozen references: the scalar tracer, the path-by-path channel synthesis and
+the whole-record episode-log encoder.
 
 Test-only. The tracer traces one receiver at a time with no precomputed image
 tree, enumerates every ordered face pair and runs the slab test against every
@@ -6,11 +7,14 @@ box. The batched tracer in ``skycell.kernels`` evaluates the same
 per-candidate expressions, so the two must agree exactly on every path they
 return. The synthesis builds each channel one path at a time from one
 direction and one steering vector per path; ``skycell.phy.synthesize_channels``
-must give the same bits for every receiver of a batch.
+must give the same bits for every receiver of a batch. The episode-log line
+is one ``json.dumps`` of the whole record; ``SnapshotRecord.to_json`` must
+write the same bytes.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -238,3 +242,17 @@ def synthesize_channel(bundle, tx_upa, rx_upa, tx_rotation=None, rx_rotation=Non
         a_rx = steering_from_direction(rx_upa, d_rx)
         h += path.gain * np.outer(a_rx, a_tx.conj())
     return h
+
+
+def snapshot_to_json(record) -> str:
+    """The reference episode-log line of a SnapshotRecord: one json.dumps of it all."""
+    doc = {
+        "t": record.t,
+        "ue_states": [
+            {"UE_type": k, "UE_Id": i, "position": list(p)} for k, i, p in record.ue_states
+        ],
+        "chosen_pair": record.chosen_pair,
+        "throughput_mbps": record.throughput_mbps,
+        "events": record.events,
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
