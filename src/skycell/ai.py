@@ -8,7 +8,6 @@ width of the sweep gains each function is handed, never a constant.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 from dataclasses import dataclass
@@ -20,6 +19,8 @@ from .phy import pair_index
 logger = logging.getLogger(__name__)
 
 TOPK_GRID = (1, 2, 3, 4, 5, 10, 25, 50, 75, 100)
+LOS_CLASSES = ("LOS", "NLOS", "outage")
+CSV_HEADER = ["x", "y", "z", "los", "best_pair"]  # then g0..g{n-1}, one per beam pair
 
 
 @dataclass
@@ -44,48 +45,84 @@ class BeamDataset:
 
     @classmethod
     def from_rows(cls, rows) -> "BeamDataset":
-        if rows:
-            positions = np.array([r[0] for r in rows], dtype=float)
-            los = np.array([r[1] for r in rows], dtype=object)
-            best = np.array([r[2] for r in rows], dtype=np.int64)
-            gains = np.array([r[3] for r in rows], dtype=float)
-        else:
-            positions = np.zeros((0, 3))
-            los = np.zeros(0, dtype=object)
-            best = np.zeros(0, dtype=np.int64)
-            gains = np.zeros((0, 0))  # no sweep seen, so no gain columns
+        if not rows:  # no sweep seen, so no gain columns
+            return cls._checked(np.zeros((0, 3)), [], np.zeros(0, dtype=np.int64), np.zeros((0, 0)))
+        return cls._checked(
+            np.array([r[0] for r in rows], dtype=float),
+            [r[1] for r in rows],
+            np.array([r[2] for r in rows], dtype=np.int64),
+            np.array([r[3] for r in rows], dtype=float),
+        )
+
+    @classmethod
+    def _checked(cls, positions, los, best, gains) -> "BeamDataset":
+        """The dataset of these columns; a ValueError names the first row a CSV cannot hold."""
+        for i, c in enumerate(los):
+            if c not in LOS_CLASSES:
+                raise ValueError(f"row {i}: los {c!r} is not one of {LOS_CLASSES}")
         bad = (best < 0) | (best >= gains.shape[1])
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(
                 f"row {i}: best_pair {int(best[i])} is outside the {gains.shape[1]} gain columns"
             )
-        return cls(positions, los, best, gains)
+        for name, values in (("position", positions), ("gain", gains)):
+            bad = ~np.isfinite(values).all(axis=1)
+            if bad.any():
+                raise ValueError(f"row {int(np.argmax(bad))}: a {name} is not a finite number")
+        return cls(positions, np.array(los, dtype=object), best, gains)
 
     def save_csv(self, path) -> None:
-        header = ["x", "y", "z", "los", "best_pair"] + [f"g{i}" for i in range(self.gains.shape[1])]
+        """Header, then one ``\\r\\n`` line per row, floats as their shortest ``repr``.
+
+        Byte for byte what ``csv.writer`` writes for these rows: no field
+        holds a comma, a quote or a line break, so none is quoted.
+        """
+        header = CSV_HEADER + [f"g{i}" for i in range(self.gains.shape[1])]
+        positions = np.asarray(self.positions, dtype=np.float64)
+        gains = np.asarray(self.gains, dtype=np.float64)
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(len(self)):
-                row = [repr(float(v)) for v in self.positions[i]]
-                row += [str(self.los[i]), str(int(self.best_pair[i]))]
-                row += [repr(float(g)) for g in self.gains[i]]
-                writer.writerow(row)
+            fh.write(",".join(header) + "\r\n")
+            for i in range(len(self)):  # by row: the whole matrix as floats would take ~12 MB
+                row = [
+                    *map(repr, positions[i].tolist()),
+                    str(self.los[i]),
+                    str(int(self.best_pair[i])),
+                    *map(repr, gains[i].tolist()),
+                ]
+                fh.write(",".join(row) + "\r\n")
 
     @classmethod
     def load_csv(cls, path) -> "BeamDataset":
-        rows = []
+        """Read a ``save_csv`` file, ``\\r\\n`` or ``\\n`` lines, one line at a time.
+
+        A header other than ``x,y,z,los,best_pair,g0..g{n-1}``, a row without
+        5 + n fields, a field that is not a number, a non-finite number or a
+        ``los`` outside ``LOS_CLASSES`` is a ``ValueError`` naming the row.
+        """
+        positions, los, best, gains = [], [], [], []
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header[:5] != ["x", "y", "z", "los", "best_pair"]:
+            header = fh.readline().rstrip("\r\n").split(",")
+            n_pairs = len(header) - len(CSV_HEADER)
+            if header != CSV_HEADER + [f"g{i}" for i in range(n_pairs)]:
                 raise ValueError(f"unexpected dataset header in {path}")
-            for rec in reader:
-                pos = (float(rec[0]), float(rec[1]), float(rec[2]))
-                gains = np.array([float(v) for v in rec[5:]], dtype=float)
-                rows.append((pos, rec[3], int(rec[4]), gains))
-        return cls.from_rows(rows)
+            for i, line in enumerate(fh):
+                fields = line.rstrip("\r\n").split(",")
+                if len(fields) != len(header):
+                    raise ValueError(f"row {i}: {len(fields)} fields, the header has {len(header)}")
+                try:
+                    positions.append((float(fields[0]), float(fields[1]), float(fields[2])))
+                    best.append(int(fields[4]))
+                    gains.append(np.array(fields[5:], dtype=np.float64))
+                except ValueError as exc:
+                    raise ValueError(f"row {i}: {exc}") from exc
+                los.append(fields[3])
+        return cls._checked(
+            np.array(positions, dtype=float).reshape(len(los), 3),
+            los,
+            np.array(best, dtype=np.int64),
+            np.array(gains, dtype=float).reshape(len(los), n_pairs),
+        )
 
 
 def filter_nlos(dataset: BeamDataset) -> BeamDataset:
@@ -281,23 +318,42 @@ def predict_topk(model: DecisionTreeModel, position, k: int) -> list:
     return [int(i) for i in _rank_desc(counts)[:k]]
 
 
-def truth_topk(gains, k: int) -> np.ndarray:
-    return _rank_desc(gains)[:k]
+def _rows_by_leaf(model: DecisionTreeModel, positions):
+    """(leaf, row indices) for each leaf some row reaches, rows routed as ``leaf_for`` does."""
+    stack = [(model.root, np.arange(positions.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if rows.size == 0:
+            continue
+        if node.is_leaf:
+            yield node, rows
+            continue
+        left = positions[rows, node.feature] <= node.threshold
+        stack.append((node.left, rows[left]))
+        stack.append((node.right, rows[~left]))
 
 
 def topk_accuracy(model: DecisionTreeModel, eval_ds: BeamDataset, k: int) -> float:
-    """Fraction of rows whose predicted top-k meets the gains' true top-k."""
+    """Fraction of rows whose predicted top-k meets the gains' true top-k.
+
+    A row's true ranking is its gains in descending order, ties toward the
+    lower index; a leaf's top-k is ``predict_topk``'s, computed once per leaf.
+    """
     if len(eval_ds) == 0:
         raise ValueError("evaluation dataset is empty")
-    if eval_ds.gains.shape[1] != model.n_classes:
-        raise ValueError(f"dataset has {eval_ds.gains.shape[1]} pairs, model {model.n_classes}")
+    n, n_pairs = eval_ds.gains.shape
+    if n_pairs != model.n_classes:
+        raise ValueError(f"dataset has {n_pairs} pairs, model {model.n_classes}")
+    if not 1 <= k <= n_pairs:
+        raise ValueError(f"k must be in [1, {n_pairs}]")
+    ranked = np.argsort(-eval_ds.gains, axis=1, kind="stable")
+    in_truth = np.zeros((n, n_pairs), dtype=bool)
+    in_truth[np.arange(n)[:, None], ranked[:, :k]] = True
     hits = 0
-    for i in range(len(eval_ds)):
-        pred = predict_topk(model, eval_ds.positions[i], k)
-        best = set(int(j) for j in truth_topk(eval_ds.gains[i], k))
-        if any(p in best for p in pred):
-            hits += 1
-    return hits / len(eval_ds)
+    for leaf, rows in _rows_by_leaf(model, eval_ds.positions):
+        pred = _rank_desc(leaf.counts)[:k]
+        hits += int(np.count_nonzero(in_truth[np.ix_(rows, pred)].any(axis=1)))
+    return hits / n
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ class ModuleHandle:
 
 def _replay_state(u) -> tuple:
     """A recorded UE state: a known UE_type, a string UE_Id and a list of exactly
-    three JSON numbers."""
+    three finite JSON numbers."""
     ue_type, ue_id, pos = u["UE_type"], u["UE_Id"], u["position"]
     if ue_type not in UE_TYPES:
         raise ValueError(f"episode-log UE_type must be one of {UE_TYPES}, got {ue_type!r}")
@@ -93,6 +93,8 @@ def _replay_state(u) -> tuple:
         raise ValueError(f"episode-log UE_Id must be a string, got {ue_id!r}")
     if type(pos) is not list or len(pos) != 3 or not all(type(v) in (int, float) for v in pos):
         raise ValueError(f"episode-log position must be a list of three numbers, got {pos!r}")
+    if not all(math.isfinite(v) for v in pos if type(v) is float):  # json reads NaN, Infinity
+        raise ValueError(f"episode-log position must be finite, got {pos!r}")
     return ue_type, ue_id, tuple(pos)
 
 

@@ -2,8 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ai_oracle
+from ai_oracle import truth_topk
 from skycell.ai import (
+    LOS_CLASSES,
     TOPK_GRID,
     BeamDataset,
     DecisionTreeModel,
@@ -16,7 +21,6 @@ from skycell.ai import (
     split_dataset,
     topk_accuracy,
     train_tree,
-    truth_topk,
 )
 
 N_PAIRS = 256  # the shipped 8x8 transmit and 2x2 receive codebooks
@@ -157,6 +161,14 @@ def test_truth_topk_tie_breaks_toward_lower_index():
     gains = np.zeros(N_PAIRS)
     gains[100] = gains[50] = 1.0
     assert list(truth_topk(gains, 2)) == [50, 100]
+    # the same tie in topk_accuracy: pair 50 is the true top-1, pair 100 is not
+    ds = _dataset([[0, 0, 0]], [50], gains=gains[None, :])
+    for pick, acc in ((50, 1.0), (100, 0.0)):
+        counts = np.zeros(N_PAIRS, dtype=np.int64)
+        counts[pick] = 1
+        model = DecisionTreeModel(root=TreeNode(counts=counts), max_depth=1, n_classes=N_PAIRS)
+        assert topk_accuracy(model, ds, 1) == acc
+        assert topk_accuracy(model, ds, 2) == 1.0
 
 
 def test_topk_accuracy_saturates_and_monotone():
@@ -305,3 +317,78 @@ def test_topk_accuracy_rejects_other_pair_count():
     narrow = _dataset(ds.positions, ds.best_pair, gains=ds.gains[:, :64])
     with pytest.raises(ValueError, match="64 pairs, model 256"):
         topk_accuracy(model, narrow, 1)
+
+
+# ---------------------------------------------------------------------------
+# the fast paths against the frozen csv-module and row-by-row oracles
+# ---------------------------------------------------------------------------
+
+_EDGE_FLOATS = [0.0, -0.0, 1e-05, 5e-324, 2.2250738585072014e-308, 1e-310, 0.1 + 0.2, 1 / 3,
+                1.7976931348623157e308, 123456789.12345679, 1e16, 1e-7]
+_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_FLOATS))
+
+
+@st.composite
+def _datasets(draw):
+    n = draw(st.integers(0, 6))
+    n_pairs = draw(st.integers(1, 5))
+    cells = st.lists(_finite, min_size=n * (3 + n_pairs), max_size=n * (3 + n_pairs))
+    values = np.array(draw(cells), dtype=float)
+    return BeamDataset(
+        positions=values[: 3 * n].reshape(n, 3),
+        los=np.array(draw(st.lists(st.sampled_from(LOS_CLASSES), min_size=n, max_size=n)),
+                     dtype=object),
+        best_pair=np.array(draw(st.lists(st.integers(0, n_pairs - 1), min_size=n, max_size=n)),
+                           dtype=np.int64),
+        gains=values[3 * n:].reshape(n, n_pairs),
+    )
+
+
+def _same_columns(a, b):
+    assert a.positions.shape == b.positions.shape and a.gains.shape == b.gains.shape
+    assert a.positions.tobytes() == b.positions.tobytes()
+    assert a.gains.tobytes() == b.gains.tobytes()
+    assert a.best_pair.tobytes() == b.best_pair.tobytes()
+    assert list(a.los) == list(b.los)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ds=_datasets())
+def test_save_csv_writes_the_csv_module_bytes(tmp_path_factory, ds):
+    tmp = tmp_path_factory.mktemp("csv")
+    ds.save_csv(tmp / "fast.csv")
+    ai_oracle.save_csv(ds, tmp / "oracle.csv")
+    assert (tmp / "fast.csv").read_bytes() == (tmp / "oracle.csv").read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(ds=_datasets(), newline=st.sampled_from(["\r\n", "\n"]))
+def test_load_csv_reads_what_the_csv_module_reads(tmp_path_factory, ds, newline):
+    path = tmp_path_factory.mktemp("csv") / "ds.csv"
+    ai_oracle.save_csv(ds, path)
+    path.write_bytes(path.read_bytes().replace(b"\r\n", newline.encode()))
+    loaded = BeamDataset.load_csv(path)
+    _same_columns(loaded, ai_oracle.load_csv(path))
+    _same_columns(loaded, ds)
+
+
+def _random_tree(rng, n_pairs, depth):
+    if depth == 0 or rng.random() < 0.3:
+        # few distinct counts, so leaves tie often; some leaves see no class at all
+        return TreeNode(counts=rng.integers(0, 3, n_pairs) * int(rng.random() < 0.9))
+    return TreeNode(feature=int(rng.integers(3)), threshold=float(rng.integers(0, 8)) / 2,
+                    left=_random_tree(rng, n_pairs, depth - 1),
+                    right=_random_tree(rng, n_pairs, depth - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 40),
+       n_pairs=st.sampled_from([1, 3, 8, 100, 130]), levels=st.integers(1, 4))
+def test_topk_accuracy_matches_the_row_loop(seed, n_rows, n_pairs, levels):
+    rng = np.random.default_rng(seed)
+    model = DecisionTreeModel(root=_random_tree(rng, n_pairs, 4), max_depth=4, n_classes=n_pairs)
+    # positions on the half-integer thresholds' grid, gains from a few levels: ties everywhere
+    ds = _dataset(rng.integers(0, 8, (n_rows, 3)) / 2, rng.integers(0, n_pairs, n_rows),
+                  gains=rng.integers(0, levels, (n_rows, n_pairs)) / levels)
+    for k in (k for k in TOPK_GRID if k <= n_pairs):
+        assert topk_accuracy(model, ds, k) == ai_oracle.topk_accuracy(model, ds, k)

@@ -468,6 +468,45 @@ def test_best_pair_outside_the_gain_columns_exits_2(tmp_path, capsys):
     assert "best_pair 5" in capsys.readouterr().err
 
 
+_GOOD_ROW = "1.0,2.0,30.0,NLOS,2,0.5,0.25,0.75"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1.0,2.0", "row 1: 2 fields, the header has 8"),
+        ("1.0,2.0,30.0,NLOS,0,0.5,0.25", "row 1: 7 fields, the header has 8"),
+        ("nan,2.0,30.0,NLOS,2,0.5,0.25,0.75", "row 1: a position is not a finite number"),
+        ("1.0,2.0,30.0,NLOS,2,0.5,NaN,0.75", "row 1: a gain is not a finite number"),
+        ("1.0,2.0,30.0,NLOS,2,0.5,inf,0.75", "row 1: a gain is not a finite number"),
+        ("1.0,2.0,30.0,NLOS,2,0.5,junk,0.75", "row 1: could not convert string to float: 'junk'"),
+        ("1.0,2.0,30.0,NLOS,2.0,0.5,0.25,0.75", "row 1: invalid literal for int()"),
+        ("1.0,2.0,30.0,LOSS,2,0.5,0.25,0.75",
+         "row 1: los 'LOSS' is not one of ('LOS', 'NLOS', 'outage')"),
+        ('1.0,2.0,30.0,"NLOS",2,0.5,0.25,0.75', "row 1: los '\"NLOS\"' is not one of"),
+    ],
+)
+def test_malformed_dataset_row_exits_2(tmp_path, capsys, row, message):
+    # three gain columns; rows 0 and 2 are good, so only row 1 can stop the run
+    path = tmp_path / "bad.csv"
+    path.write_text("\r\n".join(["x,y,z,los,best_pair,g0,g1,g2", _GOOD_ROW, row, _GOOD_ROW]) + "\r\n")
+    cfg = _write_cfg(tmp_path)
+    rc = main(["train", "--config", cfg, "--dataset", str(path), "--out", str(tmp_path / "t")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "t" / "model.json").exists()
+
+
+@pytest.mark.parametrize("header", ["", "x,y,z,los,best_pair,g0,g2,g1", "x,y,z,best_pair,los,g0"])
+def test_malformed_dataset_header_exits_2(tmp_path, capsys, header):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n" + _GOOD_ROW + "\n" if header else "")
+    cfg = _write_cfg(tmp_path)
+    rc = main(["train", "--config", cfg, "--dataset", str(path), "--out", str(tmp_path / "t")])
+    assert rc == 2
+    assert "unexpected dataset header" in capsys.readouterr().err
+
+
 def test_mission_rejects_a_cap_above_the_degradation_table(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, comms={"max_throughput_mbps": 400.0})
     rc = main(["mission", "--config", cfg, "--policy", "random", "--out", str(tmp_path / "m")])
@@ -548,6 +587,12 @@ def test_empty_replay_log_exits_2(tmp_path, capsys):
         ('{"t": 0.0, "ue_states": [{"UE_type": "UAV", "UE_Id": null, "position": [300, 325,'
          ' 40]}], "chosen_pair": 1, "throughput_mbps": 5.0, "events": []}',
          "episode-log UE_Id must be a string, got None"),
+        ('{"t": 0.0, "ue_states": [{"UE_type": "UAV", "UE_Id": "uav0", "position": [NaN, 325,'
+         ' 40]}], "chosen_pair": 1, "throughput_mbps": 5.0, "events": []}',
+         "episode-log position must be finite, got [nan, 325, 40]"),
+        ('{"t": 0.0, "ue_states": [{"UE_type": "UAV", "UE_Id": "uav0", "position": [300,'
+         ' Infinity, 40]}], "chosen_pair": 1, "throughput_mbps": 5.0, "events": []}',
+         "episode-log position must be finite, got [300, inf, 40]"),
     ],
 )
 def test_malformed_replay_record_exits_2(tmp_path, capsys, line, message):
