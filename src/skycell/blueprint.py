@@ -9,20 +9,16 @@ gains and publishes its beam-pair decision. Data that does not fit the
 message contract (the gains vector, one entry per beam pair) moves by direct
 reference, mirroring the file-based flow of heavyweight simulators.
 
-A held snapshot costs only what changed. Each module reuses the payload text
-it encoded while what the text says is unchanged: the position of a UE whose
-UeState object is the same (a held UE, a finished route), the best pair and
-the decision per (UE_type, UE_Id, pair), and the throughput report per
-(UE_type, UE_Id, pair) until that UE's SweepResult object changes. The wire
-is byte for byte what encoding afresh would give, and the bus parses a
-repeated text once (``Message.doc``).
+A held snapshot costs only what changed. Each text lives on what it encodes,
+so none outlives what it says: a UeState its position, a SweepResult its
+throughput reports, CommsModule one pair text per (UE_type, UE_Id, pair).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,7 +57,6 @@ class MobilityModule(orch.ModuleHandle):
         self.sampling_interval = sampling_interval
         self.states = {ue_id: uav_state(ue_id, plan) for ue_id, plan in plans.items()}
         self._hold = {ue_id: 0 for ue_id in plans}
-        self._payloads = {}  # UE_Id -> (UeState, its position payload)
 
     def hold(self, ue_id: str, n_snapshots: int) -> None:
         """Keep a UE stationary for the next n snapshots."""
@@ -75,12 +70,8 @@ class MobilityModule(orch.ModuleHandle):
             if self._hold[ue_id] > 0:
                 self._hold[ue_id] -= 1
             else:
-                state = step_kinematics(state, self.sampling_interval)
-                self.states[ue_id] = state
-            last = self._payloads.get(ue_id)
-            if last is None or last[0] is not state:  # a step that moves makes a new object
-                last = self._payloads[ue_id] = (state, position_payload(state))
-            broker.publish(orch.POSITIONS_TOPIC, last[1], publisher=ue_id)
+                state = self.states[ue_id] = step_kinematics(state, self.sampling_interval)
+            broker.publish(orch.POSITIONS_TOPIC, position_payload(state), publisher=ue_id)
 
 
 class ReplayModule(orch.ModuleHandle):
@@ -108,6 +99,17 @@ class SweepResult:
     los: str
     best_pair: int
     gains: np.ndarray
+    # (UE_type, UE_Id, pair) -> (throughput, report text), filled only by report()
+    reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def report(self, ue_type: str, ue_id: str, pair: int, cfg: CommsConfig) -> tuple:
+        """(throughput, report text) of a pair, computed once per key and sweep."""
+        key = (ue_type, ue_id, pair)
+        if key not in self.reports:
+            tput = throughput_mbps(float(self.gains[pair]), cfg)
+            text = json.dumps({"UE_type": ue_type, "UE_Id": ue_id, "throughput": tput})
+            self.reports[key] = (tput, text)
+        return self.reports[key]
 
 
 class CommsModule(orch.ModuleHandle):
@@ -134,8 +136,7 @@ class CommsModule(orch.ModuleHandle):
         self.tx_rotation = boresight_rotation(scene.tx.azimuth_deg, scene.tx.downtilt_deg)
         self.rx_rotation = boresight_rotation(self.cfg.rx_azimuth_deg, self.cfg.rx_downtilt_deg)
         self.last: dict = {}
-        self._best = {}  # (UE_type, UE_Id, pair) -> best-pair payload
-        self._tput = {}  # UE_Id -> (SweepResult, {(UE_type, pair): (throughput, payload)})
+        self._pair_texts = {}  # (UE_type, UE_Id, pair) -> best-pair and decision text
         self._sub = None
 
     def init(self, broker: Broker) -> tuple:
@@ -177,10 +178,7 @@ class CommsModule(orch.ModuleHandle):
         for doc in docs:
             ue_id = doc["UE_Id"]
             result = self.last[ue_id]
-            key = (doc["UE_type"], ue_id, result.best_pair)
-            payload = self._best.get(key)
-            if payload is None:
-                payload = self._best[key] = _pair_payload(*key)
+            payload = self.pair_payload(doc["UE_type"], ue_id, result.best_pair)
             broker.publish(orch.BEST_PAIR_TOPIC, payload, publisher=self.name)
             if self.sweep_hook is not None:
                 self.sweep_hook(t, ue_id, result)
@@ -188,20 +186,18 @@ class CommsModule(orch.ModuleHandle):
                 self.report_throughput(doc, result.best_pair, broker)
         broker.publish(orch.READY_TOPIC, orch.READY_PAYLOAD, publisher=self.name)
 
+    def pair_payload(self, ue_type: str, ue_id: str, pair: int) -> str:
+        """The best-pair and decision message text, encoded once per key."""
+        key = (ue_type, ue_id, pair)
+        if key not in self._pair_texts:
+            self._pair_texts[key] = json.dumps({"UE_type": ue_type, "UE_Id": ue_id, "pair": pair})
+        return self._pair_texts[key]
+
     def report_throughput(self, doc: dict, pair: int, broker: Broker) -> float:
         """Throughput of the chosen pair for the UE of a position message, published."""
-        ue_type, ue_id = doc["UE_type"], doc["UE_Id"]
-        result = self.last[ue_id]
-        cached = self._tput.get(ue_id)
-        if cached is None or cached[0] is not result:  # a new sweep drops the UE's reports
-            cached = self._tput[ue_id] = (result, {})
-        report = cached[1].get((ue_type, pair))
-        if report is None:
-            tput = throughput_mbps(float(result.gains[pair]), self.cfg)
-            payload = json.dumps({"UE_type": ue_type, "UE_Id": ue_id, "throughput": tput})
-            report = cached[1][ue_type, pair] = (tput, payload)
-        broker.publish(orch.THROUGHPUT_TOPIC, report[1], publisher=self.name)
-        return report[0]
+        tput, text = self.last[doc["UE_Id"]].report(doc["UE_type"], doc["UE_Id"], pair, self.cfg)
+        broker.publish(orch.THROUGHPUT_TOPIC, text, publisher=self.name)
+        return tput
 
 
 class PolicyModule(orch.ModuleHandle):
@@ -217,7 +213,6 @@ class PolicyModule(orch.ModuleHandle):
         self.policy = policy
         self.comms = comms
         self.rng = rng
-        self._decisions = {}  # (UE_type, UE_Id, pair) -> decision payload
         self._sub = None
 
     def init(self, broker: Broker) -> tuple:
@@ -231,21 +226,13 @@ class PolicyModule(orch.ModuleHandle):
             pos = position_of(doc)
             grid = self.comms.last[ue_id].gains.reshape(self.comms.pair_grid)
             pair = policy_decide(self.policy, pos, grid, self.rng)
-            key = (doc["UE_type"], ue_id, pair)
-            payload = self._decisions.get(key)
-            if payload is None:
-                payload = self._decisions[key] = _pair_payload(*key)
+            payload = self.comms.pair_payload(doc["UE_type"], ue_id, pair)
             broker.publish(orch.DECISION_TOPIC, payload, publisher=self.name)
             tput = self.comms.report_throughput(doc, pair, broker)
             self.on_throughput(t, broker, ue_id, pos, tput)
 
     def on_throughput(self, t: float, broker: Broker, ue_id: str, pos, tput: float) -> None:
         """Per-UE hook after the throughput report; subclasses add behaviour."""
-
-
-def _pair_payload(ue_type, ue_id, pair) -> str:
-    """The best-pair and decision message text."""
-    return json.dumps({"UE_type": ue_type, "UE_Id": ue_id, "pair": pair})
 
 
 def offset_plan(plan: TrajectoryPlan, offset_m: float) -> TrajectoryPlan:

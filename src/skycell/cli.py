@@ -315,6 +315,8 @@ def cmd_bench(cfg: dict, args, out: Path) -> dict:
     if not counts or any(c < 1 for c in counts):
         raise ConfigError("--counts needs positive integers")
     b = cfg["bench"]
+    if int(b["repetitions"]) < 1:
+        raise ConfigError(f"bench.repetitions must be >= 1, got {b['repetitions']}")
     reports = bench_mod.run_benchmark(
         scene,
         counts,

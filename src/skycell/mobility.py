@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +32,13 @@ class UeState:
     def done(self) -> bool:
         return not self.waypoints
 
+    @cached_property
+    def payload(self) -> str:
+        """The position message text, encoded once per state object."""
+        x, y, z = self.position
+        position = {"x": x, "y": y, "z": z}
+        return json.dumps({"UE_type": self.ue_type, "UE_Id": self.ue_id, "position": position})
+
 
 @dataclass(frozen=True)
 class TrajectoryPlan:
@@ -38,6 +46,10 @@ class TrajectoryPlan:
     end: tuple
     waypoints: tuple = ()  # intermediate points, in visit order
     speed_mps: float = 5.0
+
+    def __post_init__(self):
+        if not self.speed_mps > 0:
+            raise ValueError(f"route speed_mps must be > 0, got {self.speed_mps}")
 
     @property
     def points(self) -> tuple:
@@ -140,14 +152,7 @@ def step_kinematics(state: UeState, dt: float) -> UeState:
 
 
 def position_payload(state: UeState) -> str:
-    x, y, z = state.position
-    return json.dumps(
-        {
-            "UE_type": state.ue_type,
-            "UE_Id": state.ue_id,
-            "position": {"x": x, "y": y, "z": z},
-        }
-    )
+    return state.payload
 
 
 def position_of(doc: dict) -> tuple:

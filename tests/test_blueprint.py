@@ -11,7 +11,7 @@ import trace_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skycell import blueprint, bus
+from skycell import blueprint, bus, mobility
 from skycell import orchestrator as orch
 from skycell.ai import DecisionTreeModel, Policy, TreeNode
 from skycell.blueprint import CommsModule, PolicyModule
@@ -209,34 +209,74 @@ def test_each_message_is_decoded_once_per_snapshot(monkeypatch):
 
 
 def test_a_held_snapshot_encodes_nothing(monkeypatch):
-    """While a UE holds and its sweep is cached, the position, best-pair, decision and
-    throughput texts are all reused; a move encodes afresh."""
-    encoded = []
+    """While a UE holds and its sweep is cached, no text is encoded and no rate computed:
+    the UeState keeps its position text, the SweepResult its throughput report and comms
+    the pair text; position_payload still runs once per publish, and a move encodes afresh."""
+    calls = collections.Counter()
 
-    def spy(fn):
-        return lambda *args: encoded.append(fn.__name__) or fn(*args)
+    def spy(fn, name):
+        return lambda *args: calls.update([name]) or fn(*args)
 
-    monkeypatch.setattr(blueprint, "json", types.SimpleNamespace(dumps=spy(json.dumps)))
-    monkeypatch.setattr(blueprint, "position_payload", spy(blueprint.position_payload))
-    monkeypatch.setattr(blueprint, "throughput_mbps", spy(blueprint.throughput_mbps))
+    for module in (blueprint, mobility):
+        monkeypatch.setattr(module, "json", types.SimpleNamespace(dumps=spy(json.dumps, "dumps")))
+    for name in ("position_payload", "throughput_mbps"):
+        monkeypatch.setattr(blueprint, name, spy(getattr(blueprint, name), name))
     cfg = load_config(None)
-    mobility = blueprint.MobilityModule({"uav0": base_route(cfg)}, 0.5)
-    mobility.hold("uav0", 5)
+    mob = blueprint.MobilityModule({"uav0": base_route(cfg)}, 0.5)
+    mob.hold("uav0", 5)
     comms = CommsModule(load_scene(cfg), SHIPPED)
     ai = PolicyModule(Policy(kind="oracle"), comms, np.random.default_rng(0))
+    broker = Broker()
+    positions = broker.subscribe(orch.POSITIONS_TOPIC)
     counts = []
     ep = orch.EpisodeConfig(n_snapshots=7, category=orch.ALL_IN_LOOP)
-    orch.run_episode(ep, [mobility, comms, ai], stop_early=lambda rec: counts.append(len(encoded)))
-    # position, best pair, decision, throughput (its rate and its text) once, then nothing
-    assert sorted(encoded[:5]) == ["dumps", "dumps", "dumps", "position_payload",
-                                   "throughput_mbps"]
-    assert counts[:5] == [5] * 5
-    assert counts[5] > 5
+    orch.run_episode(ep, [mob, comms, ai], broker=broker,
+                     stop_early=lambda rec: counts.append(dict(calls)))
+    assert calls["position_payload"] == len(positions.drain()) == 7
+    # position, the pair (the oracle decides the best pair) and the throughput report
+    # are encoded once and the rate computed once, then nothing until the move
+    for k in range(5):
+        assert counts[k] == {"dumps": 3, "position_payload": k + 1, "throughput_mbps": 1}
+    assert counts[5]["dumps"] > 3
+    assert counts[5]["throughput_mbps"] == 2
+
+
+def test_throughput_is_computed_once_per_sweep_and_pair(monkeypatch):
+    """A held UE under a random policy repeats pairs: each (SweepResult, UE_type, pair)
+    computes its rate and encodes its report once, and a new sweep starts afresh."""
+    rates = []
+    real = blueprint.throughput_mbps
+    monkeypatch.setattr(blueprint, "throughput_mbps", lambda *a: rates.append(a) or real(*a))
+    cfg = load_config(None)
+    small = dataclasses.replace(SHIPPED, tx_upa=UpaConfig(2, 2))  # 16 pairs
+    mob = blueprint.MobilityModule({"uav0": base_route(cfg)}, 0.5)
+    mob.hold("uav0", 20)
+    sweeps = {}  # id -> every SweepResult the episode made, kept alive
+    comms = CommsModule(load_scene(cfg), small,
+                        sweep_hook=lambda t, ue_id, result: sweeps.setdefault(id(result), result))
+    ai = PolicyModule(Policy(kind="random"), comms, np.random.default_rng(0))
+    broker = Broker()
+    decisions, reports = (broker.subscribe(topic)
+                          for topic in (orch.DECISION_TOPIC, orch.THROUGHPUT_TOPIC))
+    ep = orch.EpisodeConfig(n_snapshots=24, category=orch.ALL_IN_LOOP)
+    orch.run_episode(ep, [mob, comms, ai], broker=broker)
+    pairs = [m.doc["pair"] for m in decisions.drain()]
+    texts = [m.payload for m in reports.drain()]
+    held = set(pairs[:20])  # the first sweep serves the 20 held snapshots
+    assert len(sweeps) == 5 and len(held) < 20
+    assert len(rates) == len(held) + 4 == sum(len(r.reports) for r in sweeps.values())
+    assert len(set(zip(pairs[:20], texts[:20]))) == len(held)  # one text per held pair
+    for text in texts:
+        tput = json.loads(text)["throughput"]
+        assert text == json.dumps({"UE_type": "UAV", "UE_Id": "uav0", "throughput": tput})
+    with pytest.raises(TypeError):  # only report() fills the reports
+        blueprint.SweepResult((0.0, 0.0, 0.0), "LOS", 0, np.zeros(16), reports={})
 
 
 def test_broker_state_is_fixed_by_the_loop_not_its_length(monkeypatch):
     """The loop publishes a fixed set of (publisher, topic) pairs, so longer runs add none;
-    the payload and doc caches are bounded by the UEs, the pair count and DOC_CACHE_SIZE."""
+    the pair memo, each SweepResult's reports and the doc cache are bounded by the UEs,
+    the pair count and DOC_CACHE_SIZE."""
     monkeypatch.setattr(bus, "DOC_CACHE_SIZE", 16)  # so that both runs reach it
     cfg = load_config(None)
     route = base_route(cfg)
@@ -245,25 +285,26 @@ def test_broker_state_is_fixed_by_the_loop_not_its_length(monkeypatch):
 
     def broker_after(n_snapshots):
         plans = {f"uav{i}": blueprint.offset_plan(route, 3.0 * (i - 1)) for i in range(3)}
-        comms = CommsModule(scene, SHIPPED)
-        mobility = blueprint.MobilityModule(plans, 0.5)
+        sweeps = []
+        comms = CommsModule(scene, SHIPPED, sweep_hook=lambda t, ue_id, r: sweeps.append(r))
+        mob = blueprint.MobilityModule(plans, 0.5)
+        mob.hold("uav1", n_snapshots // 2)  # one UAV reports from one sweep for a while
         ai = PolicyModule(Policy(kind="random"), comms, np.random.default_rng(0))
         broker = Broker()
         routes = []  # read while the episode's subscriptions are open
         ep = orch.EpisodeConfig(n_snapshots=n_snapshots, category=orch.ALL_IN_LOOP)
-        log = orch.run_episode(ep, [mobility, comms, ai], broker=broker,
+        log = orch.run_episode(ep, [mob, comms, ai], broker=broker,
                                stop_early=lambda rec: routes.append(len(broker._routes)))
         assert len(log.records) == n_snapshots
-        assert len(comms._best) <= 3 * n_pairs
-        assert len(ai._decisions) <= 3 * n_pairs
-        assert all(len(reports) <= n_pairs for _, reports in comms._tput.values())
-        return (len(broker._seq), routes[-1], len(mobility._payloads), len(comms._tput),
+        assert len(comms._pair_texts) <= 3 * n_pairs
+        assert all(len(result.reports) <= n_pairs for result in sweeps)
+        return (len(broker._seq), routes[-1], len(comms.last),
                 broker._parse.cache_info().currsize)
 
     short, long = broker_after(5), broker_after(40)
     assert short == long
     assert short[0] >= 3  # one position key per UAV at least
-    assert short[2:] == (3, 3, 16)
+    assert short[2:] == (3, 16)
 
 
 def test_episodes_on_one_broker_close_their_subscriptions():

@@ -210,6 +210,39 @@ def test_bench_bad_counts_exits_2(tmp_path):
     assert main(["bench", "--config", cfg, "--counts", "x", "--out", str(tmp_path / "bench")]) == 2
 
 
+_FAST_BENCH = {"virtual_seconds": 1.0, "repetitions": 1}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("run", {"comms": {"carrier_hz": 0}}, "comms.carrier_hz must be > 0, got 0.0"),
+        ("dataset", {"comms": {"bandwidth_hz": 0}}, "comms.bandwidth_hz must be > 0, got 0.0"),
+        ("run", {"comms": {"max_throughput_mbps": -1}},
+         "comms.max_throughput_mbps must be > 0, got -1.0"),
+        ("bench", {"comms": {"max_throughput_mbps": 0}, "bench": _FAST_BENCH},
+         "comms.max_throughput_mbps must be > 0, got 0.0"),
+        ("dataset", {"mobility": {"route": {"speed_mps": 0}}}, "speed_mps must be > 0, got 0.0"),
+        ("run", {"mobility": {"route": {"speed_mps": -5}}}, "speed_mps must be > 0, got -5.0"),
+        ("bench", {"mobility": {"route": {"speed_mps": 0}}, "bench": _FAST_BENCH},
+         "speed_mps must be > 0, got 0.0"),
+        ("bench", {"bench": {**_FAST_BENCH, "repetitions": 0}},
+         "bench.repetitions must be >= 1, got 0"),
+    ],
+    ids=["zero-carrier", "zero-bandwidth", "negative-cap", "zero-cap-bench", "zero-speed",
+         "negative-speed", "zero-speed-bench", "zero-repetitions"],
+)
+def test_non_positive_rate_speed_or_repetitions_exits_2(tmp_path, capsys, command, doc, message):
+    """These checks run after the output directory exists; the command writes nothing in it."""
+    cfg = _write_cfg(tmp_path, **doc)
+    out = tmp_path / "o"
+    counts = ["--counts", "1"] if command == "bench" else []
+    assert main([command, "--config", cfg, *counts, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert list(out.iterdir()) == []
+
+
 def test_mission_honours_min_detect_throughput(tmp_path):
     # the oracle rescues 5/5 on this route when detection needs only 1 Mbps
     cfg = _write_cfg(tmp_path, mission={"min_detect_throughput_mbps": 1e6})

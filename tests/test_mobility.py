@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skycell import orchestrator as orch
 from skycell.blueprint import MobilityModule
@@ -85,6 +87,37 @@ def test_payload_round_trip():
     doc = json.loads(position_payload(state))
     assert (doc["UE_type"], doc["UE_Id"]) == ("CAR", "car3")
     assert (doc["position"]["x"], doc["position"]["y"], doc["position"]["z"]) == state.position
+
+
+_coord = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-10**9, 10**9))
+
+
+@given(position=st.tuples(_coord, _coord, _coord), ue_id=st.text(max_size=8))
+def test_position_payload_is_a_fresh_encoding(position, ue_id):
+    """The text a state keeps is json.dumps of a fresh doc, -0.0 and integers included."""
+    state = UeState("CAR", ue_id, position, 1.0)
+    x, y, z = position
+    fresh = json.dumps({"UE_type": "CAR", "UE_Id": ue_id, "position": {"x": x, "y": y, "z": z}})
+    assert position_payload(state) == fresh
+    assert position_payload(state) is position_payload(state)  # encoded once per state
+
+
+@pytest.mark.parametrize("a, b", [((0.0, 325.0, 40.0), (-0.0, 325.0, 40.0)),
+                                  ((190.0, 325, 40.0), (190.0, 325.0, 40.0))])
+def test_equal_states_keep_their_own_texts(a, b):
+    """0.0 == -0.0 and 325 == 325.0 compare and hash alike, but each state says its own."""
+    first, second = UeState("UAV", "uav0", a, 5.0), UeState("UAV", "uav0", b, 5.0)
+    assert first == second and hash(first) == hash(second)
+    assert position_payload(first) != position_payload(second)
+    for state in (first, second):
+        assert position_payload(state) == json.dumps(
+            {"UE_type": "UAV", "UE_Id": "uav0", "position": dict(zip("xyz", state.position))})
+
+
+@pytest.mark.parametrize("speed", [0.0, -5.0, float("nan")])
+def test_plan_rejects_a_speed_that_is_not_positive(speed):
+    with pytest.raises(ValueError, match="speed_mps must be > 0"):
+        straight_plan(speed=speed)
 
 
 def test_two_uavs_publish_distinct_messages():
