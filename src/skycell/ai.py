@@ -277,6 +277,8 @@ def train_tree(train: BeamDataset, max_depth: int, min_leaf: int) -> DecisionTre
     """Greedy CART fit, one class per gain column; deterministic given the row order."""
     if len(train) == 0:
         raise ValueError("cannot train on an empty dataset")
+    if min_leaf < 1:
+        raise ValueError(f"min_leaf must be >= 1, got {min_leaf}")
     x = np.asarray(train.positions, dtype=np.float64)
     y = np.asarray(train.best_pair, dtype=np.int64)
     n_classes = train.gains.shape[1]

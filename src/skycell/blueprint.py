@@ -1,13 +1,14 @@
 """Concrete in-loop modules wiring the tracer, arrays and kinematics together.
 
 The position source publishes on "3D.mobility.positions"; communications
-traces every UE that moved in one batch, runs the full beam sweep per UE,
-queues "Ready" on "communications.state" before its step returns (the loop
-checks it there, the ray-tracing barrier) and reports throughput on
-"communications.throughput"; the AI module consumes positions plus sweep
-gains and publishes its beam-pair decision. Data that does not fit the
-message contract (the gains vector, one entry per beam pair) moves by direct
-reference, mirroring the file-based flow of heavyweight simulators.
+traces every UE that moved in one batch, runs the full beam sweep over the
+stack of their channels in one call, queues "Ready" on "communications.state"
+before its step returns (the loop checks it there, the ray-tracing barrier)
+and reports throughput on "communications.throughput"; the AI module consumes
+positions plus sweep gains and publishes its beam-pair decision. Data that
+does not fit the message contract (the gains vector, one entry per beam pair)
+moves by direct reference, mirroring the file-based flow of heavyweight
+simulators.
 
 A held snapshot costs only what changed. Each text lives on what it encodes,
 so none outlives what it says: a UeState its position, a SweepResult its
@@ -16,7 +17,6 @@ throughput reports, CommsModule one pair text per (UE_type, UE_Id, pair).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import orchestrator as orch
 from .ai import Policy, policy_decide
-from .bus import Broker
+from .bus import Broker, pair_text, throughput_text
 # trace_paths and synthesize_channel stay importable here: perfbench's spans
 # wrap these one-receiver names on this module
 from .geometry import Scene, los_class, trace_paths, trace_paths_batch  # noqa: F401
@@ -107,13 +107,12 @@ class SweepResult:
         key = (ue_type, ue_id, pair)
         if key not in self.reports:
             tput = throughput_mbps(float(self.gains[pair]), cfg)
-            text = json.dumps({"UE_type": ue_type, "UE_Id": ue_id, "throughput": tput})
-            self.reports[key] = (tput, text)
+            self.reports[key] = (tput, throughput_text(ue_type, ue_id, tput))
         return self.reports[key]
 
 
 class CommsModule(orch.ModuleHandle):
-    """One batched trace and channel synthesis per snapshot, then the beam sweep per UE."""
+    """One batched trace, channel synthesis and beam sweep per snapshot."""
 
     role = "comms"
     name = "communications"
@@ -144,21 +143,20 @@ class CommsModule(orch.ModuleHandle):
         return (self._sub,)
 
     def _sweep(self, positions) -> list:
-        """One SweepResult per position: one trace and one synthesis for them all."""
+        """One SweepResult per position: one trace, one synthesis and one sweep for them all."""
         bundles = trace_paths_batch(
             self.scene, self.scene.tx.position, positions, carrier_hz=self.cfg.carrier_hz
         )
         lit = [b for b in bundles if b.paths]
-        channels = iter(
-            synthesize_channels(
+        if lit:
+            channels = synthesize_channels(
                 lit, self.cfg.tx_upa, self.cfg.rx_upa, self.tx_rotation, self.rx_rotation
             )
-        )
+            swept = zip(*beam_sweep(channels, self.tx_codebook, self.rx_codebook))
         results = []
         for position, bundle in zip(positions, bundles):
             if bundle.paths:
-                best, gains = beam_sweep(next(channels), self.tx_codebook, self.rx_codebook)
-                results.append(SweepResult(position, los_class(bundle), best, gains))
+                results.append(SweepResult(position, los_class(bundle), *next(swept)))
             else:
                 results.append(
                     SweepResult(position, "outage", 0, np.zeros(math.prod(self.pair_grid)))
@@ -190,7 +188,7 @@ class CommsModule(orch.ModuleHandle):
         """The best-pair and decision message text, encoded once per key."""
         key = (ue_type, ue_id, pair)
         if key not in self._pair_texts:
-            self._pair_texts[key] = json.dumps({"UE_type": ue_type, "UE_Id": ue_id, "pair": pair})
+            self._pair_texts[key] = pair_text(ue_type, ue_id, pair)
         return self._pair_texts[key]
 
     def report_throughput(self, doc: dict, pair: int, broker: Broker) -> float:

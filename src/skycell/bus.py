@@ -13,8 +13,10 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import math
 import threading
 from collections import deque
+from json.encoder import encode_basestring_ascii
 
 logger = logging.getLogger(__name__)
 
@@ -70,6 +72,37 @@ def topic_matches(pattern: str, topic: str) -> bool:
     """Segment-wise wildcard match, the rule the broker routes by."""
     return _segments_match(
         split_topic(pattern, allow_wildcards=True), split_topic(topic, allow_wildcards=False)
+    )
+
+
+def json_leaf(v) -> str:
+    """v as json.dumps writes it; text, ints and finite floats skip the encoder."""
+    tv = type(v)
+    if tv is str:
+        return encode_basestring_ascii(v)
+    if tv is int or (tv is float and math.isfinite(v)):
+        return repr(v)
+    return json.dumps(v)
+
+
+# The per-UE message texts, each json.dumps of its doc byte for byte (key order,
+# ", " and ": " separators): a fixed template with its leaves filled in, so the
+# wire format of these messages is written in this module only.
+def position_text(ue_type: str, ue_id: str, x, y, z) -> str:
+    return '{"UE_type": %s, "UE_Id": %s, "position": {"x": %s, "y": %s, "z": %s}}' % (
+        json_leaf(ue_type), json_leaf(ue_id), json_leaf(x), json_leaf(y), json_leaf(z)
+    )
+
+
+def pair_text(ue_type: str, ue_id: str, pair) -> str:
+    return '{"UE_type": %s, "UE_Id": %s, "pair": %s}' % (
+        json_leaf(ue_type), json_leaf(ue_id), json_leaf(pair)
+    )
+
+
+def throughput_text(ue_type: str, ue_id: str, throughput) -> str:
+    return '{"UE_type": %s, "UE_Id": %s, "throughput": %s}' % (
+        json_leaf(ue_type), json_leaf(ue_id), json_leaf(throughput)
     )
 
 

@@ -233,6 +233,8 @@ def cmd_train(cfg: dict, args, out: Path) -> dict:
     if max_depth < 1:
         raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
     min_leaf = int(d["min_leaf"])
+    if min_leaf < 1:
+        raise ConfigError(f"dataset.min_leaf must be >= 1, got {min_leaf}")
     model = train_tree(train, max_depth=max_depth, min_leaf=min_leaf)
     model.save(out / "model.json")
 
@@ -317,6 +319,8 @@ def cmd_bench(cfg: dict, args, out: Path) -> dict:
     b = cfg["bench"]
     if int(b["repetitions"]) < 1:
         raise ConfigError(f"bench.repetitions must be >= 1, got {b['repetitions']}")
+    if not float(b["virtual_seconds"]) > 0:
+        raise ConfigError(f"bench.virtual_seconds must be > 0, got {b['virtual_seconds']}")
     reports = bench_mod.run_benchmark(
         scene,
         counts,

@@ -160,6 +160,10 @@ class MissionConfig:
             raise ValueError("payload_bytes must be positive")
         if self.n_targets < 0:
             raise ValueError("n_targets must be >= 0")
+        if not self.detection_radius_m >= 0:
+            raise ValueError(
+                f"mission.detection_radius_m must be >= 0, got {self.detection_radius_m}"
+            )
         n = len(self.target_fractions)
         if self.n_targets > n:
             raise ValueError(f"n_targets {self.n_targets} exceeds the {n} target_fractions")

@@ -7,11 +7,13 @@ UE_type / UE_Id / position keys.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .bus import position_text
 
 UE_TYPES = ("UAV", "CAR", "PERSON")
 
@@ -35,9 +37,7 @@ class UeState:
     @cached_property
     def payload(self) -> str:
         """The position message text, encoded once per state object."""
-        x, y, z = self.position
-        position = {"x": x, "y": y, "z": z}
-        return json.dumps({"UE_type": self.ue_type, "UE_Id": self.ue_id, "position": position})
+        return position_text(self.ue_type, self.ue_id, *self.position)
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def step_kinematics(state: UeState, dt: float) -> UeState:
     while remaining > 0 and waypoints:
         target = np.asarray(waypoints[0], dtype=float)
         leg = target - pos
-        dist = float(np.linalg.norm(leg))
+        dist = math.sqrt(leg.dot(leg))  # np.linalg.norm's own arithmetic
         if dist <= remaining:
             pos = target
             waypoints.pop(0)
@@ -148,7 +148,7 @@ def step_kinematics(state: UeState, dt: float) -> UeState:
             pos = pos + leg * (remaining / dist)
             remaining = 0.0
     speed = state.speed if waypoints else 0.0
-    return replace(state, position=tuple(pos), waypoints=tuple(waypoints), speed=speed)
+    return UeState(state.ue_type, state.ue_id, tuple(pos.tolist()), speed, tuple(waypoints))
 
 
 def position_payload(state: UeState) -> str:

@@ -14,9 +14,8 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 
-from .bus import Broker
+from .bus import Broker, json_leaf
 from .mobility import UE_TYPES, position_of
 
 ALL_IN_LOOP = "AllInLoop"
@@ -104,10 +103,8 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 def _leaf(v) -> str:
     """v as _encode writes it; text, finite numbers and lists of them skip the encoder."""
     tv = type(v)
-    if tv is str:
-        return encode_basestring_ascii(v)
-    if tv is int or (tv is float and math.isfinite(v)):
-        return repr(v)
+    if tv is str or tv is int or tv is float:
+        return json_leaf(v)
     if tv is list or tv is tuple:
         return _leaf_list(v)
     return _encode(v)

@@ -165,11 +165,11 @@ def synthesize_channels(
     a_tx = _steering(tx_upa, d_tx).conj()
     a_rx = _steering(rx_upa, d_rx)
     gains = np.array([p.gain for p in paths], dtype=np.complex128)
+    terms = gains[:, None, None] * (a_rx[:, :, None] * a_tx[:, None, :])
     h = np.zeros((len(bundles), rx_upa.n_elements, tx_upa.n_elements), dtype=np.complex128)
     start = 0
     for m in depth:
-        run = slice(start, start + m)
-        h[:m] += gains[run, None, None] * (a_rx[run, :, None] * a_tx[run, None, :])
+        h[:m] += terms[start : start + m]
         start += m
     if order == sorted(order):
         return h
@@ -189,13 +189,16 @@ def beam_sweep(h: np.ndarray, tx_cb: Codebook, rx_cb: Codebook):
     """Evaluate |w^H H f| for every codeword pair; the full sweep is the oracle.
 
     Returns (best_pair, gains) where gains[rx*n_tx + tx] covers all pairs and
-    best_pair is the argmax with ties broken toward the lowest index.
+    best_pair is the argmax with ties broken toward the lowest index. An
+    (M, Nr, Nt) stack of channels gives a list of M best pairs and (M, pairs)
+    gains, each row bit-equal to the sweep of that channel alone.
     """
-    if h.shape != (rx_cb.codewords.shape[1], tx_cb.codewords.shape[1]):
+    n_rx, n_tx = rx_cb.codewords.shape[1], tx_cb.codewords.shape[1]
+    if h.ndim not in (2, 3) or h.shape[-2:] != (n_rx, n_tx):
         raise ValueError("codebook sizes do not match channel dimensions")
     combined = rx_cb.codewords.conj() @ h @ tx_cb.codewords.T
-    gains = np.abs(combined).ravel()
-    return int(np.argmax(gains)), gains
+    gains = np.abs(combined).reshape(h.shape[:-2] + (-1,))
+    return np.argmax(gains, axis=-1).tolist(), gains
 
 
 def throughput_mbps(gain: float, cfg: CommsConfig) -> float:

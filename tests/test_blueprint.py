@@ -11,13 +11,14 @@ import trace_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skycell import blueprint, bus, mobility
+from skycell import blueprint, bus
 from skycell import orchestrator as orch
 from skycell.ai import DecisionTreeModel, Policy, TreeNode
 from skycell.blueprint import CommsModule, PolicyModule
-from skycell.bus import Broker
+from skycell.bus import Broker, json_leaf
 from skycell.config import base_route, comms_config, load_config, load_scene
 from skycell.geometry import Building, Material, Scene, TxPose, los_class, trace_paths
+from skycell.mobility import UeState, position_payload
 from skycell.phy import UpaConfig, beam_sweep, boresight_rotation, dft_codebook
 
 CONCRETE = Material("concrete", 0.5)
@@ -149,6 +150,7 @@ def test_step_matches_per_ue_oracle_sweeps(first, moves, orders):
             result = comms.last[ue_id]
             assert result.position == positions[ue_id]
             assert (result.los, result.best_pair) == (los, pair)
+            assert type(result.best_pair) is int
             assert result.gains.tobytes() == gains.tobytes()
             if ue_id in before and before[ue_id].position == positions[ue_id]:
                 assert result is before[ue_id]
@@ -211,14 +213,15 @@ def test_each_message_is_decoded_once_per_snapshot(monkeypatch):
 def test_a_held_snapshot_encodes_nothing(monkeypatch):
     """While a UE holds and its sweep is cached, no text is encoded and no rate computed:
     the UeState keeps its position text, the SweepResult its throughput report and comms
-    the pair text; position_payload still runs once per publish, and a move encodes afresh."""
+    the pair text; position_payload still runs once per publish, and a move encodes afresh.
+    Every text is built by bus from its leaves, so the spy counts leaf encodings: five for
+    a position, three each for the pair and the throughput report."""
     calls = collections.Counter()
 
     def spy(fn, name):
         return lambda *args: calls.update([name]) or fn(*args)
 
-    for module in (blueprint, mobility):
-        monkeypatch.setattr(module, "json", types.SimpleNamespace(dumps=spy(json.dumps, "dumps")))
+    monkeypatch.setattr(bus, "json_leaf", spy(json_leaf, "leaf"))
     for name in ("position_payload", "throughput_mbps"):
         monkeypatch.setattr(blueprint, name, spy(getattr(blueprint, name), name))
     cfg = load_config(None)
@@ -236,9 +239,34 @@ def test_a_held_snapshot_encodes_nothing(monkeypatch):
     # position, the pair (the oracle decides the best pair) and the throughput report
     # are encoded once and the rate computed once, then nothing until the move
     for k in range(5):
-        assert counts[k] == {"dumps": 3, "position_payload": k + 1, "throughput_mbps": 1}
-    assert counts[5]["dumps"] > 3
+        assert counts[k] == {"leaf": 5 + 3 + 3, "position_payload": k + 1, "throughput_mbps": 1}
+    assert counts[5]["leaf"] > 5 + 3 + 3
     assert counts[5]["throughput_mbps"] == 2
+
+
+_leaf = st.one_of(
+    st.floats(), st.integers(), st.booleans(), st.just(-0.0), st.text(max_size=4),
+    st.sampled_from([math.nan, math.inf, -math.inf]), st.floats().map(np.float64),
+)
+
+
+@given(ue_id=st.text(max_size=8), position=st.tuples(_leaf, _leaf, _leaf), pair=_leaf,
+       tput=_leaf)
+@settings(max_examples=150, deadline=None)
+def test_message_texts_are_json_dumps_of_a_fresh_doc(ue_id, position, pair, tput):
+    """The position, pair and throughput texts are templates filled leaf by leaf; each is
+    json.dumps of a fresh doc, for non-ASCII ids, ints, bools, -0.0, nan, inf and float64."""
+    x, y, z = position
+    state = UeState("PERSON", ue_id, position, 0.0)
+    assert position_payload(state) == json.dumps(
+        {"UE_type": "PERSON", "UE_Id": ue_id, "position": {"x": x, "y": y, "z": z}})
+    comms = CommsModule(_WALLED, SHIPPED)
+    assert comms.pair_payload("CAR", ue_id, pair) == json.dumps(
+        {"UE_type": "CAR", "UE_Id": ue_id, "pair": pair})
+    result = blueprint.SweepResult(x, "LOS", 0, np.ones(4))
+    with mock.patch.object(blueprint, "throughput_mbps", lambda gain, cfg: tput):
+        assert result.report("UAV", ue_id, 0, SHIPPED) == (tput, json.dumps(
+            {"UE_type": "UAV", "UE_Id": ue_id, "throughput": tput}))
 
 
 def test_throughput_is_computed_once_per_sweep_and_pair(monkeypatch):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skycell.ai import TOPK_GRID, BeamDataset, DecisionTreeModel, TreeNode
+from skycell.ai import TOPK_GRID, BeamDataset, DecisionTreeModel, TreeNode, train_tree
 from skycell.cli import main
 from skycell.config import load_config, load_scene
 from skycell.orchestrator import EpisodeLog
@@ -228,9 +228,16 @@ _FAST_BENCH = {"virtual_seconds": 1.0, "repetitions": 1}
          "speed_mps must be > 0, got 0.0"),
         ("bench", {"bench": {**_FAST_BENCH, "repetitions": 0}},
          "bench.repetitions must be >= 1, got 0"),
+        ("bench", {"bench": {**_FAST_BENCH, "virtual_seconds": -1}},
+         "bench.virtual_seconds must be > 0, got -1"),
+        ("bench", {"bench": {**_FAST_BENCH, "virtual_seconds": 0.0}},
+         "bench.virtual_seconds must be > 0, got 0.0"),
+        ("mission", {"mission": {"detection_radius_m": -5}},
+         "mission.detection_radius_m must be >= 0, got -5.0"),
     ],
     ids=["zero-carrier", "zero-bandwidth", "negative-cap", "zero-cap-bench", "zero-speed",
-         "negative-speed", "zero-speed-bench", "zero-repetitions"],
+         "negative-speed", "zero-speed-bench", "zero-repetitions", "negative-virtual-seconds",
+         "zero-virtual-seconds", "negative-detection-radius"],
 )
 def test_non_positive_rate_speed_or_repetitions_exits_2(tmp_path, capsys, command, doc, message):
     """These checks run after the output directory exists; the command writes nothing in it."""
@@ -581,6 +588,20 @@ def test_zero_max_depth_exits_2(tmp_path, capsys):
     assert main(["train", "--config", cfg, "--dataset", str(path), "--max-depth", "2",
                  "--out", str(out)]) == 0
     assert json.loads((out / "model.json").read_text())["max_depth"] == 2
+
+
+@pytest.mark.parametrize("min_leaf", [0, -3])
+def test_min_leaf_below_one_exits_2(tmp_path, capsys, min_leaf):
+    """A min_leaf below 1 would train the min_leaf-1 tree under another name."""
+    path = tmp_path / "ds.csv"
+    _nlos_dataset(path)
+    cfg = _write_cfg(tmp_path, dataset={"min_leaf": min_leaf})
+    out = tmp_path / "t"
+    assert main(["train", "--config", cfg, "--dataset", str(path), "--out", str(out)]) == 2
+    assert f"dataset.min_leaf must be >= 1, got {min_leaf}" in capsys.readouterr().err
+    assert not (out / "model.json").exists()
+    with pytest.raises(ValueError, match=f"min_leaf must be >= 1, got {min_leaf}"):
+        train_tree(BeamDataset.load_csv(path), max_depth=2, min_leaf=min_leaf)
 
 
 def test_empty_replay_log_exits_2(tmp_path, capsys):

@@ -1,9 +1,10 @@
 import json
 import math
 
+import mobility_oracle
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skycell import orchestrator as orch
@@ -190,6 +191,31 @@ def test_distance_conservation():
         assert np.asarray(state.position) == pytest.approx(expected, abs=1e-9)
         if arc >= plan.total_length:
             assert state.done and state.speed == 0.0
+
+
+_int_point = st.tuples(*[st.integers(-500, 500)] * 3)
+_float_point = st.tuples(*[st.floats(-500.0, 500.0)] * 3)
+_point = st.one_of(_int_point, _float_point)
+
+
+@given(start=_point, waypoints=st.lists(_point, max_size=5), zero_legs=st.booleans(),
+       speed=st.floats(0.0, 300.0), dt=st.floats(1e-3, 10.0), steps=st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_step_equals_the_frozen_step(start, waypoints, zero_legs, speed, dt, steps):
+    """Integer start points, zero-length legs (a repeated point) and steps that overshoot
+    the route end: the same state, position bits and position text as the frozen step,
+    with Python floats in every position the step moved."""
+    if zero_legs and waypoints:
+        waypoints = [start] + waypoints + [waypoints[-1]]
+    new = old = UeState("UAV", "uav0", start, speed, tuple(waypoints))
+    for _ in range(steps):
+        before = new
+        new, old = step_kinematics(new, dt), mobility_oracle.step_kinematics(old, dt)
+        assert new == old
+        assert [float(v).hex() for v in new.position] == [float(v).hex() for v in old.position]
+        assert position_payload(new) == position_payload(old)
+        if new is not before:
+            assert all(type(v) is float for v in new.position)
 
 
 def test_altitude_constant_on_level_routes():

@@ -275,3 +275,34 @@ def test_pair_space_follows_any_array_shape(tx_rows, tx_cols, rx_rows, rx_cols, 
         rx_idx, tx_idx = divmod(pair, n_tx)
         assert 0 <= rx_idx < n_rx and 0 <= tx_idx < n_tx
         assert pair == pair_index(rx_idx, tx_idx, n_tx, n_rx)
+
+
+@given(tx_rows=_side, tx_cols=_side, rx_rows=_side, rx_cols=_side,
+       m=st.integers(min_value=1, max_value=17), zero=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_stacked_sweep_is_bit_equal_to_one_sweep_per_channel(
+    tx_rows, tx_cols, rx_rows, rx_cols, m, zero, seed
+):
+    """Each row of a stacked sweep is the 2-D sweep of its channel, bit for bit, and
+    every best pair is a Python int, a zero channel (all pairs tied) included."""
+    tx_upa, rx_upa = UpaConfig(tx_rows, tx_cols), UpaConfig(rx_rows, rx_cols)
+    tx_cb, rx_cb = dft_codebook(tx_upa), dft_codebook(rx_upa)
+    rng = np.random.default_rng(seed)
+    shape = (m, rx_upa.n_elements, tx_upa.n_elements)
+    stack = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * 1e-6
+    if zero:
+        stack[rng.integers(m)] = 0.0
+    best, gains = beam_sweep(stack, tx_cb, rx_cb)
+    assert type(best) is list and gains.shape == (m, tx_cb.n_codewords * rx_cb.n_codewords)
+    for i in range(m):
+        one_best, one_gains = beam_sweep(stack[i], tx_cb, rx_cb)
+        assert type(best[i]) is int and type(one_best) is int
+        assert best[i] == one_best
+        assert gains[i].tobytes() == one_gains.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(64,), (4, 64, 1), (1, 2, 4, 64), (3, 64, 4)])
+def test_sweep_rejects_a_channel_of_another_shape(shape):
+    with pytest.raises(ValueError, match="codebook sizes do not match"):
+        beam_sweep(np.zeros(shape, complex), dft_codebook(TX), dft_codebook(RX))
