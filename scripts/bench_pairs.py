@@ -3,20 +3,24 @@
     python3 scripts/bench_pairs.py --parent HEAD~1 --seeds 1601-1610 \\
         --out BENCH_16.json --claim swarm10:rtf --note "what the change does"
 
-Run from the root of a source checkout: that tree is the change. The parent
-is checked out at --parent into a temporary git worktree, which is removed
-when the script ends. For each workload (default: every workload in
-BENCHMARK.json) and seed, the parent and the change each run ``python3
-perfbench/run.py --workload <w> --seed <s> --seconds <n> --trace 0`` in their
-own tree, n being BENCHMARK.json's run_seconds, alternating which side runs
-first. The output
-(schema "skycell-bench-point/1") holds, per workload and end-to-end metric,
-every run, the median and inclusive quartiles of each side and the number of
-pairs the change wins; it is rewritten after every pair, so an interrupted
-run keeps the pairs it finished. With --claim, it also says whether the
-claim is met: at least ten pairs, the change winning at least nine in ten, its
-median beating the parent's by more than the parent's inter-quartile range,
-every change run correct and no more failed operations than the parent.
+Run from the root of a source checkout: that tree is the change. The parent's
+committed files at --parent are extracted with ``git archive`` into a
+temporary directory, which is removed when the script ends. For each workload
+(default: every workload in BENCHMARK.json) and seed, the parent and the
+change each run ``python3 perfbench/run.py --workload <w> --seed <s> --seconds
+<n> --trace 0`` in their own tree, n being BENCHMARK.json's run_seconds,
+alternating which side runs first. The output (schema "skycell-bench-point/1")
+holds, per workload and end-to-end metric, every run, the median and inclusive
+quartiles of each side and the number of pairs the change wins; it is
+rewritten after every pair, so an interrupted run keeps the pairs it finished.
+Each metric also carries a regression verdict against its BENCHMARK.json
+bound, a share of the parent's median: "none" when the change median is within
+the bound, "worse" when it is beyond, "unresolved" when the parent's IQR
+exceeds the bound and not every change run beats every parent run. With
+--claim, it also says whether the claim is met: at least ten pairs, the change
+winning at least nine in ten, its median beating the parent's by more than the
+parent's inter-quartile range, every change run correct and no more failed
+operations than the parent.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ def parse_args(bench: dict, argv=None):
     p.add_argument("--out", required=True, type=Path)
     p.add_argument("--claim", help="workload:metric the change claims to improve")
     p.add_argument("--note", default="", help="what the change does, stored as 'change'")
-    p.add_argument("--tmp", help="directory for the parent worktree (default: system temp)")
+    p.add_argument("--tmp", help="directory for the parent's tree (default: system temp)")
     args = p.parse_args(argv)
     args.workloads = [w for w in args.workloads.split(",") if w]
     unknown = [w for w in args.workloads if w not in names]
@@ -84,6 +88,19 @@ def side_stats(runs: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": runs}
 
 
+def verdict(parent: list, change: list, better: str, bound: float) -> str:
+    """Whether the change regresses a metric by more than ``bound``, a share of the
+    parent's median: "none", "worse", or "unresolved" when the parent's runs spread
+    wider than the bound and the change does not beat every one of them."""
+    sign = 1 if better == "lower" else -1
+    p_stats, c_stats = side_stats(parent), side_stats(change)
+    scale = abs(p_stats["median"])
+    beats_all = max(sign * v for v in change) < min(sign * v for v in parent)
+    if p_stats["q3"] - p_stats["q1"] > bound * scale and not beats_all:
+        return "unresolved"
+    return "worse" if sign * (c_stats["median"] - p_stats["median"]) > bound * scale else "none"
+
+
 def summarise(pairs: list, metrics: dict) -> dict:
     """Per-metric statistics of one workload's (seed, first, parent, change) pairs."""
     out = {
@@ -93,7 +110,7 @@ def summarise(pairs: list, metrics: dict) -> dict:
         "failed": {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")},
         "metrics": {},
     }
-    for name, (unit, better) in metrics.items():
+    for name, (unit, better, bound) in metrics.items():
         parent = [p["parent"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["metrics"][name]["value"] for p in pairs]
         sign = 1 if better == "lower" else -1
@@ -107,6 +124,8 @@ def summarise(pairs: list, metrics: dict) -> dict:
             "pairs": len(pairs),
             "median_ratio": c_stats["median"] / p_stats["median"] if p_stats["median"] else None,
             "parent_iqr": p_stats["q3"] - p_stats["q1"],
+            "bound": bound,
+            "verdict": verdict(parent, change, better, bound),
         }
     return out
 
@@ -155,11 +174,12 @@ def bench_point(args, seconds: float, metrics: dict, results: dict) -> dict:
         "parent": args.parent,
         "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds "
                    f"{seconds:g} --trace 0",
-        "method": f"parent (a git worktree at {args.parent}) and change (this tree) each run "
+        "method": f"parent (git archive of {args.parent}) and change (this tree) each run "
                   f"from their own checkout, one pair per seed on seeds {seeds[0]}-{seeds[-1]} "
                   f"for every workload, alternating which side runs first; median and "
                   f"inclusive quartiles over the runs of each side; change_wins counts pairs "
-                  f"where the change reads better",
+                  f"where the change reads better; verdict is the regression verdict "
+                  f"against the metric's BENCHMARK.json bound",
         "host": {
             "cpus": os.cpu_count(),
             "python": platform.python_version(),
@@ -174,13 +194,15 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     args = parse_args(bench, argv)
     seconds = bench["run_seconds"]
-    metrics = {m["name"]: (m["unit"], m["better"]) for m in bench["end_to_end"]}
+    metrics = {m["name"]: (m["unit"], m["better"], m["bound"]) for m in bench["end_to_end"]}
     results = {w: [] for w in args.workloads}
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.tmp))
     parent_tree = tmp / "parent"
-    subprocess.run(["git", "worktree", "add", "--detach", str(parent_tree), args.parent],
-                   cwd=ROOT, check=True, capture_output=True)
+    parent_tree.mkdir()
     try:
+        archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
         trees = {"parent": parent_tree, "change": ROOT}
         for workload in args.workloads:
             for i, seed in enumerate(args.seeds):
@@ -197,11 +219,11 @@ def main(argv=None) -> int:
                     f"{pair['change']['metrics'][name]['value']:.6g}" for name in metrics),
                     flush=True)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(parent_tree)],
-                       cwd=ROOT, check=False, capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=False, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
     point = bench_point(args, seconds, metrics, results)
+    for workload, w in point["workloads"].items():
+        print(f"{workload} regression: " + ", ".join(
+            f"{name} {m['verdict']}" for name, m in w["metrics"].items()))
     if point["claim"] is not None:
         print(f"claim {args.claim}: {point['claim']['result']}")
     return 0

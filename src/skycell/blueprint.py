@@ -10,15 +10,15 @@ does not fit the message contract (the gains vector, one entry per beam pair)
 moves by direct reference, mirroring the file-based flow of heavyweight
 simulators.
 
-A held snapshot costs only what changed. Each text lives on what it encodes,
-so none outlives what it says: a UeState its position, a SweepResult its
-throughput reports, CommsModule one pair text per (UE_type, UE_Id, pair).
+Each message text is built by its bus template when it is sent. A held
+snapshot reuses only its sweep (CommsModule.last, keyed by UE) and the
+broker's parsed docs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,16 +99,6 @@ class SweepResult:
     los: str
     best_pair: int
     gains: np.ndarray
-    # (UE_type, UE_Id, pair) -> (throughput, report text), filled only by report()
-    reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def report(self, ue_type: str, ue_id: str, pair: int, cfg: CommsConfig) -> tuple:
-        """(throughput, report text) of a pair, computed once per key and sweep."""
-        key = (ue_type, ue_id, pair)
-        if key not in self.reports:
-            tput = throughput_mbps(float(self.gains[pair]), cfg)
-            self.reports[key] = (tput, throughput_text(ue_type, ue_id, tput))
-        return self.reports[key]
 
 
 class CommsModule(orch.ModuleHandle):
@@ -135,7 +125,6 @@ class CommsModule(orch.ModuleHandle):
         self.tx_rotation = boresight_rotation(scene.tx.azimuth_deg, scene.tx.downtilt_deg)
         self.rx_rotation = boresight_rotation(self.cfg.rx_azimuth_deg, self.cfg.rx_downtilt_deg)
         self.last: dict = {}
-        self._pair_texts = {}  # (UE_type, UE_Id, pair) -> best-pair and decision text
         self._sub = None
 
     def init(self, broker: Broker) -> tuple:
@@ -176,7 +165,7 @@ class CommsModule(orch.ModuleHandle):
         for doc in docs:
             ue_id = doc["UE_Id"]
             result = self.last[ue_id]
-            payload = self.pair_payload(doc["UE_type"], ue_id, result.best_pair)
+            payload = pair_text(doc["UE_type"], ue_id, result.best_pair)
             broker.publish(orch.BEST_PAIR_TOPIC, payload, publisher=self.name)
             if self.sweep_hook is not None:
                 self.sweep_hook(t, ue_id, result)
@@ -184,16 +173,10 @@ class CommsModule(orch.ModuleHandle):
                 self.report_throughput(doc, result.best_pair, broker)
         broker.publish(orch.READY_TOPIC, orch.READY_PAYLOAD, publisher=self.name)
 
-    def pair_payload(self, ue_type: str, ue_id: str, pair: int) -> str:
-        """The best-pair and decision message text, encoded once per key."""
-        key = (ue_type, ue_id, pair)
-        if key not in self._pair_texts:
-            self._pair_texts[key] = pair_text(ue_type, ue_id, pair)
-        return self._pair_texts[key]
-
     def report_throughput(self, doc: dict, pair: int, broker: Broker) -> float:
         """Throughput of the chosen pair for the UE of a position message, published."""
-        tput, text = self.last[doc["UE_Id"]].report(doc["UE_type"], doc["UE_Id"], pair, self.cfg)
+        tput = throughput_mbps(float(self.last[doc["UE_Id"]].gains[pair]), self.cfg)
+        text = throughput_text(doc["UE_type"], doc["UE_Id"], tput)
         broker.publish(orch.THROUGHPUT_TOPIC, text, publisher=self.name)
         return tput
 
@@ -224,7 +207,7 @@ class PolicyModule(orch.ModuleHandle):
             pos = position_of(doc)
             grid = self.comms.last[ue_id].gains.reshape(self.comms.pair_grid)
             pair = policy_decide(self.policy, pos, grid, self.rng)
-            payload = self.comms.pair_payload(doc["UE_type"], ue_id, pair)
+            payload = pair_text(doc["UE_type"], ue_id, pair)
             broker.publish(orch.DECISION_TOPIC, payload, publisher=self.name)
             tput = self.comms.report_throughput(doc, pair, broker)
             self.on_throughput(t, broker, ue_id, pos, tput)

@@ -134,27 +134,6 @@ class Scene:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
-    def to_dict(self) -> dict:
-        mats = {b.material.name: b.material.reflection_coefficient for b in self.buildings}
-        mats[self.ground_material.name] = self.ground_material.reflection_coefficient
-        return {
-            "bounds": {"length": self.length, "width": self.width},
-            "tx": {
-                "position": list(self.tx.position),
-                "azimuth_deg": self.tx.azimuth_deg,
-                "downtilt_deg": self.tx.downtilt_deg,
-            },
-            "buildings": [
-                {
-                    "min": list(b.min_corner),
-                    "max": list(b.max_corner),
-                    "material": b.material.name,
-                }
-                for b in self.buildings
-            ],
-            "materials": mats,
-        }
-
     # -- packed arrays for the kernels --------------------------------------
 
     @property

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,11 +33,6 @@ class UeState:
     def done(self) -> bool:
         return not self.waypoints
 
-    @cached_property
-    def payload(self) -> str:
-        """The position message text, encoded once per state object."""
-        return position_text(self.ue_type, self.ue_id, *self.position)
-
 
 @dataclass(frozen=True)
 class TrajectoryPlan:
@@ -59,23 +53,6 @@ class TrajectoryPlan:
     def total_length(self) -> float:
         pts = np.asarray(self.points, dtype=float)
         return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
-
-    def to_dict(self) -> dict:
-        return {
-            "start": list(self.start),
-            "end": list(self.end),
-            "waypoints": [list(w) for w in self.waypoints],
-            "speed_mps": self.speed_mps,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "TrajectoryPlan":
-        return cls(
-            start=tuple(doc["start"]),
-            end=tuple(doc["end"]),
-            waypoints=tuple(tuple(w) for w in doc.get("waypoints", [])),
-            speed_mps=float(doc.get("speed_mps", 5.0)),
-        )
 
     def arc_point(self, fraction: float) -> tuple:
         """Point at the given fraction of total arc length along the route."""
@@ -152,7 +129,7 @@ def step_kinematics(state: UeState, dt: float) -> UeState:
 
 
 def position_payload(state: UeState) -> str:
-    return state.payload
+    return position_text(state.ue_type, state.ue_id, *state.position)
 
 
 def position_of(doc: dict) -> tuple:

@@ -210,19 +210,19 @@ def test_each_message_is_decoded_once_per_snapshot(monkeypatch):
     assert {text for text in decoded if "position" in json.loads(text)} == texts
 
 
-def test_a_held_snapshot_encodes_nothing(monkeypatch):
-    """While a UE holds and its sweep is cached, no text is encoded and no rate computed:
-    the UeState keeps its position text, the SweepResult its throughput report and comms
-    the pair text; position_payload still runs once per publish, and a move encodes afresh.
-    Every text is built by bus from its leaves, so the spy counts leaf encodings: five for
-    a position, three each for the pair and the throughput report."""
+def test_a_held_snapshot_reuses_its_sweep_and_encodes_per_send(monkeypatch):
+    """While a UE holds, its sweep is reused and the tracer does not run; every text is
+    built when it is sent, so each snapshot encodes its position, pair and throughput
+    report and computes one rate, held or not. Every text is built by bus from its
+    leaves, so the spy counts leaf encodings: five for a position, three each for the
+    best pair, the decision and the throughput report."""
     calls = collections.Counter()
 
     def spy(fn, name):
-        return lambda *args: calls.update([name]) or fn(*args)
+        return lambda *args, **kwargs: calls.update([name]) or fn(*args, **kwargs)
 
     monkeypatch.setattr(bus, "json_leaf", spy(json_leaf, "leaf"))
-    for name in ("position_payload", "throughput_mbps"):
+    for name in ("position_payload", "throughput_mbps", "trace_paths_batch"):
         monkeypatch.setattr(blueprint, name, spy(getattr(blueprint, name), name))
     cfg = load_config(None)
     mob = blueprint.MobilityModule({"uav0": base_route(cfg)}, 0.5)
@@ -236,12 +236,12 @@ def test_a_held_snapshot_encodes_nothing(monkeypatch):
     orch.run_episode(ep, [mob, comms, ai], broker=broker,
                      stop_early=lambda rec: counts.append(dict(calls)))
     assert calls["position_payload"] == len(positions.drain()) == 7
-    # position, the pair (the oracle decides the best pair) and the throughput report
-    # are encoded once and the rate computed once, then nothing until the move
+    # position, best pair, decision and throughput report, once per snapshot each
     for k in range(5):
-        assert counts[k] == {"leaf": 5 + 3 + 3, "position_payload": k + 1, "throughput_mbps": 1}
-    assert counts[5]["leaf"] > 5 + 3 + 3
-    assert counts[5]["throughput_mbps"] == 2
+        n = k + 1
+        assert counts[k] == {"leaf": (5 + 3 + 3 + 3) * n, "position_payload": n,
+                             "throughput_mbps": n, "trace_paths_batch": 1}
+    assert counts[5]["trace_paths_batch"] == 2
 
 
 _leaf = st.one_of(
@@ -255,23 +255,35 @@ _leaf = st.one_of(
 @settings(max_examples=150, deadline=None)
 def test_message_texts_are_json_dumps_of_a_fresh_doc(ue_id, position, pair, tput):
     """The position, pair and throughput texts are templates filled leaf by leaf; each is
-    json.dumps of a fresh doc, for non-ASCII ids, ints, bools, -0.0, nan, inf and float64."""
+    json.dumps of a fresh doc, for non-ASCII ids, ints, bools, -0.0, nan, inf and float64.
+    1, True and 1.0 compare and hash alike; sent in that order for one UE, each still
+    says its own value."""
     x, y, z = position
     state = UeState("PERSON", ue_id, position, 0.0)
     assert position_payload(state) == json.dumps(
         {"UE_type": "PERSON", "UE_Id": ue_id, "position": {"x": x, "y": y, "z": z}})
-    comms = CommsModule(_WALLED, SHIPPED)
-    assert comms.pair_payload("CAR", ue_id, pair) == json.dumps(
+    assert bus.pair_text("CAR", ue_id, pair) == json.dumps(
         {"UE_type": "CAR", "UE_Id": ue_id, "pair": pair})
-    result = blueprint.SweepResult(x, "LOS", 0, np.ones(4))
-    with mock.patch.object(blueprint, "throughput_mbps", lambda gain, cfg: tput):
-        assert result.report("UAV", ue_id, 0, SHIPPED) == (tput, json.dumps(
-            {"UE_type": "UAV", "UE_Id": ue_id, "throughput": tput}))
+    broker, comms = _comms(_WALLED)
+    best, reports = (broker.subscribe(topic)
+                     for topic in (orch.BEST_PAIR_TOPIC, orch.THROUGHPUT_TOPIC))
+    here = (0.0, 0.0, 0.0)
+    doc = {"UE_type": "UAV", "UE_Id": ue_id}
+    for value in (1, True, 1.0, pair):
+        comms.last[ue_id] = blueprint.SweepResult(here, "LOS", value, np.ones(4))
+        _publish(broker, ue_id, here)
+        comms.step(0.0, broker)  # the UE has not moved: its best pair is the value set
+        assert [m.payload for m in best.drain()] == [json.dumps({**doc, "pair": value})]
+    for value in (1, True, 1.0, tput):
+        with mock.patch.object(blueprint, "throughput_mbps", lambda gain, cfg: value):
+            sent = comms.report_throughput(doc, 0, broker)
+        assert (sent, [m.payload for m in reports.drain()]) == (
+            value, [json.dumps({**doc, "throughput": value})])
 
 
-def test_throughput_is_computed_once_per_sweep_and_pair(monkeypatch):
-    """A held UE under a random policy repeats pairs: each (SweepResult, UE_type, pair)
-    computes its rate and encodes its report once, and a new sweep starts afresh."""
+def test_held_throughput_reports_follow_their_pair(monkeypatch):
+    """A held UE under a random policy repeats pairs from one sweep: one rate is computed
+    per report, and a repeated pair repeats its text."""
     rates = []
     real = blueprint.throughput_mbps
     monkeypatch.setattr(blueprint, "throughput_mbps", lambda *a: rates.append(a) or real(*a))
@@ -292,29 +304,24 @@ def test_throughput_is_computed_once_per_sweep_and_pair(monkeypatch):
     texts = [m.payload for m in reports.drain()]
     held = set(pairs[:20])  # the first sweep serves the 20 held snapshots
     assert len(sweeps) == 5 and len(held) < 20
-    assert len(rates) == len(held) + 4 == sum(len(r.reports) for r in sweeps.values())
+    assert len(rates) == len(texts) == 24
     assert len(set(zip(pairs[:20], texts[:20]))) == len(held)  # one text per held pair
     for text in texts:
         tput = json.loads(text)["throughput"]
         assert text == json.dumps({"UE_type": "UAV", "UE_Id": "uav0", "throughput": tput})
-    with pytest.raises(TypeError):  # only report() fills the reports
-        blueprint.SweepResult((0.0, 0.0, 0.0), "LOS", 0, np.zeros(16), reports={})
 
 
 def test_broker_state_is_fixed_by_the_loop_not_its_length(monkeypatch):
     """The loop publishes a fixed set of (publisher, topic) pairs, so longer runs add none;
-    the pair memo, each SweepResult's reports and the doc cache are bounded by the UEs,
-    the pair count and DOC_CACHE_SIZE."""
+    the sweep cache and the doc cache are bounded by the UEs and DOC_CACHE_SIZE."""
     monkeypatch.setattr(bus, "DOC_CACHE_SIZE", 16)  # so that both runs reach it
     cfg = load_config(None)
     route = base_route(cfg)
     scene = load_scene(cfg)
-    n_pairs = math.prod(CommsModule(scene, SHIPPED).pair_grid)
 
     def broker_after(n_snapshots):
         plans = {f"uav{i}": blueprint.offset_plan(route, 3.0 * (i - 1)) for i in range(3)}
-        sweeps = []
-        comms = CommsModule(scene, SHIPPED, sweep_hook=lambda t, ue_id, r: sweeps.append(r))
+        comms = CommsModule(scene, SHIPPED)
         mob = blueprint.MobilityModule(plans, 0.5)
         mob.hold("uav1", n_snapshots // 2)  # one UAV reports from one sweep for a while
         ai = PolicyModule(Policy(kind="random"), comms, np.random.default_rng(0))
@@ -324,8 +331,6 @@ def test_broker_state_is_fixed_by_the_loop_not_its_length(monkeypatch):
         log = orch.run_episode(ep, [mob, comms, ai], broker=broker,
                                stop_early=lambda rec: routes.append(len(broker._routes)))
         assert len(log.records) == n_snapshots
-        assert len(comms._pair_texts) <= 3 * n_pairs
-        assert all(len(result.reports) <= n_pairs for result in sweeps)
         return (len(broker._seq), routes[-1], len(comms.last),
                 broker._parse.cache_info().currsize)
 

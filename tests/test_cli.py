@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,6 @@ import pytest
 
 from skycell.ai import TOPK_GRID, BeamDataset, DecisionTreeModel, TreeNode, train_tree
 from skycell.cli import main
-from skycell.config import load_config, load_scene
 from skycell.orchestrator import EpisodeLog
 
 
@@ -404,7 +404,7 @@ def test_manifest_names_each_input_by_digest(tmp_path, monkeypatch):
 
     # a scene given as a path is an input too; the built-in scene is not
     scene = tmp_path / "scene.json"
-    scene.write_text(json.dumps(load_scene(load_config(None)).to_dict()))
+    shutil.copy(Path(__file__).resolve().parents[1] / "src/skycell/data/urban_canyon.json", scene)
     for source, inputs in (("builtin", {}), ("scene.json", {"scene": _digest(scene)})):
         run_out = tmp_path / f"run-{source}"
         assert main(["run", "--config", _write_cfg(tmp_path, scene=source),

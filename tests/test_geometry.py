@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -316,16 +317,18 @@ def test_trace_batch_validation():
         trace_paths_batch(scene, tx, [2.0, 2.0, 10.0])
 
 
-def test_scene_json_round_trip(tmp_path):
-    scene = Scene(
-        719.2, 693.4, TxPose((360.0, 399.5, 120.0), azimuth_deg=-90.0, downtilt_deg=45.0),
-        [Building((10, 10, 0), (20, 30, 40), CONCRETE)],
-    )
+def test_scene_from_file_reads_a_hand_written_doc(tmp_path):
+    doc = {
+        "bounds": {"length": 719.2, "width": 693.4},
+        "tx": {"position": [360.0, 399.5, 120.0], "azimuth_deg": -90.0, "downtilt_deg": 45.0},
+        "buildings": [{"min": [10, 10, 0], "max": [20, 30, 40], "material": "concrete"}],
+        "materials": {"concrete": 0.5},
+    }
     path = tmp_path / "scene.json"
-    path.write_text(__import__("json").dumps(scene.to_dict()))
+    path.write_text(json.dumps(doc))
     loaded = Scene.from_file(path)
-    assert loaded.length == scene.length
-    assert loaded.tx == scene.tx
+    assert loaded.length == 719.2
+    assert loaded.tx == TxPose((360.0, 399.5, 120.0), azimuth_deg=-90.0, downtilt_deg=45.0)
     assert loaded.buildings[0].min_corner == (10, 10, 0)
 
 
