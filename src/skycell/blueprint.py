@@ -24,13 +24,12 @@ import numpy as np
 
 from . import orchestrator as orch
 from .ai import Policy, policy_decide
-from .bus import Broker, pair_text, throughput_text
+from .bus import Broker, pair_text, position_text, throughput_text
 # trace_paths and synthesize_channel stay importable here: perfbench's spans
 # wrap these one-receiver names on this module
 from .geometry import Scene, los_class, trace_paths, trace_paths_batch  # noqa: F401
 from .mobility import (
     TrajectoryPlan,
-    UeState,
     position_of,
     position_payload,
     step_kinematics,
@@ -88,8 +87,8 @@ class ReplayModule(orch.ModuleHandle):
         if self._k >= len(self._frames):
             raise RuntimeError("replay source exhausted: episode longer than recording")
         for ue_type, ue_id, pos in self._frames[self._k]:
-            state = UeState(ue_type=ue_type, ue_id=ue_id, position=tuple(pos), speed=0.0)
-            broker.publish(orch.POSITIONS_TOPIC, position_payload(state), publisher=ue_id)
+            text = position_text(ue_type, ue_id, *pos)
+            broker.publish(orch.POSITIONS_TOPIC, text, publisher=ue_id)
         self._k += 1
 
 

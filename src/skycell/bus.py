@@ -16,6 +16,7 @@ import logging
 import math
 import threading
 from collections import deque
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 logger = logging.getLogger(__name__)
@@ -113,38 +114,20 @@ def _decode(text: str):
 _UNPARSED = object()
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Message:
     """One published message: its fields, and the payload parsed on demand.
 
-    Messages with equal fields compare equal; ``doc`` is not a field.
+    Messages with equal fields compare equal; the parser and ``doc`` are not fields.
     """
 
-    __slots__ = ("topic", "payload", "seq", "publisher", "publish_time", "_parse", "_doc")
-
-    def __init__(self, topic, payload, seq, publisher, publish_time, parse=_decode):
-        self.topic = topic
-        self.payload = payload
-        self.seq = seq
-        self.publisher = publisher
-        self.publish_time = publish_time
-        self._parse = parse
-        self._doc = _UNPARSED
-
-    def _fields(self) -> tuple:
-        return (self.topic, self.payload, self.seq, self.publisher, self.publish_time)
-
-    def __eq__(self, other):
-        if type(other) is not Message:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return "Message(topic=%r, payload=%r, seq=%r, publisher=%r, publish_time=%r)" % (
-            self._fields()
-        )
+    topic: str
+    payload: str
+    seq: int
+    publisher: str
+    publish_time: float
+    _parse: object = field(default=_decode, repr=False, compare=False)
+    _doc: object = field(default=_UNPARSED, init=False, repr=False, compare=False)
 
     @property
     def doc(self):

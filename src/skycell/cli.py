@@ -67,7 +67,7 @@ def _load_config(args) -> dict:
 
 
 def _seed(cfg: dict) -> int:
-    return int(cfg["episode"]["seed"])
+    return cfgmod.strict_leaf(cfg, "episode.seed")
 
 
 def _inputs(**paths) -> dict:
@@ -110,8 +110,10 @@ def _policy(cfg: dict) -> Policy:
 
 def _episode_config(cfg: dict, category: str | None = None, n_snapshots: int | None = None):
     e = cfg["episode"]
+    if n_snapshots is None:
+        n_snapshots = cfgmod.strict_leaf(cfg, "episode.n_snapshots")
     return orch.EpisodeConfig(
-        n_snapshots=int(e["n_snapshots"]) if n_snapshots is None else n_snapshots,
+        n_snapshots=n_snapshots,
         sampling_interval=float(e["sampling_interval"]),
         category=e["category"] if category is None else category,
         seed=_seed(cfg),
@@ -179,7 +181,7 @@ def cmd_dataset(cfg: dict, args, out: Path) -> dict:
     scene = cfgmod.load_scene(cfg)
     comms_cfg = cfgmod.comms_config(cfg)
     ep = _episode_config(cfg)
-    n_episodes = int(cfg["dataset"]["episodes"])
+    n_episodes = cfgmod.strict_leaf(cfg, "dataset.episodes")
     if n_episodes < 1:
         raise ConfigError(f"episodes must be >= 1, got {n_episodes}")
 
@@ -229,10 +231,10 @@ def cmd_train(cfg: dict, args, out: Path) -> dict:
     train, validation = split_dataset(
         full, train_frac=train_frac, seed=cfgmod.stream_seed(_seed(cfg), "split")
     )
-    max_depth = int(d["max_depth"])
+    max_depth = cfgmod.strict_leaf(cfg, "dataset.max_depth")
     if max_depth < 1:
         raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
-    min_leaf = int(d["min_leaf"])
+    min_leaf = cfgmod.strict_leaf(cfg, "dataset.min_leaf")
     if min_leaf < 1:
         raise ConfigError(f"dataset.min_leaf must be >= 1, got {min_leaf}")
     model = train_tree(train, max_depth=max_depth, min_leaf=min_leaf)
@@ -317,8 +319,9 @@ def cmd_bench(cfg: dict, args, out: Path) -> dict:
     if not counts or any(c < 1 for c in counts):
         raise ConfigError("--counts needs positive integers")
     b = cfg["bench"]
-    if int(b["repetitions"]) < 1:
-        raise ConfigError(f"bench.repetitions must be >= 1, got {b['repetitions']}")
+    repetitions = cfgmod.strict_leaf(cfg, "bench.repetitions")
+    if repetitions < 1:
+        raise ConfigError(f"bench.repetitions must be >= 1, got {repetitions}")
     if not float(b["virtual_seconds"]) > 0:
         raise ConfigError(f"bench.virtual_seconds must be > 0, got {b['virtual_seconds']}")
     reports = bench_mod.run_benchmark(
@@ -328,7 +331,7 @@ def cmd_bench(cfg: dict, args, out: Path) -> dict:
         sampling_interval=float(cfg["episode"]["sampling_interval"]),
         base_plan=cfgmod.base_route(cfg),
         comms_cfg=cfgmod.comms_config(cfg),
-        repetitions=int(b["repetitions"]),
+        repetitions=repetitions,
         seed=_seed(cfg),
     )
     bench_mod.write_csv(reports, out / "bench.csv")
@@ -404,10 +407,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
+        seed = _seed(cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         extra = args.func(cfg, args, out)
-        cfgmod.write_manifest(out, args.command, _seed(cfg), cfg, extra)
+        cfgmod.write_manifest(out, args.command, seed, cfg, extra)
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -73,6 +73,21 @@ def _merge(base: dict, override, where: str = "") -> dict:
     return out
 
 
+def strict_leaf(cfg: dict, key: str, kind: type = int):
+    """The value at a dotted key ("dataset.episodes"; "comms.tx_array.0" is an
+    array entry), which must be a JSON integer, or a JSON boolean for kind=bool.
+
+    A float, even an integral one such as 10.0, is not an integer here.
+    """
+    value = cfg
+    for part in key.split("."):
+        value = value[int(part)] if type(value) is list else value[part]
+    if type(value) is not kind:
+        what = "an integer" if kind is int else "a boolean"
+        raise ConfigError(f"{key} must be {what}, got {json.dumps(value)}")
+    return value
+
+
 def load_config(path=None) -> dict:
     """Shipped defaults, deep-merged with the user's JSON when given."""
     cfg = default_config()
@@ -101,11 +116,11 @@ def load_scene(cfg: dict) -> Scene:
         raise ConfigError(f"cannot load scene: {exc}") from exc
 
 
-def _upa(c: dict, key: str, spacing: float) -> UpaConfig:
-    try:
-        return UpaConfig(*c[key], spacing=spacing)
-    except TypeError as exc:
-        raise ConfigError(f"comms.{key} must be [rows, cols], got {c[key]!r}") from exc
+def _upa(cfg: dict, key: str, spacing: float) -> UpaConfig:
+    dims = cfg["comms"][key]
+    if type(dims) is not list or len(dims) != 2:
+        raise ConfigError(f"comms.{key} must be [rows, cols], got {dims!r}")
+    return UpaConfig(*(strict_leaf(cfg, f"comms.{key}.{i}") for i in (0, 1)), spacing=spacing)
 
 
 def comms_config(cfg: dict) -> CommsConfig:
@@ -117,8 +132,8 @@ def comms_config(cfg: dict) -> CommsConfig:
         noise_figure_db=float(c["noise_figure_db"]),
         max_throughput_mbps=float(c["max_throughput_mbps"]),
         carrier_hz=float(c["carrier_hz"]),
-        tx_upa=_upa(c, "tx_array", spacing),
-        rx_upa=_upa(c, "rx_array", spacing),
+        tx_upa=_upa(cfg, "tx_array", spacing),
+        rx_upa=_upa(cfg, "rx_array", spacing),
         rx_azimuth_deg=float(c["rx_azimuth_deg"]),
         rx_downtilt_deg=float(c["rx_downtilt_deg"]),
     )
@@ -128,13 +143,13 @@ def mission_config(cfg: dict) -> MissionConfig:
     m = cfg["mission"]
     return MissionConfig(
         payload_bytes=float(m["payload_bytes"]),
-        n_targets=int(m["n_targets"]),
+        n_targets=strict_leaf(cfg, "mission.n_targets"),
         detection_radius_m=float(m["detection_radius_m"]),
         psnr_detect_threshold_db=float(m["psnr_detect_threshold_db"]),
         min_detect_throughput_mbps=float(m["min_detect_throughput_mbps"]),
         target_fractions=tuple(m["target_fractions"]),
-        fixed_wait=bool(m["fixed_wait"]),
-        max_snapshots=int(m["max_snapshots"]),
+        fixed_wait=strict_leaf(cfg, "mission.fixed_wait", bool),
+        max_snapshots=strict_leaf(cfg, "mission.max_snapshots"),
     )
 
 
@@ -157,7 +172,7 @@ def seeded_route(cfg: dict, seed_entropy) -> TrajectoryPlan:
         end=base.end,
         half_width=float(m["corridor_half_width"]),
     )
-    plan = random_waypoints(seed_entropy, corridor, k=int(m["n_waypoints"]))
+    plan = random_waypoints(seed_entropy, corridor, k=strict_leaf(cfg, "mobility.n_waypoints"))
     return TrajectoryPlan(
         start=plan.start, end=plan.end, waypoints=plan.waypoints, speed_mps=base.speed_mps
     )

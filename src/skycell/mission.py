@@ -194,9 +194,7 @@ class MissionMetrics:
 
 
 class MissionModule(PolicyModule):
-    """Policy module plus target detection, rescue pauses and outcome log."""
-
-    name = "ai"
+    """Policy module plus detection, rescue pauses and outcomes for its mobility's one UE."""
 
     def __init__(
         self,
@@ -205,46 +203,42 @@ class MissionModule(PolicyModule):
         mobility: MobilityModule,
         mission_cfg: MissionConfig,
         targets,
-        sampling_interval: float,
         rng,
-        ue_id: str = "uav0",
     ):
         super().__init__(policy, comms, rng)
+        if len(mobility.states) != 1:
+            raise ValueError(f"a mission follows one UE; its mobility has {len(mobility.states)}")
+        (self.ue_id,) = mobility.states
         self.mobility = mobility
         self.cfg = mission_cfg
-        self.ue_id = ue_id
-        self.sampling_interval = sampling_interval
-        self.targets = list(targets)
-        self.state = ["pending"] * len(self.targets)  # pending|rescued|missed
-        self.outcome_t = [None] * len(self.targets)
-        self._pause_left = 0
+        # outcome: pending|rescued|missed; t: when it stopped being pending
+        self.outcomes = [
+            {"target": i, "position": list(target), "outcome": "pending", "t": None}
+            for i, target in enumerate(targets)
+        ]
+        self._pause_left = 0  # fixed wait: snapshots still held
+        self._remaining_bits = 0.0  # adaptive wait: held while bits remain
         self._await_rate = False
-        self._remaining_bits = 0.0
         self.finished = False
-
-    @property
-    def rescued_count(self) -> int:
-        return sum(1 for s in self.state if s == "rescued")
 
     def _event(self, broker: Broker, tag: str) -> None:
         broker.publish(EVENTS_TOPIC, tag, publisher=self.name)
 
-    def _begin_pause(self, broker: Broker, t: float, tput: float) -> None:
-        if self.cfg.fixed_wait:
-            try:
-                wait = rescue_wait_s(self.cfg.payload_bytes, tput)
-            except RescueStalled:
-                self._await_rate = True
-                self._event(broker, "stalled")
-                self.mobility.hold(self.ue_id, 1)
-                return
-            self._await_rate = False
-            self._pause_left = math.ceil(wait / self.sampling_interval)
-            self.mobility.hold(self.ue_id, self._pause_left)
-        else:
+    def _begin_pause(self, broker: Broker, tput: float) -> None:
+        if not self.cfg.fixed_wait:  # re-evaluated every snapshot
             self._remaining_bits = 8.0 * self.cfg.payload_bytes
-            self._pause_left = 1  # adaptive: re-evaluated every snapshot
             self.mobility.hold(self.ue_id, 1)
+            return
+        try:
+            wait = rescue_wait_s(self.cfg.payload_bytes, tput)
+        except RescueStalled:
+            self._await_rate = True
+            self._event(broker, "stalled")
+            self.mobility.hold(self.ue_id, 1)
+            return
+        self._await_rate = False
+        self._pause_left = math.ceil(wait / self.mobility.sampling_interval)
+        self.mobility.hold(self.ue_id, self._pause_left)
 
     def on_throughput(self, t: float, broker: Broker, ue_id: str, pos, tput: float) -> None:
         """Detection and rescue-pause state machine for the mission's own UE."""
@@ -253,16 +247,13 @@ class MissionModule(PolicyModule):
         tier = degradation(tput)
         if self._await_rate:
             # a detection is waiting for a non-zero rate to start the upload
-            self._begin_pause(broker, t, tput)
+            self._begin_pause(broker, tput)
         elif self._pause_left > 0:
-            if self.cfg.fixed_wait:
-                self._pause_left -= 1
-            else:
-                self._remaining_bits -= tput * 1e6 * self.sampling_interval
-                if self._remaining_bits > 0:
-                    self.mobility.hold(self.ue_id, 1)
-                else:
-                    self._pause_left = 0
+            self._pause_left -= 1
+        elif self._remaining_bits > 0:
+            self._remaining_bits -= tput * 1e6 * self.mobility.sampling_interval
+            if self._remaining_bits > 0:
+                self.mobility.hold(self.ue_id, 1)
         else:
             self._check_targets(broker, t, pos, tier, tput)
 
@@ -276,43 +267,39 @@ class MissionModule(PolicyModule):
         if (
             self.mobility.route_complete(self.ue_id)
             and self._pause_left == 0
+            and self._remaining_bits <= 0
             and not self._await_rate
         ):
-            for i, s in enumerate(self.state):
-                if s == "pending":
-                    self.state[i] = "missed"
-                    self.outcome_t[i] = t
-                    self._event(broker, f"missed:{i}")
+            for o in self.outcomes:
+                if o["outcome"] == "pending":
+                    o["outcome"], o["t"] = "missed", t
+                    self._event(broker, f"missed:{o['target']}")
             if not self.finished:
                 self._event(broker, "mission_complete")
             self.finished = True
 
     def _check_targets(self, broker: Broker, t: float, pos, tier, tput: float) -> None:
-        for i, target in enumerate(self.targets):
-            if self.state[i] != "pending":
+        for o in self.outcomes:
+            if o["outcome"] != "pending":
                 continue
+            target = o["position"]
             dist = math.hypot(pos[0] - target[0], pos[1] - target[1])
             inside = dist <= self.cfg.detection_radius_m
             usable = tput >= self.cfg.min_detect_throughput_mbps
             if inside and usable and tier.psnr_db >= self.cfg.psnr_detect_threshold_db:
-                self.state[i] = "rescued"
-                self.outcome_t[i] = t
-                self._event(broker, f"detected:{i}")
-                self._event(broker, f"rescued:{i}")
-                self._begin_pause(broker, t, tput)
+                o["outcome"], o["t"] = "rescued", t
+                self._event(broker, f"detected:{o['target']}")
+                self._event(broker, f"rescued:{o['target']}")
+                self._begin_pause(broker, tput)
                 return  # at most one rescue starts per snapshot
 
     def metrics(self, total_time_s: float) -> MissionMetrics:
-        outcomes = [
-            {"target": i, "position": list(self.targets[i]), "outcome": s, "t": self.outcome_t[i]}
-            for i, s in enumerate(self.state)
-        ]
         return MissionMetrics(
             total_time_s=total_time_s,
-            rescued=self.rescued_count,
-            n_targets=len(self.targets),
+            rescued=sum(o["outcome"] == "rescued" for o in self.outcomes),
+            n_targets=len(self.outcomes),
             policy_kind=self.policy.kind,
-            outcomes=outcomes,
+            outcomes=[dict(o) for o in self.outcomes],
         )
 
 
@@ -339,7 +326,6 @@ def run_mission(
         mobility,
         mission_cfg,
         mission_cfg.target_positions(trajectory),
-        episode_cfg.sampling_interval,
         rng,
     )
     log = orch.run_episode(

@@ -142,6 +142,19 @@ def test_message_doc_is_decoded_once_and_shared():
     assert ma == bus.Message("x.y", payload, 1, "default", 0.0)
 
 
+def test_message_repr_equality_and_hash_follow_its_five_fields():
+    m = bus.Message("x.y", '{"k": 1}', 3, "pub", 0.5)
+    assert repr(m) == (
+        "Message(topic='x.y', payload='{\"k\": 1}', seq=3, publisher='pub', publish_time=0.5)"
+    )
+    twin = bus.Message("x.y", '{"k": 1}', 3, "pub", 0.5, json.loads)
+    assert twin.doc == {"k": 1}  # a parsed doc and another parser are not fields
+    assert m == twin and hash(m) == hash(twin) == hash(("x.y", '{"k": 1}', 3, "pub", 0.5))
+    assert len({m, twin}) == 1
+    assert m != bus.Message("x.y", '{"k": 1}', 4, "pub", 0.5)
+    assert m != ("x.y", '{"k": 1}', 3, "pub", 0.5)
+
+
 def test_equal_payload_texts_share_one_doc_within_the_cache_bound(monkeypatch):
     monkeypatch.setattr(bus, "DOC_CACHE_SIZE", 2)
     broker = Broker()

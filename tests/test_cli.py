@@ -11,6 +11,7 @@ import pytest
 
 from skycell.ai import TOPK_GRID, BeamDataset, DecisionTreeModel, TreeNode, train_tree
 from skycell.cli import main
+from skycell.config import load_config
 from skycell.orchestrator import EpisodeLog
 
 
@@ -248,6 +249,48 @@ def test_non_positive_rate_speed_or_repetitions_exits_2(tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert list(out.iterdir()) == []
+
+
+_INTEGER_LEAVES = [
+    ("run", "episode.n_snapshots"),
+    ("run", "episode.seed"),
+    ("run", "comms.tx_array.0"),
+    ("run", "comms.rx_array.1"),
+    ("run", "mobility.n_waypoints"),
+    ("mission", "mission.n_targets"),
+    ("mission", "mission.max_snapshots"),
+    ("dataset", "dataset.episodes"),
+    ("train", "dataset.max_depth"),
+    ("train", "dataset.min_leaf"),
+    ("bench", "bench.repetitions"),
+]
+_STRICT_CASES = [(command, key, value) for command, key in _INTEGER_LEAVES
+                 for value in (1.5, True, "3")]
+_STRICT_CASES += [("mission", "mission.fixed_wait", value) for value in (1.5, 1, "no")]
+
+
+@pytest.mark.parametrize(
+    "command, key, value", _STRICT_CASES, ids=[f"{k}={v!r}" for _, k, v in _STRICT_CASES]
+)
+def test_integer_or_boolean_leaf_of_another_type_exits_2(tmp_path, capsys, command, key, value):
+    """Neither truncated nor truthy: the message names the dotted key and the value."""
+    defaults = load_config()
+    doc = {}
+    *sections, name = key.split(".")
+    node, default = doc, defaults
+    for section in sections:
+        default = default[section]
+        node = node.setdefault(section, list(default) if type(default) is list else {})
+    node[int(name) if type(node) is list else name] = value
+    argv = [command, "--config", _write_cfg(tmp_path, **doc), "--out", str(tmp_path / "o")]
+    if command == "train":
+        _nlos_dataset(tmp_path / "ds.csv")
+        argv += ["--dataset", str(tmp_path / "ds.csv")]
+    if command == "bench":
+        argv += ["--counts", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {key} must be " in err and f"got {json.dumps(value)}" in err
 
 
 def test_mission_honours_min_detect_throughput(tmp_path):

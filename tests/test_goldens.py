@@ -35,6 +35,12 @@ GOLDEN = {
     "mission-tree/episode.jsonl": "9367e6cdab24f14b202943ce5598dd1cc285280158c2967301d1f96927e1b759",
     "mission-tree/mission.json": "91db70de5c7e6bdc5cd3f768439842ca1450d3c769eabcc24a8310365e6997ad",
     "mission-tree/rescue_curve.csv": "82f020282ac8da88e46e779b35b30d1d8fd72c2cc52407d05e9798f1575e4cff",
+    # the adaptive wait (mission.fixed_wait false); recorded before the mission
+    # kept one outcome list and paused on its remaining bits
+    "mission-adaptive-random/episode.jsonl": "292acc4d49e7e02d88eff43744694ac002306149fc48a6c75d33756a60be941d",
+    "mission-adaptive-random/mission.json": "5e41e175a6debd866216f3e0113f2b798fe982aa0a99bbbebcb5356f79b76841",
+    "mission-adaptive-oracle/episode.jsonl": "29bfcc3c020ecb1abc48344921926685b7ca6c5bc650d2ac5a9481e282d467e9",
+    "mission-adaptive-oracle/mission.json": "d157684c8e2e29d5819e083f280429bfe3d55ee38acfb87b5ce8539aa1fe2b45",
 }
 
 
@@ -42,24 +48,27 @@ GOLDEN = {
 def artifacts(tmp_path_factory):
     root = tmp_path_factory.mktemp("goldens")
 
-    def cli(command, out, *extra, category=None):
+    def cli(command, out, *extra, config=None):
         argv = [command, "--seed", SEED, "--out", str(root / out), *extra]
-        if category is not None:
-            cfg = root / f"{category}.json"
-            cfg.write_text(json.dumps({"episode": {"category": category}}))
+        if config is not None:
+            cfg = root / f"{out}.json"
+            cfg.write_text(json.dumps(config))
             argv += ["--config", str(cfg)]
         assert main(argv) == 0
 
-    cli("run", "run-AllInLoop", category="AllInLoop")
-    cli("run", "run-Mob3dCommInLoop", category="Mob3dCommInLoop")
+    for category in ("AllInLoop", "Mob3dCommInLoop"):
+        cli("run", f"run-{category}", config={"episode": {"category": category}})
     cli("run", "run-AiCommInLoop", "--replay", str(root / "run-AllInLoop" / "episode.jsonl"),
-        category="AiCommInLoop")
+        config={"episode": {"category": "AiCommInLoop"}})
     cli("run", "run-random", "--policy", "random")
     cli("dataset", "dataset", "--episodes", "3")
     cli("train", "train", "--dataset", str(root / "dataset" / "dataset.csv"))
     for policy in ("random", "oracle"):
         cli("mission", f"mission-{policy}", "--policy", policy)
     cli("mission", "mission-tree", "--policy", "tree", "--model", str(root / "train" / "model.json"))
+    for policy in ("random", "oracle"):
+        cli("mission", f"mission-adaptive-{policy}", "--policy", policy,
+            config={"mission": {"fixed_wait": False}})
     return root
 
 

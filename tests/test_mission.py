@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from skycell.ai import Policy
+from skycell.blueprint import CommsModule, MobilityModule, offset_plan
 from skycell.config import comms_config, default_scene, load_config, rng_for, seeded_route, stream_seed
 from skycell.mission import (
     DEGRADATION_TIERS,
     MissionConfig,
+    MissionModule,
     RescueStalled,
     default_test_image,
     degradation,
@@ -135,9 +137,9 @@ def sar_env():
     return cfg, default_scene(), comms_config(cfg)
 
 
-def _mission(cfg, scene, ccfg, mission_cfg, policy, seed=0):
+def _mission(cfg, scene, ccfg, mission_cfg, policy, seed=0, dt=0.5):
     plan = seeded_route(cfg, stream_seed(seed, "mission-route"))
-    ep = EpisodeConfig(n_snapshots=mission_cfg.max_snapshots, sampling_interval=0.5,
+    ep = EpisodeConfig(n_snapshots=mission_cfg.max_snapshots, sampling_interval=dt,
                        category=ALL_IN_LOOP, seed=seed)
     return run_mission(scene, plan, mission_cfg, ep, policy=policy, comms_cfg=ccfg,
                        rng=rng_for(seed, "random-policy"))
@@ -171,6 +173,21 @@ def test_mission_conservation_and_throughput_topic(sar_env):
     assert metrics.total_time_s == pytest.approx(len(log.records) * 0.5)
     # every snapshot carried a throughput report
     assert all(rec.throughput_mbps >= 0.0 for rec in log.records)
+
+
+@pytest.mark.parametrize("fixed_wait", [True, False])
+def test_rescue_pauses_count_snapshots_of_the_mobility_interval(sar_env, fixed_wait):
+    cfg, scene, ccfg = sar_env
+    mission_cfg = MissionConfig(fixed_wait=fixed_wait)
+    metrics, log = _mission(cfg, scene, ccfg, mission_cfg, Policy(kind="oracle"), seed=1, dt=0.25)
+    plan = seeded_route(cfg, stream_seed(1, "mission-route"))
+    flight_snapshots = math.ceil(plan.total_length / (plan.speed_mps * 0.25))
+    waits = [math.ceil(rescue_wait_s(mission_cfg.payload_bytes, rec.throughput_mbps) / 0.25)
+             for rec in log.records if any(e.startswith("rescued:") for e in rec.events)]
+    assert metrics.rescued == len(waits) == 5
+    # the oracle's rate is steady while held, so the adaptive wait lasts as long
+    assert len(log.records) - flight_snapshots == sum(waits)
+    assert metrics.total_time_s == pytest.approx(len(log.records) * 0.25)
 
 
 def test_detection_gated_by_psnr_threshold(sar_env):
@@ -211,6 +228,21 @@ def test_mission_requires_all_in_loop(sar_env):
     with pytest.raises(ValueError):
         run_mission(scene, plan, MissionConfig(), ep, ccfg, Policy(kind="oracle"),
                     rng_for(0, "random-policy"))
+
+
+def test_mission_follows_the_one_ue_of_its_mobility_module(sar_env):
+    cfg, scene, ccfg = sar_env
+    plan = seeded_route(cfg, stream_seed(0, "mission-route"))
+    comms = CommsModule(scene, ccfg)
+
+    def mission(plans):
+        return MissionModule(Policy(kind="oracle"), comms, MobilityModule(plans, 0.25),
+                             MissionConfig(), [], rng=rng_for(0, "random-policy"))
+
+    assert mission({"scout": plan}).ue_id == "scout"
+    for plans in ({}, {"uav0": plan, "uav1": offset_plan(plan, 5.0)}):
+        with pytest.raises(ValueError, match=f"one UE; its mobility has {len(plans)}"):
+            mission(plans)
 
 
 def test_mission_config_validation():
