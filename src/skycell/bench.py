@@ -97,7 +97,7 @@ def run_benchmark(
                 for i in range(count)
             }
             mobility = MobilityModule(plans, sampling_interval)
-            comms = CommsModule(scene, comms_cfg)
+            comms = CommsModule(scene, comms_cfg, mobility=mobility)
             ai_mod = PolicyModule(
                 Policy(kind="random"), comms, np.random.default_rng((seed, count, rep))
             )

@@ -13,12 +13,20 @@ simulators.
 Each message text is built by its bus template when it is sent. A held
 snapshot reuses only its sweep (CommsModule.last, keyed by UE) and the
 broker's parsed docs.
+
+A UE's next positions are fixed by its route (a hold delays them, never
+changes them), so when communications knows the MobilityModule feeding it,
+the pass that traces a moved UE also traces its next moves, up to
+TRACE_BATCH receivers in all, and later moves are served from that queue.
+Every SweepResult is bit-equal whichever batch traced it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice, takewhile
 
 import numpy as np
 
@@ -32,6 +40,7 @@ from .mobility import (
     TrajectoryPlan,
     position_of,
     position_payload,
+    positions_ahead,
     step_kinematics,
     uav_state,
 )
@@ -60,6 +69,14 @@ class MobilityModule(orch.ModuleHandle):
     def hold(self, ue_id: str, n_snapshots: int) -> None:
         """Keep a UE stationary for the next n snapshots."""
         self._hold[ue_id] = max(self._hold[ue_id], n_snapshots)
+
+    def upcoming(self, ue_id: str, k: int) -> list:
+        """The next k positions the UE publishes as it moves; fewer once its route ends.
+
+        The steps run inside mobility.positions_ahead, so perfbench's mobility.step
+        span, which wraps this module's step_kinematics, still counts published moves.
+        """
+        return positions_ahead(self.states[ue_id], self.sampling_interval, k)
 
     def route_complete(self, ue_id: str) -> bool:
         return self.states[ue_id].done
@@ -92,6 +109,11 @@ class ReplayModule(orch.ModuleHandle):
         self._k += 1
 
 
+# receivers one radio pass aims at: a pass for a lone moving UE also traces its
+# next three moves; with three or more UEs moving it traces none ahead
+TRACE_BATCH = 4
+
+
 @dataclass
 class SweepResult:
     position: tuple
@@ -112,8 +134,10 @@ class CommsModule(orch.ModuleHandle):
         cfg: CommsConfig,
         publish_throughput_in_step: bool = False,
         sweep_hook=None,
+        mobility: MobilityModule | None = None,
     ):
         self.scene = scene
+        self.mobility = mobility
         self.cfg = cfg
         self.publish_throughput_in_step = publish_throughput_in_step
         self.sweep_hook = sweep_hook
@@ -124,6 +148,7 @@ class CommsModule(orch.ModuleHandle):
         self.tx_rotation = boresight_rotation(scene.tx.azimuth_deg, scene.tx.downtilt_deg)
         self.rx_rotation = boresight_rotation(self.cfg.rx_azimuth_deg, self.cfg.rx_downtilt_deg)
         self.last: dict = {}
+        self._ahead: dict = {}  # UE_Id -> deque of SweepResults of its next moves
         self._sub = None
 
     def init(self, broker: Broker) -> tuple:
@@ -151,6 +176,33 @@ class CommsModule(orch.ModuleHandle):
                 )
         return results
 
+    def _route_ahead(self, ue_id: str, k: int) -> list:
+        """Up to k next positions of the UE, cut before the first one the tracer
+        rejects (at or below the ground, or at the transmitter): a move not made
+        yet must not abort the episode."""
+        if ue_id not in self.mobility.states:
+            return []
+        tx = self.scene.tx.position
+        return list(takewhile(lambda p: p[2] > 0 and p != tx, self.mobility.upcoming(ue_id, k)))
+
+    def _trace_moved(self, moved: dict) -> None:
+        """Sweep every moved UE's position in one pass and, when the pass has room and
+        a mobility module, each one's next moves into its queue."""
+        k = TRACE_BATCH // len(moved) - 1
+        if self.mobility is None or k < 1:
+            # a queue these UEs keep holds sweeps of exact positions, so it stays valid
+            self.last.update(zip(moved, self._sweep(list(moved.values()))))
+            return
+        ahead = {ue_id: self._route_ahead(ue_id, k) for ue_id in moved}
+        positions = []
+        for ue_id, pos in moved.items():
+            positions.append(pos)
+            positions.extend(ahead[ue_id])
+        results = iter(self._sweep(positions))
+        for ue_id in moved:
+            self.last[ue_id] = next(results)
+            self._ahead[ue_id] = deque(islice(results, len(ahead[ue_id])))
+
     def step(self, t: float, broker: Broker) -> None:
         docs = [msg.doc for msg in self._sub.drain()]
         moved = {}  # UE_Id -> new position, in message order
@@ -159,8 +211,14 @@ class CommsModule(orch.ModuleHandle):
             cached = self.last.get(doc["UE_Id"])
             if cached is None or cached.position != pos:
                 moved[doc["UE_Id"]] = pos
+        if self._ahead:  # a move to the head of the UE's queue takes that sweep
+            for ue_id, pos in list(moved.items()):
+                queue = self._ahead.get(ue_id)
+                if queue and queue[0].position == pos:
+                    self.last[ue_id] = queue.popleft()
+                    del moved[ue_id]
         if moved:
-            self.last.update(zip(moved, self._sweep(list(moved.values()))))
+            self._trace_moved(moved)
         for doc in docs:
             ue_id = doc["UE_Id"]
             result = self.last[ue_id]
@@ -248,7 +306,9 @@ def generate_dataset_rows(
             rows.append((result.position, result.los, result.best_pair, result.gains.copy()))
 
     mobility = MobilityModule({"uav0": plan}, sampling_interval)
-    comms = CommsModule(scene, comms_cfg, publish_throughput_in_step=True, sweep_hook=hook)
+    comms = CommsModule(
+        scene, comms_cfg, publish_throughput_in_step=True, sweep_hook=hook, mobility=mobility
+    )
     n_cap = min(max_snapshots, int(np.ceil(plan.total_length / (plan.speed_mps * sampling_interval))) + 2)
     cfg = orch.EpisodeConfig(
         n_snapshots=n_cap,

@@ -109,13 +109,12 @@ def _policy(cfg: dict) -> Policy:
 
 
 def _episode_config(cfg: dict, category: str | None = None, n_snapshots: int | None = None):
-    e = cfg["episode"]
     if n_snapshots is None:
         n_snapshots = cfgmod.strict_leaf(cfg, "episode.n_snapshots")
     return orch.EpisodeConfig(
         n_snapshots=n_snapshots,
-        sampling_interval=float(e["sampling_interval"]),
-        category=e["category"] if category is None else category,
+        sampling_interval=cfgmod.strict_leaf(cfg, "episode.sampling_interval", float),
+        category=cfg["episode"]["category"] if category is None else category,
         seed=_seed(cfg),
     )
 
@@ -134,6 +133,7 @@ def cmd_run(cfg: dict, args, out: Path) -> dict:
     ep = _episode_config(cfg)
     modules = []
     replay_path = None
+    mobility = None
     if ep.category == orch.AI_COMM_IN_LOOP:
         replay_path = cfg["replay_log"]
         if not replay_path:
@@ -148,10 +148,14 @@ def cmd_run(cfg: dict, args, out: Path) -> dict:
         ep = _episode_config(cfg, n_snapshots=min(ep.n_snapshots, len(recorded.records)))
     else:
         plan = cfgmod.seeded_route(cfg, cfgmod.stream_seed(seed, "mobility", 0))
-        modules.append(MobilityModule({"uav0": plan}, ep.sampling_interval))
+        mobility = MobilityModule({"uav0": plan}, ep.sampling_interval)
+        modules.append(mobility)
 
     comms = CommsModule(
-        scene, comms_cfg, publish_throughput_in_step=ep.category == orch.MOB3D_COMM_IN_LOOP
+        scene,
+        comms_cfg,
+        publish_throughput_in_step=ep.category == orch.MOB3D_COMM_IN_LOOP,
+        mobility=mobility,
     )
     modules.append(comms)
     model_path = None
@@ -226,8 +230,7 @@ def cmd_train(cfg: dict, args, out: Path) -> dict:
         raise ConfigError(f"cannot read dataset: {exc}") from exc
     if len(full) < 2:
         raise ConfigError("dataset too small to split after NLOS filtering")
-    d = cfg["dataset"]
-    train_frac = float(d["train_frac"])
+    train_frac = cfgmod.strict_leaf(cfg, "dataset.train_frac", float)
     train, validation = split_dataset(
         full, train_frac=train_frac, seed=cfgmod.stream_seed(_seed(cfg), "split")
     )
@@ -318,17 +321,17 @@ def cmd_bench(cfg: dict, args, out: Path) -> dict:
         raise ConfigError(f"bad --counts: {exc}") from exc
     if not counts or any(c < 1 for c in counts):
         raise ConfigError("--counts needs positive integers")
-    b = cfg["bench"]
     repetitions = cfgmod.strict_leaf(cfg, "bench.repetitions")
     if repetitions < 1:
         raise ConfigError(f"bench.repetitions must be >= 1, got {repetitions}")
-    if not float(b["virtual_seconds"]) > 0:
-        raise ConfigError(f"bench.virtual_seconds must be > 0, got {b['virtual_seconds']}")
+    virtual_seconds = cfgmod.strict_leaf(cfg, "bench.virtual_seconds", float)
+    if not virtual_seconds > 0:
+        raise ConfigError(f"bench.virtual_seconds must be > 0, got {virtual_seconds}")
     reports = bench_mod.run_benchmark(
         scene,
         counts,
-        virtual_seconds=float(b["virtual_seconds"]),
-        sampling_interval=float(cfg["episode"]["sampling_interval"]),
+        virtual_seconds=virtual_seconds,
+        sampling_interval=cfgmod.strict_leaf(cfg, "episode.sampling_interval", float),
         base_plan=cfgmod.base_route(cfg),
         comms_cfg=cfgmod.comms_config(cfg),
         repetitions=repetitions,

@@ -10,6 +10,7 @@ is present afterwards.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from importlib import resources
 from pathlib import Path
@@ -73,19 +74,28 @@ def _merge(base: dict, override, where: str = "") -> dict:
     return out
 
 
+_LEAF_KINDS = {  # kind -> (the JSON types it accepts, what the error message calls it)
+    int: ((int,), "an integer"),
+    bool: ((bool,), "a boolean"),
+    float: ((int, float), "a finite number"),
+}
+
+
 def strict_leaf(cfg: dict, key: str, kind: type = int):
     """The value at a dotted key ("dataset.episodes"; "comms.tx_array.0" is an
-    array entry), which must be a JSON integer, or a JSON boolean for kind=bool.
+    array entry), which must be a JSON integer, a JSON boolean for kind=bool, or
+    a finite JSON integer or float for kind=float (returned as a float).
 
-    A float, even an integral one such as 10.0, is not an integer here.
+    A float, even an integral one such as 10.0, is not an integer here, and a
+    boolean, text, NaN or an infinity is no number.
     """
     value = cfg
     for part in key.split("."):
         value = value[int(part)] if type(value) is list else value[part]
-    if type(value) is not kind:
-        what = "an integer" if kind is int else "a boolean"
+    types, what = _LEAF_KINDS[kind]
+    if type(value) not in types or (kind is float and not math.isfinite(value)):
         raise ConfigError(f"{key} must be {what}, got {json.dumps(value)}")
-    return value
+    return kind(value)
 
 
 def load_config(path=None) -> dict:
@@ -120,33 +130,47 @@ def _upa(cfg: dict, key: str, spacing: float) -> UpaConfig:
     dims = cfg["comms"][key]
     if type(dims) is not list or len(dims) != 2:
         raise ConfigError(f"comms.{key} must be [rows, cols], got {dims!r}")
-    return UpaConfig(*(strict_leaf(cfg, f"comms.{key}.{i}") for i in (0, 1)), spacing=spacing)
+    sides = []
+    for i in (0, 1):
+        side = strict_leaf(cfg, f"comms.{key}.{i}")
+        if side < 1:
+            raise ConfigError(f"comms.{key}.{i} must be >= 1, got {side}")
+        sides.append(side)
+    return UpaConfig(*sides, spacing=spacing)
 
 
 def comms_config(cfg: dict) -> CommsConfig:
-    c = cfg["comms"]
-    spacing = float(c["spacing_wl"])
+    def number(name):
+        return strict_leaf(cfg, f"comms.{name}", float)
+
+    spacing = number("spacing_wl")
+    if not spacing > 0:
+        raise ConfigError(f"comms.spacing_wl must be > 0, got {spacing}")
     return CommsConfig(
-        tx_power_dbm=float(c["tx_power_dbm"]),
-        bandwidth_hz=float(c["bandwidth_hz"]),
-        noise_figure_db=float(c["noise_figure_db"]),
-        max_throughput_mbps=float(c["max_throughput_mbps"]),
-        carrier_hz=float(c["carrier_hz"]),
+        tx_power_dbm=number("tx_power_dbm"),
+        bandwidth_hz=number("bandwidth_hz"),
+        noise_figure_db=number("noise_figure_db"),
+        max_throughput_mbps=number("max_throughput_mbps"),
+        carrier_hz=number("carrier_hz"),
         tx_upa=_upa(cfg, "tx_array", spacing),
         rx_upa=_upa(cfg, "rx_array", spacing),
-        rx_azimuth_deg=float(c["rx_azimuth_deg"]),
-        rx_downtilt_deg=float(c["rx_downtilt_deg"]),
+        rx_azimuth_deg=number("rx_azimuth_deg"),
+        rx_downtilt_deg=number("rx_downtilt_deg"),
     )
 
 
 def mission_config(cfg: dict) -> MissionConfig:
     m = cfg["mission"]
+
+    def number(name):
+        return strict_leaf(cfg, f"mission.{name}", float)
+
     return MissionConfig(
-        payload_bytes=float(m["payload_bytes"]),
+        payload_bytes=number("payload_bytes"),
         n_targets=strict_leaf(cfg, "mission.n_targets"),
-        detection_radius_m=float(m["detection_radius_m"]),
-        psnr_detect_threshold_db=float(m["psnr_detect_threshold_db"]),
-        min_detect_throughput_mbps=float(m["min_detect_throughput_mbps"]),
+        detection_radius_m=number("detection_radius_m"),
+        psnr_detect_threshold_db=number("psnr_detect_threshold_db"),
+        min_detect_throughput_mbps=number("min_detect_throughput_mbps"),
         target_fractions=tuple(m["target_fractions"]),
         fixed_wait=strict_leaf(cfg, "mission.fixed_wait", bool),
         max_snapshots=strict_leaf(cfg, "mission.max_snapshots"),
@@ -159,18 +183,17 @@ def base_route(cfg: dict) -> TrajectoryPlan:
         start=tuple(route["start"]),
         end=tuple(route["end"]),
         waypoints=tuple(tuple(w) for w in route["waypoints"]),
-        speed_mps=float(route["speed_mps"]),
+        speed_mps=strict_leaf(cfg, "mobility.route.speed_mps", float),
     )
 
 
 def seeded_route(cfg: dict, seed_entropy) -> TrajectoryPlan:
     """Base A->B route with seeded random waypoints inside the corridor."""
-    m = cfg["mobility"]
     base = base_route(cfg)
     corridor = Corridor(
         start=base.start,
         end=base.end,
-        half_width=float(m["corridor_half_width"]),
+        half_width=strict_leaf(cfg, "mobility.corridor_half_width", float),
     )
     plan = random_waypoints(seed_entropy, corridor, k=strict_leaf(cfg, "mobility.n_waypoints"))
     return TrajectoryPlan(

@@ -319,7 +319,7 @@ def run_mission(
             f"{DEGRADATION_CEILING_MBPS:g} Mbps the degradation table grades"
         )
     mobility = MobilityModule({"uav0": trajectory}, episode_cfg.sampling_interval)
-    comms = CommsModule(scene, comms_cfg)
+    comms = CommsModule(scene, comms_cfg, mobility=mobility)
     mission = MissionModule(
         policy,
         comms,

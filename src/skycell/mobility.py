@@ -128,6 +128,15 @@ def step_kinematics(state: UeState, dt: float) -> UeState:
     return UeState(state.ue_type, state.ue_id, tuple(pos.tolist()), speed, tuple(waypoints))
 
 
+def positions_ahead(state: UeState, dt: float, k: int) -> list:
+    """The positions of the next k kinematics steps from state, fewer once the route ends."""
+    ahead = []
+    while len(ahead) < k and not state.done:
+        state = step_kinematics(state, dt)
+        ahead.append(state.position)
+    return ahead
+
+
 def position_payload(state: UeState) -> str:
     return position_text(state.ue_type, state.ue_id, *state.position)
 

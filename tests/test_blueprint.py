@@ -18,7 +18,7 @@ from skycell.blueprint import CommsModule, PolicyModule
 from skycell.bus import Broker, json_leaf
 from skycell.config import base_route, comms_config, load_config, load_scene
 from skycell.geometry import Building, Material, Scene, TxPose, los_class, trace_paths
-from skycell.mobility import UeState, position_payload
+from skycell.mobility import TrajectoryPlan, UeState, position_payload
 from skycell.phy import UpaConfig, beam_sweep, boresight_rotation, dft_codebook
 
 CONCRETE = Material("concrete", 0.5)
@@ -355,3 +355,155 @@ def test_episodes_on_one_broker_close_their_subscriptions():
         orch.run_episode(ep, modules, broker=broker)
         assert broker._subs == [probe]
     assert len(probe.drain()) == 3 * 5
+
+
+class _HeldMobility(blueprint.MobilityModule):
+    """Holds UE u<i> for n snapshots from snapshot k, for each (k, i, n) of a schedule."""
+
+    def __init__(self, plans, sampling_interval, holds):
+        super().__init__(plans, sampling_interval)
+        self.holds = holds
+
+    def step(self, t, broker):
+        k = round(t / self.sampling_interval)
+        for when, i, n in self.holds:
+            if when == k and f"u{i}" in self.states:
+                self.hold(f"u{i}", n)
+        super().step(t, broker)
+
+
+def _episode(plans, holds=(), look_ahead=True, category=orch.ALL_IN_LOOP, n_snapshots=16):
+    """Published (topic, text) in order, every sweep_hook result, the log lines and the
+    receivers of each trace call of one episode, or the EpisodeAbort it raised."""
+    mobility = _HeldMobility({f"u{i}": p for i, p in enumerate(plans)}, 0.5, holds)
+    sweeps = []
+
+    def hook(t, ue_id, r):
+        sweeps.append((t, ue_id, r.position, r.los, r.best_pair, r.gains.tobytes()))
+
+    comms = CommsModule(_WALLED, SHIPPED, sweep_hook=hook,
+                        publish_throughput_in_step=category == orch.MOB3D_COMM_IN_LOOP,
+                        mobility=mobility if look_ahead else None)
+    modules = [mobility, comms]
+    if category == orch.ALL_IN_LOOP:
+        modules.append(PolicyModule(Policy(kind="random"), comms, np.random.default_rng(7)))
+    broker = Broker()
+    wire = broker.subscribe(">")
+    batch = mock.Mock(wraps=blueprint.trace_paths_batch)
+    with mock.patch.object(blueprint, "trace_paths_batch", batch):
+        try:
+            log = orch.run_episode(orch.EpisodeConfig(n_snapshots=n_snapshots, category=category),
+                                   modules, broker=broker)
+        except orch.EpisodeAbort as exc:
+            return exc
+    traced = [[tuple(p) for p in c.args[2]] for c in batch.call_args_list]
+    return ([(m.topic, m.payload) for m in wire.drain()], sweeps,
+            [rec.to_json() for rec in log.records], traced)
+
+
+_route_point = st.tuples(st.floats(5.0, 295.0), st.floats(5.0, 295.0), st.floats(2.0, 80.0))
+
+
+@st.composite
+def _plans(draw):
+    points = draw(st.lists(_route_point, min_size=2, max_size=5))
+    for i in draw(st.lists(st.integers(0, len(points) - 1), max_size=2)):
+        points.insert(i, points[i])  # a repeated point is a zero-length leg
+    speed = draw(st.sampled_from([2.5, 5.0]) | st.floats(1.0, 60.0))
+    return TrajectoryPlan(points[0], points[-1], tuple(points[1:-1]), speed)
+
+
+@given(
+    plans=st.lists(_plans(), min_size=1, max_size=4),
+    holds=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 3), st.integers(1, 4)),
+                   max_size=4),
+    category=st.sampled_from([orch.ALL_IN_LOOP, orch.MOB3D_COMM_IN_LOOP]),
+)
+@settings(max_examples=25, deadline=None)
+def test_look_ahead_changes_no_output(plans, holds, category):
+    """With and without mobility=, an episode publishes the same texts in the same order,
+    hands sweep_hook the same results (position, LOS class, best pair, gains bytes) and
+    logs the same records; the look-ahead only merges trace calls."""
+    ahead = _episode(plans, holds, True, category)
+    plain = _episode(plans, holds, False, category)
+    assert ahead[:3] == plain[:3]
+    assert len(ahead[3]) <= len(plain[3])
+    assert all(len(c) <= max(blueprint.TRACE_BATCH, len(plans)) for c in ahead[3])
+
+
+_ROUTE = TrajectoryPlan((150.0, 250.0, 40.0), (250.0, 250.0, 40.0), speed_mps=5.0)
+
+
+def _step(x):
+    return (150.0 + 2.5 * x, 250.0, 40.0)
+
+
+def test_a_lone_ue_traces_its_next_moves_in_one_pass():
+    """A lone moving UE traces TRACE_BATCH positions per call and its next moves trace
+    nothing; a hold delays them. Two UEs trace two positions each, three none ahead."""
+    *_, traced = _episode([_ROUTE], holds=[(2, 0, 3)], n_snapshots=12)
+    # snapshots 2-4 hold; moves 3 and 4 then come from the first call's queue
+    assert traced == [[_step(x) for x in range(k, k + 4)] for k in (1, 5, 9)]
+    two = [_ROUTE, blueprint.offset_plan(_ROUTE, 3.0)]
+    *_, traced = _episode(two, n_snapshots=4)
+    assert [len(c) for c in traced] == [4, 4]
+    assert traced[0][:2] == [_step(1), _step(2)]
+    *_, traced = _episode([*two, blueprint.offset_plan(_ROUTE, 6.0)], n_snapshots=4)
+    assert [len(c) for c in traced] == [3, 3, 3, 3]
+
+
+def test_upcoming_lists_the_moves_the_ue_publishes():
+    mob = blueprint.MobilityModule({"u0": _ROUTE}, 0.5)
+    assert mob.upcoming("u0", 3) == [_step(1), _step(2), _step(3)]
+    mob.hold("u0", 2)
+    broker = Broker()
+    sub = broker.subscribe(orch.POSITIONS_TOPIC)
+    for k in range(5):
+        mob.step(0.5 * k, broker)
+    published = [blueprint.position_of(m.doc) for m in sub.drain()]
+    assert published == [_step(0)] * 2 + [_step(1), _step(2), _step(3)]
+    short = TrajectoryPlan((150.0, 250.0, 40.0), (155.0, 250.0, 40.0), speed_mps=5.0)
+    assert blueprint.MobilityModule({"u0": short}, 0.5).upcoming("u0", 3) == [
+        _step(1), _step(2)]  # the route ends after two moves
+
+
+def test_a_queue_that_does_not_lead_to_the_published_position_is_dropped():
+    broker = Broker()
+    mob = blueprint.MobilityModule({"u0": _ROUTE}, 0.5)
+    comms = CommsModule(_WALLED, SHIPPED, mobility=mob)
+    comms.init(broker)
+    batch = mock.Mock(wraps=blueprint.trace_paths_batch)
+    with mock.patch.object(blueprint, "trace_paths_batch", batch):
+        for k in range(2):
+            mob.step(0.5 * k, broker)
+            comms.step(0.5 * k, broker)
+        mob.states["u0"] = blueprint.uav_state("u0", blueprint.offset_plan(_ROUTE, 3.0))
+        mob.step(1.0, broker)
+        comms.step(1.0, broker)
+    moved = (152.5, 253.0, 40.0)
+    assert [[tuple(p) for p in c.args[2]] for c in batch.call_args_list] == [
+        [_step(1), _step(2), _step(3), _step(4)],
+        [moved, (155.0, 253.0, 40.0), (157.5, 253.0, 40.0), (160.0, 253.0, 40.0)]]
+    assert comms.last["u0"].position == moved
+    assert [r.position for r in comms._ahead["u0"]] == [(155.0, 253.0, 40.0),
+                                                        (157.5, 253.0, 40.0),
+                                                        (160.0, 253.0, 40.0)]
+
+
+@pytest.mark.parametrize(
+    "plan, t",
+    # the fourth move lands on the ground; the sixth on the transmitter, at (20, 50, 30)
+    [(TrajectoryPlan((150.0, 250.0, 10.0), (150.0, 250.0, -10.0), speed_mps=5.0), 1.5),
+     (TrajectoryPlan((20.0, 35.0, 30.0), (20.0, 70.0, 30.0), waypoints=((20.0, 50.0, 30.0),),
+                     speed_mps=5.0), 2.5)],
+    ids=["below-ground", "through-the-transmitter"],
+)
+def test_a_rejected_position_ahead_aborts_where_the_ue_reaches_it(plan, t):
+    """The look-ahead stops before a position the tracer rejects, so the episode aborts at
+    the snapshot that publishes it, with the same diagnostic and partial log."""
+    ahead = _episode([plan], look_ahead=True)
+    plain = _episode([plan], look_ahead=False)
+    assert isinstance(ahead, orch.EpisodeAbort) and isinstance(plain, orch.EpisodeAbort)
+    assert ahead.diagnostic == plain.diagnostic
+    assert f"failed at t={t}:" in ahead.diagnostic
+    assert [r.to_json() for r in ahead.log.records] == [r.to_json() for r in plain.log.records]

@@ -274,6 +274,38 @@ _STRICT_CASES += [("mission", "mission.fixed_wait", value) for value in (1.5, 1,
 )
 def test_integer_or_boolean_leaf_of_another_type_exits_2(tmp_path, capsys, command, key, value):
     """Neither truncated nor truthy: the message names the dotted key and the value."""
+    _assert_leaf_exits_2(tmp_path, capsys, command, key, value)
+
+
+_NUMBER_LEAVES = [("run", f"comms.{name}") for name in (
+    "tx_power_dbm", "bandwidth_hz", "noise_figure_db", "max_throughput_mbps", "carrier_hz",
+    "spacing_wl", "rx_azimuth_deg", "rx_downtilt_deg")]
+_NUMBER_LEAVES += [
+    ("run", "episode.sampling_interval"),
+    ("run", "mobility.route.speed_mps"),
+    ("run", "mobility.corridor_half_width"),
+    ("mission", "mission.payload_bytes"),
+    ("mission", "mission.detection_radius_m"),
+    ("mission", "mission.psnr_detect_threshold_db"),
+    ("mission", "mission.min_detect_throughput_mbps"),
+    ("train", "dataset.train_frac"),
+    ("bench", "bench.virtual_seconds"),
+]
+_NUMBER_CASES = [(command, key, value) for command, key in _NUMBER_LEAVES
+                 for value in ("36", True, float("nan"), float("inf"))]
+
+
+@pytest.mark.parametrize(
+    "command, key, value", _NUMBER_CASES, ids=[f"{k}={v!r}" for _, k, v in _NUMBER_CASES]
+)
+def test_number_leaf_of_another_type_exits_2(tmp_path, capsys, command, key, value):
+    """A float leaf takes a finite JSON integer or float; text, booleans, NaN and
+    Infinity (which Python's json reads) are not read as numbers."""
+    _assert_leaf_exits_2(tmp_path, capsys, command, key, value)
+
+
+def _assert_leaf_exits_2(tmp_path, capsys, command, key, value):
+    """The command, with the leaf at the dotted key set to value, exits 2 naming both."""
     defaults = load_config()
     doc = {}
     *sections, name = key.split(".")
@@ -397,11 +429,15 @@ def test_manifest_reproduces_the_run(
         ({"scene": "missing-scene.json"}, "cannot load scene: [Errno 2] No such file"),
         ({"scene": {"bounds": {"length": 100.0, "width": 100.0}}}, "scene lacks key 'tx'"),
         ({"comms": {"tx_array": [8]}}, "comms.tx_array must be [rows, cols], got [8]"),
+        ({"comms": {"tx_array": [0, 8]}}, "comms.tx_array.0 must be >= 1, got 0"),
+        ({"comms": {"rx_array": [2, -1]}}, "comms.rx_array.1 must be >= 1, got -1"),
+        ({"comms": {"spacing_wl": 0}}, "comms.spacing_wl must be > 0, got 0.0"),
         ({"mission": {"n_targets": 7}}, "n_targets 7 exceeds the 5 target_fractions"),
         ({"mission": {"target_fractions": [0.15, 0.35, 1.5, 0.75, 0.9]}},
          "target_fractions must lie in [0, 1]"),
     ],
-    ids=["missing-scene-file", "scene-without-tx", "one-number-array",
+    ids=["missing-scene-file", "scene-without-tx", "one-number-array", "zero-array-rows",
+         "negative-array-cols", "zero-spacing",
          "more-targets-than-fractions", "fraction-above-one"],
 )
 def test_bad_scene_array_or_targets_exit_2(tmp_path, capsys, doc, message):
