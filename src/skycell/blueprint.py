@@ -109,9 +109,10 @@ class ReplayModule(orch.ModuleHandle):
         self._k += 1
 
 
-# receivers one radio pass aims at: a pass for a lone moving UE also traces its
-# next three moves; with three or more UEs moving it traces none ahead
-TRACE_BATCH = 4
+# receivers one radio pass aims at: each of M moving UEs also has its next
+# TRACE_BATCH // M - 1 moves traced (fifteen for a lone UE, seven each for two);
+# with nine or more UEs moving the pass traces none ahead
+TRACE_BATCH = 16
 
 
 @dataclass

@@ -87,13 +87,18 @@ def strict_leaf(cfg: dict, key: str, kind: type = int):
     a finite JSON integer or float for kind=float (returned as a float).
 
     A float, even an integral one such as 10.0, is not an integer here, and a
-    boolean, text, NaN or an infinity is no number.
+    boolean, text, NaN, an infinity or an integer beyond the float range is no
+    number.
     """
     value = cfg
     for part in key.split("."):
         value = value[int(part)] if type(value) is list else value[part]
     types, what = _LEAF_KINDS[kind]
-    if type(value) not in types or (kind is float and not math.isfinite(value)):
+    try:
+        ok = type(value) in types and (kind is not float or math.isfinite(value))
+    except OverflowError:  # a JSON integer beyond the float range
+        ok = False
+    if not ok:
         raise ConfigError(f"{key} must be {what}, got {json.dumps(value)}")
     return kind(value)
 

@@ -94,12 +94,17 @@ def _face_hit(a, b, coord, lo, hi):
     as a 3-vector and selecting. Call under np.errstate(divide="ignore",
     invalid="ignore"): t is garbage wherever ok is False.
     """
+    # in place, one buffer each for t and the in-plane point: with many
+    # receivers in a pass these are the tracer's largest arrays
     pa = a[..., 0, :]
-    denom = b[..., 0, :] - pa
-    t = (coord - pa) / denom
-    ok = (np.abs(denom) > _PAR_EPS) & (t > 0.0) & (t < 1.0)
+    t = b[..., 0, :] - pa  # the denominator, then t
+    ok = np.abs(t) > _PAR_EPS
+    np.divide(np.subtract(coord, pa, out=np.empty_like(t)), t, out=t)
+    ok &= (t > 0.0) & (t < 1.0)
     au = a[..., 1:, :]
-    uv = au + t[..., None, :] * (b[..., 1:, :] - au)
+    uv = b[..., 1:, :] - au
+    np.multiply(t[..., None, :], uv, out=uv)
+    np.add(au, uv, out=uv)
     ok &= ((uv >= lo) & (uv <= hi)).all(axis=-2)
     return t, ok
 

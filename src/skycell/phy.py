@@ -165,7 +165,9 @@ def synthesize_channels(
     a_tx = _steering(tx_upa, d_tx).conj()
     a_rx = _steering(rx_upa, d_rx)
     gains = np.array([p.gain for p in paths], dtype=np.complex128)
-    terms = gains[:, None, None] * (a_rx[:, :, None] * a_tx[:, None, :])
+    # scaled in place: no second (paths, Nr, Nt) temporary
+    terms = a_rx[:, :, None] * a_tx[:, None, :]
+    np.multiply(gains[:, None, None], terms, out=terms)
     h = np.zeros((len(bundles), rx_upa.n_elements, tx_upa.n_elements), dtype=np.complex128)
     start = 0
     for m in depth:

@@ -2,7 +2,11 @@ import collections
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -414,8 +418,10 @@ def _plans(draw):
 
 
 @given(
-    plans=st.lists(_plans(), min_size=1, max_size=4),
-    holds=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 3), st.integers(1, 4)),
+    # every UE count that traces ahead (TRACE_BATCH // M >= 2) and the first that does not
+    plans=st.lists(_plans(), min_size=1, max_size=blueprint.TRACE_BATCH // 2 + 1),
+    holds=st.lists(st.tuples(st.integers(0, 15), st.integers(0, blueprint.TRACE_BATCH // 2),
+                             st.integers(1, 4)),
                    max_size=4),
     category=st.sampled_from([orch.ALL_IN_LOOP, orch.MOB3D_COMM_IN_LOOP]),
 )
@@ -440,16 +446,19 @@ def _step(x):
 
 def test_a_lone_ue_traces_its_next_moves_in_one_pass():
     """A lone moving UE traces TRACE_BATCH positions per call and its next moves trace
-    nothing; a hold delays them. Two UEs trace two positions each, three none ahead."""
-    *_, traced = _episode([_ROUTE], holds=[(2, 0, 3)], n_snapshots=12)
-    # snapshots 2-4 hold; moves 3 and 4 then come from the first call's queue
-    assert traced == [[_step(x) for x in range(k, k + 4)] for k in (1, 5, 9)]
+    nothing; a hold delays them. Two UEs trace TRACE_BATCH // 2 positions each; the
+    fewest UEs that leave no room, TRACE_BATCH // 2 + 1, trace none ahead."""
+    n = blueprint.TRACE_BATCH
+    *_, traced = _episode([_ROUTE], holds=[(2, 0, 3)], n_snapshots=n + 4)
+    # snapshots 2-4 hold; moves 3 to n then come from the first call's queue
+    assert traced == [[_step(x) for x in range(k, k + n)] for k in (1, n + 1)]
     two = [_ROUTE, blueprint.offset_plan(_ROUTE, 3.0)]
-    *_, traced = _episode(two, n_snapshots=4)
-    assert [len(c) for c in traced] == [4, 4]
-    assert traced[0][:2] == [_step(1), _step(2)]
-    *_, traced = _episode([*two, blueprint.offset_plan(_ROUTE, 6.0)], n_snapshots=4)
-    assert [len(c) for c in traced] == [3, 3, 3, 3]
+    *_, traced = _episode(two, n_snapshots=n)
+    assert [len(c) for c in traced] == [n, n]
+    assert traced[0][:n // 2] == [_step(x) for x in range(1, n // 2 + 1)]
+    crowd = [blueprint.offset_plan(_ROUTE, 3.0 * i) for i in range(n // 2 + 1)]
+    *_, traced = _episode(crowd, n_snapshots=4)
+    assert [len(c) for c in traced] == [n // 2 + 1] * 4
 
 
 def test_upcoming_lists_the_moves_the_ue_publishes():
@@ -481,13 +490,12 @@ def test_a_queue_that_does_not_lead_to_the_published_position_is_dropped():
         mob.step(1.0, broker)
         comms.step(1.0, broker)
     moved = (152.5, 253.0, 40.0)
+    offset = [(150.0 + 2.5 * x, 253.0, 40.0) for x in range(1, blueprint.TRACE_BATCH + 1)]
     assert [[tuple(p) for p in c.args[2]] for c in batch.call_args_list] == [
-        [_step(1), _step(2), _step(3), _step(4)],
-        [moved, (155.0, 253.0, 40.0), (157.5, 253.0, 40.0), (160.0, 253.0, 40.0)]]
+        [_step(x) for x in range(1, blueprint.TRACE_BATCH + 1)], offset]
+    assert offset[0] == moved
     assert comms.last["u0"].position == moved
-    assert [r.position for r in comms._ahead["u0"]] == [(155.0, 253.0, 40.0),
-                                                        (157.5, 253.0, 40.0),
-                                                        (160.0, 253.0, 40.0)]
+    assert [r.position for r in comms._ahead["u0"]] == offset[1:]
 
 
 @pytest.mark.parametrize(
@@ -507,3 +515,23 @@ def test_a_rejected_position_ahead_aborts_where_the_ue_reaches_it(plan, t):
     assert ahead.diagnostic == plain.diagnostic
     assert f"failed at t={t}:" in ahead.diagnostic
     assert [r.to_json() for r in ahead.log.records] == [r.to_json() for r in plain.log.records]
+
+
+def test_radio_pass_bench_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+    def run(n):
+        return subprocess.run(
+            [sys.executable, str(root / "scripts" / "radio_pass_bench.py"), "--passes", str(n)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    ok = run(2)
+    assert ok.returncode == 0, ok.stderr
+    lines = ok.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["M=1", "M=4", "M=8", "M=16", "M=32"]
+    assert all(" ms per receiver (quartiles " in line and line.endswith(" KB") for line in lines)
+    short = run(1)
+    assert short.returncode == 2
+    assert "--passes must be at least 2" in short.stderr

@@ -291,16 +291,19 @@ _NUMBER_LEAVES += [
     ("train", "dataset.train_frac"),
     ("bench", "bench.virtual_seconds"),
 ]
+_HUGE = 10**400  # a JSON integer float() cannot hold
 _NUMBER_CASES = [(command, key, value) for command, key in _NUMBER_LEAVES
-                 for value in ("36", True, float("nan"), float("inf"))]
+                 for value in ("36", True, float("nan"), float("inf"), _HUGE)]
 
 
 @pytest.mark.parametrize(
-    "command, key, value", _NUMBER_CASES, ids=[f"{k}={v!r}" for _, k, v in _NUMBER_CASES]
+    "command, key, value", _NUMBER_CASES,
+    ids=[f"{k}=10**400" if v is _HUGE else f"{k}={v!r}" for _, k, v in _NUMBER_CASES],
 )
 def test_number_leaf_of_another_type_exits_2(tmp_path, capsys, command, key, value):
-    """A float leaf takes a finite JSON integer or float; text, booleans, NaN and
-    Infinity (which Python's json reads) are not read as numbers."""
+    """A float leaf takes a finite JSON integer or float; text, booleans, NaN,
+    Infinity (which Python's json reads) and an integer beyond the float range are
+    not read as numbers."""
     _assert_leaf_exits_2(tmp_path, capsys, command, key, value)
 
 
