@@ -18,7 +18,7 @@ import numpy as np
 
 from . import orchestrator as orch
 from .ai import Policy
-from .blueprint import CommsModule, MobilityModule, PolicyModule, offset_plan
+from .blueprint import MobilityModule, PolicyModule, loop_modules, offset_plan
 from .geometry import Scene
 from .mobility import TrajectoryPlan
 from .phy import CommsConfig
@@ -84,6 +84,7 @@ def run_benchmark(
     n_snapshots = int(round(virtual_seconds / sampling_interval))
     if abs(n_snapshots * sampling_interval - virtual_seconds) > 1e-12:
         raise ValueError("virtual_seconds must be a multiple of the sampling interval")
+    ep = orch.EpisodeConfig(n_snapshots, sampling_interval, orch.ALL_IN_LOOP, seed)
     # each repetition runs every count in turn, so drift in host speed over
     # the run hits all counts alike; repetition 0 is the discarded warm-up
     samples = [([], [], [], []) for _ in uav_counts]  # tp, t_mobility, t_comms, t_ai
@@ -96,19 +97,13 @@ def run_benchmark(
                 f"uav{i}": offset_plan(base_plan, 3.0 * (i - (count - 1) / 2.0))
                 for i in range(count)
             }
-            mobility = MobilityModule(plans, sampling_interval)
-            comms = CommsModule(scene, comms_cfg, mobility=mobility)
-            ai_mod = PolicyModule(
-                Policy(kind="random"), comms, np.random.default_rng((seed, count, rep))
-            )
-            cfg = orch.EpisodeConfig(
-                n_snapshots=n_snapshots,
-                sampling_interval=sampling_interval,
-                category=orch.ALL_IN_LOOP,
-                seed=seed,
+            rng = np.random.default_rng((seed, count, rep))
+            modules = loop_modules(
+                ep.category, scene, comms_cfg, MobilityModule(plans, sampling_interval),
+                ai=lambda comms: PolicyModule(Policy(kind="random"), comms, rng),
             )
             try:
-                log = orch.run_episode(cfg, [mobility, comms, ai_mod])
+                log = orch.run_episode(ep, modules)
             except orch.EpisodeAbort as exc:
                 errors[k] = str(exc)
                 continue

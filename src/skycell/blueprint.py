@@ -3,22 +3,23 @@
 The position source publishes on "3D.mobility.positions"; communications
 traces every UE that moved in one batch, runs the full beam sweep over the
 stack of their channels in one call, queues "Ready" on "communications.state"
-before its step returns (the loop checks it there, the ray-tracing barrier)
-and reports throughput on "communications.throughput"; the AI module consumes
-positions plus sweep gains and publishes its beam-pair decision. Data that
+before its step returns (the loop checks it there, the ray-tracing barrier);
+the AI module consumes positions plus sweep gains, publishes its beam-pair
+decision and reports that pair's throughput on "communications.throughput"
+(in a loop without one, communications reports its best pair's). Data that
 does not fit the message contract (the gains vector, one entry per beam pair)
 moves by direct reference, mirroring the file-based flow of heavyweight
-simulators.
+simulators. loop_modules builds every category's modules, in order.
 
 Each message text is built by its bus template when it is sent. A held
 snapshot reuses only its sweep (CommsModule.last, keyed by UE) and the
 broker's parsed docs.
 
 A UE's next positions are fixed by its route (a hold delays them, never
-changes them), so when communications knows the MobilityModule feeding it,
-the pass that traces a moved UE also traces its next moves, up to
-TRACE_BATCH receivers in all, and later moves are served from that queue.
-Every SweepResult is bit-equal whichever batch traced it.
+changes them), so when the position source is a MobilityModule, loop_modules
+hands it to communications: the pass that traces a moved UE also traces its
+next moves, up to TRACE_BATCH receivers in all, and later moves are served
+from that queue. Every SweepResult is bit-equal whichever batch traced it.
 """
 
 from __future__ import annotations
@@ -133,14 +134,13 @@ class CommsModule(orch.ModuleHandle):
         self,
         scene: Scene,
         cfg: CommsConfig,
-        publish_throughput_in_step: bool = False,
         sweep_hook=None,
         mobility: MobilityModule | None = None,
     ):
         self.scene = scene
         self.mobility = mobility
         self.cfg = cfg
-        self.publish_throughput_in_step = publish_throughput_in_step
+        self.reports_throughput = True  # until a PolicyModule built on it takes the report
         self.sweep_hook = sweep_hook
         self.tx_codebook = dft_codebook(self.cfg.tx_upa)
         self.rx_codebook = dft_codebook(self.cfg.rx_upa)
@@ -227,7 +227,7 @@ class CommsModule(orch.ModuleHandle):
             broker.publish(orch.BEST_PAIR_TOPIC, payload, publisher=self.name)
             if self.sweep_hook is not None:
                 self.sweep_hook(t, ue_id, result)
-            if self.publish_throughput_in_step:
+            if self.reports_throughput:
                 self.report_throughput(doc, result.best_pair, broker)
         broker.publish(orch.READY_TOPIC, orch.READY_PAYLOAD, publisher=self.name)
 
@@ -251,6 +251,7 @@ class PolicyModule(orch.ModuleHandle):
             raise ValueError(f"tree model has {policy.model.n_classes} pairs, arrays {n_pairs}")
         self.policy = policy
         self.comms = comms
+        comms.reports_throughput = False  # this module reports its chosen pair's instead
         self.rng = rng
         self._sub = None
 
@@ -272,6 +273,22 @@ class PolicyModule(orch.ModuleHandle):
 
     def on_throughput(self, t: float, broker: Broker, ue_id: str, pos, tput: float) -> None:
         """Per-UE hook after the throughput report; subclasses add behaviour."""
+
+
+def loop_modules(category: str, scene: Scene, comms_cfg: CommsConfig, source, ai=None,
+                 sweep_hook=None) -> list:
+    """A category's modules in registration order: the position source, communications
+    and, when the category has an AI role, the module ai(comms) builds on it.
+
+    Communications traces a moved UE's next moves exactly when the source is a
+    MobilityModule, the one source whose route is known ahead.
+    """
+    has_ai = "ai" in orch.category_wiring(category)
+    if (ai is not None) != has_ai:
+        raise ValueError(f"category {category} {'needs an' if has_ai else 'has no'} AI module")
+    mobility = source if isinstance(source, MobilityModule) else None
+    comms = CommsModule(scene, comms_cfg, sweep_hook=sweep_hook, mobility=mobility)
+    return [source, comms] + ([ai(comms)] if has_ai else [])
 
 
 def offset_plan(plan: TrajectoryPlan, offset_m: float) -> TrajectoryPlan:
@@ -307,14 +324,11 @@ def generate_dataset_rows(
             rows.append((result.position, result.los, result.best_pair, result.gains.copy()))
 
     mobility = MobilityModule({"uav0": plan}, sampling_interval)
-    comms = CommsModule(
-        scene, comms_cfg, publish_throughput_in_step=True, sweep_hook=hook, mobility=mobility
-    )
+    category = orch.MOB3D_COMM_IN_LOOP
+    modules = loop_modules(category, scene, comms_cfg, mobility, sweep_hook=hook)
     n_cap = min(max_snapshots, int(np.ceil(plan.total_length / (plan.speed_mps * sampling_interval))) + 2)
     cfg = orch.EpisodeConfig(
-        n_snapshots=n_cap,
-        sampling_interval=sampling_interval,
-        category=orch.MOB3D_COMM_IN_LOOP,
+        n_snapshots=n_cap, sampling_interval=sampling_interval, category=category
     )
-    orch.run_episode(cfg, [mobility, comms], stop_early=lambda rec: mobility.route_complete("uav0"))
+    orch.run_episode(cfg, modules, stop_early=lambda rec: mobility.route_complete("uav0"))
     return rows

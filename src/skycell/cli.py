@@ -28,7 +28,7 @@ from .ai import (
     topk_accuracy,
     train_tree,
 )
-from .blueprint import CommsModule, MobilityModule, PolicyModule, ReplayModule, generate_dataset_rows
+from .blueprint import MobilityModule, PolicyModule, ReplayModule, generate_dataset_rows, loop_modules
 from .config import ConfigError
 from .mission import DEGRADATION_CEILING_MBPS, estimate_rescue_curve, run_mission
 
@@ -67,7 +67,11 @@ def _load_config(args) -> dict:
 
 
 def _seed(cfg: dict) -> int:
-    return cfgmod.strict_leaf(cfg, "episode.seed")
+    """The master seed, in [0, 2**64): the seed streams read its low 64 bits alone."""
+    seed = cfgmod.strict_leaf(cfg, "episode.seed")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"episode.seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def _inputs(**paths) -> dict:
@@ -131,9 +135,7 @@ def cmd_run(cfg: dict, args, out: Path) -> dict:
     scene = cfgmod.load_scene(cfg)
     comms_cfg = cfgmod.comms_config(cfg)
     ep = _episode_config(cfg)
-    modules = []
     replay_path = None
-    mobility = None
     if ep.category == orch.AI_COMM_IN_LOOP:
         replay_path = cfg["replay_log"]
         if not replay_path:
@@ -144,26 +146,19 @@ def cmd_run(cfg: dict, args, out: Path) -> dict:
             raise ConfigError(f"cannot read replay log: {exc}") from exc
         if not recorded.records:
             raise ConfigError(f"replay log {replay_path} has no records")
-        modules.append(ReplayModule(recorded.records))
+        source = ReplayModule(recorded.records)
         ep = _episode_config(cfg, n_snapshots=min(ep.n_snapshots, len(recorded.records)))
     else:
         plan = cfgmod.seeded_route(cfg, cfgmod.stream_seed(seed, "mobility", 0))
-        mobility = MobilityModule({"uav0": plan}, ep.sampling_interval)
-        modules.append(mobility)
+        source = MobilityModule({"uav0": plan}, ep.sampling_interval)
 
-    comms = CommsModule(
-        scene,
-        comms_cfg,
-        publish_throughput_in_step=ep.category == orch.MOB3D_COMM_IN_LOOP,
-        mobility=mobility,
-    )
-    modules.append(comms)
-    model_path = None
-    if ep.category in (orch.ALL_IN_LOOP, orch.AI_COMM_IN_LOOP):
-        modules.append(PolicyModule(_policy(cfg), comms, cfgmod.rng_for(seed, "random-policy")))
+    ai = model_path = None
+    if "ai" in orch.category_wiring(ep.category):
+        def ai(comms):
+            return PolicyModule(_policy(cfg), comms, cfgmod.rng_for(seed, "random-policy"))
+
         model_path = _model_path(cfg)
-
-    log = orch.run_episode(ep, modules)
+    log = orch.run_episode(ep, loop_modules(ep.category, scene, comms_cfg, source, ai=ai))
     log.write_jsonl(out / "episode.jsonl")
     with open(out / "metrics.json", "w", encoding="utf-8") as fh:
         json.dump(

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import orchestrator as orch
 from .ai import Policy
-from .blueprint import CommsModule, MobilityModule, PolicyModule
+from .blueprint import CommsModule, MobilityModule, PolicyModule, loop_modules
 from .bus import Broker
 from .geometry import Scene
 from .mobility import TrajectoryPlan
@@ -156,19 +156,21 @@ class MissionConfig:
     max_snapshots: int = 100_000
 
     def __post_init__(self):
-        if self.payload_bytes <= 0:
-            raise ValueError("payload_bytes must be positive")
+        if not self.payload_bytes > 0:
+            raise ValueError(f"mission.payload_bytes must be > 0, got {self.payload_bytes}")
         if self.n_targets < 0:
-            raise ValueError("n_targets must be >= 0")
+            raise ValueError(f"mission.n_targets must be >= 0, got {self.n_targets}")
         if not self.detection_radius_m >= 0:
             raise ValueError(
                 f"mission.detection_radius_m must be >= 0, got {self.detection_radius_m}"
             )
         n = len(self.target_fractions)
         if self.n_targets > n:
-            raise ValueError(f"n_targets {self.n_targets} exceeds the {n} target_fractions")
+            raise ValueError(f"mission.n_targets {self.n_targets} exceeds the {n} target_fractions")
         if not all(0.0 <= f <= 1.0 for f in self.target_fractions):
-            raise ValueError(f"target_fractions must lie in [0, 1], got {self.target_fractions}")
+            raise ValueError(
+                f"mission.target_fractions must lie in [0, 1], got {self.target_fractions}"
+            )
 
     def target_positions(self, plan: TrajectoryPlan) -> list:
         pts = [plan.arc_point(f) for f in self.target_fractions[: self.n_targets]]
@@ -319,19 +321,12 @@ def run_mission(
             f"{DEGRADATION_CEILING_MBPS:g} Mbps the degradation table grades"
         )
     mobility = MobilityModule({"uav0": trajectory}, episode_cfg.sampling_interval)
-    comms = CommsModule(scene, comms_cfg, mobility=mobility)
-    mission = MissionModule(
-        policy,
-        comms,
-        mobility,
-        mission_cfg,
-        mission_cfg.target_positions(trajectory),
-        rng,
+    targets = mission_cfg.target_positions(trajectory)
+    modules = loop_modules(
+        episode_cfg.category, scene, comms_cfg, mobility,
+        ai=lambda comms: MissionModule(policy, comms, mobility, mission_cfg, targets, rng),
     )
-    log = orch.run_episode(
-        episode_cfg,
-        [mobility, comms, mission],
-        stop_early=lambda rec: mission.finished,
-    )
+    mission = modules[-1]
+    log = orch.run_episode(episode_cfg, modules, stop_early=lambda rec: mission.finished)
     total_time = len(log.records) * episode_cfg.sampling_interval
     return mission.metrics(total_time), log

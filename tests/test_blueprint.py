@@ -19,9 +19,12 @@ from skycell import blueprint, bus
 from skycell import orchestrator as orch
 from skycell.ai import DecisionTreeModel, Policy, TreeNode
 from skycell.blueprint import CommsModule, PolicyModule
+from skycell.bench import run_benchmark
 from skycell.bus import Broker, json_leaf
+from skycell.cli import main
 from skycell.config import base_route, comms_config, load_config, load_scene
 from skycell.geometry import Building, Material, Scene, TxPose, los_class, trace_paths
+from skycell.mission import MissionConfig, run_mission
 from skycell.mobility import TrajectoryPlan, UeState, position_payload
 from skycell.phy import UpaConfig, beam_sweep, boresight_rotation, dft_codebook
 
@@ -269,6 +272,9 @@ def test_message_texts_are_json_dumps_of_a_fresh_doc(ue_id, position, pair, tput
     assert bus.pair_text("CAR", ue_id, pair) == json.dumps(
         {"UE_type": "CAR", "UE_Id": ue_id, "pair": pair})
     broker, comms = _comms(_WALLED)
+    # a policy built on comms takes its throughput report over: the step sends the pair
+    # text alone, and these pairs need not index the gains
+    PolicyModule(Policy(kind="random"), comms, np.random.default_rng(0))
     best, reports = (broker.subscribe(topic)
                      for topic in (orch.BEST_PAIR_TOPIC, orch.THROUGHPUT_TOPIC))
     here = (0.0, 0.0, 0.0)
@@ -386,7 +392,6 @@ def _episode(plans, holds=(), look_ahead=True, category=orch.ALL_IN_LOOP, n_snap
         sweeps.append((t, ue_id, r.position, r.los, r.best_pair, r.gains.tobytes()))
 
     comms = CommsModule(_WALLED, SHIPPED, sweep_hook=hook,
-                        publish_throughput_in_step=category == orch.MOB3D_COMM_IN_LOOP,
                         mobility=mobility if look_ahead else None)
     modules = [mobility, comms]
     if category == orch.ALL_IN_LOOP:
@@ -515,6 +520,76 @@ def test_a_rejected_position_ahead_aborts_where_the_ue_reaches_it(plan, t):
     assert ahead.diagnostic == plain.diagnostic
     assert f"failed at t={t}:" in ahead.diagnostic
     assert [r.to_json() for r in ahead.log.records] == [r.to_json() for r in plain.log.records]
+
+
+def _run_command(category):
+    def run(tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"episode": {"n_snapshots": 3, "category": category}}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    return run
+
+
+_DEFAULTS = load_config(None)
+_ENTRY_POINTS = {
+    "run-Mob3dCommInLoop": _run_command(orch.MOB3D_COMM_IN_LOOP),
+    "run-AllInLoop": _run_command(orch.ALL_IN_LOOP),
+    "generate_dataset_rows": lambda tmp_path: blueprint.generate_dataset_rows(
+        load_scene(_DEFAULTS), base_route(_DEFAULTS), SHIPPED, max_snapshots=3),
+    "run_mission": lambda tmp_path: run_mission(
+        load_scene(_DEFAULTS), base_route(_DEFAULTS), MissionConfig(),
+        orch.EpisodeConfig(n_snapshots=3), SHIPPED, Policy(kind="random"),
+        np.random.default_rng(0)),
+    "run_benchmark": lambda tmp_path: run_benchmark(
+        load_scene(_DEFAULTS), [1], base_route(_DEFAULTS), SHIPPED, virtual_seconds=1.0,
+        repetitions=1),
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_every_entry_point_traces_a_lone_uav_ahead(tmp_path, monkeypatch, entry):
+    """Each loop links communications to its MobilityModule, so the first pass traces the
+    lone UAV's position and its next moves, TRACE_BATCH receivers in all."""
+    receivers = []
+    real = blueprint.trace_paths_batch
+
+    def spy(scene, tx, rx, **kwargs):
+        receivers.append(len(rx))
+        return real(scene, tx, rx, **kwargs)
+
+    monkeypatch.setattr(blueprint, "trace_paths_batch", spy)
+    _ENTRY_POINTS[entry](tmp_path)
+    assert receivers[0] == blueprint.TRACE_BATCH
+
+
+def test_loop_modules_follow_the_category_wiring():
+    """Modules in the category's role order; the look-ahead link exactly for a
+    MobilityModule source; the throughput report where the AI module is absent."""
+    mobility = blueprint.MobilityModule({"u0": base_route(_DEFAULTS)}, 0.5)
+    replay = blueprint.ReplayModule([])
+
+    def ai(comms):
+        return PolicyModule(Policy(kind="random"), comms, np.random.default_rng(0))
+
+    def hook(t, ue_id, result):
+        pass
+
+    for category, source, has_ai in ((orch.ALL_IN_LOOP, mobility, True),
+                                     (orch.AI_COMM_IN_LOOP, replay, True),
+                                     (orch.MOB3D_COMM_IN_LOOP, mobility, False)):
+        modules = blueprint.loop_modules(category, _WALLED, SHIPPED, source,
+                                         ai=ai if has_ai else None, sweep_hook=hook)
+        assert tuple(m.role for m in modules) == orch.category_wiring(category)
+        comms = modules[1]
+        assert modules[0] is source and comms.sweep_hook is hook
+        assert comms.mobility is (mobility if source is mobility else None)
+        assert comms.reports_throughput is not has_ai
+        assert not has_ai or modules[2].comms is comms
+        message = f"category {category} {'needs an' if has_ai else 'has no'} AI module"
+        with pytest.raises(ValueError, match=message):
+            blueprint.loop_modules(category, _WALLED, SHIPPED, source,
+                                   ai=None if has_ai else ai)
 
 
 def test_radio_pass_bench_script_runs():

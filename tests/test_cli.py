@@ -235,10 +235,14 @@ _FAST_BENCH = {"virtual_seconds": 1.0, "repetitions": 1}
          "bench.virtual_seconds must be > 0, got 0.0"),
         ("mission", {"mission": {"detection_radius_m": -5}},
          "mission.detection_radius_m must be >= 0, got -5.0"),
+        ("mission", {"mission": {"n_targets": -5}}, "mission.n_targets must be >= 0, got -5"),
+        ("mission", {"mission": {"payload_bytes": 0}},
+         "mission.payload_bytes must be > 0, got 0.0"),
     ],
     ids=["zero-carrier", "zero-bandwidth", "negative-cap", "zero-cap-bench", "zero-speed",
          "negative-speed", "zero-speed-bench", "zero-repetitions", "negative-virtual-seconds",
-         "zero-virtual-seconds", "negative-detection-radius"],
+         "zero-virtual-seconds", "negative-detection-radius", "negative-targets",
+         "zero-payload"],
 )
 def test_non_positive_rate_speed_or_repetitions_exits_2(tmp_path, capsys, command, doc, message):
     """These checks run after the output directory exists; the command writes nothing in it."""
@@ -249,6 +253,24 @@ def test_non_positive_rate_speed_or_repetitions_exits_2(tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", [2**64 + 11, -1], ids=["2**64+11", "-1"])
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, seed):
+    """The seed streams read a seed's low 64 bits alone, so a seed outside [0, 2**64)
+    would run the episode of another seed (2**64 + 11 that of 11, -1 that of 2**64 - 1)."""
+    cfg = _write_cfg(tmp_path, episode={"seed": seed})
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert f"error: episode.seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_largest_seed_runs(tmp_path):
+    cfg = _write_cfg(tmp_path, episode={"n_snapshots": 2, "seed": 2**64 - 1})
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 2**64 - 1
 
 
 _INTEGER_LEAVES = [
