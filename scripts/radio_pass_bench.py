@@ -23,7 +23,7 @@ import tracemalloc
 import numpy as np
 
 from skycell.blueprint import CommsModule
-from skycell.config import base_route, comms_config, default_scene, load_config, strict_leaf
+from skycell.config import base_route, comms_config, default_scene, load_config
 from skycell.mobility import Corridor
 
 BATCHES = (1, 4, 8, 16, 32)
@@ -37,7 +37,7 @@ def main() -> None:
         ap.error(f"--passes must be at least 2, got {args.passes}")
     cfg = load_config()
     route = base_route(cfg)
-    half_width = strict_leaf(cfg, "mobility.corridor_half_width", float)
+    half_width = cfg["mobility"]["corridor_half_width"]
     lo, hi = Corridor(route.start, route.end, half_width).bounds()
     comms = CommsModule(default_scene(), comms_config(cfg))
     rng = np.random.default_rng(0)

@@ -20,6 +20,7 @@ logger = logging.getLogger(__name__)
 
 TOPK_GRID = (1, 2, 3, 4, 5, 10, 25, 50, 75, 100)
 LOS_CLASSES = ("LOS", "NLOS", "outage")
+POLICY_KINDS = ("random", "tree", "oracle")
 CSV_HEADER = ["x", "y", "z", "los", "best_pair"]  # then g0..g{n-1}, one per beam pair
 
 
@@ -365,11 +366,11 @@ def topk_accuracy(model: DecisionTreeModel, eval_ds: BeamDataset, k: int) -> flo
 
 @dataclass
 class Policy:
-    kind: str  # "random" | "tree" | "oracle"
+    kind: str  # one of POLICY_KINDS
     model: DecisionTreeModel | None = None
 
     def __post_init__(self):
-        if self.kind not in ("random", "tree", "oracle"):
+        if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind == "tree" and self.model is None:
             raise ValueError("tree policy requires a trained model")

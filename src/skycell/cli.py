@@ -19,6 +19,7 @@ from . import bench as bench_mod
 from . import config as cfgmod
 from . import orchestrator as orch
 from .ai import (
+    POLICY_KINDS,
     TOPK_GRID,
     BeamDataset,
     DecisionTreeModel,
@@ -44,34 +45,17 @@ _FLAG_KEYS = {
 }
 
 
-def _load_config(args) -> dict:
-    """Defaults, then the --config JSON, then every override flag that was given.
+def _overrides(args) -> dict:
+    """The config key of every override flag that was given, to its value.
 
     A path flag is stored resolved, so the manifest re-runs from any directory.
     """
-    try:
-        cfg = cfgmod.load_config(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    for dest, key in _FLAG_KEYS.items():
-        value = vars(args).get(dest)
-        if value is not None:  # an absent flag leaves its key alone; a 0 is a value
-            if dest in ("replay", "model"):
-                value = str(Path(value).resolve())
-            *sections, leaf = key.split(".")
-            node = cfg
-            for section in sections:
-                node = node[section]
-            node[leaf] = value
-    return cfg
-
-
-def _seed(cfg: dict) -> int:
-    """The master seed, in [0, 2**64): the seed streams read its low 64 bits alone."""
-    seed = cfgmod.strict_leaf(cfg, "episode.seed")
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"episode.seed must be in [0, 2**64), got {seed}")
-    return seed
+    given = {dest: vars(args).get(dest) for dest in _FLAG_KEYS}
+    return {
+        _FLAG_KEYS[dest]: str(Path(value).resolve()) if dest in ("replay", "model") else value
+        for dest, value in given.items()
+        if value is not None  # an absent flag leaves its key alone; a 0 is a value
+    }
 
 
 def _inputs(**paths) -> dict:
@@ -112,15 +96,8 @@ def _policy(cfg: dict) -> Policy:
     return Policy(kind=kind, model=model)
 
 
-def _episode_config(cfg: dict, category: str | None = None, n_snapshots: int | None = None):
-    if n_snapshots is None:
-        n_snapshots = cfgmod.strict_leaf(cfg, "episode.n_snapshots")
-    return orch.EpisodeConfig(
-        n_snapshots=n_snapshots,
-        sampling_interval=cfgmod.strict_leaf(cfg, "episode.sampling_interval", float),
-        category=cfg["episode"]["category"] if category is None else category,
-        seed=_seed(cfg),
-    )
+def _episode_config(cfg: dict, **changes) -> orch.EpisodeConfig:
+    return orch.EpisodeConfig(**{**cfg["episode"], **changes})
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +108,7 @@ def _episode_config(cfg: dict, category: str | None = None, n_snapshots: int | N
 
 
 def cmd_run(cfg: dict, args, out: Path) -> dict:
-    seed = _seed(cfg)
+    seed = cfg["episode"]["seed"]
     scene = cfgmod.load_scene(cfg)
     comms_cfg = cfgmod.comms_config(cfg)
     ep = _episode_config(cfg)
@@ -176,20 +153,15 @@ def cmd_run(cfg: dict, args, out: Path) -> dict:
 
 
 def cmd_dataset(cfg: dict, args, out: Path) -> dict:
-    seed = _seed(cfg)
+    seed, interval = cfg["episode"]["seed"], cfg["episode"]["sampling_interval"]
+    n_episodes = cfg["dataset"]["episodes"]
     scene = cfgmod.load_scene(cfg)
     comms_cfg = cfgmod.comms_config(cfg)
-    ep = _episode_config(cfg)
-    n_episodes = cfgmod.strict_leaf(cfg, "dataset.episodes")
-    if n_episodes < 1:
-        raise ConfigError(f"episodes must be >= 1, got {n_episodes}")
 
     rows = []
     for e in range(n_episodes):
         plan = cfgmod.seeded_route(cfg, cfgmod.stream_seed(seed, "mobility", e))
-        rows.extend(
-            generate_dataset_rows(scene, plan, comms_cfg, sampling_interval=ep.sampling_interval)
-        )
+        rows.extend(generate_dataset_rows(scene, plan, comms_cfg, sampling_interval=interval))
     dataset = BeamDataset.from_rows(rows)
     n_nlos = int(sum(1 for c in dataset.los if c == "NLOS"))
     if n_nlos == 0:
@@ -225,17 +197,11 @@ def cmd_train(cfg: dict, args, out: Path) -> dict:
         raise ConfigError(f"cannot read dataset: {exc}") from exc
     if len(full) < 2:
         raise ConfigError("dataset too small to split after NLOS filtering")
-    train_frac = cfgmod.strict_leaf(cfg, "dataset.train_frac", float)
+    d = cfg["dataset"]
     train, validation = split_dataset(
-        full, train_frac=train_frac, seed=cfgmod.stream_seed(_seed(cfg), "split")
+        full, train_frac=d["train_frac"], seed=cfgmod.stream_seed(cfg["episode"]["seed"], "split")
     )
-    max_depth = cfgmod.strict_leaf(cfg, "dataset.max_depth")
-    if max_depth < 1:
-        raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
-    min_leaf = cfgmod.strict_leaf(cfg, "dataset.min_leaf")
-    if min_leaf < 1:
-        raise ConfigError(f"dataset.min_leaf must be >= 1, got {min_leaf}")
-    model = train_tree(train, max_depth=max_depth, min_leaf=min_leaf)
+    model = train_tree(train, max_depth=d["max_depth"], min_leaf=d["min_leaf"])
     model.save(out / "model.json")
 
     grids = {"validation": validation}
@@ -275,7 +241,7 @@ def cmd_eval(cfg: dict, args, out: Path) -> dict:
 
 
 def cmd_mission(cfg: dict, args, out: Path) -> dict:
-    seed = _seed(cfg)
+    seed = cfg["episode"]["seed"]
     scene = cfgmod.load_scene(cfg)
     comms_cfg = cfgmod.comms_config(cfg)
     policy = _policy(cfg)
@@ -316,21 +282,15 @@ def cmd_bench(cfg: dict, args, out: Path) -> dict:
         raise ConfigError(f"bad --counts: {exc}") from exc
     if not counts or any(c < 1 for c in counts):
         raise ConfigError("--counts needs positive integers")
-    repetitions = cfgmod.strict_leaf(cfg, "bench.repetitions")
-    if repetitions < 1:
-        raise ConfigError(f"bench.repetitions must be >= 1, got {repetitions}")
-    virtual_seconds = cfgmod.strict_leaf(cfg, "bench.virtual_seconds", float)
-    if not virtual_seconds > 0:
-        raise ConfigError(f"bench.virtual_seconds must be > 0, got {virtual_seconds}")
     reports = bench_mod.run_benchmark(
         scene,
         counts,
-        virtual_seconds=virtual_seconds,
-        sampling_interval=cfgmod.strict_leaf(cfg, "episode.sampling_interval", float),
+        virtual_seconds=cfg["bench"]["virtual_seconds"],
+        sampling_interval=cfg["episode"]["sampling_interval"],
         base_plan=cfgmod.base_route(cfg),
         comms_cfg=cfgmod.comms_config(cfg),
-        repetitions=repetitions,
-        seed=_seed(cfg),
+        repetitions=cfg["bench"]["repetitions"],
+        seed=cfg["episode"]["seed"],
     )
     bench_mod.write_csv(reports, out / "bench.csv")
     bench_mod.write_json(reports, out / "bench.json")
@@ -364,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one episode in the configured category")
     common(p)
     override(p, "--replay", "recorded episode log for AiCommInLoop")
-    override(p, "--policy", "beam-pair policy", choices=["random", "tree", "oracle"])
+    override(p, "--policy", "beam-pair policy", choices=POLICY_KINDS)
     override(p, "--model", "tree model JSON")
     p.set_defaults(func=cmd_run)
 
@@ -388,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mission", help="fly the search-and-rescue mission")
     common(p)
-    override(p, "--policy", "beam-pair policy", choices=["random", "tree", "oracle"])
+    override(p, "--policy", "beam-pair policy", choices=POLICY_KINDS)
     override(p, "--model", "tree model JSON (for --policy tree)")
     p.set_defaults(func=cmd_mission)
 
@@ -404,12 +364,11 @@ def main(argv=None) -> int:
     """Resolve the config, run the command into --out, then write its manifest."""
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args)
-        seed = _seed(cfg)
+        cfg = cfgmod.load_config(args.config, _overrides(args))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         extra = args.func(cfg, args, out)
-        cfgmod.write_manifest(out, args.command, seed, cfg, extra)
+        cfgmod.write_manifest(out, args.command, cfg["episode"]["seed"], cfg, extra)
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

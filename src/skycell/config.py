@@ -4,22 +4,26 @@ Every piece of randomness in a run derives from one 64-bit master seed via
 named substreams, so a (config, seed) pair pins the entire pipeline. The
 shipped default_config.json is the one source of default values: a user's
 JSON is validated against it and merged over it, so every section and key
-is present afterwards.
+is present afterwards, and LEAVES is the one list of each leaf's kind and
+bounds, checked once when the config is loaded.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import zlib
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
+from .ai import POLICY_KINDS
 from .geometry import Scene
 from .mission import MissionConfig
 from .mobility import Corridor, TrajectoryPlan, random_waypoints
+from .orchestrator import CATEGORIES
 from .phy import CommsConfig, UpaConfig
 
 
@@ -74,51 +78,136 @@ def _merge(base: dict, override, where: str = "") -> dict:
     return out
 
 
-_LEAF_KINDS = {  # kind -> (the JSON types it accepts, what the error message calls it)
-    int: ((int,), "an integer"),
-    bool: ((bool,), "a boolean"),
-    float: ((int, float), "a finite number"),
+def _finite(value) -> bool:
+    """A JSON integer or float that is finite: a boolean, text, NaN, an infinity or an
+    integer beyond the float range is no number."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        return False
+
+
+def _point(value) -> bool:
+    return type(value) is list and len(value) == 3 and all(map(_finite, value))
+
+
+_KINDS = {  # kind -> (test of a value, what the error message calls it)
+    "int": (lambda v: type(v) is int, "an integer"),
+    "bool": (lambda v: type(v) is bool, "a boolean"),
+    "number": (_finite, "a finite number"),
+    "numbers": (lambda v: type(v) is list and all(map(_finite, v)), "a list of finite numbers"),
+    "point": (_point, "[x, y, z] of finite numbers"),
+    "points": (lambda v: type(v) is list and all(map(_point, v)), "a list of [x, y, z] points"),
+    "rows_cols": (lambda v: type(v) is list and len(v) == 2, "[rows, cols]"),
+    # open() takes an integer as a file descriptor, so only text may name a file
+    "path": (lambda v: v is None or type(v) is str, "a path or null"),
+    "scene": (lambda v: v is None or type(v) in (str, dict), "a path, a scene object or null"),
+}
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+MAX_ARRAY_SIDE = 64  # elements along one side of a UPA
+MAX_WAYPOINTS = 1000
+
+# Every leaf of default_config.json: dotted key -> (kind, *bounds), where each
+# bound (op, limit) must hold for the value, or for every entry of a "numbers"
+# list. A kind is a _KINDS name or the tuple of texts allowed. A float, even an
+# integral one such as 10.0, is not an "int", and a "number" leaf is stored as
+# a float. An array comes before its entries, so an entry is read only from a
+# [rows, cols] list.
+LEAVES = {
+    "scene": ("scene",),
+    "replay_log": ("path",),
+    "episode.n_snapshots": ("int", (">=", 1)),
+    "episode.sampling_interval": ("number", (">", 0)),
+    "episode.category": (CATEGORIES,),
+    "episode.seed": ("int", (">=", 0), ("<", 2**64)),  # the seed streams read 64 bits
+    "comms.tx_power_dbm": ("number",),
+    "comms.bandwidth_hz": ("number", (">", 0)),
+    "comms.noise_figure_db": ("number",),
+    "comms.max_throughput_mbps": ("number", (">", 0)),
+    "comms.carrier_hz": ("number", (">", 0)),
+    "comms.tx_array": ("rows_cols",),
+    "comms.tx_array.0": ("int", (">=", 1), ("<=", MAX_ARRAY_SIDE)),
+    "comms.tx_array.1": ("int", (">=", 1), ("<=", MAX_ARRAY_SIDE)),
+    "comms.rx_array": ("rows_cols",),
+    "comms.rx_array.0": ("int", (">=", 1), ("<=", MAX_ARRAY_SIDE)),
+    "comms.rx_array.1": ("int", (">=", 1), ("<=", MAX_ARRAY_SIDE)),
+    "comms.spacing_wl": ("number", (">", 0)),
+    "comms.rx_azimuth_deg": ("number",),
+    "comms.rx_downtilt_deg": ("number",),
+    "mobility.route.start": ("point",),
+    "mobility.route.end": ("point",),
+    "mobility.route.waypoints": ("points",),
+    "mobility.route.speed_mps": ("number", (">", 0)),
+    "mobility.corridor_half_width": ("number", (">", 0)),
+    "mobility.n_waypoints": ("int", (">=", 1), ("<=", MAX_WAYPOINTS)),
+    "policy.kind": (POLICY_KINDS,),
+    "policy.model_path": ("path",),
+    "mission.payload_bytes": ("number", (">", 0)),
+    "mission.n_targets": ("int", (">=", 0)),
+    "mission.detection_radius_m": ("number", (">=", 0)),
+    "mission.psnr_detect_threshold_db": ("number",),
+    "mission.target_fractions": ("numbers", (">=", 0), ("<=", 1)),
+    "mission.fixed_wait": ("bool",),
+    "mission.max_snapshots": ("int", (">=", 1)),
+    "mission.min_detect_throughput_mbps": ("number",),
+    "dataset.episodes": ("int", (">=", 1)),
+    "dataset.train_frac": ("number", (">", 0), ("<", 1)),
+    "dataset.max_depth": ("int", (">=", 1)),
+    "dataset.min_leaf": ("int", (">=", 1)),
+    "bench.virtual_seconds": ("number", (">", 0)),
+    "bench.repetitions": ("int", (">=", 1)),
 }
 
 
-def strict_leaf(cfg: dict, key: str, kind: type = int):
-    """The value at a dotted key ("dataset.episodes"; "comms.tx_array.0" is an
-    array entry), which must be a JSON integer, a JSON boolean for kind=bool, or
-    a finite JSON integer or float for kind=float (returned as a float).
-
-    A float, even an integral one such as 10.0, is not an integer here, and a
-    boolean, text, NaN, an infinity or an integer beyond the float range is no
-    number.
-    """
-    value = cfg
-    for part in key.split("."):
-        value = value[int(part)] if type(value) is list else value[part]
-    types, what = _LEAF_KINDS[kind]
-    try:
-        ok = type(value) in types and (kind is not float or math.isfinite(value))
-    except OverflowError:  # a JSON integer beyond the float range
-        ok = False
-    if not ok:
-        raise ConfigError(f"{key} must be {what}, got {json.dumps(value)}")
-    return kind(value)
+def _slot(cfg: dict, key: str) -> tuple:
+    """The section or array that holds the leaf at a dotted key, and the leaf's name
+    or index in it ("comms.tx_array.0" is an array entry)."""
+    *path, name = key.split(".")
+    node = cfg
+    for part in path:
+        node = node[int(part)] if type(node) is list else node[part]
+    return node, int(name) if type(node) is list else name
 
 
-def load_config(path=None) -> dict:
-    """Shipped defaults, deep-merged with the user's JSON when given."""
+def _check(cfg: dict) -> None:
+    """Every leaf of LEAVES has its kind and keeps its bounds, or a ConfigError names
+    the dotted key and the value."""
+    for key, (kind, *bounds) in LEAVES.items():
+        node, name = _slot(cfg, key)
+        value = node[name]
+        if type(kind) is tuple:
+            test, what = kind.__contains__, "one of " + ", ".join(kind)
+        else:
+            test, what = _KINDS[kind]
+        if not test(value):
+            raise ConfigError(f"{key} must be {what}, got {json.dumps(value)}")
+        if kind == "number":
+            node[name] = value = float(value)
+        entries, each = (value, "a list of numbers ") if kind == "numbers" else ([value], "")
+        for op, limit in bounds:
+            if not all(_OPS[op](entry, limit) for entry in entries):
+                raise ConfigError(f"{key} must be {each}{op} {limit}, got {json.dumps(value)}")
+
+
+def load_config(path=None, overrides=None) -> dict:
+    """Shipped defaults, deep-merged with the user's JSON when given, then each dotted
+    key of overrides set to its value; every leaf is then checked against LEAVES."""
     cfg = default_config()
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = _merge(cfg, json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                cfg = _merge(cfg, json.load(fh))
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config: {exc}") from exc
+    for key, value in (overrides or {}).items():
+        node, name = _slot(cfg, key)
+        node[name] = value
+    _check(cfg)
     return cfg
 
 
 def load_scene(cfg: dict) -> Scene:
     source = cfg["scene"]
-    # open() takes an integer as a file descriptor, so only a path string may reach it
-    if source is not None and not isinstance(source, (str, dict)):
-        raise ConfigError(
-            f"scene must be a path, a scene object or null, got {type(source).__name__}"
-        )
     try:
         if isinstance(source, dict):
             return Scene.from_dict(source)
@@ -131,55 +220,25 @@ def load_scene(cfg: dict) -> Scene:
         raise ConfigError(f"cannot load scene: {exc}") from exc
 
 
-def _upa(cfg: dict, key: str, spacing: float) -> UpaConfig:
-    dims = cfg["comms"][key]
-    if type(dims) is not list or len(dims) != 2:
-        raise ConfigError(f"comms.{key} must be [rows, cols], got {dims!r}")
-    sides = []
-    for i in (0, 1):
-        side = strict_leaf(cfg, f"comms.{key}.{i}")
-        if side < 1:
-            raise ConfigError(f"comms.{key}.{i} must be >= 1, got {side}")
-        sides.append(side)
-    return UpaConfig(*sides, spacing=spacing)
-
-
 def comms_config(cfg: dict) -> CommsConfig:
-    def number(name):
-        return strict_leaf(cfg, f"comms.{name}", float)
-
-    spacing = number("spacing_wl")
-    if not spacing > 0:
-        raise ConfigError(f"comms.spacing_wl must be > 0, got {spacing}")
+    c = cfg["comms"]
+    tx_upa, rx_upa = (UpaConfig(*c[k], spacing=c["spacing_wl"]) for k in ("tx_array", "rx_array"))
     return CommsConfig(
-        tx_power_dbm=number("tx_power_dbm"),
-        bandwidth_hz=number("bandwidth_hz"),
-        noise_figure_db=number("noise_figure_db"),
-        max_throughput_mbps=number("max_throughput_mbps"),
-        carrier_hz=number("carrier_hz"),
-        tx_upa=_upa(cfg, "tx_array", spacing),
-        rx_upa=_upa(cfg, "rx_array", spacing),
-        rx_azimuth_deg=number("rx_azimuth_deg"),
-        rx_downtilt_deg=number("rx_downtilt_deg"),
+        tx_power_dbm=c["tx_power_dbm"],
+        bandwidth_hz=c["bandwidth_hz"],
+        noise_figure_db=c["noise_figure_db"],
+        max_throughput_mbps=c["max_throughput_mbps"],
+        carrier_hz=c["carrier_hz"],
+        tx_upa=tx_upa,
+        rx_upa=rx_upa,
+        rx_azimuth_deg=c["rx_azimuth_deg"],
+        rx_downtilt_deg=c["rx_downtilt_deg"],
     )
 
 
 def mission_config(cfg: dict) -> MissionConfig:
     m = cfg["mission"]
-
-    def number(name):
-        return strict_leaf(cfg, f"mission.{name}", float)
-
-    return MissionConfig(
-        payload_bytes=number("payload_bytes"),
-        n_targets=strict_leaf(cfg, "mission.n_targets"),
-        detection_radius_m=number("detection_radius_m"),
-        psnr_detect_threshold_db=number("psnr_detect_threshold_db"),
-        min_detect_throughput_mbps=number("min_detect_throughput_mbps"),
-        target_fractions=tuple(m["target_fractions"]),
-        fixed_wait=strict_leaf(cfg, "mission.fixed_wait", bool),
-        max_snapshots=strict_leaf(cfg, "mission.max_snapshots"),
-    )
+    return MissionConfig(**dict(m, target_fractions=tuple(m["target_fractions"])))
 
 
 def base_route(cfg: dict) -> TrajectoryPlan:
@@ -188,19 +247,16 @@ def base_route(cfg: dict) -> TrajectoryPlan:
         start=tuple(route["start"]),
         end=tuple(route["end"]),
         waypoints=tuple(tuple(w) for w in route["waypoints"]),
-        speed_mps=strict_leaf(cfg, "mobility.route.speed_mps", float),
+        speed_mps=route["speed_mps"],
     )
 
 
 def seeded_route(cfg: dict, seed_entropy) -> TrajectoryPlan:
     """Base A->B route with seeded random waypoints inside the corridor."""
     base = base_route(cfg)
-    corridor = Corridor(
-        start=base.start,
-        end=base.end,
-        half_width=strict_leaf(cfg, "mobility.corridor_half_width", float),
-    )
-    plan = random_waypoints(seed_entropy, corridor, k=strict_leaf(cfg, "mobility.n_waypoints"))
+    mobility = cfg["mobility"]
+    corridor = Corridor(start=base.start, end=base.end, half_width=mobility["corridor_half_width"])
+    plan = random_waypoints(seed_entropy, corridor, k=mobility["n_waypoints"])
     return TrajectoryPlan(
         start=plan.start, end=plan.end, waypoints=plan.waypoints, speed_mps=base.speed_mps
     )

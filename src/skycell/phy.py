@@ -56,11 +56,6 @@ class CommsConfig:
     rx_azimuth_deg: float
     rx_downtilt_deg: float
 
-    def __post_init__(self):
-        for key in ("carrier_hz", "bandwidth_hz", "max_throughput_mbps"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"comms.{key} must be > 0, got {getattr(self, key)}")
-
     @property
     def tx_power_w(self) -> float:
         return 10.0 ** ((self.tx_power_dbm - 30.0) / 10.0)

@@ -11,7 +11,7 @@ import pytest
 
 from skycell.ai import TOPK_GRID, BeamDataset, DecisionTreeModel, TreeNode, train_tree
 from skycell.cli import main
-from skycell.config import load_config
+from skycell.config import LEAVES, default_config, load_config
 from skycell.orchestrator import EpisodeLog
 
 
@@ -171,7 +171,7 @@ def test_unknown_policy_rejected(tmp_path):
 def test_unknown_policy_kind_in_config_exits_2(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, policy={"kind": "bogus"})
     assert main(["mission", "--config", cfg, "--out", str(tmp_path / "m")]) == 2
-    assert "unknown policy kind 'bogus'" in capsys.readouterr().err
+    assert 'policy.kind must be one of random, tree, oracle, got "bogus"' in capsys.readouterr().err
 
 
 def test_removed_barrier_timeout_key_exits_2(tmp_path, capsys):
@@ -238,31 +238,37 @@ _FAST_BENCH = {"virtual_seconds": 1.0, "repetitions": 1}
         ("mission", {"mission": {"n_targets": -5}}, "mission.n_targets must be >= 0, got -5"),
         ("mission", {"mission": {"payload_bytes": 0}},
          "mission.payload_bytes must be > 0, got 0.0"),
+        ("mission", {"mission": {"max_snapshots": 0}}, "mission.max_snapshots must be >= 1, got 0"),
+        ("run", {"episode": {"n_snapshots": 0}}, "episode.n_snapshots must be >= 1, got 0"),
+        ("run", {"episode": {"sampling_interval": 0}},
+         "episode.sampling_interval must be > 0, got 0.0"),
     ],
     ids=["zero-carrier", "zero-bandwidth", "negative-cap", "zero-cap-bench", "zero-speed",
          "negative-speed", "zero-speed-bench", "zero-repetitions", "negative-virtual-seconds",
          "zero-virtual-seconds", "negative-detection-radius", "negative-targets",
-         "zero-payload"],
+         "zero-payload", "zero-max-snapshots", "zero-snapshots", "zero-interval"],
 )
 def test_non_positive_rate_speed_or_repetitions_exits_2(tmp_path, capsys, command, doc, message):
-    """These checks run after the output directory exists; the command writes nothing in it."""
+    """The config is checked before the output directory is made."""
     cfg = _write_cfg(tmp_path, **doc)
     out = tmp_path / "o"
     counts = ["--counts", "1"] if command == "bench" else []
     assert main([command, "--config", cfg, *counts, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("seed", [2**64 + 11, -1], ids=["2**64+11", "-1"])
-def test_seed_outside_64_bits_exits_2(tmp_path, capsys, seed):
+@pytest.mark.parametrize(
+    "seed, bound", [(2**64 + 11, f"< {2**64}"), (-1, ">= 0")], ids=["2**64+11", "-1"]
+)
+def test_seed_outside_64_bits_exits_2(tmp_path, capsys, seed, bound):
     """The seed streams read a seed's low 64 bits alone, so a seed outside [0, 2**64)
     would run the episode of another seed (2**64 + 11 that of 11, -1 that of 2**64 - 1)."""
     cfg = _write_cfg(tmp_path, episode={"seed": seed})
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
-    assert f"error: episode.seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert f"error: episode.seed must be {bound}, got {seed}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -348,6 +354,60 @@ def _assert_leaf_exits_2(tmp_path, capsys, command, key, value):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert f"error: {key} must be " in err and f"got {json.dumps(value)}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def _leaves(section, prefix=""):
+    """The dotted key of every value in a config that is not itself a section."""
+    for name, value in section.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{name}.")
+        else:
+            yield prefix + name
+
+
+def test_every_default_leaf_is_in_the_table():
+    assert set(_leaves(default_config())) <= set(LEAVES)
+
+
+_WRONG_KIND = {"int": 1.5, "bool": 1, "number": "36", "numbers": ["a"], "point": [1, 2],
+               "points": [[1, 2]], "rows_cols": [8], "path": 1.5, "scene": 1.5}
+_PAST = {">": 0, ">=": -1, "<": 0, "<=": 1}  # limit + _PAST[op] breaks the bound (op, limit)
+
+
+def _bad_leaves():
+    """(key, value) of each leaf of another kind, and of each bound of a leaf broken."""
+    cases = []
+    for key, (kind, *bounds) in LEAVES.items():
+        cases.append((key, "bogus" if type(kind) is tuple else _WRONG_KIND[kind]))
+        for op, limit in bounds:
+            value = limit + _PAST[op]
+            value = float(value) if kind == "number" else [value] if kind == "numbers" else value
+            cases.append((key, value))
+    return cases
+
+
+_BAD_LEAVES = _bad_leaves()
+
+
+@pytest.mark.parametrize("key, value", _BAD_LEAVES, ids=[f"{k}={v!r}" for k, v in _BAD_LEAVES])
+def test_every_leaf_is_checked_before_out_is_made(tmp_path, capsys, key, value):
+    """LEAVES is the one list of kinds and bounds: each leaf of the wrong kind or out of
+    bounds exits 2, naming the dotted key and the value, before --out exists."""
+    _assert_leaf_exits_2(tmp_path, capsys, "run", key, value)
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("run", []), ("dataset", []), ("train", ["--dataset", "ds.csv"]),
+     ("eval", ["--model", "m.json", "--dataset", "ds.csv"]), ("mission", []), ("bench", [])],
+)
+def test_every_command_checks_the_config_before_out_is_made(tmp_path, capsys, command, flags):
+    cfg = _write_cfg(tmp_path, comms={"tx_array": [0, 8]})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, *flags, "--out", str(out)]) == 2
+    assert "error: comms.tx_array.0 must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mission_honours_min_detect_throughput(tmp_path):
@@ -459,11 +519,15 @@ def test_manifest_reproduces_the_run(
         ({"comms": {"spacing_wl": 0}}, "comms.spacing_wl must be > 0, got 0.0"),
         ({"mission": {"n_targets": 7}}, "n_targets 7 exceeds the 5 target_fractions"),
         ({"mission": {"target_fractions": [0.15, 0.35, 1.5, 0.75, 0.9]}},
-         "target_fractions must lie in [0, 1]"),
+         "mission.target_fractions must be a list of numbers <= 1, got [0.15, 0.35, 1.5, "),
+        ({"comms": {"tx_array": [10**24, 8]}}, f"comms.tx_array.0 must be <= 64, got {10**24}"),
+        ({"mobility": {"n_waypoints": 10**24}},
+         f"mobility.n_waypoints must be <= 1000, got {10**24}"),
     ],
     ids=["missing-scene-file", "scene-without-tx", "one-number-array", "zero-array-rows",
          "negative-array-cols", "zero-spacing",
-         "more-targets-than-fractions", "fraction-above-one"],
+         "more-targets-than-fractions", "fraction-above-one", "huge-array-rows",
+         "huge-waypoint-count"],
 )
 def test_bad_scene_array_or_targets_exit_2(tmp_path, capsys, doc, message):
     cfg = _write_cfg(tmp_path, **doc)
@@ -473,20 +537,41 @@ def test_bad_scene_array_or_targets_exit_2(tmp_path, capsys, doc, message):
     assert not (out / "mission.json").exists()
 
 
-@pytest.mark.parametrize("scene", [0, True, 5], ids=["zero", "true", "five"])
-def test_scene_of_another_type_exits_2(tmp_path, scene):
-    """open() would take the number as a file descriptor; stdin is /dev/null so a read ends."""
+def _run_in_subprocess(cfg, out):
+    """`skycell run` in a child whose stdin is /dev/null, so a read of a number taken as a
+    file descriptor ends."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    cfg = _write_cfg(tmp_path, scene=scene)
-    proc = subprocess.run(
-        [sys.executable, "-m", "skycell.cli", "run", "--config", cfg, "--out", str(tmp_path / "x")],
+    return subprocess.run(
+        [sys.executable, "-m", "skycell.cli", "run", "--config", cfg, "--out", str(out)],
         stdin=subprocess.DEVNULL, capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+@pytest.mark.parametrize("scene", [0, True, 5], ids=["zero", "true", "five"])
+def test_scene_of_another_type_exits_2(tmp_path, scene):
+    """open() would take the number as a file descriptor."""
+    proc = _run_in_subprocess(_write_cfg(tmp_path, scene=scene), tmp_path / "x")
     assert proc.returncode == 2
-    kind = type(scene).__name__
-    assert f"scene must be a path, a scene object or null, got {kind}" in proc.stderr
+    assert f"scene must be a path, a scene object or null, got {json.dumps(scene)}" in proc.stderr
+
+
+@pytest.mark.parametrize("value", [0, 7])
+@pytest.mark.parametrize(
+    "key, doc",
+    [("replay_log", lambda v: {"episode": {"category": "AiCommInLoop"}, "replay_log": v}),
+     ("policy.model_path", lambda v: {"policy": {"kind": "tree", "model_path": v}})],
+    ids=["replay", "model"],
+)
+def test_path_leaf_of_another_type_exits_2(tmp_path, key, doc, value):
+    """A replay log or model path is text or null; open() would take a number as a file
+    descriptor, the child's open stdin for 0 and a closed one for 7."""
+    out = tmp_path / "x"
+    proc = _run_in_subprocess(_write_cfg(tmp_path, **doc(value)), out)
+    assert proc.returncode == 2
+    assert f"error: {key} must be a path or null, got {value}" in proc.stderr
+    assert not out.exists()
 
 
 def _digest(path):
