@@ -83,7 +83,8 @@ def run_benchmark(
         raise ValueError("uav_counts must be non-empty")
     n_snapshots = int(round(virtual_seconds / sampling_interval))
     if abs(n_snapshots * sampling_interval - virtual_seconds) > 1e-12:
-        raise ValueError("virtual_seconds must be a multiple of the sampling interval")
+        raise ValueError(f"bench.virtual_seconds {virtual_seconds!r} must be a multiple of "
+                         f"episode.sampling_interval {sampling_interval!r}")
     ep = orch.EpisodeConfig(n_snapshots, sampling_interval, orch.ALL_IN_LOOP, seed)
     # each repetition runs every count in turn, so drift in host speed over
     # the run hits all counts alike; repetition 0 is the discarded warm-up

@@ -12,14 +12,16 @@ moves by direct reference, mirroring the file-based flow of heavyweight
 simulators. loop_modules builds every category's modules, in order.
 
 Each message text is built by its bus template when it is sent. A held
-snapshot reuses only its sweep (CommsModule.last, keyed by UE) and the
-broker's parsed docs.
+snapshot reuses only its sweep and the broker's parsed docs.
 
-A UE's next positions are fixed by its route (a hold delays them, never
-changes them), so when the position source is a MobilityModule, loop_modules
-hands it to communications: the pass that traces a moved UE also traces its
-next moves, up to TRACE_BATCH receivers in all, and later moves are served
-from that queue. Every SweepResult is bit-equal whichever batch traced it.
+Communications keeps one queue of SweepResults per UE, headed by the sweep of
+its published position. A UE's next positions are fixed by its route (a hold
+delays them, never changes them), so when the position source is a
+MobilityModule, loop_modules hands it to communications: the pass that traces
+a moved UE also traces its next moves, up to TRACE_BATCH receivers in all,
+into the rest of its queue. A move to the next queued position drops the
+head; any other move is traced into a new queue. Every SweepResult is
+bit-equal whichever batch traced it.
 """
 
 from __future__ import annotations
@@ -148,8 +150,7 @@ class CommsModule(orch.ModuleHandle):
         self.pair_grid = (self.rx_codebook.n_codewords, self.tx_codebook.n_codewords)
         self.tx_rotation = boresight_rotation(scene.tx.azimuth_deg, scene.tx.downtilt_deg)
         self.rx_rotation = boresight_rotation(self.cfg.rx_azimuth_deg, self.cfg.rx_downtilt_deg)
-        self.last: dict = {}
-        self._ahead: dict = {}  # UE_Id -> deque of SweepResults of its next moves
+        self.queues: dict = {}  # UE_Id -> deque of SweepResults; see current()
         self._sub = None
 
     def init(self, broker: Broker) -> tuple:
@@ -177,52 +178,47 @@ class CommsModule(orch.ModuleHandle):
                 )
         return results
 
+    def current(self, ue_id: str) -> SweepResult:
+        """The sweep of the UE's published position: the head of its queue, whose rest
+        are the sweeps of its next moves, traced ahead."""
+        return self.queues[ue_id][0]
+
     def _route_ahead(self, ue_id: str, k: int) -> list:
         """Up to k next positions of the UE, cut before the first one the tracer
         rejects (at or below the ground, or at the transmitter): a move not made
-        yet must not abort the episode."""
-        if ue_id not in self.mobility.states:
+        yet must not abort the episode. Empty when the pass has no room (k < 1) or
+        no MobilityModule moves the UE."""
+        if self.mobility is None or k < 1 or ue_id not in self.mobility.states:
             return []
         tx = self.scene.tx.position
         return list(takewhile(lambda p: p[2] > 0 and p != tx, self.mobility.upcoming(ue_id, k)))
 
     def _trace_moved(self, moved: dict) -> None:
-        """Sweep every moved UE's position in one pass and, when the pass has room and
-        a mobility module, each one's next moves into its queue."""
+        """Sweep every moved UE's position and, while the pass has room, its next moves
+        in one pass; each UE's sweeps become its new queue."""
         k = TRACE_BATCH // len(moved) - 1
-        if self.mobility is None or k < 1:
-            # a queue these UEs keep holds sweeps of exact positions, so it stays valid
-            self.last.update(zip(moved, self._sweep(list(moved.values()))))
-            return
-        ahead = {ue_id: self._route_ahead(ue_id, k) for ue_id in moved}
-        positions = []
-        for ue_id, pos in moved.items():
-            positions.append(pos)
-            positions.extend(ahead[ue_id])
-        results = iter(self._sweep(positions))
-        for ue_id in moved:
-            self.last[ue_id] = next(results)
-            self._ahead[ue_id] = deque(islice(results, len(ahead[ue_id])))
+        routes = [[pos, *self._route_ahead(ue_id, k)] for ue_id, pos in moved.items()]
+        results = iter(self._sweep([pos for route in routes for pos in route]))
+        for ue_id, route in zip(moved, routes):
+            self.queues[ue_id] = deque(islice(results, len(route)))
 
     def step(self, t: float, broker: Broker) -> None:
         docs = [msg.doc for msg in self._sub.drain()]
         moved = {}  # UE_Id -> new position, in message order
         for doc in docs:
-            pos = position_of(doc)
-            cached = self.last.get(doc["UE_Id"])
-            if cached is None or cached.position != pos:
-                moved[doc["UE_Id"]] = pos
-        if self._ahead:  # a move to the head of the UE's queue takes that sweep
-            for ue_id, pos in list(moved.items()):
-                queue = self._ahead.get(ue_id)
-                if queue and queue[0].position == pos:
-                    self.last[ue_id] = queue.popleft()
-                    del moved[ue_id]
+            ue_id, pos = doc["UE_Id"], position_of(doc)
+            queue = self.queues.get(ue_id, ())
+            if queue and queue[0].position == pos:
+                continue  # held
+            if len(queue) > 1 and queue[1].position == pos:
+                queue.popleft()  # took its queued next move
+            else:
+                moved[ue_id] = pos
         if moved:
             self._trace_moved(moved)
         for doc in docs:
             ue_id = doc["UE_Id"]
-            result = self.last[ue_id]
+            result = self.queues[ue_id][0]
             payload = pair_text(doc["UE_type"], ue_id, result.best_pair)
             broker.publish(orch.BEST_PAIR_TOPIC, payload, publisher=self.name)
             if self.sweep_hook is not None:
@@ -233,7 +229,7 @@ class CommsModule(orch.ModuleHandle):
 
     def report_throughput(self, doc: dict, pair: int, broker: Broker) -> float:
         """Throughput of the chosen pair for the UE of a position message, published."""
-        tput = throughput_mbps(float(self.last[doc["UE_Id"]].gains[pair]), self.cfg)
+        tput = throughput_mbps(float(self.current(doc["UE_Id"]).gains[pair]), self.cfg)
         text = throughput_text(doc["UE_type"], doc["UE_Id"], tput)
         broker.publish(orch.THROUGHPUT_TOPIC, text, publisher=self.name)
         return tput
@@ -264,7 +260,7 @@ class PolicyModule(orch.ModuleHandle):
             doc = msg.doc
             ue_id = doc["UE_Id"]
             pos = position_of(doc)
-            grid = self.comms.last[ue_id].gains.reshape(self.comms.pair_grid)
+            grid = self.comms.current(ue_id).gains.reshape(self.comms.pair_grid)
             pair = policy_decide(self.policy, pos, grid, self.rng)
             payload = pair_text(doc["UE_type"], ue_id, pair)
             broker.publish(orch.DECISION_TOPIC, payload, publisher=self.name)

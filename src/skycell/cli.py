@@ -88,7 +88,8 @@ def _policy(cfg: dict) -> Policy:
     model = None
     if kind == "tree":
         if not model_path:
-            raise ConfigError("tree policy requires --model PATH (policy.model_path)")
+            raise ConfigError("policy.kind tree needs policy.model_path (--model PATH), "
+                              f"got {json.dumps(model_path)}")
         try:
             model = DecisionTreeModel.load(model_path)
         except OSError as exc:
@@ -104,7 +105,8 @@ def _episode_config(cfg: dict, **changes) -> orch.EpisodeConfig:
 # commands
 # ---------------------------------------------------------------------------
 # Each command reads its settings from the resolved config alone (args only for
-# the input files and --counts), writes into out, and returns manifest extras.
+# the input files and --counts), makes out just before its first write (so a check
+# that fails leaves no directory), writes into out, and returns manifest extras.
 
 
 def cmd_run(cfg: dict, args, out: Path) -> dict:
@@ -116,7 +118,8 @@ def cmd_run(cfg: dict, args, out: Path) -> dict:
     if ep.category == orch.AI_COMM_IN_LOOP:
         replay_path = cfg["replay_log"]
         if not replay_path:
-            raise ConfigError("AiCommInLoop needs --replay pointing at a recorded episode log")
+            raise ConfigError(f"episode.category {ep.category} needs replay_log (--replay PATH), "
+                              f"got {json.dumps(replay_path)}")
         try:
             recorded = orch.EpisodeLog.read_jsonl(replay_path)
         except OSError as exc:
@@ -136,6 +139,7 @@ def cmd_run(cfg: dict, args, out: Path) -> dict:
 
         model_path = _model_path(cfg)
     log = orch.run_episode(ep, loop_modules(ep.category, scene, comms_cfg, source, ai=ai))
+    out.mkdir(parents=True, exist_ok=True)
     log.write_jsonl(out / "episode.jsonl")
     with open(out / "metrics.json", "w", encoding="utf-8") as fh:
         json.dump(
@@ -166,6 +170,7 @@ def cmd_dataset(cfg: dict, args, out: Path) -> dict:
     n_nlos = int(sum(1 for c in dataset.los if c == "NLOS"))
     if n_nlos == 0:
         print("warning: dataset contains no NLOS rows", file=sys.stderr)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "dataset.csv"
     dataset.save_csv(path)
     print(f"dataset: {len(dataset)} rows ({n_nlos} NLOS) over {n_episodes} flights -> {path}")
@@ -202,7 +207,6 @@ def cmd_train(cfg: dict, args, out: Path) -> dict:
         full, train_frac=d["train_frac"], seed=cfgmod.stream_seed(cfg["episode"]["seed"], "split")
     )
     model = train_tree(train, max_depth=d["max_depth"], min_leaf=d["min_leaf"])
-    model.save(out / "model.json")
 
     grids = {"validation": validation}
     if args.test_dataset:
@@ -213,6 +217,8 @@ def cmd_train(cfg: dict, args, out: Path) -> dict:
         if len(test):
             grids["test"] = test
     table = _topk_table(model, grids)
+    out.mkdir(parents=True, exist_ok=True)
+    model.save(out / "model.json")
     _write_table(table, out / "topk_accuracy.csv")
     for row in table:
         cells = "  ".join(f"{n}={row[n]:.4f}" for n in row if n != "k")
@@ -234,6 +240,7 @@ def cmd_eval(cfg: dict, args, out: Path) -> dict:
     if len(ds) == 0:
         raise ConfigError("evaluation dataset is empty after filtering")
     table = _topk_table(model, {"eval": ds})
+    out.mkdir(parents=True, exist_ok=True)
     _write_table(table, out / "topk_accuracy.csv")
     for row in table:
         print(f"top-{row['k']:<3d} eval={row['eval']:.4f}")
@@ -257,6 +264,7 @@ def cmd_mission(cfg: dict, args, out: Path) -> dict:
         comms_cfg=comms_cfg,
         rng=cfgmod.rng_for(seed, "random-policy"),
     )
+    out.mkdir(parents=True, exist_ok=True)
     log.write_jsonl(out / "episode.jsonl")
     with open(out / "mission.json", "w", encoding="utf-8") as fh:
         json.dump(metrics.to_dict(), fh, indent=2)
@@ -292,6 +300,7 @@ def cmd_bench(cfg: dict, args, out: Path) -> dict:
         repetitions=cfg["bench"]["repetitions"],
         seed=cfg["episode"]["seed"],
     )
+    out.mkdir(parents=True, exist_ok=True)
     bench_mod.write_csv(reports, out / "bench.csv")
     bench_mod.write_json(reports, out / "bench.json")
     for r in reports:
@@ -366,7 +375,6 @@ def main(argv=None) -> int:
     try:
         cfg = cfgmod.load_config(args.config, _overrides(args))
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         extra = args.func(cfg, args, out)
         cfgmod.write_manifest(out, args.command, cfg["episode"]["seed"], cfg, extra)
     except ValueError as exc:  # ConfigError included

@@ -251,33 +251,18 @@ def trace_paths_batch(
 
     tree = scene.image_tree(tx, ground=ground_reflection)
     lam = SPEED_OF_LIGHT / carrier_hz
-    return [
-        _bundle(raw, lam) for raw in kernels.trace_batch(tree, rx, scene.boxes, max_order)
-    ]
-
-
-def _bundle(raw, lam: float) -> PathBundle:
-    paths = []
-    for kind_i, h1, h2, length, aod_dir, aoa_dir, refl in raw:
-        mag = lam / (4.0 * math.pi * length) * refl
-        phase = -2.0 * math.pi * length / lam
-        vertices = ()
-        if h1 is not None:
-            vertices += (tuple(h1),)
-        if h2 is not None:
-            vertices += (tuple(h2),)
-        paths.append(
-            PropagationPath(
-                kind=PATH_KINDS[kind_i],
-                vertices=vertices,
-                length=float(length),
-                aod=_angles(aod_dir),
-                aoa=_angles(aoa_dir),
-                gain=complex(mag * math.cos(phase), mag * math.sin(phase)),
-            )
-        )
-    paths.sort(key=lambda p: (PATH_KINDS.index(p.kind), p.length, p.aod, p.aoa))
-    return PathBundle(paths=tuple(paths))
+    paths = [[] for _ in range(rx.shape[0])]
+    for kind, record in zip(PATH_KINDS, kernels.trace_batch(tree, rx, scene.boxes, max_order)):
+        for m, points, length, aod_dir, aoa_dir, refl in zip(*(a.tolist() for a in record)):
+            mag = lam / (4.0 * math.pi * length) * refl
+            phase = -2.0 * math.pi * length / lam
+            gain = complex(mag * math.cos(phase), mag * math.sin(phase))
+            paths[m].append(PropagationPath(
+                kind, tuple(map(tuple, points)), length, _angles(aod_dir), _angles(aoa_dir), gain
+            ))
+    for row in paths:
+        row.sort(key=lambda p: (PATH_KINDS.index(p.kind), p.length, p.aod, p.aoa))
+    return [PathBundle(paths=tuple(row)) for row in paths]
 
 
 def los_class(bundle: PathBundle) -> str:

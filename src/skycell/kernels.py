@@ -273,13 +273,17 @@ def _second_order(tree, rx, rx_side):
     return mm[ok], pp[ok], img2[ok], h1[ok], h2[ok]
 
 
-def trace_batch(tree: ImageTree, rx, boxes, max_order: int) -> list:
+def trace_batch(tree: ImageTree, rx, boxes, max_order: int) -> tuple:
     """Enumerate valid LOS/R1/R2 paths from the tree's transmitter to each rx row.
 
-    Returns one list per receiver of tuples (kind, h1|None, h2|None, length,
-    aod_dir, aoa_dir, reflection_product) in enumeration order: LOS, then
-    first order by face, then second order by (i, j). Callers apply gains
-    and sorting. All occlusion tests run as one broad-phase call.
+    Returns one record per kind, LOS then R1 then R2, each a tuple of arrays
+    (rows, points, length, aod_dir, aoa_dir, reflection_product): the
+    receiver row of each path, its bounce points (n, order, 3), its length,
+    the unit directions it leaves the transmitter and reaches the receiver
+    along (n, 3), and the product of the reflection coefficients it meets.
+    A record lists its paths in enumeration order: by receiver, then first
+    order by face and second order by (i, j). Callers apply gains and
+    sorting. All occlusion tests run as one broad-phase call.
     """
     tx = tree.tx
     rx = np.asarray(rx, dtype=np.float64).reshape(-1, 3)
@@ -307,35 +311,27 @@ def trace_batch(tree: ImageTree, rx, boxes, max_order: int) -> list:
     ok1 = free[n_rx:n_rx + n1] & free[n_rx + n1:k]
     ok2 = free[k:k + n2] & free[k + n2:k + 2 * n2] & free[k + 2 * n2:]
 
-    out = [[] for _ in range(n_rx)]
     s0, s1, s2 = np.flatnonzero(free[:n_rx]), np.flatnonzero(ok1), np.flatnonzero(ok2)
-    if s0.size:
-        d = rx[s0] - tx
-        length = _norm_rows(d)[:, None]
-        rows = zip(length[:, 0].tolist(), (d / length).tolist(), (-d / length).tolist())
-        for m, row in zip(s0.tolist(), rows):
-            out[m].append((0, None, None, *row, 1.0))
-    if s1.size:
-        _emit(out, 1, m1[s1], rx1[s1], tx, h1_1[s1], None, img1[s1], f_refl[f1[s1]])
-    if s2.size:
-        pi, pj = tree.pair_i[p2[s2]], tree.pair_j[p2[s2]]
-        _emit(out, 2, m2[s2], rx2[s2], tx, h1_2[s2], h2_2[s2], img2[s2], f_refl[pi] * f_refl[pj])
-    return out
+    d = rx[s0] - tx
+    length = _norm_rows(d)[:, None]
+    los = (s0, np.zeros((s0.size, 0, 3)), length[:, 0], d / length, -d / length, np.ones(s0.size))
+    pi, pj = tree.pair_i[p2[s2]], tree.pair_j[p2[s2]]
+    return (
+        los,
+        _reflected(m1[s1], rx1[s1], tx, h1_1[s1, None], img1[s1], f_refl[f1[s1]]),
+        _reflected(m2[s2], rx2[s2], tx, np.concatenate([h1_2[s2, None], h2_2[s2, None]], axis=1),
+                   img2[s2], f_refl[pi] * f_refl[pj]),
+    )
 
 
-def _emit(out, kind, mm, rxr, tx, h1, h2, img_last, refl):
-    """Append one path tuple per row to its receiver's list, as Python floats."""
+def _reflected(mm, rxr, tx, points, img_last, refl) -> tuple:
+    """The record of reflected paths with these bounce points (n, order, 3); a path's
+    length is the distance from its last image to the receiver."""
     n = mm.size
-    dvec = h1 - tx[None, :]
-    evec = (h1 if h2 is None else h2) - rxr
+    dvec = points[:, 0] - tx[None, :]
+    evec = points[:, -1] - rxr
     norms = _norm_rows(np.concatenate([img_last - rxr, dvec, evec]))
-    length = norms[:n]
-    aod = dvec / norms[n:2 * n, None]
-    aoa = evec / norms[2 * n:, None]
-    h2_rows = [None] * mm.size if h2 is None else h2.tolist()
-    rows = zip(h1.tolist(), h2_rows, length.tolist(), aod.tolist(), aoa.tolist(), refl.tolist())
-    for m, row in zip(mm.tolist(), rows):
-        out[m].append((kind, *row))
+    return mm, points, norms[:n], dvec / norms[n:2 * n, None], evec / norms[2 * n:, None], refl
 
 
 def active_backend() -> str:

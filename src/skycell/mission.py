@@ -166,7 +166,8 @@ class MissionConfig:
             )
         n = len(self.target_fractions)
         if self.n_targets > n:
-            raise ValueError(f"mission.n_targets {self.n_targets} exceeds the {n} target_fractions")
+            raise ValueError(f"mission.n_targets {self.n_targets} exceeds the {n} "
+                             "target_fractions of mission.target_fractions")
         if not all(0.0 <= f <= 1.0 for f in self.target_fractions):
             raise ValueError(
                 f"mission.target_fractions must lie in [0, 1], got {self.target_fractions}"

@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import trace_oracle
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skycell import blueprint, bus
@@ -53,9 +53,9 @@ def test_outage_gains_sized_from_codebooks():
     _publish(broker, "hidden", (80.0, 50.0, 30.0))
     _publish(broker, "seen", (20.0, 150.0, 30.0))
     comms.step(0.0, broker)
-    assert comms.last["hidden"].los == "outage"
-    assert comms.last["seen"].los == "LOS"
-    for result in comms.last.values():
+    assert comms.current("hidden").los == "outage"
+    assert comms.current("seen").los == "LOS"
+    for result in map(comms.current, comms.queues):
         assert result.gains.shape == (16 * 4,)
 
 
@@ -81,7 +81,7 @@ def test_step_traces_each_moved_ue_once(monkeypatch):
     assert [json.loads(m.payload)["UE_Id"] for m in best.drain()] == ["u2", "u0", "u1"]
     for ue_id, pos in (("u2", a), ("u0", b), ("u1", a)):
         bundle = trace_paths(scene, scene.tx.position, pos)
-        assert comms.last[ue_id].los == los_class(bundle)
+        assert comms.current(ue_id).los == los_class(bundle)
 
     # only the UE that moved is traced again; a snapshot with none traces nothing
     for ue_id, pos in (("u2", a), ("u0", c), ("u1", a)):
@@ -154,7 +154,7 @@ def test_step_matches_per_ue_oracle_sweeps(first, moves, orders):
         expected = []
         for ue_id in sent:
             los, pair, gains = _oracle_sweep(_WALLED, SHIPPED, positions[ue_id])
-            result = comms.last[ue_id]
+            result = comms.current(ue_id)
             assert result.position == positions[ue_id]
             assert (result.los, result.best_pair) == (los, pair)
             assert type(result.best_pair) is int
@@ -163,7 +163,7 @@ def test_step_matches_per_ue_oracle_sweeps(first, moves, orders):
                 assert result is before[ue_id]
             expected.append((ue_id, pair))
         assert wire == expected
-        before = dict(comms.last)
+        before = {ue_id: comms.current(ue_id) for ue_id in comms.queues}
 
 
 def test_policy_module_rejects_model_of_other_pair_count():
@@ -280,7 +280,8 @@ def test_message_texts_are_json_dumps_of_a_fresh_doc(ue_id, position, pair, tput
     here = (0.0, 0.0, 0.0)
     doc = {"UE_type": "UAV", "UE_Id": ue_id}
     for value in (1, True, 1.0, pair):
-        comms.last[ue_id] = blueprint.SweepResult(here, "LOS", value, np.ones(4))
+        comms.queues[ue_id] = collections.deque(
+            [blueprint.SweepResult(here, "LOS", value, np.ones(4))])
         _publish(broker, ue_id, here)
         comms.step(0.0, broker)  # the UE has not moved: its best pair is the value set
         assert [m.payload for m in best.drain()] == [json.dumps({**doc, "pair": value})]
@@ -341,7 +342,7 @@ def test_broker_state_is_fixed_by_the_loop_not_its_length(monkeypatch):
         log = orch.run_episode(ep, [mob, comms, ai], broker=broker,
                                stop_early=lambda rec: routes.append(len(broker._routes)))
         assert len(log.records) == n_snapshots
-        return (len(broker._seq), routes[-1], len(comms.last),
+        return (len(broker._seq), routes[-1], len(comms.queues),
                 broker._parse.cache_info().currsize)
 
     short, long = broker_after(5), broker_after(40)
@@ -445,6 +446,43 @@ def test_look_ahead_changes_no_output(plans, holds, category):
 _ROUTE = TrajectoryPlan((150.0, 250.0, 40.0), (250.0, 250.0, 40.0), speed_mps=5.0)
 
 
+@given(
+    # 1 to 12 UEs: every count that traces ahead and four (9 to 12) that leave no room
+    plans=st.lists(_plans(), min_size=1, max_size=12),
+    holds=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 11), st.integers(1, 4)),
+                   max_size=12),
+    jumps=st.lists(st.tuples(st.integers(1, 9), st.integers(0, 11)), max_size=2),
+    look_ahead=st.booleans(),
+)
+# twelve UEs: u0-u2 trace their next moves in snapshot 1 while the rest hold; in snapshot
+# 2 u0 is put on another route as nine UEs resume, so ten trace with no room ahead
+@example(plans=[blueprint.offset_plan(_ROUTE, 3.0 * i) for i in range(12)],
+         holds=[(1, i, 1) for i in range(3, 12)], jumps=[(2, 0)], look_ahead=True)
+@settings(max_examples=25, deadline=None)
+def test_each_queue_is_the_published_position_then_its_next_moves(plans, holds, jumps,
+                                                                   look_ahead):
+    """After every step, each UE's queue holds the sweeps of its published position and
+    then of a prefix of the moves MobilityModule.upcoming lists for it (none without
+    mobility=), at any UE count; a UE put on another route gets a new queue."""
+    mobility = _HeldMobility({f"u{i}": p for i, p in enumerate(plans)}, 0.5, holds)
+    broker = Broker()
+    comms = CommsModule(_WALLED, SHIPPED, mobility=mobility if look_ahead else None)
+    comms.init(broker)
+    published = broker.subscribe(orch.POSITIONS_TOPIC)
+    for k in range(10):
+        for when, i in jumps:
+            if when == k and i < len(plans):
+                plan = blueprint.offset_plan(plans[i], 3.0)
+                mobility.states[f"u{i}"] = blueprint.uav_state(f"u{i}", plan)
+        mobility.step(0.5 * k, broker)
+        comms.step(0.5 * k, broker)
+        for msg in published.drain():
+            ue_id = msg.doc["UE_Id"]
+            queued = [r.position for r in comms.queues[ue_id]]
+            assert queued[0] == blueprint.position_of(msg.doc)
+            assert queued[1:] == (mobility.upcoming(ue_id, len(queued) - 1) if look_ahead else [])
+
+
 def _step(x):
     return (150.0 + 2.5 * x, 250.0, 40.0)
 
@@ -499,8 +537,8 @@ def test_a_queue_that_does_not_lead_to_the_published_position_is_dropped():
     assert [[tuple(p) for p in c.args[2]] for c in batch.call_args_list] == [
         [_step(x) for x in range(1, blueprint.TRACE_BATCH + 1)], offset]
     assert offset[0] == moved
-    assert comms.last["u0"].position == moved
-    assert [r.position for r in comms._ahead["u0"]] == offset[1:]
+    assert comms.current("u0").position == moved
+    assert [r.position for r in list(comms.queues["u0"])[1:]] == offset[1:]
 
 
 @pytest.mark.parametrize(

@@ -215,6 +215,42 @@ _FAST_BENCH = {"virtual_seconds": 1.0, "repetitions": 1}
 
 
 @pytest.mark.parametrize(
+    "command, doc, flags, message",
+    [
+        ("bench", {"bench": {**_FAST_BENCH, "virtual_seconds": 1.25}}, ["--counts", "1"],
+         "bench.virtual_seconds 1.25 must be a multiple of episode.sampling_interval 0.5"),
+        ("mission", {"mission": {"n_targets": 7}}, [],
+         "mission.n_targets 7 exceeds the 5 target_fractions of mission.target_fractions"),
+        ("run", {"episode": {"category": "AiCommInLoop"}}, [],
+         "episode.category AiCommInLoop needs replay_log (--replay PATH), got null"),
+        ("mission", {"comms": {"max_throughput_mbps": 120}}, [],
+         "comms.max_throughput_mbps 120 is above the 90 Mbps the degradation table grades"),
+        ("mission", {}, ["--policy", "tree"],
+         "policy.kind tree needs policy.model_path (--model PATH), got null"),
+        ("run", {}, ["--policy", "tree"],
+         "policy.kind tree needs policy.model_path (--model PATH), got null"),
+        ("bench", {"bench": _FAST_BENCH}, ["--counts", "0"], "--counts needs positive integers"),
+        ("run", {"scene": "missing-scene.json"}, [], "cannot load scene: [Errno 2]"),
+        ("train", {}, ["--test-dataset", "missing.csv"], "cannot read test dataset: [Errno 2]"),
+    ],
+    ids=["bench-interval-multiple", "mission-targets-over-fractions", "run-replay-without-log",
+         "mission-cap-over-table", "mission-tree-without-model", "run-tree-without-model",
+         "bench-zero-count", "run-missing-scene-file", "train-missing-test-dataset"],
+)
+def test_a_failed_check_leaves_no_out(tmp_path, capsys, command, doc, flags, message):
+    """A command makes --out just before its first write, so a check that fails exits 2
+    without it; a check that reads more than one leaf names each key and value."""
+    cfg = _write_cfg(tmp_path, **doc)
+    out = tmp_path / "o"
+    if command == "train":
+        _nlos_dataset(tmp_path / "ds.csv")
+        flags = ["--dataset", str(tmp_path / "ds.csv"), *flags]
+    assert main([command, "--config", cfg, *flags, "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, doc, message",
     [
         ("run", {"comms": {"carrier_hz": 0}}, "comms.carrier_hz must be > 0, got 0.0"),

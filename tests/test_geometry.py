@@ -253,7 +253,8 @@ def test_tracer_matches_oracle():
         a, b = _random_points(rng, scene, 2)
         _assert_same_bundle(trace_paths(scene, a, b), trace_oracle.trace_paths(scene, a, b))
 
-    # criterion 5's random walls, both max orders and ground flags
+    # criterion 5's random walls, every max order and both ground flags; max_order 0
+    # leaves the R1 and R2 records empty
     concrete = Material("concrete", 0.5)
     for _ in range(60):
         x0 = float(rng.uniform(5, 300))
@@ -267,7 +268,8 @@ def test_tracer_matches_oracle():
              float(rng.uniform(5, 120)))
         b = (face_x + side * float(rng.uniform(1, 80)), float(rng.uniform(210, 290)),
              float(rng.uniform(5, 120)))
-        for kwargs in ({}, {"max_order": 1, "ground_reflection": False}):
+        for kwargs in ({}, {"max_order": 1, "ground_reflection": False}, {"max_order": 0},
+                       {"ground_reflection": False}):
             ref = trace_oracle.trace_paths(walls, a, b, **kwargs)
             _assert_same_bundle(trace_paths(walls, a, b, **kwargs), ref)
             kinds.update(q.kind for q in ref.paths)
