@@ -3,16 +3,19 @@
     python3 scripts/bench_pairs.py --parent HEAD~1 --seeds 1601-1610 \\
         --out BENCH_16.json --claim swarm10:rtf --note "what the change does"
 
-Run from the root of a source checkout: that tree is the change. The parent's
-committed files at --parent are extracted with ``git archive`` into a
-temporary directory, which is removed when the script ends. For each workload
-(default: every workload in BENCHMARK.json) and seed, the parent and the
-change each run ``python3 perfbench/run.py --workload <w> --seed <s> --seconds
-<n> --trace 0`` in their own tree, n being BENCHMARK.json's run_seconds,
-alternating which side runs first. The output (schema "skycell-bench-point/1")
-holds, per workload and end-to-end metric, every run, the median and inclusive
-quartiles of each side and the number of pairs the change wins; it is
-rewritten after every pair, so an interrupted run keeps the pairs it finished.
+Run from the root of a source checkout: that tree is the change. --parent is
+resolved to its commit id with ``git rev-parse`` before any run, and the point
+records that id, so a relative name such as HEAD still names the same tree
+once the branch moves. The parent's committed files are extracted with ``git
+archive`` into a temporary directory, which is removed when the script ends.
+For each workload (default: every workload in BENCHMARK.json) and seed, the
+parent and the change each run ``python3 perfbench/run.py --workload <w> --seed
+<s> --seconds <n> --trace 0`` in their own tree, n being BENCHMARK.json's
+run_seconds, alternating which side runs first. The output (schema
+"skycell-bench-point/1") holds, per workload and end-to-end metric, every run,
+the median and inclusive quartiles of each side and the number of pairs the
+change wins; it is rewritten after every pair, so an interrupted run keeps the
+pairs it finished.
 Each metric also carries a regression verdict against its BENCHMARK.json
 bound, a share of the parent's median: "none" when the change median is within
 the bound, "worse" when it is beyond, "unresolved" when the parent's IQR
@@ -50,6 +53,13 @@ def parse_seeds(text: str) -> list:
     return [int(v) for v in text.split(",") if v.strip()]
 
 
+def resolve_revision(rev: str):
+    """The full commit id a git revision names in the checkout at ROOT, or None."""
+    proc = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+                          cwd=ROOT, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 def parse_args(bench: dict, argv=None):
     names = [w["name"] for w in bench["workloads"]]
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -67,6 +77,10 @@ def parse_args(bench: dict, argv=None):
         p.error(f"--workloads names {unknown}, not in BENCHMARK.json ({names})")
     if len(args.seeds) < 1:
         p.error("--seeds names no seed")
+    commit = resolve_revision(args.parent)
+    if commit is None:
+        p.error(f"--parent {args.parent!r} names no commit")
+    args.parent = commit
     return args
 
 

@@ -6,11 +6,13 @@ One pass is CommsModule._sweep: one batched trace, one channel synthesis and
 one stacked beam sweep for M receivers, on the built-in scene with the
 shipped comms config. The receivers are drawn uniformly (seed 0) over the
 shipped route's corridor at the route's altitude, fresh ones for each pass.
-For each M in 1, 4, 8, 16 and 32, after one untimed warm-up pass, it prints
-the median and the quartiles of the pass time divided by M over --passes
-passes, then the tracemalloc peak of one more pass, run untimed because
+For each M in 1, 4, 8, 10, 16, 20 and 32, after one untimed warm-up pass, it
+prints the median and the quartiles of the pass time divided by M over
+--passes passes, then the tracemalloc peak of one more pass, run untimed because
 tracing slows allocation. This is the per-layer measure behind
-blueprint.TRACE_BATCH.
+blueprint.TRACE_BATCH: a lone UE's pass holds 16 receivers, and ten moving UEs
+trace 20 (each position and its next move) on every other snapshot, the
+largest pass the look-ahead rule makes at that count.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from skycell.blueprint import CommsModule
 from skycell.config import base_route, comms_config, default_scene, load_config
 from skycell.mobility import Corridor
 
-BATCHES = (1, 4, 8, 16, 32)
+BATCHES = (1, 4, 8, 10, 16, 20, 32)
 
 
 def main() -> None:

@@ -16,12 +16,13 @@ snapshot reuses only its sweep and the broker's parsed docs.
 
 Communications keeps one queue of SweepResults per UE, headed by the sweep of
 its published position. A UE's next positions are fixed by its route (a hold
-delays them, never changes them), so when the position source is a
-MobilityModule, loop_modules hands it to communications: the pass that traces
-a moved UE also traces its next moves, up to TRACE_BATCH receivers in all,
-into the rest of its queue. A move to the next queued position drops the
-head; any other move is traced into a new queue. Every SweepResult is
-bit-equal whichever batch traced it.
+delays them, never changes them). run_episode hands every module the
+episode's position source, and when that source lists a UE's next moves
+(MobilityModule.upcoming; a ReplayModule does not), the pass that traces a
+moved UE also traces at least its next move, more while the pass has room
+(see TRACE_BATCH), into the rest of its queue. A move to the next queued
+position drops the head; any other move is traced into a new queue. Every
+SweepResult is bit-equal whichever batch traced it.
 """
 
 from __future__ import annotations
@@ -78,7 +79,10 @@ class MobilityModule(orch.ModuleHandle):
 
         The steps run inside mobility.positions_ahead, so perfbench's mobility.step
         span, which wraps this module's step_kinematics, still counts published moves.
+        Empty for a UE this module does not move.
         """
+        if ue_id not in self.states:
+            return []
         return positions_ahead(self.states[ue_id], self.sampling_interval, k)
 
     def route_complete(self, ue_id: str) -> bool:
@@ -113,8 +117,9 @@ class ReplayModule(orch.ModuleHandle):
 
 
 # receivers one radio pass aims at: each of M moving UEs also has its next
-# TRACE_BATCH // M - 1 moves traced (fifteen for a lone UE, seven each for two);
-# with nine or more UEs moving the pass traces none ahead
+# max(1, TRACE_BATCH // M - 1) moves traced (fifteen for a lone UE, seven each for
+# two, one each from six on), so a pass holds at most max(TRACE_BATCH, 2M)
+# receivers: ten UAVs trace 20 on every other snapshot
 TRACE_BATCH = 16
 
 
@@ -132,15 +137,8 @@ class CommsModule(orch.ModuleHandle):
     role = "comms"
     name = "communications"
 
-    def __init__(
-        self,
-        scene: Scene,
-        cfg: CommsConfig,
-        sweep_hook=None,
-        mobility: MobilityModule | None = None,
-    ):
+    def __init__(self, scene: Scene, cfg: CommsConfig, sweep_hook=None):
         self.scene = scene
-        self.mobility = mobility
         self.cfg = cfg
         self.reports_throughput = True  # until a PolicyModule built on it takes the report
         self.sweep_hook = sweep_hook
@@ -184,19 +182,20 @@ class CommsModule(orch.ModuleHandle):
         return self.queues[ue_id][0]
 
     def _route_ahead(self, ue_id: str, k: int) -> list:
-        """Up to k next positions of the UE, cut before the first one the tracer
-        rejects (at or below the ground, or at the transmitter): a move not made
-        yet must not abort the episode. Empty when the pass has no room (k < 1) or
-        no MobilityModule moves the UE."""
-        if self.mobility is None or k < 1 or ue_id not in self.mobility.states:
+        """Up to k next positions of the UE as the episode's position source lists them,
+        cut before the first one the tracer rejects (at or below the ground, or at the
+        transmitter): a move not made yet must not abort the episode. Empty when the
+        source lists none (it has no upcoming, or does not move the UE)."""
+        upcoming = getattr(self.source, "upcoming", None)
+        if upcoming is None:
             return []
         tx = self.scene.tx.position
-        return list(takewhile(lambda p: p[2] > 0 and p != tx, self.mobility.upcoming(ue_id, k)))
+        return list(takewhile(lambda p: p[2] > 0 and p != tx, upcoming(ue_id, k)))
 
     def _trace_moved(self, moved: dict) -> None:
-        """Sweep every moved UE's position and, while the pass has room, its next moves
-        in one pass; each UE's sweeps become its new queue."""
-        k = TRACE_BATCH // len(moved) - 1
+        """Sweep every moved UE's position and its next moves in one pass, at least one
+        each and more while the pass has room; each UE's sweeps become its new queue."""
+        k = max(1, TRACE_BATCH // len(moved) - 1)
         routes = [[pos, *self._route_ahead(ue_id, k)] for ue_id, pos in moved.items()]
         results = iter(self._sweep([pos for route in routes for pos in route]))
         for ue_id, route in zip(moved, routes):
@@ -274,16 +273,11 @@ class PolicyModule(orch.ModuleHandle):
 def loop_modules(category: str, scene: Scene, comms_cfg: CommsConfig, source, ai=None,
                  sweep_hook=None) -> list:
     """A category's modules in registration order: the position source, communications
-    and, when the category has an AI role, the module ai(comms) builds on it.
-
-    Communications traces a moved UE's next moves exactly when the source is a
-    MobilityModule, the one source whose route is known ahead.
-    """
+    and, when the category has an AI role, the module ai(comms) builds on it."""
     has_ai = "ai" in orch.category_wiring(category)
     if (ai is not None) != has_ai:
         raise ValueError(f"category {category} {'needs an' if has_ai else 'has no'} AI module")
-    mobility = source if isinstance(source, MobilityModule) else None
-    comms = CommsModule(scene, comms_cfg, sweep_hook=sweep_hook, mobility=mobility)
+    comms = CommsModule(scene, comms_cfg, sweep_hook=sweep_hook)
     return [source, comms] + ([ai(comms)] if has_ai else [])
 
 

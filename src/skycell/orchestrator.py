@@ -73,6 +73,7 @@ class ModuleHandle:
 
     name = "module"
     role = "module"
+    source = None  # the episode's position source; run_episode sets it before init
 
     def init(self, broker: Broker) -> tuple:
         """Open the module's subscriptions; the episode unsubscribes the ones returned."""
@@ -205,6 +206,10 @@ def run_episode(
     the episode ahead of the configured N (used by the rescue mission, whose
     length depends on in-loop decisions).
 
+    Before any module's init, every module after the first gets the first, the
+    episode's position source, as its source: communications reads the moves a
+    UE will make from it, however the module list was built.
+
     The episode's own subscriptions and those its modules' init returns are
     unsubscribed when it ends, aborted or not; a caller's own subscriptions on a
     passed-in broker stay open.
@@ -237,6 +242,8 @@ def run_episode(
     ready = sub_ready.next_message
     try:
         broker.set_virtual_time(0.0)
+        for m in modules[1:]:  # the wiring puts the position source first
+            m.source = modules[0]
         for m in modules:
             subs.extend(m.init(broker))
         for k in range(config.n_snapshots):

@@ -1,10 +1,12 @@
 """scripts/bench_pairs.py judges a claimed gain and a regression from its pairs.
 
 The script is loaded from its file, as test_benchmark_hooks.py loads
-perfbench/spans.py; the runs here are synthetic, so no benchmark runs.
+perfbench/spans.py; the runs here are synthetic, so no benchmark runs, and
+--parent is resolved in a throwaway git repository.
 """
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -80,3 +82,27 @@ def test_regression_verdict(parent, change, verdict):
 @pytest.mark.parametrize("change, verdict", [(96.0, "none"), (94.0, "worse"), (104.0, "none")])
 def test_regression_verdict_of_a_higher_is_better_metric(change, verdict):
     assert bench_pairs.verdict([100.0] * 10, [change] * 10, "higher", 0.05) == verdict
+
+
+def _git(repo, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                          cwd=repo, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def test_the_point_records_the_commit_parent_names(tmp_path, monkeypatch):
+    """--parent HEAD~1 is stored as the commit it names when the script starts, so the
+    point still names that tree after the branch moves; a name of no commit is an error."""
+    _git(tmp_path, "init", "-q")
+    for message in ("parent", "change"):
+        _git(tmp_path, "commit", "-q", "--allow-empty", "-m", message)
+    parent = _git(tmp_path, "rev-parse", "HEAD~1")
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    bench = {"workloads": [{"name": "w"}]}
+    argv = ["--seeds", "1-2", "--out", str(tmp_path / "point.json")]
+    args = bench_pairs.parse_args(bench, ["--parent", "HEAD~1", *argv])
+    _git(tmp_path, "commit", "-q", "--allow-empty", "-m", "later")
+    assert args.parent == parent and len(parent) == 40
+    point = bench_pairs.bench_point(args, 20, METRICS, {"w": _pairs([1.0], [0.8])})
+    assert point["parent"] == parent and f"git archive of {parent}" in point["method"]
+    with pytest.raises(SystemExit):
+        bench_pairs.parse_args(bench, ["--parent", "no-such-rev", *argv])

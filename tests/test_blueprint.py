@@ -218,9 +218,10 @@ def test_each_message_is_decoded_once_per_snapshot(monkeypatch):
 
 
 def test_a_held_snapshot_reuses_its_sweep_and_encodes_per_send(monkeypatch):
-    """While a UE holds, its sweep is reused and the tracer does not run; every text is
-    built when it is sent, so each snapshot encodes its position, pair and throughput
-    report and computes one rate, held or not. Every text is built by bus from its
+    """While a UE holds, its sweep is reused and the tracer does not run, and its next
+    moves come from the queue its first pass traced; every text is built when it is
+    sent, so each snapshot encodes its position, pair and throughput report and
+    computes one rate, held or not. Every text is built by bus from its
     leaves, so the spy counts leaf encodings: five for a position, three each for the
     best pair, the decision and the throughput report."""
     calls = collections.Counter()
@@ -248,7 +249,9 @@ def test_a_held_snapshot_reuses_its_sweep_and_encodes_per_send(monkeypatch):
         n = k + 1
         assert counts[k] == {"leaf": (5 + 3 + 3 + 3) * n, "position_payload": n,
                              "throughput_mbps": n, "trace_paths_batch": 1}
-    assert counts[5]["trace_paths_batch"] == 2
+    # run_episode links the hand-built list, so the first pass also traced the moves
+    # after the hold, and they come from the queue
+    assert counts[5]["trace_paths_batch"] == counts[6]["trace_paths_batch"] == 1
 
 
 _leaf = st.one_of(
@@ -383,17 +386,25 @@ class _HeldMobility(blueprint.MobilityModule):
         super().step(t, broker)
 
 
+class _Unforeseen(_HeldMobility):
+    """A position source that lists no move ahead, so communications traces none."""
+
+    def upcoming(self, ue_id, k):
+        return []
+
+
 def _episode(plans, holds=(), look_ahead=True, category=orch.ALL_IN_LOOP, n_snapshots=16):
     """Published (topic, text) in order, every sweep_hook result, the log lines and the
-    receivers of each trace call of one episode, or the EpisodeAbort it raised."""
-    mobility = _HeldMobility({f"u{i}": p for i, p in enumerate(plans)}, 0.5, holds)
+    receivers of each trace call of one episode, or the EpisodeAbort it raised. Without
+    look_ahead the position source lists no move ahead."""
+    routes = {f"u{i}": p for i, p in enumerate(plans)}
+    mobility = (_HeldMobility if look_ahead else _Unforeseen)(routes, 0.5, holds)
     sweeps = []
 
     def hook(t, ue_id, r):
         sweeps.append((t, ue_id, r.position, r.los, r.best_pair, r.gains.tobytes()))
 
-    comms = CommsModule(_WALLED, SHIPPED, sweep_hook=hook,
-                        mobility=mobility if look_ahead else None)
+    comms = CommsModule(_WALLED, SHIPPED, sweep_hook=hook)
     modules = [mobility, comms]
     if category == orch.ALL_IN_LOOP:
         modules.append(PolicyModule(Policy(kind="random"), comms, np.random.default_rng(7)))
@@ -424,30 +435,30 @@ def _plans(draw):
 
 
 @given(
-    # every UE count that traces ahead (TRACE_BATCH // M >= 2) and the first that does not
-    plans=st.lists(_plans(), min_size=1, max_size=blueprint.TRACE_BATCH // 2 + 1),
-    holds=st.lists(st.tuples(st.integers(0, 15), st.integers(0, blueprint.TRACE_BATCH // 2),
-                             st.integers(1, 4)),
+    # 1 to 12 UEs: 1-5 trace more than one move ahead each, 6-12 one
+    plans=st.lists(_plans(), min_size=1, max_size=12),
+    holds=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 11), st.integers(1, 4)),
                    max_size=4),
     category=st.sampled_from([orch.ALL_IN_LOOP, orch.MOB3D_COMM_IN_LOOP]),
 )
 @settings(max_examples=25, deadline=None)
 def test_look_ahead_changes_no_output(plans, holds, category):
-    """With and without mobility=, an episode publishes the same texts in the same order,
-    hands sweep_hook the same results (position, LOS class, best pair, gains bytes) and
-    logs the same records; the look-ahead only merges trace calls."""
+    """Whether or not its position source lists moves ahead, an episode publishes the same
+    texts in the same order, hands sweep_hook the same results (position, LOS class, best
+    pair, gains bytes) and logs the same records; the look-ahead only merges trace calls,
+    and a pass holds at most max(TRACE_BATCH, 2M) receivers for M UEs."""
     ahead = _episode(plans, holds, True, category)
     plain = _episode(plans, holds, False, category)
     assert ahead[:3] == plain[:3]
     assert len(ahead[3]) <= len(plain[3])
-    assert all(len(c) <= max(blueprint.TRACE_BATCH, len(plans)) for c in ahead[3])
+    assert all(len(c) <= max(blueprint.TRACE_BATCH, 2 * len(plans)) for c in ahead[3])
 
 
 _ROUTE = TrajectoryPlan((150.0, 250.0, 40.0), (250.0, 250.0, 40.0), speed_mps=5.0)
 
 
 @given(
-    # 1 to 12 UEs: every count that traces ahead and four (9 to 12) that leave no room
+    # 1 to 12 UEs: 1-5 trace more than one move ahead each, 6-12 one
     plans=st.lists(_plans(), min_size=1, max_size=12),
     holds=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 11), st.integers(1, 4)),
                    max_size=12),
@@ -455,18 +466,21 @@ _ROUTE = TrajectoryPlan((150.0, 250.0, 40.0), (250.0, 250.0, 40.0), speed_mps=5.
     look_ahead=st.booleans(),
 )
 # twelve UEs: u0-u2 trace their next moves in snapshot 1 while the rest hold; in snapshot
-# 2 u0 is put on another route as nine UEs resume, so ten trace with no room ahead
+# 2 u0 is put on another route as nine UEs resume, so ten trace one move ahead each
 @example(plans=[blueprint.offset_plan(_ROUTE, 3.0 * i) for i in range(12)],
          holds=[(1, i, 1) for i in range(3, 12)], jumps=[(2, 0)], look_ahead=True)
 @settings(max_examples=25, deadline=None)
 def test_each_queue_is_the_published_position_then_its_next_moves(plans, holds, jumps,
                                                                    look_ahead):
     """After every step, each UE's queue holds the sweeps of its published position and
-    then of a prefix of the moves MobilityModule.upcoming lists for it (none without
-    mobility=), at any UE count; a UE put on another route gets a new queue."""
-    mobility = _HeldMobility({f"u{i}": p for i, p in enumerate(plans)}, 0.5, holds)
+    then of a prefix of the moves its position source's upcoming lists for it (none from
+    a source that lists none), at any UE count; a UE put on another route gets a new
+    queue."""
+    routes = {f"u{i}": p for i, p in enumerate(plans)}
+    mobility = (_HeldMobility if look_ahead else _Unforeseen)(routes, 0.5, holds)
     broker = Broker()
-    comms = CommsModule(_WALLED, SHIPPED, mobility=mobility if look_ahead else None)
+    comms = CommsModule(_WALLED, SHIPPED)
+    comms.source = mobility  # the link run_episode makes
     comms.init(broker)
     published = broker.subscribe(orch.POSITIONS_TOPIC)
     for k in range(10):
@@ -480,7 +494,7 @@ def test_each_queue_is_the_published_position_then_its_next_moves(plans, holds, 
             ue_id = msg.doc["UE_Id"]
             queued = [r.position for r in comms.queues[ue_id]]
             assert queued[0] == blueprint.position_of(msg.doc)
-            assert queued[1:] == (mobility.upcoming(ue_id, len(queued) - 1) if look_ahead else [])
+            assert queued[1:] == mobility.upcoming(ue_id, len(queued) - 1)
 
 
 def _step(x):
@@ -490,7 +504,8 @@ def _step(x):
 def test_a_lone_ue_traces_its_next_moves_in_one_pass():
     """A lone moving UE traces TRACE_BATCH positions per call and its next moves trace
     nothing; a hold delays them. Two UEs trace TRACE_BATCH // 2 positions each; the
-    fewest UEs that leave no room, TRACE_BATCH // 2 + 1, trace none ahead."""
+    fewest UEs that leave room for no more, TRACE_BATCH // 2 + 1, trace their next move
+    each: 2M receivers on every other snapshot."""
     n = blueprint.TRACE_BATCH
     *_, traced = _episode([_ROUTE], holds=[(2, 0, 3)], n_snapshots=n + 4)
     # snapshots 2-4 hold; moves 3 to n then come from the first call's queue
@@ -501,7 +516,7 @@ def test_a_lone_ue_traces_its_next_moves_in_one_pass():
     assert traced[0][:n // 2] == [_step(x) for x in range(1, n // 2 + 1)]
     crowd = [blueprint.offset_plan(_ROUTE, 3.0 * i) for i in range(n // 2 + 1)]
     *_, traced = _episode(crowd, n_snapshots=4)
-    assert [len(c) for c in traced] == [n // 2 + 1] * 4
+    assert [len(c) for c in traced] == [2 * (n // 2 + 1)] * 2
 
 
 def test_upcoming_lists_the_moves_the_ue_publishes():
@@ -517,12 +532,14 @@ def test_upcoming_lists_the_moves_the_ue_publishes():
     short = TrajectoryPlan((150.0, 250.0, 40.0), (155.0, 250.0, 40.0), speed_mps=5.0)
     assert blueprint.MobilityModule({"u0": short}, 0.5).upcoming("u0", 3) == [
         _step(1), _step(2)]  # the route ends after two moves
+    assert mob.upcoming("u1", 3) == []  # a UE the module does not move
 
 
 def test_a_queue_that_does_not_lead_to_the_published_position_is_dropped():
     broker = Broker()
     mob = blueprint.MobilityModule({"u0": _ROUTE}, 0.5)
-    comms = CommsModule(_WALLED, SHIPPED, mobility=mob)
+    comms = CommsModule(_WALLED, SHIPPED)
+    comms.source = mob  # the link run_episode makes
     comms.init(broker)
     batch = mock.Mock(wraps=blueprint.trace_paths_batch)
     with mock.patch.object(blueprint, "trace_paths_batch", batch):
@@ -585,6 +602,34 @@ _ENTRY_POINTS = {
 }
 
 
+def test_a_hand_built_list_looks_ahead():
+    """Ten UAVs built as perfbench's swarm10 builds them and passed straight to
+    run_episode trace their next move with each position: 20 receivers on every other
+    snapshot. Replayed in AiCommInLoop, whose source lists no move ahead, the same flight
+    traces 10 receivers on every snapshot."""
+    route = base_route(_DEFAULTS)
+    plans = {f"uav{i}": blueprint.offset_plan(route, 3.0 * (i - 4.5)) for i in range(10)}
+    scene = load_scene(_DEFAULTS)
+    batch = mock.Mock(wraps=blueprint.trace_paths_batch)
+
+    def episode(category, source):
+        comms = CommsModule(scene, SHIPPED)
+        policy = PolicyModule(Policy(kind="random"), comms, np.random.default_rng(0))
+        batch.reset_mock()
+        with mock.patch.object(blueprint, "trace_paths_batch", batch):
+            log = orch.run_episode(orch.EpisodeConfig(n_snapshots=4, category=category),
+                                   [source, comms, policy])
+        return log, [len(c.args[2]) for c in batch.call_args_list], comms.source
+
+    mobility = blueprint.MobilityModule(plans, 0.5)
+    log, traced, linked = episode(orch.ALL_IN_LOOP, mobility)
+    assert traced == [20, 20] and linked is mobility
+    replay = blueprint.ReplayModule(log.records)
+    replayed, traced, linked = episode(orch.AI_COMM_IN_LOOP, replay)
+    assert traced == [10] * 4 and linked is replay
+    assert [r.ue_states for r in replayed.records] == [r.ue_states for r in log.records]
+
+
 @pytest.mark.parametrize("entry", _ENTRY_POINTS)
 def test_every_entry_point_traces_a_lone_uav_ahead(tmp_path, monkeypatch, entry):
     """Each loop links communications to its MobilityModule, so the first pass traces the
@@ -602,8 +647,8 @@ def test_every_entry_point_traces_a_lone_uav_ahead(tmp_path, monkeypatch, entry)
 
 
 def test_loop_modules_follow_the_category_wiring():
-    """Modules in the category's role order; the look-ahead link exactly for a
-    MobilityModule source; the throughput report where the AI module is absent."""
+    """Modules in the category's role order, with no look-ahead link (run_episode makes
+    it); the throughput report where the AI module is absent."""
     mobility = blueprint.MobilityModule({"u0": base_route(_DEFAULTS)}, 0.5)
     replay = blueprint.ReplayModule([])
 
@@ -621,7 +666,7 @@ def test_loop_modules_follow_the_category_wiring():
         assert tuple(m.role for m in modules) == orch.category_wiring(category)
         comms = modules[1]
         assert modules[0] is source and comms.sweep_hook is hook
-        assert comms.mobility is (mobility if source is mobility else None)
+        assert comms.source is None
         assert comms.reports_throughput is not has_ai
         assert not has_ai or modules[2].comms is comms
         message = f"category {category} {'needs an' if has_ai else 'has no'} AI module"
@@ -643,7 +688,8 @@ def test_radio_pass_bench_script_runs():
     ok = run(2)
     assert ok.returncode == 0, ok.stderr
     lines = ok.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["M=1", "M=4", "M=8", "M=16", "M=32"]
+    assert [line.split(":")[0] for line in lines] == [
+        "M=1", "M=4", "M=8", "M=10", "M=16", "M=20", "M=32"]
     assert all(" ms per receiver (quartiles " in line and line.endswith(" KB") for line in lines)
     short = run(1)
     assert short.returncode == 2
