@@ -50,7 +50,9 @@ def _seg_blocked(p, q, boxes):
 
 
 def _norm_rows(v):
-    return np.sqrt(v[:, 0] ** 2 + v[:, 1] ** 2 + v[:, 2] ** 2)
+    # squares as products: IEEE multiplication rounds correctly, pow() may not
+    x, y, z = v[:, 0], v[:, 1], v[:, 2]
+    return np.sqrt(x * x + y * y + z * z)
 
 
 def _mirror_rows(points, axes, coords):
@@ -100,7 +102,7 @@ def trace_candidates(tx, rx, boxes, f_axis, f_coord, f_sign, f_uv, f_refl, max_o
     paths = []
     if not bool(_seg_blocked(tx[None, :], rx[None, :], boxes)[0]):
         d = rx - tx
-        length = float(np.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2))
+        length = float(_norm_rows(d[None, :])[0])
         paths.append((0, None, None, length, d / length, -d / length, 1.0))
     if max_order < 1 or f_axis.shape[0] == 0:
         return paths
