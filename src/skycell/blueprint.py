@@ -39,7 +39,7 @@ from .ai import Policy, policy_decide
 from .bus import Broker, pair_text, position_text, throughput_text
 # trace_paths and synthesize_channel stay importable here: perfbench's spans
 # wrap these one-receiver names on this module
-from .geometry import Scene, los_class, trace_paths, trace_paths_batch  # noqa: F401
+from .geometry import Scene, trace_path_arrays, trace_paths  # noqa: F401
 from .mobility import (
     TrajectoryPlan,
     position_of,
@@ -157,19 +157,23 @@ class CommsModule(orch.ModuleHandle):
 
     def _sweep(self, positions) -> list:
         """One SweepResult per position: one trace, one synthesis and one sweep for them all."""
-        bundles = trace_paths_batch(
+        paths = trace_path_arrays(
             self.scene, self.scene.tx.position, positions, carrier_hz=self.cfg.carrier_hz
         )
-        lit = [b for b in bundles if b.paths]
-        if lit:
+        lit = np.bincount(paths.rows, minlength=len(positions)) > 0
+        if paths.rows.size:
+            # rows renumbered over the receivers with paths, the ones synthesised
             channels = synthesize_channels(
-                lit, self.cfg.tx_upa, self.cfg.rx_upa, self.tx_rotation, self.rx_rotation
+                (np.cumsum(lit) - 1)[paths.rows], paths.gains, paths.aod, paths.aoa,
+                self.cfg.tx_upa, self.cfg.rx_upa, self.tx_rotation, self.rx_rotation,
             )
             swept = zip(*beam_sweep(channels, self.tx_codebook, self.rx_codebook))
+        los = np.zeros(len(positions), dtype=bool)
+        los[paths.rows[paths.kinds == 0]] = True  # kind 0: no reflection, line of sight
         results = []
-        for position, bundle in zip(positions, bundles):
-            if bundle.paths:
-                results.append(SweepResult(position, los_class(bundle), *next(swept)))
+        for position, has_paths, has_los in zip(positions, lit.tolist(), los.tolist()):
+            if has_paths:
+                results.append(SweepResult(position, "LOS" if has_los else "NLOS", *next(swept)))
             else:
                 results.append(
                     SweepResult(position, "outage", 0, np.zeros(math.prod(self.pair_grid)))

@@ -5,7 +5,11 @@ rectangular boundary. Multipath components are enumerated exactly with the
 image method: line of sight, single specular bounces off every building face
 and the ground, and double bounces via nested mirror images. No diffraction
 or diffuse scattering. The scene caches the image tree of its own
-transmitter, and :func:`trace_paths_batch` traces many receivers in one pass.
+transmitter. :func:`trace_path_arrays` traces many receivers in one pass and
+returns their paths as arrays (PathArrays), which is what the radio pass
+uses; :func:`trace_paths_batch` and :func:`trace_paths` build PathBundles of
+PropagationPaths from those arrays, so the gain, angle and sort formulas
+exist once.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,10 +202,34 @@ class Scene:
         return self._packed[key]
 
 
-def _angles(direction) -> tuple:
-    az = math.atan2(direction[1], direction[0])
-    el = math.atan2(direction[2], math.hypot(direction[0], direction[1]))
-    return (az, el)
+class PathArrays(NamedTuple):
+    """The paths of one radio pass as arrays, one entry per path.
+
+    Paths are sorted by receiver row, then as a bundle lists them: by kind,
+    length, AoD and AoA. A path's ``kinds`` entry indexes PATH_KINDS and is
+    its reflection order; its bounce points fill that many rows of
+    ``points``, and the rest are NaN.
+    """
+
+    rows: np.ndarray  # (P,) receiver row
+    kinds: np.ndarray  # (P,)
+    lengths: np.ndarray  # (P,)
+    gains: np.ndarray  # (P,) complex
+    aod: np.ndarray  # (P, 2) (azimuth, elevation) radians, global frame, at the Tx
+    aoa: np.ndarray  # (P, 2) the same at the Rx
+    points: np.ndarray  # (P, 2, 3)
+
+
+def _angles(directions) -> np.ndarray:
+    """(P, 2) (azimuth, elevation) of the unit directions (P, 3).
+
+    Scalar math.atan2/math.hypot: numpy's vectorised atan2 is not libm bit
+    for bit, and the golden artifacts pin these bits.
+    """
+    x, y, z = directions.T.tolist()
+    azimuth = list(map(math.atan2, y, x))
+    elevation = list(map(math.atan2, z, map(math.hypot, x, y)))
+    return np.array([azimuth, elevation]).T
 
 
 def trace_paths(
@@ -215,7 +244,7 @@ def trace_paths(
 
     Per-path amplitude is lambda/(4*pi*length) scaled by the product of the
     reflection coefficients met along the way; phase is -2*pi*length/lambda.
-    Paths come back sorted by (kind, length).
+    Paths come back sorted by (kind, length, aod, aoa).
     """
     rx = np.asarray(rx, dtype=np.float64)
     if rx.shape != (3,):
@@ -225,18 +254,21 @@ def trace_paths(
     )[0]
 
 
-def trace_paths_batch(
+def trace_path_arrays(
     scene: Scene,
     tx,
     rx,
     max_order: int = 2,
     carrier_hz: float = 4e10,
     ground_reflection: bool = True,
-) -> list:
-    """:func:`trace_paths` for every row of rx (M, 3); one bundle per row.
+) -> PathArrays:
+    """The paths of :func:`trace_paths` for every row of rx (M, 3), as arrays.
 
     The receivers share one vectorised pass over the transmitter's image
-    tree, which the scene caches for its own transmitter.
+    tree, which the scene caches for its own transmitter. Gains and angles
+    are array expressions of the kernel's records, with every cos, sin,
+    atan2 and hypot taken from libm, so each path carries the bits the
+    one-receiver scalar formulas give.
     """
     tx = np.asarray(tx, dtype=np.float64)
     rx = np.asarray(rx, dtype=np.float64)
@@ -250,19 +282,44 @@ def trace_paths_batch(
         raise ValueError("max_order must be 0, 1 or 2")
 
     tree = scene.image_tree(tx, ground=ground_reflection)
+    records = kernels.trace_batch(tree, rx, scene.boxes, max_order)
+    rows, bounces, lengths, aod_dir, aoa_dir, refl = zip(*records)
+    rows, lengths, aod_dir, aoa_dir, refl = map(np.concatenate, (rows, lengths, aod_dir, aoa_dir, refl))
+    kinds = np.repeat(np.arange(len(records)), [b.shape[0] for b in bounces])
+    points = np.full((rows.size, 2, 3), np.nan)
+    for kind, b in enumerate(bounces):
+        points[kinds == kind, :kind] = b
+
     lam = SPEED_OF_LIGHT / carrier_hz
-    paths = [[] for _ in range(rx.shape[0])]
-    for kind, record in zip(PATH_KINDS, kernels.trace_batch(tree, rx, scene.boxes, max_order)):
-        for m, points, length, aod_dir, aoa_dir, refl in zip(*(a.tolist() for a in record)):
-            mag = lam / (4.0 * math.pi * length) * refl
-            phase = -2.0 * math.pi * length / lam
-            gain = complex(mag * math.cos(phase), mag * math.sin(phase))
-            paths[m].append(PropagationPath(
-                kind, tuple(map(tuple, points)), length, _angles(aod_dir), _angles(aoa_dir), gain
-            ))
-    for row in paths:
-        row.sort(key=lambda p: (PATH_KINDS.index(p.kind), p.length, p.aod, p.aoa))
-    return [PathBundle(paths=tuple(row)) for row in paths]
+    mag = lam / (4.0 * math.pi * lengths) * refl
+    phase = (-2.0 * math.pi * lengths / lam).tolist()
+    gains = np.empty(rows.size, dtype=np.complex128)
+    gains.real = mag * np.fromiter(map(math.cos, phase), np.float64, len(phase))
+    gains.imag = mag * np.fromiter(map(math.sin, phase), np.float64, len(phase))
+    aod, aoa = _angles(aod_dir), _angles(aoa_dir)
+    # stable, so paths that tie on every key keep their enumeration order
+    order = np.lexsort((aoa[:, 1], aoa[:, 0], aod[:, 1], aod[:, 0], lengths, kinds, rows))
+    return PathArrays(rows[order], kinds[order], lengths[order], gains[order], aod[order],
+                      aoa[order], points[order])
+
+
+def trace_paths_batch(
+    scene: Scene,
+    tx,
+    rx,
+    max_order: int = 2,
+    carrier_hz: float = 4e10,
+    ground_reflection: bool = True,
+) -> list:
+    """:func:`trace_paths` for every row of rx (M, 3); one bundle per row,
+    built from :func:`trace_path_arrays`."""
+    paths = trace_path_arrays(scene, tx, rx, max_order, carrier_hz, ground_reflection)
+    bundles = [[] for _ in range(len(rx))]
+    for m, kind, length, gain, aod, aoa, points in zip(*(a.tolist() for a in paths)):
+        bundles[m].append(PropagationPath(
+            PATH_KINDS[kind], tuple(map(tuple, points[:kind])), length, tuple(aod), tuple(aoa), gain
+        ))
+    return [PathBundle(paths=tuple(row)) for row in bundles]
 
 
 def los_class(bundle: PathBundle) -> str:

@@ -7,7 +7,9 @@ tracing from a fixed source, as in Funkhouser et al., SIGGRAPH 1998), and
 :func:`trace_batch` enumerates the paths to many receivers in one vectorised
 pass (Sionna RT batches receivers the same way, arXiv:2303.11103). Every
 surviving candidate is computed with the same per-element expressions as the
-scalar one-receiver enumeration, so the paths come out bit-identical.
+scalar one-receiver enumeration, so the paths come out bit-identical. The
+occlusion test lays segments and boxes out axis-major, so its broad phase
+compares every box with all segments in one long inner loop.
 """
 
 from __future__ import annotations
@@ -33,10 +35,12 @@ _CORNERS = np.array([[(c >> b) & 1 for b in range(3)] for c in range(8)], dtype=
 
 
 def _seg_blocked_np_many(p, q, boxes):
-    """Occlusion test for M segments against B boxes; returns (M,) bool.
+    """Occlusion test for N segments p->q (N, 3) against B boxes; returns (N,) bool.
 
-    A broad phase keeps the (segment, box) pairs whose bounding boxes
-    overlap and the slab test runs on those alone. A slab hit implies
+    Axis-major throughout: segments as (3, N) and boxes as (3, B) rows. A broad
+    phase keeps the (box, segment) pairs whose bounding boxes overlap, one (B, N)
+    boolean combined axis by axis, so every inner loop runs over the N segments;
+    the slab test runs on those K pairs alone, as (3, K) rows. A slab hit implies
     overlapping bounding boxes, so the broad phase changes no result.
     """
     p = np.atleast_2d(p)
@@ -44,29 +48,45 @@ def _seg_blocked_np_many(p, q, boxes):
     blocked = np.zeros(p.shape[0], dtype=bool)
     if boxes.shape[0] == 0 or p.shape[0] == 0:
         return blocked
-    # axis-major (3, M, B) comparisons keep the inner loops long and contiguous
-    bt = np.ascontiguousarray(boxes.T)[:, None, :]
-    near = (np.minimum(p, q).T[:, :, None] <= bt[3:]) & (np.maximum(p, q).T[:, :, None] >= bt[:3])
-    seg, box = np.nonzero(near[0] & near[1] & near[2])
-    if seg.size == 0:
+    p = np.ascontiguousarray(p.T)
+    q = np.ascontiguousarray(q.T)
+    bt = np.ascontiguousarray(boxes.T)
+    b_lo, b_hi = bt[:3, :, None], bt[3:, :, None]
+    s_lo, s_hi = np.minimum(p, q), np.maximum(p, q)
+    near = s_lo[0] <= b_hi[0]
+    cmp = np.empty_like(near)
+    near &= np.greater_equal(s_hi[0], b_lo[0], out=cmp)
+    for a in (1, 2):
+        near &= np.less_equal(s_lo[a], b_hi[a], out=cmp)
+        near &= np.greater_equal(s_hi[a], b_lo[a], out=cmp)
+    # flat indices split by hand: np.nonzero on a 2-D mask is several times slower
+    pair = np.flatnonzero(near)
+    if pair.size == 0:
         return blocked
-    pp = p[seg]
-    d = q[seg] - pp
-    lo = boxes[box, :3]
-    hi = boxes[box, 3:]
+    box = pair // near.shape[1]
+    seg = pair - box * near.shape[1]
+    pp = p.take(seg, axis=1)
+    d = (q - p).take(seg, axis=1)
+    lo = bt[:3].take(box, axis=1)
+    hi = bt[3:].take(box, axis=1)
     par = np.abs(d) <= _PAR_EPS
     with np.errstate(divide="ignore", invalid="ignore"):
         ta = (lo - pp) / d
         tb = (hi - pp) / d
     t_enter = np.minimum(ta, tb)
-    t_exit = np.maximum(ta, tb)
+    t_exit = np.maximum(ta, tb, out=tb)
     if par.any():
         # parallel axes: inside the slab leaves t unconstrained, outside kills the box
         inside = (pp >= lo) & (pp <= hi)
         t_enter = np.where(par, np.where(inside, -np.inf, np.inf), t_enter)
         t_exit = np.where(par, np.where(inside, np.inf, -np.inf), t_exit)
-    t0 = np.maximum(t_enter.max(axis=1), _T_EPS)
-    t1 = np.minimum(t_exit.min(axis=1), 1.0 - _T_EPS)
+    # max and min are exact, so chaining the three rows gives the bits of a reduction
+    t0 = np.maximum(t_enter[0], t_enter[1])
+    np.maximum(t0, t_enter[2], out=t0)
+    np.maximum(t0, _T_EPS, out=t0)
+    t1 = np.minimum(t_exit[0], t_exit[1])
+    np.minimum(t1, t_exit[2], out=t1)
+    np.minimum(t1, 1.0 - _T_EPS, out=t1)
     blocked[seg[t1 > t0]] = True
     return blocked
 

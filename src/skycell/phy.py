@@ -3,6 +3,10 @@
 The channel is a geometric narrowband model: each traced path contributes its
 complex gain times the outer product of receive and transmit steering
 vectors, with angles expressed in each array's local frame.
+:func:`synthesize_channels` takes a radio pass's path arrays (receiver rows,
+gains, AoD/AoA, as :func:`skycell.geometry.trace_path_arrays` returns them)
+and builds every receiver's channel in one pass; :func:`synthesize_channel`
+wraps it for one PathBundle.
 """
 
 from __future__ import annotations
@@ -115,62 +119,79 @@ def synthesize_channel(
     rx_rotation: np.ndarray | None = None,
 ) -> np.ndarray:
     """The (Nr, Nt) complex matrix H = sum over paths of gain * a_rx(aoa) a_tx(aod)^H."""
-    return synthesize_channels([bundle], tx_upa, rx_upa, tx_rotation, rx_rotation)[0]
+    paths = bundle.paths
+    return synthesize_channels(
+        np.zeros(len(paths), dtype=np.int64),
+        np.array([p.gain for p in paths], dtype=np.complex128),
+        np.array([p.aod for p in paths]),
+        np.array([p.aoa for p in paths]),
+        tx_upa, rx_upa, tx_rotation, rx_rotation,
+    )[0]
 
 
 def _directions(angles) -> np.ndarray:
-    """(P, 3) unit vectors (cos el cos az, cos el sin az, sin el) of (az, el) pairs.
+    """(P, 3) unit vectors (cos el cos az, cos el sin az, sin el) of (P, 2) (az, el) rows.
 
     Scalar math.cos/math.sin: numpy's vectorised trig is not guaranteed to
     match libm bit for bit, and the golden artifacts pin these bits.
     """
-    rows = []
-    for azimuth, elevation in angles:
-        ce = math.cos(elevation)
-        rows.append((ce * math.cos(azimuth), ce * math.sin(azimuth), math.sin(elevation)))
-    return np.array(rows, dtype=np.float64).reshape(-1, 3)
+    azimuth, elevation = angles.T.tolist()
+    n = len(azimuth)
+    d = np.empty((n, 3))
+    ce = np.fromiter(map(math.cos, elevation), np.float64, n)
+    d[:, 0] = ce * np.fromiter(map(math.cos, azimuth), np.float64, n)
+    d[:, 1] = ce * np.fromiter(map(math.sin, azimuth), np.float64, n)
+    d[:, 2] = np.fromiter(map(math.sin, elevation), np.float64, n)
+    return d
 
 
 def synthesize_channels(
-    bundles,
+    rows: np.ndarray,
+    gains: np.ndarray,
+    aod: np.ndarray,
+    aoa: np.ndarray,
     tx_upa: UpaConfig,
     rx_upa: UpaConfig,
     tx_rotation: np.ndarray | None = None,
     rx_rotation: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(M, Nr, Nt) channels of M bundles that all carry paths, in one pass.
+    """(M, Nr, Nt) channels of receivers 0..M-1 that all carry paths, in one pass.
 
-    Each receiver sums its paths in bundle order, one path index at a time,
-    so every H is bit-equal to the bundle's own path-by-path sum.
+    Path p belongs to receiver ``rows[p]`` and has complex gain ``gains[p]`` and
+    (azimuth, elevation) rows ``aod[p]``/``aoa[p]``, as
+    :func:`skycell.geometry.trace_path_arrays` returns them. rows is
+    non-decreasing and each receiver sums its paths in that order, one path
+    index at a time, so every H is bit-equal to its own path-by-path sum.
     """
-    counts = [len(b.paths) for b in bundles]
-    if not all(counts):
+    counts = np.bincount(rows)
+    if not rows.size or not counts.all():
         raise ChannelOutage("no propagation paths; channel is in outage")
-    # bundles by descending path count, so the depth[k] that hold a path k are
-    # a prefix; paths laid out path index first, so each k is one contiguous run
-    order = sorted(range(len(bundles)), key=counts.__getitem__, reverse=True)
-    depth = [sum(c > k for c in counts) for k in range(max(counts, default=0))]
-    paths = [bundles[i].paths[k] for k, m in enumerate(depth) for i in order[:m]]
-    d_tx = _directions(p.aod for p in paths)
-    d_rx = _directions(p.aoa for p in paths)
+    # receivers by descending path count (rank), so the depth[k] that hold a
+    # path k are a prefix; paths laid out path index first, so each k is one
+    # contiguous run
+    order = np.argsort(-counts, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    k = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    layout = np.lexsort((rank[rows], k))
+    depth = np.bincount(k).tolist()
+    d_tx = _directions(aod[layout])
+    d_rx = _directions(aoa[layout])
     if tx_rotation is not None:
         d_tx = d_tx @ tx_rotation
     if rx_rotation is not None:
         d_rx = d_rx @ rx_rotation
     a_tx = _steering(tx_upa, d_tx).conj()
     a_rx = _steering(rx_upa, d_rx)
-    gains = np.array([p.gain for p in paths], dtype=np.complex128)
     # scaled in place: no second (paths, Nr, Nt) temporary
     terms = a_rx[:, :, None] * a_tx[:, None, :]
-    np.multiply(gains[:, None, None], terms, out=terms)
-    h = np.zeros((len(bundles), rx_upa.n_elements, tx_upa.n_elements), dtype=np.complex128)
+    np.multiply(gains[layout, None, None], terms, out=terms)
+    h = np.zeros((counts.size, rx_upa.n_elements, tx_upa.n_elements), dtype=np.complex128)
     start = 0
     for m in depth:
         h[:m] += terms[start : start + m]
         start += m
-    if order == sorted(order):
-        return h
-    return h[np.argsort(order)]
+    return h[rank]
 
 
 def pair_index(rx_idx: int, tx_idx: int, n_tx: int, n_rx: int) -> int:

@@ -63,13 +63,13 @@ def test_step_traces_each_moved_ue_once(monkeypatch):
     scene = Scene(719.2, 693.4, TxPose((100.0, 100.0, 50.0)),
                   [Building((50, 40, 0), (90, 90, 60), CONCRETE)])
     calls = []  # the receivers of each batch trace call
-    real = blueprint.trace_paths_batch
+    real = blueprint.trace_path_arrays
 
     def spy(scene, tx, rx, **kwargs):
         calls.append([tuple(p) for p in rx])
         return real(scene, tx, rx, **kwargs)
 
-    monkeypatch.setattr(blueprint, "trace_paths_batch", spy)
+    monkeypatch.setattr(blueprint, "trace_path_arrays", spy)
     broker, comms = _comms(scene)
     best = broker.subscribe(orch.BEST_PAIR_TOPIC)
 
@@ -146,8 +146,8 @@ def test_step_matches_per_ue_oracle_sweeps(first, moves, orders):
         sent = [ues[i] for i in order]
         for ue_id in sent:
             _publish(broker, ue_id, positions[ue_id])
-        batch = mock.Mock(wraps=blueprint.trace_paths_batch)
-        with mock.patch.object(blueprint, "trace_paths_batch", batch):
+        batch = mock.Mock(wraps=blueprint.trace_path_arrays)
+        with mock.patch.object(blueprint, "trace_path_arrays", batch):
             comms.step(0.5 * k, broker)
         moved = [positions[u] for u in sent
                  if u not in before or before[u].position != positions[u]]
@@ -233,7 +233,7 @@ def test_a_held_snapshot_reuses_its_sweep_and_encodes_per_send(monkeypatch):
         return lambda *args, **kwargs: calls.update([name]) or fn(*args, **kwargs)
 
     monkeypatch.setattr(bus, "json_leaf", spy(json_leaf, "leaf"))
-    for name in ("position_payload", "throughput_mbps", "trace_paths_batch"):
+    for name in ("position_payload", "throughput_mbps", "trace_path_arrays"):
         monkeypatch.setattr(blueprint, name, spy(getattr(blueprint, name), name))
     cfg = load_config(None)
     mob = blueprint.MobilityModule({"uav0": base_route(cfg)}, 0.5)
@@ -251,10 +251,10 @@ def test_a_held_snapshot_reuses_its_sweep_and_encodes_per_send(monkeypatch):
     for k in range(5):
         n = k + 1
         assert counts[k] == {"leaf": (5 + 3 + 3 + 3) * n, "position_payload": n,
-                             "throughput_mbps": n, "trace_paths_batch": 1}
+                             "throughput_mbps": n, "trace_path_arrays": 1}
     # run_episode links the hand-built list, so the first pass also traced the moves
     # after the hold, and they come from the queue
-    assert counts[5]["trace_paths_batch"] == counts[6]["trace_paths_batch"] == 1
+    assert counts[5]["trace_path_arrays"] == counts[6]["trace_path_arrays"] == 1
 
 
 _leaf = st.one_of(
@@ -413,8 +413,8 @@ def _episode(plans, holds=(), look_ahead=True, category=orch.ALL_IN_LOOP, n_snap
         modules.append(PolicyModule(Policy(kind="random"), comms, np.random.default_rng(7)))
     broker = Broker()
     wire = broker.subscribe(">")
-    batch = mock.Mock(wraps=blueprint.trace_paths_batch)
-    with mock.patch.object(blueprint, "trace_paths_batch", batch):
+    batch = mock.Mock(wraps=blueprint.trace_path_arrays)
+    with mock.patch.object(blueprint, "trace_path_arrays", batch):
         try:
             log = orch.run_episode(orch.EpisodeConfig(n_snapshots=n_snapshots, category=category),
                                    modules, broker=broker)
@@ -544,8 +544,8 @@ def test_a_queue_that_does_not_lead_to_the_published_position_is_dropped():
     comms = CommsModule(_WALLED, SHIPPED)
     comms.source = mob  # the link run_episode makes
     comms.init(broker)
-    batch = mock.Mock(wraps=blueprint.trace_paths_batch)
-    with mock.patch.object(blueprint, "trace_paths_batch", batch):
+    batch = mock.Mock(wraps=blueprint.trace_path_arrays)
+    with mock.patch.object(blueprint, "trace_path_arrays", batch):
         for k in range(2):
             mob.step(0.5 * k, broker)
             comms.step(0.5 * k, broker)
@@ -613,13 +613,13 @@ def test_a_hand_built_list_looks_ahead():
     route = base_route(_DEFAULTS)
     plans = {f"uav{i}": blueprint.offset_plan(route, 3.0 * (i - 4.5)) for i in range(10)}
     scene = load_scene(_DEFAULTS)
-    batch = mock.Mock(wraps=blueprint.trace_paths_batch)
+    batch = mock.Mock(wraps=blueprint.trace_path_arrays)
 
     def episode(category, source):
         comms = CommsModule(scene, SHIPPED)
         policy = PolicyModule(Policy(kind="random"), comms, np.random.default_rng(0))
         batch.reset_mock()
-        with mock.patch.object(blueprint, "trace_paths_batch", batch):
+        with mock.patch.object(blueprint, "trace_path_arrays", batch):
             log = orch.run_episode(orch.EpisodeConfig(n_snapshots=4, category=category),
                                    [source, comms, policy])
         return log, [len(c.args[2]) for c in batch.call_args_list], comms.source
@@ -638,13 +638,13 @@ def test_every_entry_point_traces_a_lone_uav_ahead(tmp_path, monkeypatch, entry)
     """Each loop links communications to its MobilityModule, so the first pass traces the
     lone UAV's position and its next moves, TRACE_BATCH receivers in all."""
     receivers = []
-    real = blueprint.trace_paths_batch
+    real = blueprint.trace_path_arrays
 
     def spy(scene, tx, rx, **kwargs):
         receivers.append(len(rx))
         return real(scene, tx, rx, **kwargs)
 
-    monkeypatch.setattr(blueprint, "trace_paths_batch", spy)
+    monkeypatch.setattr(blueprint, "trace_path_arrays", spy)
     _ENTRY_POINTS[entry](tmp_path)
     assert receivers[0] == blueprint.TRACE_BATCH
 
@@ -694,6 +694,7 @@ def test_radio_pass_bench_script_runs():
     assert [line.split(":")[0] for line in lines] == [
         "M=1", "M=4", "M=8", "M=10", "M=16", "M=20", "M=32"]
     assert all(" ms per receiver (quartiles " in line and line.endswith(" KB") for line in lines)
+    assert all(" kernel " in line and "% of the pass, peak " in line for line in lines)
     short = run(1)
     assert short.returncode == 2
     assert "--passes must be at least 2" in short.stderr

@@ -5,18 +5,20 @@ from collections import Counter
 import numpy as np
 import pytest
 import trace_oracle
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from trace_oracle import mirror_point
 
 from skycell.config import default_scene
 from skycell.geometry import (
+    PATH_KINDS,
     SPEED_OF_LIGHT,
     Building,
     Material,
     Scene,
     TxPose,
     los_class,
+    trace_path_arrays,
     trace_paths,
     trace_paths_batch,
 )
@@ -50,6 +52,43 @@ def test_occlusion_examples():
     scene = box_scene((10, 10, 10), (20, 20, 20))
     assert _occluded(scene, (0, 15, 15), (30, 15, 15))
     assert not _occluded(scene, (0, 15, 200), (30, 15, 200))
+
+
+# coordinates on a unit grid meet box faces exactly; the floats fall anywhere
+_occl_coord = st.one_of(st.integers(0, 10).map(float), st.floats(-1.0, 11.0))
+_occl_point = st.tuples(_occl_coord, _occl_coord, _occl_coord)
+
+
+@st.composite
+def _occl_segment(draw):
+    """A segment, parallel to one or two axes when it takes that many coordinates of its
+    start."""
+    p = draw(_occl_point)
+    q = list(draw(_occl_point))
+    for axis in draw(st.sets(st.integers(0, 2), max_size=2)):
+        q[axis] = p[axis]
+    return p, tuple(q)
+
+
+_occl_box = st.tuples(*[st.integers(0, 8)] * 3, *[st.integers(1, 4)] * 3).map(
+    lambda b: b[:3] + tuple(lo + size for lo, size in zip(b[:3], b[3:])))
+
+
+@given(st.lists(_occl_segment(), max_size=8), st.lists(_occl_box, max_size=4))
+@example(segments=[], boxes=[(0, 0, 0, 1, 1, 1)])
+@example(segments=[((0.0, 0.5, 0.5), (2.0, 0.5, 0.5))], boxes=[])
+@settings(max_examples=200, deadline=None)
+def test_occlusion_matches_the_oracle(segments, boxes):
+    """The broad-phase slab test blocks exactly the segments the oracle's slab test
+    against every box blocks: segments along an axis, ending on a face or at a
+    corner, and passes with no box or no segment."""
+    p = np.array([a for a, _ in segments], dtype=np.float64).reshape(-1, 3)
+    q = np.array([b for _, b in segments], dtype=np.float64).reshape(-1, 3)
+    b = np.array(boxes, dtype=np.float64).reshape(-1, 6)
+    # an axis a few ulps from parallel overflows its slab ratios; both tests discard them
+    with np.errstate(over="ignore"):
+        expected = trace_oracle._seg_blocked(p, q, b).tolist()
+        assert _seg_blocked_np_many(p, q, b).tolist() == expected
 
 
 def test_free_space_gain():
@@ -294,6 +333,32 @@ def test_batch_equals_single_calls_in_any_order(points, rnd):
     rnd.shuffle(order)
     batch = trace_paths_batch(_SHIPPED, tx, [points[k] for k in order])
     assert batch == [singles[k] for k in order]
+
+
+def _bits(values, dtype) -> bytes:
+    return np.array(values, dtype=dtype).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_coord, min_size=1, max_size=6))
+# two R1 and two R2 paths tie on length at each receiver, and the AoD azimuth orders
+# each pair; at the second, one R2 pair is enumerated the other way round
+@example([(360.0, 320.5, 40.0)])
+@example([(360.0, 365.5, 40.0)])
+def test_path_arrays_equal_the_oracle_in_bundle_order(points):
+    """Each receiver's run of the path arrays holds its oracle bundle bit for bit, in
+    bundle order: kind, length, gain, AoD and AoA."""
+    tx = _SHIPPED.tx.position
+    paths = trace_path_arrays(_SHIPPED, tx, points)
+    assert (np.diff(paths.rows) >= 0).all()
+    for m, point in enumerate(points):
+        ref = trace_oracle.trace_paths(_SHIPPED, tx, point).paths
+        run = paths.rows == m
+        assert [PATH_KINDS[k] for k in paths.kinds[run]] == [p.kind for p in ref]
+        assert paths.lengths[run].tobytes() == _bits([p.length for p in ref], np.float64)
+        assert paths.gains[run].tobytes() == _bits([p.gain for p in ref], np.complex128)
+        assert paths.aod[run].tobytes() == _bits([p.aod for p in ref], np.float64)
+        assert paths.aoa[run].tobytes() == _bits([p.aoa for p in ref], np.float64)
 
 
 def test_image_tree_cached_for_scene_tx_only():

@@ -33,6 +33,17 @@ def _path(gain, aod, aoa, length=100.0):
     return PropagationPath(kind="LOS", vertices=(), length=length, aod=aod, aoa=aoa, gain=gain)
 
 
+def _arrays(bundles):
+    """The (rows, gains, aod, aoa) arrays of a pass whose receivers hold these bundles."""
+    paths = [(m, p) for m, bundle in enumerate(bundles) for p in bundle.paths]
+    return (
+        np.array([m for m, _ in paths], dtype=np.int64),
+        np.array([p.gain for _, p in paths], dtype=np.complex128),
+        np.array([p.aod for _, p in paths], dtype=np.float64).reshape(-1, 2),
+        np.array([p.aoa for _, p in paths], dtype=np.float64).reshape(-1, 2),
+    )
+
+
 def steering(upa, azimuth, elevation):
     """Response toward a local direction given by azimuth and angle off boresight."""
     d = np.array([
@@ -102,8 +113,11 @@ def test_synthesize_outage_is_distinct():
     with pytest.raises(ChannelOutage):
         synthesize_channel(PathBundle(paths=()), TX, RX)
     lit = PathBundle(paths=(_path(1e-6, (0.1, 0.0), (0.2, 0.3)),))
+    # receiver 0 holds no path; a pass with no path at all is an outage too
     with pytest.raises(ChannelOutage):
-        synthesize_channels([lit, PathBundle(paths=())], TX, RX)
+        synthesize_channels(*_arrays([PathBundle(paths=()), lit]), TX, RX)
+    with pytest.raises(ChannelOutage):
+        synthesize_channels(*_arrays([]), TX, RX)
 
 
 _angles = st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi / 2, math.pi / 2))
@@ -136,7 +150,7 @@ def test_batched_synthesis_is_bit_equal_to_the_path_by_path_oracle(
     """Every receiver of a batch that mixes one-path and many-path bundles gets the
     bits of its own path-by-path sum, and so does the one-bundle form."""
     tx_upa, rx_upa = UpaConfig(*tx_shape), UpaConfig(*rx_shape)
-    h = synthesize_channels(batch, tx_upa, rx_upa, tx_rotation, rx_rotation)
+    h = synthesize_channels(*_arrays(batch), tx_upa, rx_upa, tx_rotation, rx_rotation)
     assert h.shape == (len(batch), rx_upa.n_elements, tx_upa.n_elements)
     for got, bundle in zip(h, batch):
         ref = trace_oracle.synthesize_channel(bundle, tx_upa, rx_upa, tx_rotation, rx_rotation)
