@@ -9,7 +9,15 @@ bench (real-time factor), cli (entry point).
 __version__ = "0.1.0"
 
 from .bus import Broker, Message, Subscription, topic_matches
-from .geometry import PathBundle, PropagationPath, Scene, los_class, trace_paths, trace_paths_batch
+from .geometry import (
+    PathArrays,
+    PathBundle,
+    PropagationPath,
+    Scene,
+    los_class,
+    trace_path_arrays,
+    trace_paths,
+)
 from .orchestrator import EpisodeConfig, EpisodeLog, SnapshotRecord, category_wiring, run_episode
 from .phy import (
     CommsConfig,
@@ -29,7 +37,8 @@ __all__ = [
     "PathBundle",
     "PropagationPath",
     "trace_paths",
-    "trace_paths_batch",
+    "PathArrays",
+    "trace_path_arrays",
     "los_class",
     "EpisodeConfig",
     "EpisodeLog",

@@ -2,7 +2,9 @@
 
 The position source publishes on "3D.mobility.positions"; communications
 traces every UE that moved in one batch, runs the full beam sweep over the
-stack of their channels in one call, queues "Ready" on "communications.state"
+stack of their channels in one call (a UE without paths is no special case:
+its channel sums no path, and the zero channel sweeps to all-zero gains, its
+outage), queues "Ready" on "communications.state"
 before its step returns (the loop checks it there, the ray-tracing barrier);
 the AI module consumes positions plus sweep gains, publishes its beam-pair
 decision and reports that pair's throughput on "communications.throughput"
@@ -160,25 +162,18 @@ class CommsModule(orch.ModuleHandle):
         paths = trace_path_arrays(
             self.scene, self.scene.tx.position, positions, carrier_hz=self.cfg.carrier_hz
         )
-        lit = np.bincount(paths.rows, minlength=len(positions)) > 0
-        if paths.rows.size:
-            # rows renumbered over the receivers with paths, the ones synthesised
-            channels = synthesize_channels(
-                (np.cumsum(lit) - 1)[paths.rows], paths.gains, paths.aod, paths.aoa,
-                self.cfg.tx_upa, self.cfg.rx_upa, self.tx_rotation, self.rx_rotation,
-            )
-            swept = zip(*beam_sweep(channels, self.tx_codebook, self.rx_codebook))
-        los = np.zeros(len(positions), dtype=bool)
-        los[paths.rows[paths.kinds == 0]] = True  # kind 0: no reflection, line of sight
-        results = []
-        for position, has_paths, has_los in zip(positions, lit.tolist(), los.tolist()):
-            if has_paths:
-                results.append(SweepResult(position, "LOS" if has_los else "NLOS", *next(swept)))
-            else:
-                results.append(
-                    SweepResult(position, "outage", 0, np.zeros(math.prod(self.pair_grid)))
-                )
-        return results
+        # a receiver without paths sums none: its zero channel sweeps to all-zero gains
+        # and best pair 0, its outage
+        counts = np.bincount(paths.rows, minlength=len(positions))
+        channels = synthesize_channels(
+            counts, paths.gains, paths.aod, paths.aoa,
+            self.cfg.tx_upa, self.cfg.rx_upa, self.tx_rotation, self.rx_rotation,
+        )
+        best, gains = beam_sweep(channels, self.tx_codebook, self.rx_codebook)
+        los = set(paths.rows[paths.kinds == 0].tolist())  # kind 0: no reflection, line of sight
+        classes = ["LOS" if m in los else "NLOS" if n else "outage"
+                   for m, n in enumerate(counts.tolist())]
+        return list(map(SweepResult, positions, classes, best, gains))
 
     def current(self, ue_id: str) -> SweepResult:
         """The sweep of the UE's published position: the head of its queue, whose rest

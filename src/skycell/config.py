@@ -88,7 +88,8 @@ def _finite(value) -> bool:
 
 
 def _point(value) -> bool:
-    return type(value) is list and len(value) == 3 and all(map(_finite, value))
+    """[x, y, z] of finite numbers above the ground plane: every route point is one."""
+    return type(value) is list and len(value) == 3 and all(map(_finite, value)) and value[2] > 0
 
 
 _KINDS = {  # kind -> (test of a value, what the error message calls it)
@@ -96,8 +97,9 @@ _KINDS = {  # kind -> (test of a value, what the error message calls it)
     "bool": (lambda v: type(v) is bool, "a boolean"),
     "number": (_finite, "a finite number"),
     "numbers": (lambda v: type(v) is list and all(map(_finite, v)), "a list of finite numbers"),
-    "point": (_point, "[x, y, z] of finite numbers"),
-    "points": (lambda v: type(v) is list and all(map(_point, v)), "a list of [x, y, z] points"),
+    "point": (_point, "[x, y, z] of finite numbers with z > 0"),
+    "points": (lambda v: type(v) is list and all(map(_point, v)),
+               "a list of [x, y, z] points with z > 0"),
     "rows_cols": (lambda v: type(v) is list and len(v) == 2, "[rows, cols]"),
     # open() takes an integer as a file descriptor, so only text may name a file
     "path": (lambda v: v is None or type(v) is str, "a path or null"),

@@ -6,10 +6,10 @@ image method: line of sight, single specular bounces off every building face
 and the ground, and double bounces via nested mirror images. No diffraction
 or diffuse scattering. The scene caches the image tree of its own
 transmitter. :func:`trace_path_arrays` traces many receivers in one pass and
-returns their paths as arrays (PathArrays), which is what the radio pass
-uses; :func:`trace_paths_batch` and :func:`trace_paths` build PathBundles of
-PropagationPaths from those arrays, so the gain, angle and sort formulas
-exist once.
+returns their paths as arrays (PathArrays), the one batched form, which the
+radio pass uses; :func:`trace_paths` is its readable one-receiver form, a
+PathBundle of PropagationPaths built from those arrays, so the gain, angle
+and sort formulas exist once.
 """
 
 from __future__ import annotations
@@ -92,6 +92,14 @@ class Scene:
     def __init__(self, length, width, tx, buildings=(), ground_material=None):
         self.length = float(length)
         self.width = float(width)
+        for name, value in (("length", self.length), ("width", self.width)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"scene {name} must be finite and > 0, got {value}")
+        position = tuple(tx.position)
+        if not (len(position) == 3 and all(map(math.isfinite, position)) and position[2] > 0):
+            raise ValueError(f"tx position must be three finite numbers with z > 0, got {position}")
+        if not (math.isfinite(tx.azimuth_deg) and math.isfinite(tx.downtilt_deg)):
+            raise ValueError(f"tx azimuth_deg and downtilt_deg must be finite, got {tx}")
         self.tx = tx
         self.buildings = tuple(buildings)
         self.ground_material = ground_material or Material(
@@ -249,9 +257,12 @@ def trace_paths(
     rx = np.asarray(rx, dtype=np.float64)
     if rx.shape != (3,):
         raise ValueError("rx must be one 3D point")
-    return trace_paths_batch(
-        scene, tx, rx[None, :], max_order, carrier_hz, ground_reflection
-    )[0]
+    paths = trace_path_arrays(scene, tx, rx[None, :], max_order, carrier_hz, ground_reflection)
+    return PathBundle(paths=tuple(
+        PropagationPath(PATH_KINDS[kind], tuple(map(tuple, points[:kind])), length, tuple(aod),
+                        tuple(aoa), gain)
+        for kind, length, gain, aod, aoa, points in zip(*(a.tolist() for a in paths[1:]))
+    ))
 
 
 def trace_path_arrays(
@@ -274,6 +285,8 @@ def trace_path_arrays(
     rx = np.asarray(rx, dtype=np.float64)
     if tx.shape != (3,) or rx.ndim != 2 or rx.shape[1] != 3:
         raise ValueError("tx must be a 3D point and rx an (M, 3) array")
+    if not (np.isfinite(tx).all() and np.isfinite(rx).all()):
+        raise ValueError("tx and rx must be finite")
     if (rx == tx).all(axis=1).any():
         raise ValueError("tx and rx must differ")
     if tx[2] <= 0 or (rx[:, 2] <= 0).any():
@@ -301,25 +314,6 @@ def trace_path_arrays(
     order = np.lexsort((aoa[:, 1], aoa[:, 0], aod[:, 1], aod[:, 0], lengths, kinds, rows))
     return PathArrays(rows[order], kinds[order], lengths[order], gains[order], aod[order],
                       aoa[order], points[order])
-
-
-def trace_paths_batch(
-    scene: Scene,
-    tx,
-    rx,
-    max_order: int = 2,
-    carrier_hz: float = 4e10,
-    ground_reflection: bool = True,
-) -> list:
-    """:func:`trace_paths` for every row of rx (M, 3); one bundle per row,
-    built from :func:`trace_path_arrays`."""
-    paths = trace_path_arrays(scene, tx, rx, max_order, carrier_hz, ground_reflection)
-    bundles = [[] for _ in range(len(rx))]
-    for m, kind, length, gain, aod, aoa, points in zip(*(a.tolist() for a in paths)):
-        bundles[m].append(PropagationPath(
-            PATH_KINDS[kind], tuple(map(tuple, points[:kind])), length, tuple(aod), tuple(aoa), gain
-        ))
-    return [PathBundle(paths=tuple(row)) for row in bundles]
 
 
 def los_class(bundle: PathBundle) -> str:

@@ -3,10 +3,11 @@
 The channel is a geometric narrowband model: each traced path contributes its
 complex gain times the outer product of receive and transmit steering
 vectors, with angles expressed in each array's local frame.
-:func:`synthesize_channels` takes a radio pass's path arrays (receiver rows,
-gains, AoD/AoA, as :func:`skycell.geometry.trace_path_arrays` returns them)
-and builds every receiver's channel in one pass; :func:`synthesize_channel`
-wraps it for one PathBundle.
+:func:`synthesize_channels` takes a radio pass's path arrays (gains and
+AoD/AoA, as :func:`skycell.geometry.trace_path_arrays` returns them, with each
+receiver's path count) and builds every receiver's channel in one pass; a
+receiver without paths sums none and gets the zero channel, its outage.
+:func:`synthesize_channel` wraps it for one PathBundle.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PathBundle
-
-
-class ChannelOutage(Exception):
-    """Raised when a path bundle carries no multipath components."""
 
 
 @dataclass(frozen=True)
@@ -121,10 +118,10 @@ def synthesize_channel(
     """The (Nr, Nt) complex matrix H = sum over paths of gain * a_rx(aoa) a_tx(aod)^H."""
     paths = bundle.paths
     return synthesize_channels(
-        np.zeros(len(paths), dtype=np.int64),
+        np.array([len(paths)]),
         np.array([p.gain for p in paths], dtype=np.complex128),
-        np.array([p.aod for p in paths]),
-        np.array([p.aoa for p in paths]),
+        np.array([p.aod for p in paths]).reshape(-1, 2),
+        np.array([p.aoa for p in paths]).reshape(-1, 2),
         tx_upa, rx_upa, tx_rotation, rx_rotation,
     )[0]
 
@@ -146,7 +143,7 @@ def _directions(angles) -> np.ndarray:
 
 
 def synthesize_channels(
-    rows: np.ndarray,
+    counts: np.ndarray,
     gains: np.ndarray,
     aod: np.ndarray,
     aoa: np.ndarray,
@@ -155,17 +152,15 @@ def synthesize_channels(
     tx_rotation: np.ndarray | None = None,
     rx_rotation: np.ndarray | None = None,
 ) -> np.ndarray:
-    """(M, Nr, Nt) channels of receivers 0..M-1 that all carry paths, in one pass.
+    """(M, Nr, Nt) channels of the M = len(counts) receivers of a pass, in one pass.
 
-    Path p belongs to receiver ``rows[p]`` and has complex gain ``gains[p]`` and
-    (azimuth, elevation) rows ``aod[p]``/``aoa[p]``, as
-    :func:`skycell.geometry.trace_path_arrays` returns them. rows is
-    non-decreasing and each receiver sums its paths in that order, one path
-    index at a time, so every H is bit-equal to its own path-by-path sum.
+    Receiver m holds the next ``counts[m]`` paths; path p has complex gain
+    ``gains[p]`` and (azimuth, elevation) rows ``aod[p]``/``aoa[p]``, as
+    :func:`skycell.geometry.trace_path_arrays` returns them. Each receiver sums
+    its paths in that order, one path index at a time, so every H is bit-equal
+    to its own path-by-path sum; a receiver without paths gets the zero matrix.
     """
-    counts = np.bincount(rows)
-    if not rows.size or not counts.all():
-        raise ChannelOutage("no propagation paths; channel is in outage")
+    rows = np.repeat(np.arange(counts.size), counts)
     # receivers by descending path count (rank), so the depth[k] that hold a
     # path k are a prefix; paths laid out path index first, so each k is one
     # contiguous run

@@ -678,15 +678,19 @@ def test_loop_modules_follow_the_category_wiring():
                                    ai=None if has_ai else ai)
 
 
-def test_radio_pass_bench_script_runs():
+def _run_script(name, *args):
+    """A short run of a micro-benchmark under scripts/, so a tier-1 run keeps it working."""
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    return subprocess.run(
+        [sys.executable, str(root / "scripts" / name), *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
+
+def test_radio_pass_bench_script_runs():
     def run(n):
-        return subprocess.run(
-            [sys.executable, str(root / "scripts" / "radio_pass_bench.py"), "--passes", str(n)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        return _run_script("radio_pass_bench.py", "--passes", n)
 
     ok = run(2)
     assert ok.returncode == 0, ok.stderr
@@ -698,3 +702,14 @@ def test_radio_pass_bench_script_runs():
     short = run(1)
     assert short.returncode == 2
     assert "--passes must be at least 2" in short.stderr
+
+
+def test_bus_publish_bench_script_runs():
+    ok = _run_script("bus_publish_bench.py", "--publishes", 200)
+    assert ok.returncode == 0, ok.stderr
+    lines = ok.stdout.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("publish to 8 subscribers: ")
+    assert lines[0].endswith(")") and " us (quartiles " in lines[0]
+    short = _run_script("bus_publish_bench.py", "--publishes", 50)
+    assert short.returncode == 2
+    assert "--publishes must be at least 200, got 50" in short.stderr

@@ -1,10 +1,7 @@
 import json
 import logging
-import os
-import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -346,20 +343,3 @@ def test_unsubscribe_stops_delivery_and_closes_the_queue():
     broker.unsubscribe(sub)  # a second call is a no-op
     assert broker._subs == []
 
-
-def test_publish_bench_script_needs_two_blocks():
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-
-    def run(n):
-        return subprocess.run(
-            [sys.executable, str(root / "scripts" / "bus_publish_bench.py"), "--publishes", str(n)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-
-    ok = run(200)
-    assert ok.returncode == 0, ok.stderr
-    assert ok.stdout.startswith("publish to 8 subscribers:")
-    short = run(100)
-    assert short.returncode == 2
-    assert "--publishes must be at least 200" in short.stderr

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -278,11 +279,30 @@ def test_a_failed_check_leaves_no_out(tmp_path, capsys, command, doc, flags, mes
         ("run", {"episode": {"n_snapshots": 0}}, "episode.n_snapshots must be >= 1, got 0"),
         ("run", {"episode": {"sampling_interval": 0}},
          "episode.sampling_interval must be > 0, got 0.0"),
+        ("run", {"mobility": {"route": {"start": [190.0, 325.0, -1.0]}}},
+         "mobility.route.start must be [x, y, z] of finite numbers with z > 0, "
+         "got [190.0, 325.0, -1.0]"),
+        ("bench", {"mobility": {"route": {"end": [521.0, 325.0, -1.0]}}, "bench": _FAST_BENCH},
+         "mobility.route.end must be [x, y, z] of finite numbers with z > 0, "
+         "got [521.0, 325.0, -1.0]"),
+        ("bench", {"mobility": {"route": {"start": [190.0, 325.0, 0]}}, "bench": _FAST_BENCH},
+         "mobility.route.start must be [x, y, z] of finite numbers with z > 0, "
+         "got [190.0, 325.0, 0]"),
+        ("dataset", {"mobility": {"route": {"waypoints": [[300.0, 325.0, 40.0],
+                                                         [400.0, 325.0, 0.0]]}}},
+         "mobility.route.waypoints must be a list of [x, y, z] points with z > 0, "
+         "got [[300.0, 325.0, 40.0], [400.0, 325.0, 0.0]]"),
+        ("mission", {"mobility": {"route": {"end": [521.0, 325.0, -1.0]}}},
+         "mobility.route.end must be [x, y, z] of finite numbers with z > 0, "
+         "got [521.0, 325.0, -1.0]"),
     ],
     ids=["zero-carrier", "zero-bandwidth", "negative-cap", "zero-cap-bench", "zero-speed",
          "negative-speed", "zero-speed-bench", "zero-repetitions", "negative-virtual-seconds",
          "zero-virtual-seconds", "negative-detection-radius", "negative-targets",
-         "zero-payload", "zero-max-snapshots", "zero-snapshots", "zero-interval"],
+         "zero-payload", "zero-max-snapshots", "zero-snapshots", "zero-interval",
+         "route-start-below-ground", "route-end-below-ground-bench",
+         "route-start-on-ground-bench", "route-waypoint-on-ground",
+         "route-end-below-ground-mission"],
 )
 def test_non_positive_rate_speed_or_repetitions_exits_2(tmp_path, capsys, command, doc, message):
     """The config is checked before the output directory is made."""
@@ -544,6 +564,12 @@ def test_manifest_reproduces_the_run(
     assert json.loads((again / "manifest.json").read_text()) == manifest
 
 
+def _scene(length=719.2, width=693.4, position=(360.0, 399.5, 120.0), **angles):
+    """A config doc whose scene is given inline: the bounds and a transmitter."""
+    return {"scene": {"bounds": {"length": length, "width": width},
+                      "tx": {"position": list(position), **angles}}}
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -559,18 +585,28 @@ def test_manifest_reproduces_the_run(
         ({"comms": {"tx_array": [10**24, 8]}}, f"comms.tx_array.0 must be <= 64, got {10**24}"),
         ({"mobility": {"n_waypoints": 10**24}},
          f"mobility.n_waypoints must be <= 1000, got {10**24}"),
+        (_scene(position=[math.nan, 399.5, 120.0]),
+         "tx position must be three finite numbers with z > 0, got (nan, 399.5, 120.0)"),
+        (_scene(position=[360.0, 399.5, -3.0]), "got (360.0, 399.5, -3.0)"),
+        (_scene(position=[360.0, 399.5]), "got (360.0, 399.5)"),
+        (_scene(length=-719.2), "scene length must be finite and > 0, got -719.2"),
+        (_scene(width=math.inf), "scene width must be finite and > 0, got inf"),
+        (_scene(azimuth_deg=math.nan), "tx azimuth_deg and downtilt_deg must be finite, got "),
+        (_scene(downtilt_deg=math.inf), "tx azimuth_deg and downtilt_deg must be finite, got "),
     ],
     ids=["missing-scene-file", "scene-without-tx", "one-number-array", "zero-array-rows",
          "negative-array-cols", "zero-spacing",
          "more-targets-than-fractions", "fraction-above-one", "huge-array-rows",
-         "huge-waypoint-count"],
+         "huge-waypoint-count", "nan-tx", "tx-below-ground", "two-coordinate-tx",
+         "negative-scene-length", "infinite-scene-width", "nan-tx-azimuth",
+         "infinite-tx-downtilt"],
 )
 def test_bad_scene_array_or_targets_exit_2(tmp_path, capsys, doc, message):
     cfg = _write_cfg(tmp_path, **doc)
     out = tmp_path / "m"
     assert main(["mission", "--config", cfg, "--policy", "random", "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
-    assert not (out / "mission.json").exists()
+    assert not out.exists()
 
 
 def _run_in_subprocess(cfg, out):

@@ -20,7 +20,6 @@ from skycell.geometry import (
     los_class,
     trace_path_arrays,
     trace_paths,
-    trace_paths_batch,
 )
 from skycell.kernels import _seg_blocked_np_many
 
@@ -281,9 +280,10 @@ def test_tracer_matches_oracle():
     scene = default_scene()
     tx = scene.tx.position
     points = _random_points(rng, scene, 120)
-    for p, got in zip(points, trace_paths_batch(scene, tx, points)):
+    batch = trace_path_arrays(scene, tx, points)
+    for m, p in enumerate(points):
         ref = trace_oracle.trace_paths(scene, tx, p)
-        _assert_same_bundle(got, ref)
+        _assert_run_is_bundle(batch, m, ref)
         _assert_same_bundle(trace_paths(scene, tx, p), ref)
         kinds.update(q.kind for q in ref.paths)
 
@@ -331,12 +331,29 @@ def test_batch_equals_single_calls_in_any_order(points, rnd):
     singles = [trace_paths(_SHIPPED, tx, p) for p in points]
     order = list(range(len(points)))
     rnd.shuffle(order)
-    batch = trace_paths_batch(_SHIPPED, tx, [points[k] for k in order])
-    assert batch == [singles[k] for k in order]
+    batch = trace_path_arrays(_SHIPPED, tx, [points[k] for k in order])
+    assert (np.diff(batch.rows) >= 0).all()
+    for m, k in enumerate(order):
+        _assert_run_is_bundle(batch, m, singles[k])
 
 
 def _bits(values, dtype) -> bytes:
     return np.array(values, dtype=dtype).tobytes()
+
+
+def _assert_run_is_bundle(paths, m, bundle):
+    """Receiver m's run of the path arrays holds the bundle's paths bit for bit, in
+    bundle order: kind, bounce points, length, gain, AoD and AoA."""
+    ref = bundle.paths
+    run = paths.rows == m
+    kinds = paths.kinds[run].tolist()
+    assert [PATH_KINDS[k] for k in kinds] == [p.kind for p in ref]
+    assert ([tuple(map(tuple, pts[:k])) for k, pts in zip(kinds, paths.points[run].tolist())]
+            == [p.vertices for p in ref])
+    assert paths.lengths[run].tobytes() == _bits([p.length for p in ref], np.float64)
+    assert paths.gains[run].tobytes() == _bits([p.gain for p in ref], np.complex128)
+    assert paths.aod[run].tobytes() == _bits([p.aod for p in ref], np.float64)
+    assert paths.aoa[run].tobytes() == _bits([p.aoa for p in ref], np.float64)
 
 
 @settings(max_examples=25, deadline=None)
@@ -352,13 +369,7 @@ def test_path_arrays_equal_the_oracle_in_bundle_order(points):
     paths = trace_path_arrays(_SHIPPED, tx, points)
     assert (np.diff(paths.rows) >= 0).all()
     for m, point in enumerate(points):
-        ref = trace_oracle.trace_paths(_SHIPPED, tx, point).paths
-        run = paths.rows == m
-        assert [PATH_KINDS[k] for k in paths.kinds[run]] == [p.kind for p in ref]
-        assert paths.lengths[run].tobytes() == _bits([p.length for p in ref], np.float64)
-        assert paths.gains[run].tobytes() == _bits([p.gain for p in ref], np.complex128)
-        assert paths.aod[run].tobytes() == _bits([p.aod for p in ref], np.float64)
-        assert paths.aoa[run].tobytes() == _bits([p.aoa for p in ref], np.float64)
+        _assert_run_is_bundle(paths, m, trace_oracle.trace_paths(_SHIPPED, tx, point))
 
 
 def test_image_tree_cached_for_scene_tx_only():
@@ -375,13 +386,21 @@ def test_image_tree_cached_for_scene_tx_only():
 def test_trace_batch_validation():
     scene = empty_scene()
     tx = (1.0, 1.0, 5.0)
-    assert trace_paths_batch(scene, tx, np.zeros((0, 3))) == []
+    assert [a.shape[0] for a in trace_path_arrays(scene, tx, np.zeros((0, 3)))] == [0] * 7
     with pytest.raises(ValueError):
-        trace_paths_batch(scene, tx, [(2.0, 2.0, 10.0), tx])
+        trace_path_arrays(scene, tx, [(2.0, 2.0, 10.0), tx])
     with pytest.raises(ValueError):
-        trace_paths_batch(scene, tx, [(2.0, 2.0, 10.0), (3.0, 3.0, -1.0)])
+        trace_path_arrays(scene, tx, [(2.0, 2.0, 10.0), (3.0, 3.0, -1.0)])
     with pytest.raises(ValueError):
-        trace_paths_batch(scene, tx, [2.0, 2.0, 10.0])
+        trace_path_arrays(scene, tx, [2.0, 2.0, 10.0])
+    # a NaN compares false with everything, so only a finiteness check stops it
+    for rx in [(math.nan, 300.0, 40.0), (2.0, 2.0, math.inf), (2.0, -math.inf, 10.0)]:
+        with pytest.raises(ValueError, match="must be finite"):
+            trace_path_arrays(scene, tx, [(2.0, 2.0, 10.0), rx])
+        with pytest.raises(ValueError, match="must be finite"):
+            trace_paths(scene, tx, rx)
+        with pytest.raises(ValueError, match="must be finite"):
+            trace_path_arrays(scene, rx, [(2.0, 2.0, 10.0)])
 
 
 def test_scene_from_file_reads_a_hand_written_doc(tmp_path):

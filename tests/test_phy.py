@@ -11,7 +11,6 @@ from skycell.ai import Policy, policy_decide
 from skycell.config import comms_config, load_config
 from skycell.geometry import PathBundle, PropagationPath
 from skycell.phy import (
-    ChannelOutage,
     Codebook,
     UpaConfig,
     beam_sweep,
@@ -34,13 +33,13 @@ def _path(gain, aod, aoa, length=100.0):
 
 
 def _arrays(bundles):
-    """The (rows, gains, aod, aoa) arrays of a pass whose receivers hold these bundles."""
-    paths = [(m, p) for m, bundle in enumerate(bundles) for p in bundle.paths]
+    """The (counts, gains, aod, aoa) arrays of a pass whose receivers hold these bundles."""
+    paths = [p for bundle in bundles for p in bundle.paths]
     return (
-        np.array([m for m, _ in paths], dtype=np.int64),
-        np.array([p.gain for _, p in paths], dtype=np.complex128),
-        np.array([p.aod for _, p in paths], dtype=np.float64).reshape(-1, 2),
-        np.array([p.aoa for _, p in paths], dtype=np.float64).reshape(-1, 2),
+        np.array([len(bundle.paths) for bundle in bundles], dtype=np.int64),
+        np.array([p.gain for p in paths], dtype=np.complex128),
+        np.array([p.aod for p in paths], dtype=np.float64).reshape(-1, 2),
+        np.array([p.aoa for p in paths], dtype=np.float64).reshape(-1, 2),
     )
 
 
@@ -110,14 +109,21 @@ def test_synthesize_linearity_two_equal_paths():
 
 
 def test_synthesize_outage_is_distinct():
-    with pytest.raises(ChannelOutage):
-        synthesize_channel(PathBundle(paths=()), TX, RX)
+    """A receiver without paths sums none: its channel is the zero matrix wherever it
+    stands in a pass, and it sweeps to all-zero gains and pair 0, unlike a lit one."""
+    outage = PathBundle(paths=())
+    assert synthesize_channel(outage, TX, RX).tobytes() == np.zeros((4, 64), complex).tobytes()
     lit = PathBundle(paths=(_path(1e-6, (0.1, 0.0), (0.2, 0.3)),))
-    # receiver 0 holds no path; a pass with no path at all is an outage too
-    with pytest.raises(ChannelOutage):
-        synthesize_channels(*_arrays([PathBundle(paths=()), lit]), TX, RX)
-    with pytest.raises(ChannelOutage):
-        synthesize_channels(*_arrays([]), TX, RX)
+    h = synthesize_channels(*_arrays([outage, lit, outage]), TX, RX)
+    assert h.shape == (3, 4, 64)
+    assert h[0].tobytes() == h[2].tobytes() == np.zeros((4, 64), complex).tobytes()
+    assert h[1].tobytes() == synthesize_channel(lit, TX, RX).tobytes()
+    best, gains = beam_sweep(h, dft_codebook(TX), dft_codebook(RX))
+    assert best[0] == best[2] == 0
+    assert gains[0].tobytes() == gains[2].tobytes() == np.zeros(256).tobytes()
+    assert gains[1].max() > 0
+    # a pass with no receiver at all holds no channel
+    assert synthesize_channels(*_arrays([]), TX, RX).shape == (0, 4, 64)
 
 
 _angles = st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi / 2, math.pi / 2))
@@ -130,6 +136,7 @@ def _bundles(min_paths, max_paths):
     return st.lists(paths.map(lambda ps: PathBundle(paths=tuple(ps))), min_size=1, max_size=3)
 
 
+_empties = st.lists(st.just(PathBundle(paths=())), max_size=3)
 _rotation = st.one_of(
     st.none(), st.builds(boresight_rotation, st.floats(-180.0, 180.0), st.floats(-90.0, 90.0))
 )
@@ -139,7 +146,8 @@ _shape = st.tuples(st.integers(1, 4), st.integers(1, 4))
 @given(
     tx_shape=_shape,
     rx_shape=_shape,
-    batch=st.tuples(_bundles(1, 1), _bundles(2, 9)).flatmap(lambda t: st.permutations(t[0] + t[1])),
+    batch=st.tuples(_bundles(1, 1), _bundles(2, 9), _empties).flatmap(
+        lambda t: st.permutations(t[0] + t[1] + t[2])),
     tx_rotation=_rotation,
     rx_rotation=_rotation,
 )
@@ -147,17 +155,21 @@ _shape = st.tuples(st.integers(1, 4), st.integers(1, 4))
 def test_batched_synthesis_is_bit_equal_to_the_path_by_path_oracle(
     tx_shape, rx_shape, batch, tx_rotation, rx_rotation
 ):
-    """Every receiver of a batch that mixes one-path and many-path bundles gets the
-    bits of its own path-by-path sum, and so does the one-bundle form."""
+    """Every receiver of a batch that mixes one-path, many-path and empty bundles, in any
+    order, gets the bits of its own path-by-path sum, or zeros when it holds no path;
+    so does the one-bundle form."""
     tx_upa, rx_upa = UpaConfig(*tx_shape), UpaConfig(*rx_shape)
     h = synthesize_channels(*_arrays(batch), tx_upa, rx_upa, tx_rotation, rx_rotation)
     assert h.shape == (len(batch), rx_upa.n_elements, tx_upa.n_elements)
     for got, bundle in zip(h, batch):
-        ref = trace_oracle.synthesize_channel(bundle, tx_upa, rx_upa, tx_rotation, rx_rotation)
+        if bundle.paths:
+            ref = trace_oracle.synthesize_channel(bundle, tx_upa, rx_upa, tx_rotation, rx_rotation)
+        else:
+            ref = np.zeros(got.shape, dtype=np.complex128)
         assert got.tobytes() == ref.tobytes()
         one = synthesize_channel(bundle, tx_upa, rx_upa, tx_rotation, rx_rotation)
         assert one.tobytes() == ref.tobytes()
-    d = trace_oracle.direction_from_angles(*batch[0].paths[0].aod)
+    d = trace_oracle.direction_from_angles(*next(b for b in batch if b.paths).paths[0].aod)
     assert (steering_from_direction(tx_upa, d).tobytes()
             == trace_oracle.steering_from_direction(tx_upa, d).tobytes())
 
