@@ -77,6 +77,8 @@ def parse_args(bench: dict, argv=None):
         p.error(f"--workloads names {unknown}, not in BENCHMARK.json ({names})")
     if len(args.seeds) < 1:
         p.error("--seeds names no seed")
+    if args.tmp is not None and not Path(args.tmp).is_dir():
+        p.error(f"--tmp {args.tmp!r} is not a directory")
     commit = resolve_revision(args.parent)
     if commit is None:
         p.error(f"--parent {args.parent!r} names no commit")

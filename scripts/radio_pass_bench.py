@@ -9,8 +9,9 @@ shipped route's corridor at the route's altitude, fresh ones for each pass.
 For each M in 1, 4, 8, 10, 16, 20 and 32, after one untimed warm-up pass, it
 prints the median and the quartiles of the pass time divided by M over
 --passes passes, the kernel's median share of a pass (the time inside
-kernels.trace_batch, the numpy tracer; the rest is the Python and numpy work
-around it: gains, angles, sorting, synthesis and the sweep), then the
+kernels.trace_batch, the numpy tracer, which also lays out the path table;
+the rest is the Python and numpy work around it: gains, angles, sorting,
+synthesis and the sweep), then the
 tracemalloc peak of one more pass, run untimed because tracing slows
 allocation. This is the per-layer measure behind
 blueprint.TRACE_BATCH: a lone UE's pass holds 16 receivers, and ten moving UEs

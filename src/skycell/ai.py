@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,14 +210,19 @@ class DecisionTreeModel:
                 for k, v in d["counts"].items():
                     if not 0 <= int(k) < n_classes:
                         raise ValueError(f"model leaf class {k} is outside its {n_classes} pairs")
-                    counts[int(k)] = int(v)
+                    if type(v) is not int or not 0 <= v < 2**63:
+                        raise ValueError(f"model leaf count of class {k} must be an integer in "
+                                         f"[0, 2**63), got {json.dumps(v)}")
+                    counts[int(k)] = v
                 return TreeNode(counts=counts)
-            return TreeNode(
-                feature=d["feature"],
-                threshold=d["threshold"],
-                left=decode(d["left"]),
-                right=decode(d["right"]),
-            )
+            feature, threshold = d["feature"], d["threshold"]
+            # a node splits on one coordinate of the UE position
+            if type(feature) is not int or not 0 <= feature <= 2:
+                raise ValueError(f"model node feature must be 0, 1 or 2, got {json.dumps(feature)}")
+            if not (type(threshold) is int or type(threshold) is float and math.isfinite(threshold)):
+                raise ValueError(f"model node threshold must be a finite number, got "
+                                 f"{json.dumps(threshold)}")
+            return TreeNode(feature, threshold, decode(d["left"]), decode(d["right"]))
 
         try:
             root = decode(doc["root"])

@@ -4,10 +4,12 @@ The scene is a flat ground plane plus axis-aligned box buildings inside a
 rectangular boundary. Multipath components are enumerated exactly with the
 image method: line of sight, single specular bounces off every building face
 and the ground, and double bounces via nested mirror images. No diffraction
-or diffuse scattering. The scene caches the image tree of its own
-transmitter. :func:`trace_path_arrays` traces many receivers in one pass and
-returns their paths as arrays (PathArrays), the one batched form, which the
-radio pass uses; :func:`trace_paths` is its readable one-receiver form, a
+or diffuse scattering. The scene packs its buildings into box rows once, at
+construction, and caches the image tree of its own transmitter.
+:func:`trace_path_arrays` traces many receivers in one pass, adds gains and
+angles to the kernel's path table and returns the sorted paths as arrays
+(PathArrays), the one batched form, which the radio pass uses;
+:func:`trace_paths` is its readable one-receiver form, a
 PathBundle of PropagationPaths built from those arrays, so the gain, angle
 and sort formulas exist once.
 """
@@ -45,6 +47,14 @@ class Material:
             )
 
 
+def _is_point(values) -> bool:
+    """Three finite numbers; a boolean, text, NaN, infinity or huge integer is none."""
+    try:
+        return len(values) == 3 and all(type(v) is not bool and math.isfinite(v) for v in values)
+    except (TypeError, OverflowError):
+        return False
+
+
 @dataclass(frozen=True)
 class Building:
     min_corner: tuple
@@ -52,6 +62,9 @@ class Building:
     material: Material
 
     def __post_init__(self):
+        for name, corner in (("min", self.min_corner), ("max", self.max_corner)):
+            if not _is_point(corner):
+                raise ValueError(f"building {name} corner must be three finite numbers, got {corner!r}")
         lo = np.asarray(self.min_corner, dtype=float)
         hi = np.asarray(self.max_corner, dtype=float)
         if not (lo < hi).all():
@@ -96,7 +109,7 @@ class Scene:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"scene {name} must be finite and > 0, got {value}")
         position = tuple(tx.position)
-        if not (len(position) == 3 and all(map(math.isfinite, position)) and position[2] > 0):
+        if not (_is_point(position) and position[2] > 0):
             raise ValueError(f"tx position must be three finite numbers with z > 0, got {position}")
         if not (math.isfinite(tx.azimuth_deg) and math.isfinite(tx.downtilt_deg)):
             raise ValueError(f"tx azimuth_deg and downtilt_deg must be finite, got {tx}")
@@ -105,12 +118,13 @@ class Scene:
         self.ground_material = ground_material or Material(
             "concrete", DEFAULT_MATERIALS["concrete"]
         )
-        for b in self.buildings:
-            lo = np.asarray(b.min_corner, dtype=float)
-            hi = np.asarray(b.max_corner, dtype=float)
-            if lo[0] < 0 or lo[1] < 0 or hi[0] > self.length or hi[1] > self.width:
+        # one row (min x, y, z, max x, y, z) per building
+        self.boxes = np.array([list(b.min_corner) + list(b.max_corner) for b in self.buildings],
+                              dtype=np.float64).reshape(-1, 6)
+        for b, (x0, y0, _z0, x1, y1, _z1) in zip(self.buildings, self.boxes.tolist()):
+            if x0 < 0 or y0 < 0 or x1 > self.length or y1 > self.width:
                 raise ValueError(f"building {b} outside scene bounds")
-        self._packed = {}
+        self._trees = {}  # ground flag -> image tree of the scene's own transmitter
 
     # -- construction ------------------------------------------------------
 
@@ -147,53 +161,37 @@ class Scene:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
-    # -- packed arrays for the kernels --------------------------------------
-
-    @property
-    def boxes(self) -> np.ndarray:
-        if "boxes" not in self._packed:
-            if self.buildings:
-                arr = np.array(
-                    [list(b.min_corner) + list(b.max_corner) for b in self.buildings],
-                    dtype=np.float64,
-                )
-            else:
-                arr = np.zeros((0, 6), dtype=np.float64)
-            self._packed["boxes"] = arr
-        return self._packed["boxes"]
+    # -- arrays for the kernels ---------------------------------------------
 
     def faces(self, ground: bool = True):
-        key = ("faces", ground)
-        if key not in self._packed:
-            axes, coords, signs, uvs, refls = [], [], [], [], []
-            for b in self.buildings:
-                lo = np.asarray(b.min_corner, dtype=float)
-                hi = np.asarray(b.max_corner, dtype=float)
-                r = b.material.reflection_coefficient
-                for axis in range(3):
-                    ua, va = (axis + 1) % 3, (axis + 2) % 3
-                    for sign, coord in ((-1.0, lo[axis]), (1.0, hi[axis])):
-                        if axis == 2 and sign < 0 and coord <= 1e-9:
-                            continue  # bottom face sitting on the ground
-                        axes.append(axis)
-                        coords.append(coord)
-                        signs.append(sign)
-                        uvs.append((lo[ua], hi[ua], lo[va], hi[va]))
-                        refls.append(r)
-            if ground:
-                axes.append(2)
-                coords.append(0.0)
-                signs.append(1.0)
-                uvs.append((0.0, self.length, 0.0, self.width))
-                refls.append(self.ground_material.reflection_coefficient)
-            self._packed[key] = (
-                np.asarray(axes, dtype=np.int64),
-                np.asarray(coords, dtype=np.float64),
-                np.asarray(signs, dtype=np.float64),
-                np.asarray(uvs, dtype=np.float64).reshape(-1, 4),
-                np.asarray(refls, dtype=np.float64),
-            )
-        return self._packed[key]
+        """Face arrays: axis, plane coord, outward sign, (u_lo, u_hi, v_lo, v_hi), reflection."""
+        axes, coords, signs, uvs, refls = [], [], [], [], []
+        for b, box in zip(self.buildings, self.boxes.tolist()):
+            lo, hi = box[:3], box[3:]
+            r = b.material.reflection_coefficient
+            for axis in range(3):
+                ua, va = (axis + 1) % 3, (axis + 2) % 3
+                for sign, coord in ((-1.0, lo[axis]), (1.0, hi[axis])):
+                    if axis == 2 and sign < 0 and coord <= 1e-9:
+                        continue  # bottom face sitting on the ground
+                    axes.append(axis)
+                    coords.append(coord)
+                    signs.append(sign)
+                    uvs.append((lo[ua], hi[ua], lo[va], hi[va]))
+                    refls.append(r)
+        if ground:
+            axes.append(2)
+            coords.append(0.0)
+            signs.append(1.0)
+            uvs.append((0.0, self.length, 0.0, self.width))
+            refls.append(self.ground_material.reflection_coefficient)
+        return (
+            np.asarray(axes, dtype=np.int64),
+            np.asarray(coords, dtype=np.float64),
+            np.asarray(signs, dtype=np.float64),
+            np.asarray(uvs, dtype=np.float64).reshape(-1, 4),
+            np.asarray(refls, dtype=np.float64),
+        )
 
     def image_tree(self, tx, ground: bool = True) -> kernels.ImageTree:
         """Static image tree for a transmitter; cached only for the scene's own.
@@ -201,13 +199,11 @@ class Scene:
         Any other transmitter gets a fresh, uncached tree, so the cache holds
         at most one tree per ground flag.
         """
-        faces = self.faces(ground)
         if np.asarray(tx, dtype=np.float64).tolist() != list(self.tx.position):
-            return kernels.build_image_tree(tx, *faces)
-        key = ("tree", ground)
-        if key not in self._packed:
-            self._packed[key] = kernels.build_image_tree(tx, *faces)
-        return self._packed[key]
+            return kernels.build_image_tree(tx, *self.faces(ground))
+        if ground not in self._trees:
+            self._trees[ground] = kernels.build_image_tree(tx, *self.faces(ground))
+        return self._trees[ground]
 
 
 class PathArrays(NamedTuple):
@@ -277,7 +273,7 @@ def trace_path_arrays(
 
     The receivers share one vectorised pass over the transmitter's image
     tree, which the scene caches for its own transmitter. Gains and angles
-    are array expressions of the kernel's records, with every cos, sin,
+    are array expressions of the kernel's path table, with every cos, sin,
     atan2 and hypot taken from libm, so each path carries the bits the
     one-receiver scalar formulas give.
     """
@@ -295,13 +291,8 @@ def trace_path_arrays(
         raise ValueError("max_order must be 0, 1 or 2")
 
     tree = scene.image_tree(tx, ground=ground_reflection)
-    records = kernels.trace_batch(tree, rx, scene.boxes, max_order)
-    rows, bounces, lengths, aod_dir, aoa_dir, refl = zip(*records)
-    rows, lengths, aod_dir, aoa_dir, refl = map(np.concatenate, (rows, lengths, aod_dir, aoa_dir, refl))
-    kinds = np.repeat(np.arange(len(records)), [b.shape[0] for b in bounces])
-    points = np.full((rows.size, 2, 3), np.nan)
-    for kind, b in enumerate(bounces):
-        points[kinds == kind, :kind] = b
+    rows, kinds, points, lengths, aod_dir, aoa_dir, refl = kernels.trace_batch(
+        tree, rx, scene.boxes, max_order)
 
     lam = SPEED_OF_LIGHT / carrier_hz
     mag = lam / (4.0 * math.pi * lengths) * refl

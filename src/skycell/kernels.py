@@ -5,9 +5,10 @@ that can carry a second-order path and each pair's second-order image do not
 depend on the receiver. :func:`build_image_tree` computes them once (beam
 tracing from a fixed source, as in Funkhouser et al., SIGGRAPH 1998), and
 :func:`trace_batch` enumerates the paths to many receivers in one vectorised
-pass (Sionna RT batches receivers the same way, arXiv:2303.11103). Every
-surviving candidate is computed with the same per-element expressions as the
-scalar one-receiver enumeration, so the paths come out bit-identical. The
+pass (Sionna RT batches receivers the same way, arXiv:2303.11103) into one
+path table, LOS, R1 and R2 rows alike. Every surviving candidate is computed
+with the same per-element expressions as the scalar one-receiver
+enumeration, so the paths come out bit-identical. The
 occlusion test lays segments and boxes out axis-major, so its broad phase
 compares every box with all segments in one long inner loop.
 """
@@ -43,8 +44,6 @@ def _seg_blocked_np_many(p, q, boxes):
     the slab test runs on those K pairs alone, as (3, K) rows. A slab hit implies
     overlapping bounding boxes, so the broad phase changes no result.
     """
-    p = np.atleast_2d(p)
-    q = np.atleast_2d(q)
     blocked = np.zeros(p.shape[0], dtype=bool)
     if boxes.shape[0] == 0 or p.shape[0] == 0:
         return blocked
@@ -60,7 +59,7 @@ def _seg_blocked_np_many(p, q, boxes):
         near &= np.less_equal(s_lo[a], b_hi[a], out=cmp)
         near &= np.greater_equal(s_hi[a], b_lo[a], out=cmp)
     # flat indices split by hand: np.nonzero on a 2-D mask is several times slower
-    pair = np.flatnonzero(near)
+    pair = near.ravel().nonzero()[0]
     if pair.size == 0:
         return blocked
     box = pair // near.shape[1]
@@ -261,23 +260,25 @@ def build_image_tree(tx, f_axis, f_coord, f_sign, f_uv, f_refl) -> ImageTree:
 
 
 def _first_order(tree, rx, rx_side):
-    """Valid-geometry R1 candidates: (receiver row, face, image, bounce point)."""
+    """Valid-geometry R1 candidates: (receiver row, reflection coefficient, image,
+    bounce point)."""
+    *_, f_refl = tree.faces
     r1 = tree.r1
     t, ok = _face_hit(r1.img, rx[:, r1.cols], r1.coord, r1.lo, r1.hi)
-    mm, k = np.nonzero(ok & rx_side[:, tree.r1_faces])
+    mm, k = (ok & rx_side[:, tree.r1_faces]).nonzero()
     ff = tree.r1_faces[k]
     img1 = tree.img1[ff]
     rxr = rx[mm]
     h1 = img1 + t[mm, k][:, None] * (rxr - img1)
-    return mm, ff, img1, h1
+    return mm, f_refl[ff], img1, h1
 
 
 def _second_order(tree, rx, rx_side):
-    """Valid-geometry R2 candidates: (receiver row, pair, image, h1, h2)."""
-    f_axis, f_coord, f_sign, _f_uv, _f_refl = tree.faces
+    """Valid-geometry R2 candidates: (receiver row, reflection product, image, h1, h2)."""
+    f_axis, f_coord, f_sign, _f_uv, f_refl = tree.faces
     r1, r2 = tree.r1, tree.r2
     t2, ok = _face_hit(rx[:, r2.cols], r2.img, r2.coord, r2.lo, r2.hi)
-    mm, pp = np.nonzero(ok & rx_side[:, tree.pair_j])
+    mm, pp = (ok & rx_side[:, tree.pair_j]).nonzero()
     img2 = tree.img2[pp]
     rxr = rx[mm]
     h2 = rxr + t2[mm, pp][:, None] * (img2 - rxr)
@@ -290,68 +291,68 @@ def _second_order(tree, rx, rx_side):
     h1 = h2 + t1[:, None] * (img1 - h2)
     ok &= f_sign[I] * (h2[rows, f_axis[I]] - f_coord[I]) > _FACE_EPS
     ok &= f_sign[J] * (h1[rows, f_axis[J]] - f_coord[J]) > _FACE_EPS
-    return mm[ok], pp[ok], img2[ok], h1[ok], h2[ok]
+    return mm[ok], (f_refl[I] * f_refl[J])[ok], img2[ok], h1[ok], h2[ok]
 
 
 def trace_batch(tree: ImageTree, rx, boxes, max_order: int) -> tuple:
     """Enumerate valid LOS/R1/R2 paths from the tree's transmitter to each rx row.
 
-    Returns one record per kind, LOS then R1 then R2, each a tuple of arrays
-    (rows, points, length, aod_dir, aoa_dir, reflection_product): the
-    receiver row of each path, its bounce points (n, order, 3), its length,
+    Returns one table with a row per path, (rows, kinds, points, lengths,
+    aod_dir, aoa_dir, refl): receiver row, reflection order (an index into
+    geometry.PATH_KINDS), bounce points (P, 2, 3) padded with NaN, length,
     the unit directions it leaves the transmitter and reaches the receiver
-    along (n, 3), and the product of the reflection coefficients it meets.
-    A record lists its paths in enumeration order: by receiver, then first
-    order by face and second order by (i, j). Callers apply gains and
+    along (P, 3), and the product of the reflection coefficients it meets.
+    Rows are in enumeration order: LOS, R1, then R2, each by receiver, then
+    first order by face and second order by (i, j). Callers apply gains and
     sorting. All occlusion tests run as one broad-phase call.
     """
     tx = tree.tx
     rx = np.asarray(rx, dtype=np.float64).reshape(-1, 3)
     n_rx = rx.shape[0]
-    f_axis, f_coord, f_sign, _f_uv, f_refl = tree.faces
+    f_axis, f_coord, f_sign, _f_uv, _f_refl = tree.faces
     rx_side = f_sign[None, :] * (rx[:, f_axis] - f_coord[None, :]) > _FACE_EPS
 
     empty = np.zeros((0, 3))
     no_rows = np.zeros(0, dtype=np.int64)
-    m1, f1, img1, h1_1 = no_rows, no_rows, empty, empty
-    m2, p2, img2, h1_2, h2_2 = no_rows, no_rows, empty, empty, empty
+    m1, refl1, img1, h1_1 = no_rows, no_rows, empty, empty
+    m2, refl2, img2, h1_2, h2_2 = no_rows, no_rows, empty, empty, empty
     if max_order >= 1 and f_axis.shape[0]:
         with np.errstate(divide="ignore", invalid="ignore"):
-            m1, f1, img1, h1_1 = _first_order(tree, rx, rx_side)
+            m1, refl1, img1, h1_1 = _first_order(tree, rx, rx_side)
             if max_order >= 2:
-                m2, p2, img2, h1_2, h2_2 = _second_order(tree, rx, rx_side)
+                m2, refl2, img2, h1_2, h2_2 = _second_order(tree, rx, rx_side)
 
-    # one occlusion call; segments: LOS tx-rx | R1 tx-h1, h1-rx | R2 tx-h1, h1-h2, h2-rx
+    # the candidates, LOS then R1 then R2. A LOS path has no bounce: its first point
+    # is rx, and its last point and last image are tx
     n1, n2 = m1.size, m2.size
-    rx1, rx2 = rx[m1], rx[m2]
-    starts = np.concatenate([tx[None, :].repeat(n_rx + n1, 0), h1_1, tx[None, :].repeat(n2, 0), h1_2, h2_2])
-    ends = np.concatenate([rx, h1_1, rx1, h1_2, h2_2, rx2])
-    free = ~_seg_blocked_np_many(starts, ends, boxes)
-    k = n_rx + 2 * n1
-    ok1 = free[n_rx:n_rx + n1] & free[n_rx + n1:k]
-    ok2 = free[k:k + n2] & free[k + n2:k + 2 * n2] & free[k + 2 * n2:]
+    rows = np.concatenate([np.arange(n_rx), m1, m2])
+    kinds = np.arange(3).repeat((n_rx, n1, n2))
+    first = np.concatenate([rx, h1_1, h1_2])
+    last = np.concatenate([tx[None, :].repeat(n_rx, 0), h1_1, h2_2])
+    image = np.concatenate([last[:n_rx], img1, img2])
+    refl = np.concatenate([[1.0] * n_rx, refl1, refl2])
+    rxr = rx[rows]
 
-    s0, s1, s2 = np.flatnonzero(free[:n_rx]), np.flatnonzero(ok1), np.flatnonzero(ok2)
-    d = rx[s0] - tx
-    length = _norm_rows(d)[:, None]
-    los = (s0, np.zeros((s0.size, 0, 3)), length[:, 0], d / length, -d / length, np.ones(s0.size))
-    pi, pj = tree.pair_i[p2[s2]], tree.pair_j[p2[s2]]
-    return (
-        los,
-        _reflected(m1[s1], rx1[s1], tx, h1_1[s1, None], img1[s1], f_refl[f1[s1]]),
-        _reflected(m2[s2], rx2[s2], tx, np.concatenate([h1_2[s2, None], h2_2[s2, None]], axis=1),
-                   img2[s2], f_refl[pi] * f_refl[pj]),
-    )
+    # one occlusion call; segments: tx-first for all | h1-h2 for R2 | last-rx for R1 and R2
+    n = rows.size
+    free = ~_seg_blocked_np_many(np.concatenate([tx[None, :].repeat(n, 0), h1_2, last[n_rx:]]),
+                                 np.concatenate([first, h2_2, rxr[n_rx:]]), boxes)
+    ok = free[:n]
+    ok[n_rx + n1:] &= free[n:n + n2]
+    ok[n_rx:] &= free[n + n2:]
+    keep = ok.nonzero()[0]
+    rows, kinds, first, last, image, refl, rxr = (
+        rows[keep], kinds[keep], first[keep], last[keep], image[keep], refl[keep], rxr[keep])
 
-
-def _reflected(mm, rxr, tx, points, img_last, refl) -> tuple:
-    """The record of reflected paths with these bounce points (n, order, 3); a path's
-    length is the distance from its last image to the receiver."""
-    n = mm.size
-    dvec = points[:, 0] - tx[None, :]
-    evec = points[:, -1] - rxr
-    norms = _norm_rows(np.concatenate([img_last - rxr, dvec, evec]))
-    return mm, points, norms[:n], dvec / norms[n:2 * n, None], evec / norms[2 * n:, None], refl
+    # one set of expressions for every kind: for LOS, |tx - rx| has the bits of |rx - tx|
+    # and tx - rx those of -dvec, bar the sign of a zero where rx and tx share a coordinate
+    dvec = first - tx
+    evec = last - rxr
+    evec[kinds == 0] = -dvec[kinds == 0]
+    length, dn, en = _norm_rows(np.concatenate([image - rxr, dvec, evec])).reshape(3, -1)
+    points = np.concatenate([first, last], axis=1).reshape(-1, 2, 3)
+    points[kinds[:, None] <= (0, 1)] = np.nan  # bounce k exists where kind > k
+    return rows, kinds, points, length, dvec / dn[:, None], evec / en[:, None], refl
 
 
 def active_backend() -> str:

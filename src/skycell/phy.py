@@ -216,8 +216,8 @@ def beam_sweep(h: np.ndarray, tx_cb: Codebook, rx_cb: Codebook):
 
 def throughput_mbps(gain: float, cfg: CommsConfig) -> float:
     """Capped Shannon throughput of a beamformed link with combined gain."""
-    if gain < 0:
-        raise ValueError("gain must be non-negative")
+    if not gain >= 0:  # NaN included
+        raise ValueError(f"gain must be non-negative, got {gain}")
     snr = cfg.tx_power_w * gain * gain / cfg.noise_power_w
     shannon = cfg.bandwidth_hz * math.log2(1.0 + snr) / 1e6
     return min(cfg.max_throughput_mbps, shannon)

@@ -106,3 +106,18 @@ def test_the_point_records_the_commit_parent_names(tmp_path, monkeypatch):
     assert point["parent"] == parent and f"git archive of {parent}" in point["method"]
     with pytest.raises(SystemExit):
         bench_pairs.parse_args(bench, ["--parent", "no-such-rev", *argv])
+
+
+def test_a_missing_tmp_directory_is_an_argument_error(tmp_path, monkeypatch, capsys):
+    """--tmp names an existing directory; a missing one exits 2 before any run."""
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "commit", "-q", "--allow-empty", "-m", "parent")
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    bench = {"workloads": [{"name": "w"}]}
+    argv = ["--parent", "HEAD", "--seeds", "1-2", "--out", str(tmp_path / "point.json")]
+    assert bench_pairs.parse_args(bench, [*argv, "--tmp", str(tmp_path)]).tmp == str(tmp_path)
+    missing = tmp_path / "no" / "such"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.parse_args(bench, [*argv, "--tmp", str(missing)])
+    assert exc.value.code == 2
+    assert f"--tmp {str(missing)!r} is not a directory" in capsys.readouterr().err

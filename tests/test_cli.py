@@ -564,10 +564,12 @@ def test_manifest_reproduces_the_run(
     assert json.loads((again / "manifest.json").read_text()) == manifest
 
 
-def _scene(length=719.2, width=693.4, position=(360.0, 399.5, 120.0), **angles):
-    """A config doc whose scene is given inline: the bounds and a transmitter."""
+def _scene(length=719.2, width=693.4, position=(360.0, 399.5, 120.0), buildings=(), **angles):
+    """A config doc whose scene is given inline: the bounds, a transmitter and buildings,
+    each (min corner, max corner)."""
     return {"scene": {"bounds": {"length": length, "width": width},
-                      "tx": {"position": list(position), **angles}}}
+                      "tx": {"position": list(position), **angles},
+                      "buildings": [{"min": lo, "max": hi} for lo, hi in buildings]}}
 
 
 @pytest.mark.parametrize(
@@ -593,13 +595,21 @@ def _scene(length=719.2, width=693.4, position=(360.0, 399.5, 120.0), **angles):
         (_scene(width=math.inf), "scene width must be finite and > 0, got inf"),
         (_scene(azimuth_deg=math.nan), "tx azimuth_deg and downtilt_deg must be finite, got "),
         (_scene(downtilt_deg=math.inf), "tx azimuth_deg and downtilt_deg must be finite, got "),
+        # six 2-coordinate numbers would regroup into one box row
+        (_scene(buildings=[([10, 10], [20, 30, 40])]),
+         "building min corner must be three finite numbers, got (10, 10)"),
+        (_scene(buildings=[([10, 10, 0], [20, 30, 40, 50])]),
+         "building max corner must be three finite numbers, got (20, 30, 40, 50)"),
+        (_scene(buildings=[([10, 10, 0], [20, 30, math.inf])]),
+         "building max corner must be three finite numbers, got (20, 30, inf)"),
     ],
     ids=["missing-scene-file", "scene-without-tx", "one-number-array", "zero-array-rows",
          "negative-array-cols", "zero-spacing",
          "more-targets-than-fractions", "fraction-above-one", "huge-array-rows",
          "huge-waypoint-count", "nan-tx", "tx-below-ground", "two-coordinate-tx",
          "negative-scene-length", "infinite-scene-width", "nan-tx-azimuth",
-         "infinite-tx-downtilt"],
+         "infinite-tx-downtilt", "two-coordinate-corner", "four-coordinate-corner",
+         "infinite-corner"],
 )
 def test_bad_scene_array_or_targets_exit_2(tmp_path, capsys, doc, message):
     cfg = _write_cfg(tmp_path, **doc)
@@ -927,6 +937,12 @@ def _leaf_model(counts, **drop):
     return json.dumps(doc)
 
 
+def _split_model(feature=0, threshold=100.0):
+    leaf = {"counts": {"3": 1}}
+    root = {"feature": feature, "threshold": threshold, "left": leaf, "right": leaf}
+    return json.dumps({"max_depth": 2, "n_classes": 256, "root": root})
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -938,13 +954,38 @@ def _leaf_model(counts, **drop):
         (_leaf_model({"-1": 1}), "model leaf class -1 is outside its 256 pairs"),
         (json.dumps({"max_depth": 1, "n_classes": 256, "root": 3}), "malformed model file"),
         (_leaf_model([3]), "malformed model file"),
+        (_split_model(feature=7), "model node feature must be 0, 1 or 2, got 7"),
+        (_split_model(feature=True), "model node feature must be 0, 1 or 2, got true"),
+        (_split_model(threshold="abc"), 'model node threshold must be a finite number, got "abc"'),
+        (_split_model(threshold=math.nan), "model node threshold must be a finite number, got NaN"),
+        (_leaf_model({"3": -5}), "model leaf count of class 3 must be an integer in [0, 2**63), "
+                                 "got -5"),
+        (_leaf_model({"3": 2.5}), "model leaf count of class 3 must be an integer in [0, 2**63), "
+                                  "got 2.5"),
     ],
 )
 def test_malformed_model_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "model.json"
     path.write_text(text)
     cfg = _write_cfg(tmp_path)
+    out = tmp_path / "m"
     rc = main(["mission", "--config", cfg, "--policy", "tree", "--model", str(path),
-               "--out", str(tmp_path / "m")])
+               "--out", str(out)])
     assert rc == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_of_a_malformed_model_exits_2(tmp_path, capsys):
+    """A split on a fourth coordinate is refused when the model is read, before any row
+    reaches it."""
+    path = tmp_path / "model.json"
+    path.write_text(_split_model(feature=7))
+    data = tmp_path / "ds.csv"
+    data.write_text("x,y,z,los,best_pair,g0,g1\n" + "1.0,2.0,30.0,NLOS,1,0.25,0.5\n")
+    out = tmp_path / "e"
+    rc = main(["eval", "--config", _write_cfg(tmp_path), "--model", str(path),
+               "--dataset", str(data), "--out", str(out)])
+    assert rc == 2
+    assert "model node feature must be 0, 1 or 2, got 7" in capsys.readouterr().err
+    assert not out.exists()

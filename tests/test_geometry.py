@@ -372,6 +372,39 @@ def test_path_arrays_equal_the_oracle_in_bundle_order(points):
         _assert_run_is_bundle(paths, m, trace_oracle.trace_paths(_SHIPPED, tx, point))
 
 
+@pytest.mark.parametrize("max_order", [0, 1, 2])
+@pytest.mark.parametrize("ground_reflection", [True, False])
+def test_batched_receivers_off_the_shipped_scene_match_the_oracle(max_order, ground_reflection):
+    """2-6 receivers per pass on random-wall scenes: each receiver's run equals its oracle
+    bundle bit for bit, with the R1 or R2 part of the path table empty at max_order 0 and
+    1 and wherever no bounce survives. The first receiver of each pass shares a
+    coordinate with the transmitter, where rx - tx and tx - rx differ in the sign of a
+    zero."""
+    rng = np.random.default_rng(2700 + 3 * max_order + ground_reflection)
+    kinds = Counter()
+    for _ in range(30):
+        walls, wall = _random_wall_scene(rng)
+        side = 1 if rng.random() < 0.5 else -1
+        face_x = wall.max_corner[0] if side > 0 else wall.min_corner[0]
+        tx = (face_x + side * rng.uniform(1, 80), rng.uniform(210, 290), rng.uniform(5, 120))
+        n = int(rng.integers(2, 7))
+        points = np.column_stack([face_x + rng.choice([-1, 1], n) * rng.uniform(1, 80, n),
+                                  rng.uniform(210, 290, n), rng.uniform(5, 120, n)])
+        shared = rng.integers(0, 3)
+        points[0, shared] = tx[shared]
+        paths = trace_path_arrays(walls, tx, points, max_order=max_order,
+                                  ground_reflection=ground_reflection)
+        for m, point in enumerate(points):
+            ref = trace_oracle.trace_paths(walls, tx, point, max_order=max_order,
+                                           ground_reflection=ground_reflection)
+            _assert_run_is_bundle(paths, m, ref)
+            kinds.update(q.kind for q in ref.paths)
+    assert kinds["LOS"] > 0
+    assert (kinds["R1"] > 0) == (max_order >= 1)
+    # two faces of one box never face each other, so a double bounce needs the ground
+    assert (kinds["R2"] > 0) == (max_order >= 2 and ground_reflection)
+
+
 def test_image_tree_cached_for_scene_tx_only():
     scene = default_scene()
     tree = scene.image_tree(scene.tx.position)
@@ -421,6 +454,16 @@ def test_scene_from_file_reads_a_hand_written_doc(tmp_path):
 def test_building_validation():
     with pytest.raises(ValueError):
         Building((10, 10, 0), (5, 30, 40), CONCRETE)
+    # each corner is three finite numbers; six 2-coordinate numbers would fill one box row
+    for lo, hi, name in [((10, 10), (20, 30, 40), "min"), ((10, 10, 0), (20, 30, 40, 50), "max"),
+                         ((10, 10, 0), (20, 30, math.inf), "max"),
+                         ((10, math.nan, 0), (20, 30, 40), "min"),
+                         ((10, 10, True), (20, 30, 40), "min"),
+                         ((10, 10, 0), (20, "30", 40), "max"), ((10, 10, 0), (20, 30, 10**400), "max"),
+                         (5, (20, 30, 40), "min")]:
+        with pytest.raises(ValueError, match=f"building {name} corner must be three finite numbers"):
+            Building(lo, hi, CONCRETE)
+    assert Building(np.array([10, 10, 0]), [20.0, 30.0, 40.0], CONCRETE).max_corner[2] == 40.0
     with pytest.raises(ValueError):
         Scene(100, 100, TxPose((5, 5, 50)),
               [Building((50, 50, 0), (150, 60, 10), CONCRETE)])

@@ -252,6 +252,9 @@ def test_throughput_endpoints():
     assert throughput_mbps(1.0, cfg) == cfg.max_throughput_mbps
     with pytest.raises(ValueError):
         throughput_mbps(-1e-9, cfg)
+    # NaN compares false with 0, so only a ">= 0" test stops it reading as the cap
+    with pytest.raises(ValueError, match="got nan"):
+        throughput_mbps(math.nan, cfg)
 
 
 @given(st.floats(min_value=0, max_value=1e-3), st.floats(min_value=0, max_value=1e-3))
