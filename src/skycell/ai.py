@@ -200,9 +200,13 @@ class DecisionTreeModel:
     @classmethod
     def from_json(cls, text: str) -> "DecisionTreeModel":
         doc = json.loads(text)
+        if type(doc) is not dict:
+            raise ValueError(f"model file must hold a JSON object, got {text.strip()[:40]}")
         if "n_classes" not in doc:
             raise ValueError("model file lacks n_classes, the pair count it was trained on")
-        n_classes = int(doc["n_classes"])
+        n_classes = doc["n_classes"]
+        if type(n_classes) is not int or n_classes < 1:
+            raise ValueError(f"model n_classes must be an integer >= 1, got {json.dumps(n_classes)}")
 
         def decode(d) -> TreeNode:
             if "counts" in d:
@@ -214,6 +218,9 @@ class DecisionTreeModel:
                         raise ValueError(f"model leaf count of class {k} must be an integer in "
                                          f"[0, 2**63), got {json.dumps(v)}")
                     counts[int(k)] = v
+                # a leaf ranks pairs by its counts; with none, every pair ties
+                if not counts.any():
+                    raise ValueError(f"model leaf counts no sample, got {json.dumps(d['counts'])}")
                 return TreeNode(counts=counts)
             feature, threshold = d["feature"], d["threshold"]
             # a node splits on one coordinate of the UE position
@@ -225,8 +232,11 @@ class DecisionTreeModel:
             return TreeNode(feature, threshold, decode(d["left"]), decode(d["right"]))
 
         try:
-            root = decode(doc["root"])
-            return cls(root=root, max_depth=int(doc["max_depth"]), n_classes=n_classes)
+            max_depth = doc["max_depth"]
+            if type(max_depth) is not int or max_depth < 1:
+                raise ValueError(f"model max_depth must be an integer >= 1, got "
+                                 f"{json.dumps(max_depth)}")
+            return cls(root=decode(doc["root"]), max_depth=max_depth, n_classes=n_classes)
         except KeyError as exc:
             raise ValueError(f"model file lacks key {exc}") from exc
         except (TypeError, AttributeError) as exc:  # a non-object where a node belongs

@@ -55,6 +55,17 @@ def _is_point(values) -> bool:
         return False
 
 
+def _number(key: str, value) -> float:
+    """A number of a scene document as a float; a boolean, text or an integer too
+    large for a float is refused by its key."""
+    if type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"scene {key} must be a number, got {json.dumps(value)}")
+
+
 @dataclass(frozen=True)
 class Building:
     min_corner: tuple
@@ -136,21 +147,21 @@ class Scene:
         def mat(name):
             if name not in materials:
                 raise ValueError(f"unknown material {name!r}")
-            return Material(name, float(materials[name]))
+            return Material(name, _number(f"materials.{name}", materials[name]))
 
         txd = doc["tx"]
         tx = TxPose(
-            position=tuple(float(v) for v in txd["position"]),
-            azimuth_deg=float(txd.get("azimuth_deg", 0.0)),
-            downtilt_deg=float(txd.get("downtilt_deg", 45.0)),
+            position=tuple(_number("tx.position", v) for v in txd["position"]),
+            azimuth_deg=_number("tx.azimuth_deg", txd.get("azimuth_deg", 0.0)),
+            downtilt_deg=_number("tx.downtilt_deg", txd.get("downtilt_deg", 45.0)),
         )
         buildings = [
             Building(tuple(b["min"]), tuple(b["max"]), mat(b.get("material", "concrete")))
             for b in doc.get("buildings", [])
         ]
         return cls(
-            length=doc["bounds"]["length"],
-            width=doc["bounds"]["width"],
+            length=_number("bounds.length", doc["bounds"]["length"]),
+            width=_number("bounds.width", doc["bounds"]["width"]),
             tx=tx,
             buildings=buildings,
             ground_material=mat(doc.get("ground_material", "concrete")),

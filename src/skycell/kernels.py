@@ -3,14 +3,20 @@
 The transmitter is fixed, so its first-order images, the ordered face pairs
 that can carry a second-order path and each pair's second-order image do not
 depend on the receiver. :func:`build_image_tree` computes them once (beam
-tracing from a fixed source, as in Funkhouser et al., SIGGRAPH 1998), and
+tracing from a fixed source, as in Funkhouser et al., SIGGRAPH 1998) and
+packs every constant a pass reads per first-order face and per pair into
+rows of :class:`Planes`, so a pass gathers each from one row.
 :func:`trace_batch` enumerates the paths to many receivers in one vectorised
 pass (Sionna RT batches receivers the same way, arXiv:2303.11103) into one
-path table, LOS, R1 and R2 rows alike. Every surviving candidate is computed
-with the same per-element expressions as the scalar one-receiver
-enumeration, so the paths come out bit-identical. The
-occlusion test lays segments and boxes out axis-major, so its broad phase
-compares every box with all segments in one long inner loop.
+path table, LOS, R1 and R2 rows alike. The (receiver, face) and (receiver,
+pair) grids are tested densely once; the candidates they keep are flat
+indices, split by hand into receiver and face or pair, and each later test
+runs on the candidates the one before it left, with their points axis-major
+(3, K) up to the occlusion test. Every surviving candidate is computed with
+the same per-element expressions as the scalar one-receiver enumeration, so
+the paths come out bit-identical. The occlusion test lays segments and boxes
+out axis-major, so its broad phase compares every box with all segments in
+one long inner loop.
 """
 
 from __future__ import annotations
@@ -33,6 +39,17 @@ _PRUNE_EPS = 1e-6
 _AXES = np.eye(3, dtype=bool)
 # the 8 corners of a box: True picks the upper bound on that axis
 _CORNERS = np.array([[(c >> b) & 1 for b in range(3)] for c in range(8)], dtype=bool)
+
+
+def _split(ok):
+    """The True entries of a 2-D mask as (flat index, row, column), in row-major order.
+
+    One nonzero of the raveled mask, split by hand: np.nonzero on a 2-D mask is
+    several times slower.
+    """
+    flat = ok.ravel().nonzero()[0]
+    row = flat // ok.shape[1]
+    return flat, row, flat - row * ok.shape[1]
 
 
 def _seg_blocked_np_many(p, q, boxes):
@@ -58,12 +75,9 @@ def _seg_blocked_np_many(p, q, boxes):
     for a in (1, 2):
         near &= np.less_equal(s_lo[a], b_hi[a], out=cmp)
         near &= np.greater_equal(s_hi[a], b_lo[a], out=cmp)
-    # flat indices split by hand: np.nonzero on a 2-D mask is several times slower
-    pair = near.ravel().nonzero()[0]
+    pair, box, seg = _split(near)
     if pair.size == 0:
         return blocked
-    box = pair // near.shape[1]
-    seg = pair - box * near.shape[1]
     pp = p.take(seg, axis=1)
     d = (q - p).take(seg, axis=1)
     lo = bt[:3].take(box, axis=1)
@@ -91,7 +105,8 @@ def _seg_blocked_np_many(p, q, boxes):
 
 
 def _norm_rows(v):
-    x, y, z = v.T
+    """Length of each column of an axis-major (3, N) array."""
+    x, y, z = v
     return np.sqrt(x * x + y * y + z * z)
 
 
@@ -128,29 +143,44 @@ def _face_hit(a, b, coord, lo, hi):
     return t, ok
 
 
+def _along(v, rows):
+    """v[rows[..., k], k] for each column k of an axis-major (3, K) array v; rows is
+    (K,) for one entry per column or (3, K) for three."""
+    return v.ravel().take(rows * v.shape[1] + np.arange(v.shape[1]))
+
+
 # ---------------------------------------------------------------------------
 # static image tree
 # ---------------------------------------------------------------------------
 
 
 class Planes(NamedTuple):
-    """Per-row constants of a face-crossing test; see :func:`_face_hit`."""
+    """Per-row constants of one bounce: a face and the image point a path reaches
+    it from. ``cols``, ``coord``, ``lo``, ``hi`` and ``img`` feed :func:`_face_hit`;
+    a point p lies in front of the face where sign * (p[cols[0]] - coord) > _FACE_EPS.
+    """
 
     cols: np.ndarray  # (3, N): the face axis, then its two in-plane axes
     coord: np.ndarray  # (N,) plane coordinate
+    sign: np.ndarray  # (N,) outward sign
     lo: np.ndarray  # (2, N) face rectangle grown by _FACE_EPS
     hi: np.ndarray  # (2, N)
     img: np.ndarray  # (3, N) the row's image point along cols
+    xyz: np.ndarray  # (3, N) the same image point along x, y, z
+    refl: np.ndarray  # (N,) product of the reflection coefficients down to this face
 
 
-def _planes(img, axes, coords, uv) -> Planes:
+def _planes(img, axes, coords, signs, uv, refl) -> Planes:
     cols = np.stack([axes, (axes + 1) % 3, (axes + 2) % 3])
     return Planes(
         cols=cols,
         coord=coords,
+        sign=signs,
         lo=np.stack([uv[:, 0] - _FACE_EPS, uv[:, 2] - _FACE_EPS]),
         hi=np.stack([uv[:, 1] + _FACE_EPS, uv[:, 3] + _FACE_EPS]),
         img=img[np.arange(img.shape[0]), cols],
+        xyz=np.ascontiguousarray(img.T),
+        refl=refl,
     )
 
 
@@ -158,24 +188,23 @@ def _planes(img, axes, coords, uv) -> Planes:
 class ImageTree:
     """Receiver-independent part of the image method for one transmitter.
 
-    ``img1[f]`` is the transmitter mirrored in face f. First-order paths can
-    only use the faces in ``r1_faces`` (those facing the transmitter), whose
-    planes and images ``r1`` holds. Pair k bounces off face ``pair_i[k]``
-    then ``pair_j[k]``, has second-order image ``img2[k]``, and ``r2`` holds
-    face j's plane with that image; ``pair_r1[k]`` is face i's row in r1.
-    Pairs keep (i, j) order.
+    First-order paths can only use the faces in ``r1_faces`` (those facing
+    the transmitter); ``r1`` holds their planes, each with the transmitter
+    mirrored in it. Pair k bounces off face ``pair_i[k]`` then ``pair_j[k]``;
+    ``plane_i`` holds face i's plane with that first image and ``plane_j``
+    face j's with the pair's second-order image and the product of both
+    reflection coefficients, so a pass gathers every constant of a pair from
+    one row. Pairs keep (i, j) order.
     """
 
     tx: np.ndarray
     faces: tuple  # (axis, coord, sign, uv, reflection), as Scene.faces returns
-    img1: np.ndarray
     r1_faces: np.ndarray
     r1: Planes
     pair_i: np.ndarray
     pair_j: np.ndarray
-    pair_r1: np.ndarray
-    img2: np.ndarray
-    r2: Planes
+    plane_i: Planes
+    plane_j: Planes
 
 
 def _face_boxes(f_axis, f_coord, f_uv):
@@ -243,14 +272,12 @@ def build_image_tree(tx, f_axis, f_coord, f_sign, f_uv, f_refl) -> ImageTree:
     return ImageTree(
         tx=tx,
         faces=(f_axis, f_coord, f_sign, f_uv, f_refl),
-        img1=img1,
         r1_faces=r1_faces,
-        r1=_planes(img1[r1_faces], f_axis[r1_faces], f_coord[r1_faces], f_uv[r1_faces]),
+        r1=_planes(*(v[r1_faces] for v in (img1, f_axis, f_coord, f_sign, f_uv, f_refl))),
         pair_i=I,
         pair_j=J,
-        pair_r1=np.searchsorted(r1_faces, I),
-        img2=img2,
-        r2=_planes(img2, f_axis[J], f_coord[J], f_uv[J]),
+        plane_i=_planes(*(v[I] for v in (img1, f_axis, f_coord, f_sign, f_uv, f_refl))),
+        plane_j=_planes(img2, f_axis[J], f_coord[J], f_sign[J], f_uv[J], f_refl[I] * f_refl[J]),
     )
 
 
@@ -259,39 +286,53 @@ def build_image_tree(tx, f_axis, f_coord, f_sign, f_uv, f_refl) -> ImageTree:
 # ---------------------------------------------------------------------------
 
 
-def _first_order(tree, rx, rx_side):
+def _first_order(tree, rx, rxt, rx_side):
     """Valid-geometry R1 candidates: (receiver row, reflection coefficient, image,
-    bounce point)."""
-    *_, f_refl = tree.faces
+    bounce point), the points axis-major (3, K)."""
     r1 = tree.r1
-    t, ok = _face_hit(r1.img, rx[:, r1.cols], r1.coord, r1.lo, r1.hi)
-    mm, k = (ok & rx_side[:, tree.r1_faces]).nonzero()
-    ff = tree.r1_faces[k]
-    img1 = tree.img1[ff]
-    rxr = rx[mm]
-    h1 = img1 + t[mm, k][:, None] * (rxr - img1)
-    return mm, f_refl[ff], img1, h1
+    t, ok = _face_hit(r1.img, rx.take(r1.cols, axis=1), r1.coord, r1.lo, r1.hi)
+    ok &= rx_side.take(tree.r1_faces, axis=1)
+    flat, mm, k = _split(ok)
+    img1 = r1.xyz.take(k, axis=1)
+    h1 = rxt.take(mm, axis=1)
+    h1 -= img1
+    h1 *= t.ravel().take(flat)
+    h1 += img1
+    return mm, r1.refl.take(k), img1, h1
 
 
-def _second_order(tree, rx, rx_side):
-    """Valid-geometry R2 candidates: (receiver row, reflection product, image, h1, h2)."""
-    f_axis, f_coord, f_sign, _f_uv, f_refl = tree.faces
-    r1, r2 = tree.r1, tree.r2
-    t2, ok = _face_hit(rx[:, r2.cols], r2.img, r2.coord, r2.lo, r2.hi)
-    mm, pp = (ok & rx_side[:, tree.pair_j]).nonzero()
-    img2 = tree.img2[pp]
-    rxr = rx[mm]
-    h2 = rxr + t2[mm, pp][:, None] * (img2 - rxr)
-    # back from h2 to the first image: the bounce off face i, then both
-    # bounce points in front of the other face
-    I, J, k = tree.pair_i[pp], tree.pair_j[pp], tree.pair_r1[pp]
-    rows = np.arange(pp.size)
-    t1, ok = _face_hit(h2[rows, r1.cols[:, k]], r1.img[:, k], r1.coord[k], r1.lo[:, k], r1.hi[:, k])
-    img1 = tree.img1[I]
-    h1 = h2 + t1[:, None] * (img1 - h2)
-    ok &= f_sign[I] * (h2[rows, f_axis[I]] - f_coord[I]) > _FACE_EPS
-    ok &= f_sign[J] * (h1[rows, f_axis[J]] - f_coord[J]) > _FACE_EPS
-    return mm[ok], (f_refl[I] * f_refl[J])[ok], img2[ok], h1[ok], h2[ok]
+def _second_order(tree, rx, rxt, rx_side):
+    """Valid-geometry R2 candidates: (receiver row, reflection product, image, h1, h2),
+    the points axis-major (3, K).
+
+    The tests are an AND, run on the candidates each leaves: the receiver's
+    segment to the second image crosses face j, the crossing h2 lies in front
+    of face i, h2's segment to the first image crosses face i, and that
+    crossing h1 lies in front of face j.
+    """
+    pi, pj = tree.plane_i, tree.plane_j
+    t2, ok = _face_hit(rx.take(pj.cols, axis=1), pj.img, pj.coord, pj.lo, pj.hi)
+    ok &= rx_side.take(tree.pair_j, axis=1)
+    flat, mm, pp = _split(ok)
+    rxr = rxt.take(mm, axis=1)
+    h2 = pj.xyz.take(pp, axis=1)
+    h2 -= rxr
+    h2 *= t2.ravel().take(flat)
+    h2 += rxr
+    front = pi.sign.take(pp) * (_along(h2, pi.cols[0].take(pp)) - pi.coord.take(pp)) > _FACE_EPS
+    keep = front.nonzero()[0]
+    mm, pp, h2 = mm.take(keep), pp.take(keep), h2.take(keep, axis=1)
+    t1, ok = _face_hit(_along(h2, pi.cols.take(pp, axis=1)), pi.img.take(pp, axis=1),
+                       pi.coord.take(pp), pi.lo.take(pp, axis=1), pi.hi.take(pp, axis=1))
+    h1 = pi.xyz.take(pp, axis=1)
+    h1 -= h2
+    h1 *= t1
+    h1 += h2
+    ok &= pj.sign.take(pp) * (_along(h1, pj.cols[0].take(pp)) - pj.coord.take(pp)) > _FACE_EPS
+    keep = ok.nonzero()[0]
+    pp = pp.take(keep)
+    return (mm.take(keep), pj.refl.take(pp), pj.xyz.take(pp, axis=1), h1.take(keep, axis=1),
+            h2.take(keep, axis=1))
 
 
 def trace_batch(tree: ImageTree, rx, boxes, max_order: int) -> tuple:
@@ -304,55 +345,58 @@ def trace_batch(tree: ImageTree, rx, boxes, max_order: int) -> tuple:
     along (P, 3), and the product of the reflection coefficients it meets.
     Rows are in enumeration order: LOS, R1, then R2, each by receiver, then
     first order by face and second order by (i, j). Callers apply gains and
-    sorting. All occlusion tests run as one broad-phase call.
+    sorting. All occlusion tests run as one broad-phase call. Points stay
+    axis-major, (3, N), from the enumeration to the occlusion test.
     """
-    tx = tree.tx
+    tx = tree.tx[:, None]
     rx = np.asarray(rx, dtype=np.float64).reshape(-1, 3)
+    rxt = np.ascontiguousarray(rx.T)
     n_rx = rx.shape[0]
     f_axis, f_coord, f_sign, _f_uv, _f_refl = tree.faces
-    rx_side = f_sign[None, :] * (rx[:, f_axis] - f_coord[None, :]) > _FACE_EPS
+    rx_side = f_sign * (rx.take(f_axis, axis=1) - f_coord) > _FACE_EPS
 
-    empty = np.zeros((0, 3))
+    empty = np.zeros((3, 0))
     no_rows = np.zeros(0, dtype=np.int64)
     m1, refl1, img1, h1_1 = no_rows, no_rows, empty, empty
     m2, refl2, img2, h1_2, h2_2 = no_rows, no_rows, empty, empty, empty
     if max_order >= 1 and f_axis.shape[0]:
         with np.errstate(divide="ignore", invalid="ignore"):
-            m1, refl1, img1, h1_1 = _first_order(tree, rx, rx_side)
+            m1, refl1, img1, h1_1 = _first_order(tree, rx, rxt, rx_side)
             if max_order >= 2:
-                m2, refl2, img2, h1_2, h2_2 = _second_order(tree, rx, rx_side)
+                m2, refl2, img2, h1_2, h2_2 = _second_order(tree, rx, rxt, rx_side)
 
     # the candidates, LOS then R1 then R2. A LOS path has no bounce: its first point
     # is rx, and its last point and last image are tx
     n1, n2 = m1.size, m2.size
     rows = np.concatenate([np.arange(n_rx), m1, m2])
     kinds = np.arange(3).repeat((n_rx, n1, n2))
-    first = np.concatenate([rx, h1_1, h1_2])
-    last = np.concatenate([tx[None, :].repeat(n_rx, 0), h1_1, h2_2])
-    image = np.concatenate([last[:n_rx], img1, img2])
+    first = np.concatenate([rxt, h1_1, h1_2], axis=1)
+    last = np.concatenate([tx.repeat(n_rx, 1), h1_1, h2_2], axis=1)
+    image = np.concatenate([last[:, :n_rx], img1, img2], axis=1)
     refl = np.concatenate([[1.0] * n_rx, refl1, refl2])
-    rxr = rx[rows]
+    rxr = rxt.take(rows, axis=1)
 
     # one occlusion call; segments: tx-first for all | h1-h2 for R2 | last-rx for R1 and R2
     n = rows.size
-    free = ~_seg_blocked_np_many(np.concatenate([tx[None, :].repeat(n, 0), h1_2, last[n_rx:]]),
-                                 np.concatenate([first, h2_2, rxr[n_rx:]]), boxes)
+    free = ~_seg_blocked_np_many(np.concatenate([tx.repeat(n, 1), h1_2, last[:, n_rx:]], axis=1).T,
+                                 np.concatenate([first, h2_2, rxr[:, n_rx:]], axis=1).T, boxes)
     ok = free[:n]
     ok[n_rx + n1:] &= free[n:n + n2]
     ok[n_rx:] &= free[n + n2:]
     keep = ok.nonzero()[0]
-    rows, kinds, first, last, image, refl, rxr = (
-        rows[keep], kinds[keep], first[keep], last[keep], image[keep], refl[keep], rxr[keep])
+    rows, kinds, refl = rows.take(keep), kinds.take(keep), refl.take(keep)
+    first, last, image, rxr = (v.take(keep, axis=1) for v in (first, last, image, rxr))
 
     # one set of expressions for every kind: for LOS, |tx - rx| has the bits of |rx - tx|
     # and tx - rx those of -dvec, bar the sign of a zero where rx and tx share a coordinate
     dvec = first - tx
     evec = last - rxr
-    evec[kinds == 0] = -dvec[kinds == 0]
-    length, dn, en = _norm_rows(np.concatenate([image - rxr, dvec, evec])).reshape(3, -1)
-    points = np.concatenate([first, last], axis=1).reshape(-1, 2, 3)
+    los = kinds == 0
+    evec[:, los] = -dvec[:, los]
+    length, dn, en = _norm_rows(np.concatenate([image - rxr, dvec, evec], axis=1)).reshape(3, -1)
+    points = np.stack([first.T, last.T], axis=1)
     points[kinds[:, None] <= (0, 1)] = np.nan  # bounce k exists where kind > k
-    return rows, kinds, points, length, dvec / dn[:, None], evec / en[:, None], refl
+    return rows, kinds, points, length, (dvec / dn).T, (evec / en).T, refl
 
 
 def active_backend() -> str:

@@ -696,7 +696,8 @@ def test_radio_pass_bench_script_runs():
     assert ok.returncode == 0, ok.stderr
     lines = ok.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [
-        "M=1", "M=4", "M=8", "M=10", "M=16", "M=20", "M=32"]
+        "M=1", "M=4", "M=8", "M=10", "M=16", "M=20", "M=32", "M=16 along one route",
+        "M=20 across ten routes"]
     assert all(" ms per receiver (quartiles " in line and line.endswith(" KB") for line in lines)
     assert all(" kernel " in line and "% of the pass, peak " in line for line in lines)
     short = run(1)

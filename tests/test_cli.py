@@ -564,12 +564,16 @@ def test_manifest_reproduces_the_run(
     assert json.loads((again / "manifest.json").read_text()) == manifest
 
 
-def _scene(length=719.2, width=693.4, position=(360.0, 399.5, 120.0), buildings=(), **angles):
-    """A config doc whose scene is given inline: the bounds, a transmitter and buildings,
-    each (min corner, max corner)."""
-    return {"scene": {"bounds": {"length": length, "width": width},
-                      "tx": {"position": list(position), **angles},
-                      "buildings": [{"min": lo, "max": hi} for lo, hi in buildings]}}
+def _scene(length=719.2, width=693.4, position=(360.0, 399.5, 120.0), buildings=(),
+           materials=None, **angles):
+    """A config doc whose scene is given inline: the bounds, a transmitter, buildings,
+    each (min corner, max corner), and materials when given."""
+    scene = {"bounds": {"length": length, "width": width},
+             "tx": {"position": list(position), **angles},
+             "buildings": [{"min": lo, "max": hi} for lo, hi in buildings]}
+    if materials is not None:
+        scene["materials"] = materials
+    return {"scene": scene}
 
 
 @pytest.mark.parametrize(
@@ -602,6 +606,13 @@ def _scene(length=719.2, width=693.4, position=(360.0, 399.5, 120.0), buildings=
          "building max corner must be three finite numbers, got (20, 30, 40, 50)"),
         (_scene(buildings=[([10, 10, 0], [20, 30, math.inf])]),
          "building max corner must be three finite numbers, got (20, 30, inf)"),
+        (_scene(position=[5, 5, True]), "scene tx.position must be a number, got true"),
+        (_scene(position=[5, "5", 30]), 'scene tx.position must be a number, got "5"'),
+        (_scene(azimuth_deg=True), "scene tx.azimuth_deg must be a number, got true"),
+        (_scene(downtilt_deg="45"), 'scene tx.downtilt_deg must be a number, got "45"'),
+        (_scene(materials={"concrete": "0.5"}),
+         'scene materials.concrete must be a number, got "0.5"'),
+        (_scene(length=True), "scene bounds.length must be a number, got true"),
     ],
     ids=["missing-scene-file", "scene-without-tx", "one-number-array", "zero-array-rows",
          "negative-array-cols", "zero-spacing",
@@ -609,7 +620,8 @@ def _scene(length=719.2, width=693.4, position=(360.0, 399.5, 120.0), buildings=
          "huge-waypoint-count", "nan-tx", "tx-below-ground", "two-coordinate-tx",
          "negative-scene-length", "infinite-scene-width", "nan-tx-azimuth",
          "infinite-tx-downtilt", "two-coordinate-corner", "four-coordinate-corner",
-         "infinite-corner"],
+         "infinite-corner", "boolean-tx-z", "text-tx-y", "boolean-tx-azimuth",
+         "text-tx-downtilt", "text-material", "boolean-scene-length"],
 )
 def test_bad_scene_array_or_targets_exit_2(tmp_path, capsys, doc, message):
     cfg = _write_cfg(tmp_path, **doc)
@@ -930,10 +942,14 @@ def test_malformed_replay_record_exits_2(tmp_path, capsys, line, message):
     assert message in capsys.readouterr().err
 
 
-def _leaf_model(counts, **drop):
+def _leaf_model(counts, **keys):
+    """A one-leaf model; a key given True is dropped, any other value replaces it."""
     doc = {"max_depth": 1, "n_classes": 256, "root": {"counts": counts}}
-    for key in drop:
-        del doc[key]
+    for key, value in keys.items():
+        if value is True:
+            del doc[key]
+        else:
+            doc[key] = value
     return json.dumps(doc)
 
 
@@ -962,6 +978,17 @@ def _split_model(feature=0, threshold=100.0):
                                  "got -5"),
         (_leaf_model({"3": 2.5}), "model leaf count of class 3 must be an integer in [0, 2**63), "
                                   "got 2.5"),
+        ("5", "model file must hold a JSON object, got 5"),
+        ("[1, 2]", "model file must hold a JSON object, got [1, 2]"),
+        (_leaf_model({}), "model leaf counts no sample, got {}"),
+        (_leaf_model({"3": 0}), 'model leaf counts no sample, got {"3": 0}'),
+        (_leaf_model({"3": 1}, n_classes=4.9), "model n_classes must be an integer >= 1, got 4.9"),
+        (_leaf_model({"3": 1}, n_classes="4"), 'model n_classes must be an integer >= 1, got "4"'),
+        (json.dumps({"max_depth": 1, "n_classes": True, "root": {"counts": {"3": 1}}}),
+         "model n_classes must be an integer >= 1, got true"),
+        (_leaf_model({"3": 1}, n_classes=0), "model n_classes must be an integer >= 1, got 0"),
+        (_leaf_model({"3": 1}, max_depth=-4), "model max_depth must be an integer >= 1, got -4"),
+        (_leaf_model({"3": 1}, max_depth=2.0), "model max_depth must be an integer >= 1, got 2.0"),
     ],
 )
 def test_malformed_model_exits_2(tmp_path, capsys, text, message):
@@ -971,6 +998,28 @@ def test_malformed_model_exits_2(tmp_path, capsys, text, message):
     out = tmp_path / "m"
     rc = main(["mission", "--config", cfg, "--policy", "tree", "--model", str(path),
                "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_leaf_model({}), "model leaf counts no sample, got {}"),
+        (_leaf_model({"3": 1}, n_classes=4.9), "model n_classes must be an integer >= 1, got 4.9"),
+        (_leaf_model({"3": 1}, max_depth=-4), "model max_depth must be an integer >= 1, got -4"),
+    ],
+    ids=["empty-leaf", "fractional-n-classes", "negative-max-depth"],
+)
+def test_eval_of_a_model_with_bad_sizes_or_counts_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    data = tmp_path / "ds.csv"
+    data.write_text("x,y,z,los,best_pair,g0,g1\n" + "1.0,2.0,30.0,NLOS,1,0.25,0.5\n")
+    out = tmp_path / "e"
+    rc = main(["eval", "--config", _write_cfg(tmp_path), "--model", str(path),
+               "--dataset", str(data), "--out", str(out)])
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

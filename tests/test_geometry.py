@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from trace_oracle import mirror_point
 
-from skycell.config import default_scene
+from skycell.blueprint import offset_plan
+from skycell.config import base_route, default_scene, load_config
 from skycell.geometry import (
     PATH_KINDS,
     SPEED_OF_LIGHT,
@@ -22,6 +23,7 @@ from skycell.geometry import (
     trace_paths,
 )
 from skycell.kernels import _seg_blocked_np_many
+from skycell.mobility import positions_ahead, uav_state
 
 CONCRETE = Material("concrete", 0.5)
 
@@ -405,6 +407,49 @@ def test_batched_receivers_off_the_shipped_scene_match_the_oracle(max_order, gro
     assert (kinds["R2"] > 0) == (max_order >= 2 and ground_reflection)
 
 
+def _loop_passes(rng, n_draws=6):
+    """Receiver layouts as the loop's radio pass makes them, each from a seeded point of
+    the shipped route: one UAV's position and its next 15 moves, and ten UAVs 3 m apart
+    across the route, as the swarm benchmark flies them, each position followed by its
+    next move."""
+    cfg = load_config()
+    route, dt = base_route(cfg), cfg["episode"]["sampling_interval"]
+    lone = positions_ahead(uav_state("uav0", route), dt, 10**6)
+    fans = [positions_ahead(uav_state(f"uav{i}", offset_plan(route, 3.0 * (i - 4.5))), dt, 10**6)
+            for i in range(10)]
+    for _ in range(n_draws):
+        k = int(rng.integers(0, len(lone) - 16))
+        yield "lone", np.array(lone[k:k + 16])
+        k = int(rng.integers(0, len(fans[0]) - 2))
+        yield "fan", np.array([p for fan in fans for p in fan[k:k + 2]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_passes_laid_out_as_in_the_loop_match_the_oracle():
+    """Each receiver of a pass the loop makes equals its oracle bundle bit for bit: on the
+    shipped scene, on the ground alone (first-order faces but no face pairs) and on a
+    scene with no faces at all. The tracer's survivor counts follow the layout of a pass,
+    and no empty stage may warn."""
+    shipped = default_scene()
+    ground_only = Scene(shipped.length, shipped.width, shipped.tx, [])
+    tx = shipped.tx.position
+    kinds = Counter()
+    for layout, points in _loop_passes(np.random.default_rng(2800)):
+        assert len(points) == {"lone": 16, "fan": 20}[layout]
+        for scene, ground in ((shipped, True), (ground_only, True), (ground_only, False)):
+            paths = trace_path_arrays(scene, tx, points, ground_reflection=ground)
+            for m, point in enumerate(points):
+                ref = trace_oracle.trace_paths(scene, tx, point, ground_reflection=ground)
+                _assert_run_is_bundle(paths, m, ref)
+                kinds[scene is shipped, ground] += len(ref.paths)
+    tree = ground_only.image_tree(tx)
+    assert tree.r1_faces.size == 1 and tree.pair_i.size == 0
+    assert ground_only.image_tree(tx, ground=False).r1_faces.size == 0
+    # LOS plus the ground bounce, then LOS alone
+    assert kinds[False, True] == 2 * kinds[False, False] > 0
+    assert kinds[True, True] > kinds[False, True]
+
+
 def test_image_tree_cached_for_scene_tx_only():
     scene = default_scene()
     tree = scene.image_tree(scene.tx.position)
@@ -449,6 +494,36 @@ def test_scene_from_file_reads_a_hand_written_doc(tmp_path):
     assert loaded.length == 719.2
     assert loaded.tx == TxPose((360.0, 399.5, 120.0), azimuth_deg=-90.0, downtilt_deg=45.0)
     assert loaded.buildings[0].min_corner == (10, 10, 0)
+
+
+@pytest.mark.parametrize(
+    "key, edit, shown",
+    [
+        ("tx.position", lambda d: d["tx"].update(position=[5, 5, True]), "true"),
+        ("tx.position", lambda d: d["tx"].update(position=["360", 399.5, 120.0]), '"360"'),
+        ("tx.azimuth_deg", lambda d: d["tx"].update(azimuth_deg=True), "true"),
+        ("tx.downtilt_deg", lambda d: d["tx"].update(downtilt_deg="45"), '"45"'),
+        ("tx.position", lambda d: d["tx"].update(position=[10**400, 399.5, 120.0]), "1" + "0" * 400),
+        ("materials.concrete", lambda d: d["materials"].update(concrete="0.5"), '"0.5"'),
+        ("materials.metal", lambda d: d.update(materials={"metal": False}, ground_material="metal"),
+         "false"),
+        ("bounds.width", lambda d: d["bounds"].update(width="693.4"), '"693.4"'),
+    ],
+    ids=["boolean-tx-z", "text-tx-x", "boolean-azimuth", "text-downtilt", "huge-tx-x",
+         "text-material", "boolean-material", "text-width"],
+)
+def test_scene_from_dict_refuses_booleans_and_text_by_key(key, edit, shown):
+    """float() would read true as 1.0 and "0.5" as 0.5; the scene names the key instead."""
+    doc = {
+        "bounds": {"length": 719.2, "width": 693.4},
+        "tx": {"position": [360.0, 399.5, 120.0]},
+        "buildings": [{"min": [10, 10, 0], "max": [20, 30, 40], "material": "concrete"}],
+        "materials": {"concrete": 0.5},
+    }
+    edit(doc)
+    with pytest.raises(ValueError) as err:
+        Scene.from_dict(doc)
+    assert str(err.value) == f"scene {key} must be a number, got {shown}"
 
 
 def test_building_validation():
