@@ -4,24 +4,23 @@
 
 One pass is CommsModule._sweep: one batched trace, one channel synthesis and
 one stacked beam sweep for M receivers, on the built-in scene with the
-shipped comms config. For each M in 1, 4, 8, 10, 16, 20 and 32 the receivers
-are drawn uniformly (seed 0) over the shipped route's corridor at the route's
-altitude, fresh ones for each pass. Two more lines lay a pass out as the loop
-does, from a random point of the route for each pass: "M=16 along one route"
-is a lone UAV's position and its next 15 moves, and "M=20 across ten routes"
-is ten UAVs 3 m apart across the route, as the swarm benchmark flies them,
-each position followed by its next move. The tracer's survivor counts, and so
-its time, follow the layout: receivers on one line see the same faces. For
-each line, after one untimed warm-up pass, it prints the median and the
-quartiles of the pass time divided by M over --passes passes, the kernel's
-median share of a pass (the time inside kernels.trace_batch, the numpy
-tracer, which also lays out the path table; the rest is the Python and numpy
-work around it: gains, angles, sorting, synthesis and the sweep), then the
-tracemalloc peak of one more pass, run untimed because tracing slows
-allocation. This is the per-layer measure behind blueprint.TRACE_BATCH: a
-lone UE's pass holds 16 receivers, and ten moving UEs trace 20 (each position
-and its next move) on every other snapshot, the largest pass the look-ahead
-rule makes at that count.
+shipped comms config. For each M in 1, 4, 8, 10, 16, 20, 32 and 64 the
+receivers are drawn uniformly (seed 0) over the shipped route's corridor at
+the route's altitude, fresh ones for each pass. Two more lines lay a pass out
+as the loop does with blueprint.TRACE_BATCH, from a random point of the route
+for each pass: "along one route" is a lone UAV's position and its next
+TRACE_BATCH - 1 moves, and "across ten routes" is ten UAVs 3 m apart across
+the route, as the swarm benchmark flies them, each position followed by the
+moves the look-ahead rule traces with it (M=64 and M=60 at TRACE_BATCH = 64).
+The tracer culls its image tree to each pass's receiver box, so its survivor
+counts, and so its time, follow the layout: receivers close together see the
+same faces. For each line, after one untimed warm-up pass, it prints the
+median and the quartiles of the pass time divided by M over --passes passes,
+the kernel's median share of a pass (the time inside kernels.trace_batch, the
+numpy tracer, which also lays out the path table; the rest is the Python and
+numpy work around it: gains, angles, sorting, synthesis and the sweep), then
+the tracemalloc peak of one more pass, run untimed because tracing slows
+allocation. This is the per-layer measure behind blueprint.TRACE_BATCH.
 """
 
 from __future__ import annotations
@@ -34,11 +33,11 @@ import tracemalloc
 import numpy as np
 
 from skycell import kernels
-from skycell.blueprint import CommsModule, offset_plan
+from skycell.blueprint import TRACE_BATCH, CommsModule, offset_plan
 from skycell.config import base_route, comms_config, default_scene, load_config
 from skycell.mobility import Corridor, positions_ahead, uav_state
 
-BATCHES = (1, 4, 8, 10, 16, 20, 32)
+BATCHES = (1, 4, 8, 10, 16, 20, 32, 64)
 
 
 def main() -> None:
@@ -71,9 +70,10 @@ def main() -> None:
     lone = positions_ahead(uav_state("uav", route), dt, 10**6)
     fans = [positions_ahead(uav_state(f"uav{i}", offset_plan(route, 3.0 * (i - 4.5))), dt, 10**6)
             for i in range(10)]
+    per_uav = 1 + max(1, TRACE_BATCH // 10 - 1)  # each position and the moves traced with it
     passes = [(f"M={m}", m, uniform(m)) for m in BATCHES] + [
-        ("M=16 along one route", 16, along([lone], 16)),
-        ("M=20 across ten routes", 20, along(fans, 2)),
+        (f"M={TRACE_BATCH} along one route", TRACE_BATCH, along([lone], TRACE_BATCH)),
+        (f"M={10 * per_uav} across ten routes", 10 * per_uav, along(fans, per_uav)),
     ]
 
     kernel_s = 0.0  # time inside kernels.trace_batch since the last reset

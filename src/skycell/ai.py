@@ -198,7 +198,12 @@ class DecisionTreeModel:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "DecisionTreeModel":
+    def from_json(cls, text: str, n_pairs: int | None = None,
+                  of: str = "") -> "DecisionTreeModel":
+        """Decode and check a model document. With n_pairs, the pair count of the
+        arrays or dataset named by ``of``, a model over another count is refused once
+        the document is checked and before any leaf's counts are laid out, so
+        ``n_classes`` alone cannot make the load allocate."""
         doc = json.loads(text)
         if type(doc) is not dict:
             raise ValueError(f"model file must hold a JSON object, got {text.strip()[:40]}")
@@ -207,10 +212,11 @@ class DecisionTreeModel:
         n_classes = doc["n_classes"]
         if type(n_classes) is not int or n_classes < 1:
             raise ValueError(f"model n_classes must be an integer >= 1, got {json.dumps(n_classes)}")
+        leaves = []  # each leaf holds its {class: count} until the pair count is checked
 
         def decode(d) -> TreeNode:
             if "counts" in d:
-                counts = np.zeros(n_classes, dtype=np.int64)
+                counts = {}
                 for k, v in d["counts"].items():
                     if not 0 <= int(k) < n_classes:
                         raise ValueError(f"model leaf class {k} is outside its {n_classes} pairs")
@@ -219,9 +225,10 @@ class DecisionTreeModel:
                                          f"[0, 2**63), got {json.dumps(v)}")
                     counts[int(k)] = v
                 # a leaf ranks pairs by its counts; with none, every pair ties
-                if not counts.any():
+                if not any(counts.values()):
                     raise ValueError(f"model leaf counts no sample, got {json.dumps(d['counts'])}")
-                return TreeNode(counts=counts)
+                leaves.append(TreeNode(counts=counts))
+                return leaves[-1]
             feature, threshold = d["feature"], d["threshold"]
             # a node splits on one coordinate of the UE position
             if type(feature) is not int or not 0 <= feature <= 2:
@@ -236,20 +243,28 @@ class DecisionTreeModel:
             if type(max_depth) is not int or max_depth < 1:
                 raise ValueError(f"model max_depth must be an integer >= 1, got "
                                  f"{json.dumps(max_depth)}")
-            return cls(root=decode(doc["root"]), max_depth=max_depth, n_classes=n_classes)
+            root = decode(doc["root"])
         except KeyError as exc:
             raise ValueError(f"model file lacks key {exc}") from exc
         except (TypeError, AttributeError) as exc:  # a non-object where a node belongs
             raise ValueError(f"malformed model file: {exc}") from exc
+        if n_pairs is not None and n_classes != n_pairs:
+            raise ValueError(f"tree model has {n_classes} pairs, {of} {n_pairs}")
+        for leaf in leaves:
+            counts = np.zeros(n_classes, dtype=np.int64)
+            counts[list(leaf.counts)] = list(leaf.counts.values())
+            leaf.counts = counts
+        return cls(root=root, max_depth=max_depth, n_classes=n_classes)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json())
 
     @classmethod
-    def load(cls, path) -> "DecisionTreeModel":
+    def load(cls, path, n_pairs: int | None = None, of: str = "") -> "DecisionTreeModel":
+        """The model of a file, checked as from_json checks it."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            return cls.from_json(fh.read(), n_pairs, of)
 
 
 def _best_split(x, y, n_classes, min_leaf):

@@ -19,12 +19,12 @@ snapshot reuses only its sweep and the broker's parsed docs.
 Communications keeps one queue of SweepResults per UE, headed by the sweep of
 its published position. A UE's next positions are fixed by its route (a hold
 delays them, never changes them). run_episode hands every module the
-episode's position source, and when that source lists a UE's next moves
-(MobilityModule.upcoming; a ReplayModule does not), the pass that traces a
-moved UE also traces at least its next move, more while the pass has room
-(see TRACE_BATCH), into the rest of its queue. A move to the next queued
-position drops the head; any other move is traced into a new queue. Every
-SweepResult is bit-equal whichever batch traced it.
+episode's position source, which lists a UE's next moves (its upcoming: the
+route's for a MobilityModule, the recording's for a ReplayModule), and the
+pass that traces a moved UE also traces at least its next move, more while
+the pass has room (see TRACE_BATCH), into the rest of its queue. A move to the
+next queued position drops the head; any other move is traced into a new
+queue. Every SweepResult is bit-equal whichever batch traced it.
 """
 
 from __future__ import annotations
@@ -108,6 +108,25 @@ class ReplayModule(orch.ModuleHandle):
     def __init__(self, records):
         self._frames = [rec.ue_states for rec in records]
         self._k = 0
+        # each UE's moves: the positions it takes, a repeat (a hold) listed once, as
+        # position_of reads them back; and per frame, each UE's index into its moves
+        self._moves = {}
+        self._at = []
+        for frame in self._frames:
+            at = {}
+            for _, ue_id, pos in frame:
+                moves = self._moves.setdefault(ue_id, [])
+                pos = tuple(map(float, pos))
+                if not moves or moves[-1] != pos:
+                    moves.append(pos)
+                at[ue_id] = len(moves) - 1
+            self._at.append(at)
+
+    def upcoming(self, ue_id: str, k: int) -> list:
+        """The next k positions the UE moves to after the one last published, as the
+        recording lists them; fewer once it ends, none for a UE the last frame lacks."""
+        i = self._at[self._k - 1].get(ue_id) if self._k else None
+        return [] if i is None else self._moves[ue_id][i + 1 : i + 1 + k]
 
     def step(self, t: float, broker: Broker) -> None:
         if self._k >= len(self._frames):
@@ -119,10 +138,13 @@ class ReplayModule(orch.ModuleHandle):
 
 
 # receivers one radio pass aims at: each of M moving UEs also has its next
-# max(1, TRACE_BATCH // M - 1) moves traced (fifteen for a lone UE, seven each for
-# two, one each from six on), so a pass holds at most max(TRACE_BATCH, 2M)
-# receivers: ten UAVs trace 20 on every other snapshot
-TRACE_BATCH = 16
+# max(1, TRACE_BATCH // M - 1) moves traced (63 for a lone UE, five each for ten,
+# one each from 22 on), so a pass holds at most max(TRACE_BATCH, 2M) receivers:
+# ten UAVs trace 60 on every sixth snapshot. The tracer culls its image tree to
+# each pass's receiver box, so a pass of 64 nearby receivers costs no more per
+# receiver than one of 16, ten UAVs' 60 less than their 20, and the loop makes
+# fewer passes (scripts/radio_pass_bench.py)
+TRACE_BATCH = 64
 
 
 @dataclass
@@ -183,13 +205,12 @@ class CommsModule(orch.ModuleHandle):
     def _route_ahead(self, ue_id: str, k: int) -> list:
         """Up to k next positions of the UE as the episode's position source lists them,
         cut before the first one the tracer rejects (at or below the ground, or at the
-        transmitter): a move not made yet must not abort the episode. Empty when the
-        source lists none (it has no upcoming, or does not move the UE)."""
-        upcoming = getattr(self.source, "upcoming", None)
-        if upcoming is None:
+        transmitter): a move not made yet must not abort the episode. Empty before
+        run_episode links the module to its source."""
+        if self.source is None:
             return []
         tx = self.scene.tx.position
-        return list(takewhile(lambda p: p[2] > 0 and p != tx, upcoming(ue_id, k)))
+        return list(takewhile(lambda p: p[2] > 0 and p != tx, self.source.upcoming(ue_id, k)))
 
     def _trace_moved(self, moved: dict) -> None:
         """Sweep every moved UE's position and its next moves in one pass, at least one

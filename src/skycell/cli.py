@@ -90,8 +90,10 @@ def _policy(cfg: dict) -> Policy:
         if not model_path:
             raise ConfigError("policy.kind tree needs policy.model_path (--model PATH), "
                               f"got {json.dumps(model_path)}")
+        arrays = cfgmod.comms_config(cfg)
         try:
-            model = DecisionTreeModel.load(model_path)
+            model = DecisionTreeModel.load(
+                model_path, arrays.tx_upa.n_elements * arrays.rx_upa.n_elements, "arrays")
         except OSError as exc:
             raise ConfigError(f"cannot read model: {exc}") from exc
     return Policy(kind=kind, model=model)
@@ -233,10 +235,11 @@ def cmd_train(cfg: dict, args, out: Path) -> dict:
 
 def cmd_eval(cfg: dict, args, out: Path) -> dict:
     try:
-        model = DecisionTreeModel.load(cfg["policy"]["model_path"])
-        ds = filter_nlos(BeamDataset.load_csv(args.dataset))
+        ds = BeamDataset.load_csv(args.dataset)
+        model = DecisionTreeModel.load(cfg["policy"]["model_path"], ds.gains.shape[1], "dataset")
     except OSError as exc:
         raise ConfigError(f"cannot read inputs: {exc}") from exc
+    ds = filter_nlos(ds)
     if len(ds) == 0:
         raise ConfigError("evaluation dataset is empty after filtering")
     table = _topk_table(model, {"eval": ds})

@@ -8,7 +8,10 @@ packs every constant a pass reads per first-order face and per pair into
 rows of :class:`Planes`, so a pass gathers each from one row.
 :func:`trace_batch` enumerates the paths to many receivers in one vectorised
 pass (Sionna RT batches receivers the same way, arXiv:2303.11103) into one
-path table, LOS, R1 and R2 rows alike. The (receiver, face) and (receiver,
+path table, LOS, R1 and R2 rows alike. A pass of at least _CULL_MIN_RX
+receivers first culls the tree to the pairs that its receivers' bounding box
+can reach (:func:`_cull`), so nearby receivers are tested against the pairs
+they can see, not against the whole tree. The (receiver, face) and (receiver,
 pair) grids are tested densely once; the candidates they keep are flat
 indices, split by hand into receiver and face or pair, and each later test
 runs on the candidates the one before it left, with their points axis-major
@@ -21,7 +24,7 @@ one long inner loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +38,10 @@ _FACE_EPS = 1e-9
 # margin by which the static pair pruning grows every face; far above the
 # rounding of any reflection point, so pruning never drops a valid path
 _PRUNE_EPS = 1e-6
+# the fewest receivers a pass culls the image tree for: the cull costs about 50 us
+# whatever the pass, which the smaller dense grids repay from about 16 receivers on
+# the shipped scene (an in-process A/B of CommsModule._sweep along the shipped route)
+_CULL_MIN_RX = 16
 # row k is the one-hot mask of axis k
 _AXES = np.eye(3, dtype=bool)
 # the 8 corners of a box: True picks the upper bound on that axis
@@ -58,8 +65,9 @@ def _seg_blocked_np_many(p, q, boxes):
     Axis-major throughout: segments as (3, N) and boxes as (3, B) rows. A broad
     phase keeps the (box, segment) pairs whose bounding boxes overlap, one (B, N)
     boolean combined axis by axis, so every inner loop runs over the N segments;
-    the slab test runs on those K pairs alone, as (3, K) rows. A slab hit implies
-    overlapping bounding boxes, so the broad phase changes no result.
+    the slab test runs on those K pairs alone, one axis at a time on (K,) rows. A
+    slab hit implies overlapping bounding boxes, so the broad phase changes no
+    result.
     """
     blocked = np.zeros(p.shape[0], dtype=bool)
     if boxes.shape[0] == 0 or p.shape[0] == 0:
@@ -68,38 +76,40 @@ def _seg_blocked_np_many(p, q, boxes):
     q = np.ascontiguousarray(q.T)
     bt = np.ascontiguousarray(boxes.T)
     b_lo, b_hi = bt[:3, :, None], bt[3:, :, None]
-    s_lo, s_hi = np.minimum(p, q), np.maximum(p, q)
-    near = s_lo[0] <= b_hi[0]
+    # each segment's bounding box one axis at a time, (N,) rows
+    near = np.minimum(p[0], q[0]) <= b_hi[0]
     cmp = np.empty_like(near)
-    near &= np.greater_equal(s_hi[0], b_lo[0], out=cmp)
+    near &= np.greater_equal(np.maximum(p[0], q[0]), b_lo[0], out=cmp)
     for a in (1, 2):
-        near &= np.less_equal(s_lo[a], b_hi[a], out=cmp)
-        near &= np.greater_equal(s_hi[a], b_lo[a], out=cmp)
-    pair, box, seg = _split(near)
-    if pair.size == 0:
+        near &= np.less_equal(np.minimum(p[a], q[a]), b_hi[a], out=cmp)
+        near &= np.greater_equal(np.maximum(p[a], q[a]), b_lo[a], out=cmp)
+    del cmp
+    _, box, seg = _split(near)
+    del near  # only the K pairs' rows live through the narrow phase
+    if seg.size == 0:
         return blocked
-    pp = p.take(seg, axis=1)
-    d = (q - p).take(seg, axis=1)
-    lo = bt[:3].take(box, axis=1)
-    hi = bt[3:].take(box, axis=1)
-    par = np.abs(d) <= _PAR_EPS
+    # the slab test one axis at a time, each on (K,) rows; max and min are exact, so
+    # folding the axes in turn gives the bits of a reduction over them
+    t0 = np.full(seg.size, _T_EPS)
+    t1 = np.full(seg.size, 1.0 - _T_EPS)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ta = (lo - pp) / d
-        tb = (hi - pp) / d
-    t_enter = np.minimum(ta, tb)
-    t_exit = np.maximum(ta, tb, out=tb)
-    if par.any():
-        # parallel axes: inside the slab leaves t unconstrained, outside kills the box
-        inside = (pp >= lo) & (pp <= hi)
-        t_enter = np.where(par, np.where(inside, -np.inf, np.inf), t_enter)
-        t_exit = np.where(par, np.where(inside, np.inf, -np.inf), t_exit)
-    # max and min are exact, so chaining the three rows gives the bits of a reduction
-    t0 = np.maximum(t_enter[0], t_enter[1])
-    np.maximum(t0, t_enter[2], out=t0)
-    np.maximum(t0, _T_EPS, out=t0)
-    t1 = np.minimum(t_exit[0], t_exit[1])
-    np.minimum(t1, t_exit[2], out=t1)
-    np.minimum(t1, 1.0 - _T_EPS, out=t1)
+        for a in range(3):
+            pa = p[a].take(seg)
+            da = q[a].take(seg)
+            da -= pa
+            slab = bt[a::3].take(box, axis=1)  # (2, K): the box's bounds on this axis
+            t = slab - pa
+            t /= da
+            t_enter = np.minimum(t[0], t[1])
+            t_exit = np.maximum(t[0], t[1], out=t[1])
+            par = np.abs(da) <= _PAR_EPS
+            if par.any():
+                # parallel to the slab: inside leaves t unconstrained, outside kills the box
+                inside = (pa >= slab[0]) & (pa <= slab[1])
+                t_enter = np.where(par, np.where(inside, -np.inf, np.inf), t_enter)
+                t_exit = np.where(par, np.where(inside, np.inf, -np.inf), t_exit)
+            np.maximum(t0, t_enter, out=t0)
+            np.minimum(t1, t_exit, out=t1)
     blocked[seg[t1 > t0]] = True
     return blocked
 
@@ -231,12 +241,17 @@ def _clip_front(lo, hi, axes, coords, signs):
 def build_image_tree(tx, f_axis, f_coord, f_sign, f_uv, f_refl) -> ImageTree:
     """First-order images and the pruned second-order pair list for tx.
 
-    A pair (i, j) is kept only if all three conservative tests pass:
+    A pair (i, j) is kept only if all four conservative tests pass:
     face i faces the transmitter; each face has a part in front of the
-    other; and, seen from the first image (central projection onto plane i),
+    other; seen from the first image (central projection onto plane i),
     the part of face j in front of face i can land on the part of face i in
-    front of face j. A path off i then j needs all three, since its second
-    bounce point projects from the first image to its first bounce point.
+    front of face j; and the second image lies strictly behind face j. A
+    path off i then j needs the first three, since its second bounce point
+    projects from the first image to its first bounce point; and a receiver
+    in front of face j meets plane j at t <= 0 or t >= 1 on its segment to a
+    second image that is not strictly behind it, rounding included (the
+    computed |coord - rx| is at least |image - rx|), so such a pair has no
+    candidate.
     """
     tx = np.asarray(tx, dtype=np.float64)
     nf = f_axis.shape[0]
@@ -266,9 +281,11 @@ def build_image_tree(tx, f_axis, f_coord, f_sign, f_uv, f_refl) -> ImageTree:
     within = (proj.min(axis=0) <= hi_i) & (proj.max(axis=0) >= lo_i)
     keep = (within | _AXES[axis]).all(axis=1)
     I, J = I[keep], J[keep]
+    img2 = _mirror_rows(img1[I], f_axis[J], f_coord[J])
+    behind = f_sign[J] * (img2[np.arange(J.size), f_axis[J]] - f_coord[J]) < 0.0
+    I, J, img2 = I[behind], J[behind], img2[behind]
 
     r1_faces = np.nonzero(tx_side)[0]
-    img2 = _mirror_rows(img1[I], f_axis[J], f_coord[J])
     return ImageTree(
         tx=tx,
         faces=(f_axis, f_coord, f_sign, f_uv, f_refl),
@@ -335,6 +352,50 @@ def _second_order(tree, rx, rxt, rx_side):
             h2.take(keep, axis=1))
 
 
+def _seen(planes, box):
+    """Indices, in order, of the rows of planes that some receiver in the box (2, 3),
+    its (lo, hi) corners, can pass the enumeration's first test against: lie in
+    front of the row's face, with its segment to the row's image crossing the face.
+    Every row's image must lie strictly behind its face, as build_image_tree makes
+    each pair's second image.
+
+    Conservative, as build_image_tree's pruning: the box, clipped to the closed
+    half-space in front of the face (a row whose face has the whole box behind
+    it is dropped), is projected from the image onto the face plane, and the
+    projection's bounds must overlap the face grown by _PRUNE_EPS. A box point d
+    in front of the plane, with the image e behind it, projects to
+    p + t * (img - p) with t = d / (d + e), in [0, 1) and rising with d; so along
+    each in-plane axis the projection's lower bound is that of the box moved at
+    one of the two clipped face-axis bounds, and likewise its upper bound.
+    """
+    b = box.take(planes.cols, axis=1)  # (2, 3, N): bound, then the row's cols
+    sign, coord, img = planes.sign, planes.coord, planes.img
+    d = sign * (b[:, 0] - coord)
+    keep = np.maximum(d[0], d[1]) >= 0.0
+    np.maximum(d, 0.0, out=d)  # the box clipped to the front half-space
+    e = sign * (coord - img[0])
+    t = d / (d + e)
+    reach = t[:, None, None] * (img[1:] - b[:, 1:])  # (2, 2, 2, N): t, bound, in-plane axis
+    near = b[0, 1:] + np.minimum(reach[0, 0], reach[1, 0]) <= planes.hi + _PRUNE_EPS
+    near &= b[1, 1:] + np.maximum(reach[0, 1], reach[1, 1]) >= planes.lo - _PRUNE_EPS
+    keep &= near[0]
+    keep &= near[1]
+    return keep.nonzero()[0]
+
+
+def _rows(planes, keep) -> Planes:
+    return Planes(*(v.take(keep, axis=-1) for v in planes))
+
+
+def _cull(tree, rx) -> ImageTree:
+    """The tree with only the pairs whose second face the receivers' bounding box
+    can reach (see _seen), in their original order: the step beam tracing takes
+    after building the tree, culling it to the receiver region."""
+    pairs = _seen(tree.plane_j, np.stack([rx.min(axis=0), rx.max(axis=0)]))
+    return replace(tree, pair_i=tree.pair_i.take(pairs), pair_j=tree.pair_j.take(pairs),
+                   plane_i=_rows(tree.plane_i, pairs), plane_j=_rows(tree.plane_j, pairs))
+
+
 def trace_batch(tree: ImageTree, rx, boxes, max_order: int) -> tuple:
     """Enumerate valid LOS/R1/R2 paths from the tree's transmitter to each rx row.
 
@@ -345,8 +406,11 @@ def trace_batch(tree: ImageTree, rx, boxes, max_order: int) -> tuple:
     along (P, 3), and the product of the reflection coefficients it meets.
     Rows are in enumeration order: LOS, R1, then R2, each by receiver, then
     first order by face and second order by (i, j). Callers apply gains and
-    sorting. All occlusion tests run as one broad-phase call. Points stay
-    axis-major, (3, N), from the enumeration to the occlusion test.
+    sorting. A pass of at least _CULL_MIN_RX receivers enumerates on the tree
+    culled to their bounding box, which keeps every pair a receiver can reach,
+    in order, so the table does not depend on which receivers share a pass. All
+    occlusion tests run as one broad-phase call. Points stay axis-major, (3, N),
+    from the enumeration to the occlusion test.
     """
     tx = tree.tx[:, None]
     rx = np.asarray(rx, dtype=np.float64).reshape(-1, 3)
@@ -363,6 +427,8 @@ def trace_batch(tree: ImageTree, rx, boxes, max_order: int) -> tuple:
         with np.errstate(divide="ignore", invalid="ignore"):
             m1, refl1, img1, h1_1 = _first_order(tree, rx, rxt, rx_side)
             if max_order >= 2:
+                if n_rx >= _CULL_MIN_RX:
+                    tree = _cull(tree, rx)
                 m2, refl2, img2, h1_2, h2_2 = _second_order(tree, rx, rxt, rx_side)
 
     # the candidates, LOS then R1 then R2. A LOS path has no bounce: its first point

@@ -176,15 +176,19 @@ def synthesize_channels(
         d_tx = d_tx @ tx_rotation
     if rx_rotation is not None:
         d_rx = d_rx @ rx_rotation
-    a_tx = _steering(tx_upa, d_tx).conj()
-    a_rx = _steering(rx_upa, d_rx)
-    # scaled in place: no second (paths, Nr, Nt) temporary
-    terms = a_rx[:, :, None] * a_tx[:, None, :]
-    np.multiply(gains[layout, None, None], terms, out=terms)
+    a_tx = _steering(tx_upa, d_tx).conj()[:, None, :]
+    a_rx = _steering(rx_upa, d_rx)[:, :, None]
+    gains = gains[layout, None, None]
     h = np.zeros((counts.size, rx_upa.n_elements, tx_upa.n_elements), dtype=np.complex128)
+    # one depth's terms at a time, built and scaled in one buffer sized for the widest,
+    # depth 0 (every receiver with a path): never a (paths, Nr, Nt) array
+    terms = np.empty_like(h[: depth[0] if depth else 0])
     start = 0
     for m in depth:
-        h[:m] += terms[start : start + m]
+        run, term = slice(start, start + m), terms[:m]
+        np.multiply(a_rx[run], a_tx[run], out=term)
+        np.multiply(gains[run], term, out=term)
+        h[:m] += term
         start += m
     return h[rank]
 

@@ -402,14 +402,19 @@ def _episode(plans, holds=(), look_ahead=True, category=orch.ALL_IN_LOOP, n_snap
     look_ahead the position source lists no move ahead."""
     routes = {f"u{i}": p for i, p in enumerate(plans)}
     mobility = (_HeldMobility if look_ahead else _Unforeseen)(routes, 0.5, holds)
+    return _run(mobility, category, n_snapshots)
+
+
+def _run(source, category, n_snapshots):
+    """_episode's results for an episode driven by a given position source."""
     sweeps = []
 
     def hook(t, ue_id, r):
         sweeps.append((t, ue_id, r.position, r.los, r.best_pair, r.gains.tobytes()))
 
     comms = CommsModule(_WALLED, SHIPPED, sweep_hook=hook)
-    modules = [mobility, comms]
-    if category == orch.ALL_IN_LOOP:
+    modules = [source, comms]
+    if "ai" in orch.category_wiring(category):
         modules.append(PolicyModule(Policy(kind="random"), comms, np.random.default_rng(7)))
     broker = Broker()
     wire = broker.subscribe(">")
@@ -455,6 +460,76 @@ def test_look_ahead_changes_no_output(plans, holds, category):
     assert ahead[:3] == plain[:3]
     assert len(ahead[3]) <= len(plain[3])
     assert all(len(c) <= max(blueprint.TRACE_BATCH, 2 * len(plans)) for c in ahead[3])
+
+
+class _UnlistedReplay(blueprint.ReplayModule):
+    """A replay that lists no move ahead, so communications traces none."""
+
+    def upcoming(self, ue_id, k):
+        return []
+
+
+@given(
+    # 1 to 8 UEs: 1-5 trace more than one move ahead each, 6-8 one
+    plans=st.lists(_plans(), min_size=1, max_size=8),
+    holds=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 7), st.integers(1, 4)),
+                   max_size=4),
+    absent=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 7)), max_size=6),
+    # a height on or below the ground, or None for the transmitter's position
+    rejected=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 7),
+                                st.sampled_from([0.0, -3.0, None])), max_size=1),
+)
+@settings(max_examples=20, deadline=None)
+def test_a_replay_traces_ahead_and_changes_no_output(plans, holds, absent, rejected):
+    """A recorded flight with holds, replayed in AiCommInLoop with UEs dropped from some
+    frames and at times a position the tracer rejects, publishes the same texts, hands
+    sweep_hook the same results and logs the same records, or aborts at the same
+    snapshot with the same diagnostic and partial log, whether or not the replay lists
+    the recorded moves ahead; the look-ahead only merges trace calls. Unedited, the
+    replay hands sweep_hook the flight's own results and traces no more receivers."""
+    flight = _episode(plans, holds, True, orch.MOB3D_COMM_IN_LOOP)
+    frames = [orch.SnapshotRecord.from_json(line).ue_states for line in flight[2]]
+    for k, i in absent:
+        if k < len(frames):
+            frames[k] = [u for u in frames[k] if u[1] != f"u{i}"]
+    for k, i, z in rejected:
+        if k < len(frames):
+            frames[k] = [(kind, ue_id, _WALLED.tx.position if z is None else (*pos[:2], z))
+                         if ue_id == f"u{i}" else (kind, ue_id, pos)
+                         for kind, ue_id, pos in frames[k]]
+    records = [orch.SnapshotRecord(0.5 * k, f, 0, 0.0) for k, f in enumerate(frames)]
+    ahead = _run(blueprint.ReplayModule(records), orch.AI_COMM_IN_LOOP, len(records))
+    plain = _run(_UnlistedReplay(records), orch.AI_COMM_IN_LOOP, len(records))
+    if isinstance(plain, orch.EpisodeAbort):
+        assert isinstance(ahead, orch.EpisodeAbort)
+        assert ahead.diagnostic == plain.diagnostic
+        assert [r.to_json() for r in ahead.log.records] == [
+            r.to_json() for r in plain.log.records]
+        return
+    assert ahead[:3] == plain[:3]
+    assert len(ahead[3]) <= len(plain[3])
+    if not (absent or rejected):
+        assert ahead[1] == flight[1]
+        assert sum(map(len, ahead[3])) <= sum(map(len, flight[3]))
+
+
+def test_replay_upcoming_lists_the_recorded_moves():
+    """A replay lists the moves after the frame it last published: a repeated position
+    (a hold) once, none past the recording's end, and none for a UE the frame lacks."""
+    a, b, c = (1.0, 2.0, 30.0), (2.0, 2.0, 30.0), (3.0, 2.0, 30.0)
+    frames = [[("UAV", "u0", a), ("UAV", "u1", c)], [("UAV", "u0", a)],
+              [("UAV", "u0", [2, 2, 30]), ("UAV", "u1", b)],
+              [("UAV", "u0", c), ("UAV", "u1", a)], [("UAV", "u0", b)]]
+    replay = blueprint.ReplayModule([orch.SnapshotRecord(0.5 * k, f, 0, 0.0)
+                                     for k, f in enumerate(frames)])
+    broker = Broker()
+    assert replay.upcoming("u0", 3) == []  # nothing published yet
+    listed = []
+    for k in range(len(frames)):
+        replay.step(0.5 * k, broker)
+        listed.append((replay.upcoming("u0", 2), replay.upcoming("u1", 2)))
+    assert listed == [([b, c], [b, a]), ([b, c], []), ([c, b], [a]), ([b], []), ([], [])]
+    assert all(type(p) is tuple for p in listed[0][0])
 
 
 _ROUTE = TrajectoryPlan((150.0, 250.0, 40.0), (250.0, 250.0, 40.0), speed_mps=5.0)
@@ -504,20 +579,24 @@ def _step(x):
     return (150.0 + 2.5 * x, 250.0, 40.0)
 
 
+# _ROUTE's line, 2 * TRACE_BATCH + 8 moves long, so every pass below runs full
+_LONG = TrajectoryPlan((150.0, 250.0, 40.0), _step(2 * blueprint.TRACE_BATCH + 8), speed_mps=5.0)
+
+
 def test_a_lone_ue_traces_its_next_moves_in_one_pass():
     """A lone moving UE traces TRACE_BATCH positions per call and its next moves trace
     nothing; a hold delays them. Two UEs trace TRACE_BATCH // 2 positions each; the
     fewest UEs that leave room for no more, TRACE_BATCH // 2 + 1, trace their next move
     each: 2M receivers on every other snapshot."""
     n = blueprint.TRACE_BATCH
-    *_, traced = _episode([_ROUTE], holds=[(2, 0, 3)], n_snapshots=n + 4)
+    *_, traced = _episode([_LONG], holds=[(2, 0, 3)], n_snapshots=n + 4)
     # snapshots 2-4 hold; moves 3 to n then come from the first call's queue
     assert traced == [[_step(x) for x in range(k, k + n)] for k in (1, n + 1)]
-    two = [_ROUTE, blueprint.offset_plan(_ROUTE, 3.0)]
+    two = [_LONG, blueprint.offset_plan(_LONG, 3.0)]
     *_, traced = _episode(two, n_snapshots=n)
     assert [len(c) for c in traced] == [n, n]
     assert traced[0][:n // 2] == [_step(x) for x in range(1, n // 2 + 1)]
-    crowd = [blueprint.offset_plan(_ROUTE, 3.0 * i) for i in range(n // 2 + 1)]
+    crowd = [blueprint.offset_plan(_LONG, 3.0 * i) for i in range(n // 2 + 1)]
     *_, traced = _episode(crowd, n_snapshots=4)
     assert [len(c) for c in traced] == [2 * (n // 2 + 1)] * 2
 
@@ -540,7 +619,7 @@ def test_upcoming_lists_the_moves_the_ue_publishes():
 
 def test_a_queue_that_does_not_lead_to_the_published_position_is_dropped():
     broker = Broker()
-    mob = blueprint.MobilityModule({"u0": _ROUTE}, 0.5)
+    mob = blueprint.MobilityModule({"u0": _LONG}, 0.5)
     comms = CommsModule(_WALLED, SHIPPED)
     comms.source = mob  # the link run_episode makes
     comms.init(broker)
@@ -549,7 +628,7 @@ def test_a_queue_that_does_not_lead_to_the_published_position_is_dropped():
         for k in range(2):
             mob.step(0.5 * k, broker)
             comms.step(0.5 * k, broker)
-        mob.states["u0"] = blueprint.uav_state("u0", blueprint.offset_plan(_ROUTE, 3.0))
+        mob.states["u0"] = blueprint.uav_state("u0", blueprint.offset_plan(_LONG, 3.0))
         mob.step(1.0, broker)
         comms.step(1.0, broker)
     moved = (152.5, 253.0, 40.0)
@@ -607,29 +686,33 @@ _ENTRY_POINTS = {
 
 def test_a_hand_built_list_looks_ahead():
     """Ten UAVs built as perfbench's swarm10 builds them and passed straight to
-    run_episode trace their next move with each position: 20 receivers on every other
-    snapshot. Replayed in AiCommInLoop, whose source lists no move ahead, the same flight
-    traces 10 receivers on every snapshot."""
+    run_episode trace their next TRACE_BATCH // 10 - 1 moves with each position: over
+    the TRACE_BATCH // 10 snapshots those cover, one pass of 10 * (TRACE_BATCH // 10)
+    receivers. Replayed in AiCommInLoop, whose source lists the recorded moves ahead,
+    the same flight traces the same one pass."""
     route = base_route(_DEFAULTS)
     plans = {f"uav{i}": blueprint.offset_plan(route, 3.0 * (i - 4.5)) for i in range(10)}
     scene = load_scene(_DEFAULTS)
     batch = mock.Mock(wraps=blueprint.trace_path_arrays)
 
-    def episode(category, source):
+    def episode(category, source, n_snapshots):
         comms = CommsModule(scene, SHIPPED)
         policy = PolicyModule(Policy(kind="random"), comms, np.random.default_rng(0))
         batch.reset_mock()
         with mock.patch.object(blueprint, "trace_path_arrays", batch):
-            log = orch.run_episode(orch.EpisodeConfig(n_snapshots=4, category=category),
+            log = orch.run_episode(orch.EpisodeConfig(n_snapshots=n_snapshots,
+                                                      category=category),
                                    [source, comms, policy])
         return log, [len(c.args[2]) for c in batch.call_args_list], comms.source
 
+    per_ue = blueprint.TRACE_BATCH // 10  # each position and its next moves
+    assert per_ue >= 2
     mobility = blueprint.MobilityModule(plans, 0.5)
-    log, traced, linked = episode(orch.ALL_IN_LOOP, mobility)
-    assert traced == [20, 20] and linked is mobility
+    log, traced, linked = episode(orch.ALL_IN_LOOP, mobility, per_ue)
+    assert traced == [10 * per_ue] and linked is mobility
     replay = blueprint.ReplayModule(log.records)
-    replayed, traced, linked = episode(orch.AI_COMM_IN_LOOP, replay)
-    assert traced == [10] * 4 and linked is replay
+    replayed, traced, linked = episode(orch.AI_COMM_IN_LOOP, replay, per_ue)
+    assert traced == [10 * per_ue] and linked is replay
     assert [r.ue_states for r in replayed.records] == [r.ue_states for r in log.records]
 
 
@@ -695,9 +778,10 @@ def test_radio_pass_bench_script_runs():
     ok = run(2)
     assert ok.returncode == 0, ok.stderr
     lines = ok.stdout.splitlines()
+    n = blueprint.TRACE_BATCH
     assert [line.split(":")[0] for line in lines] == [
-        "M=1", "M=4", "M=8", "M=10", "M=16", "M=20", "M=32", "M=16 along one route",
-        "M=20 across ten routes"]
+        "M=1", "M=4", "M=8", "M=10", "M=16", "M=20", "M=32", "M=64", f"M={n} along one route",
+        f"M={10 * max(2, n // 10)} across ten routes"]
     assert all(" ms per receiver (quartiles " in line and line.endswith(" KB") for line in lines)
     assert all(" kernel " in line and "% of the pass, peak " in line for line in lines)
     short = run(1)

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -769,7 +770,35 @@ def test_model_of_another_pair_count_exits_2(tmp_path, capsys):
     rc = main(["eval", "--config", cfg, "--model", str(model_path),
                "--dataset", str(ds_dir / "dataset.csv"), "--out", str(tmp_path / "eval")])
     assert rc == 2
-    assert "64 pairs, model 256" in capsys.readouterr().err
+    assert "tree model has 256 pairs, dataset 64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mission", "eval"])
+def test_a_model_of_a_huge_pair_count_exits_2_before_allocating(tmp_path, capsys, command):
+    """A two-leaf model file of under 150 bytes claiming ten million pairs is refused by
+    its pair count, against the arrays (mission) or the dataset (eval), before any leaf
+    is laid out: one leaf's counts alone would take 80 MB."""
+    leaf = {"counts": {"3": 1}}
+    root = {"feature": 0, "threshold": 100.0, "left": leaf, "right": leaf}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"max_depth": 2, "n_classes": 10_000_000, "root": root}))
+    assert path.stat().st_size < 150
+    data = tmp_path / "ds.csv"
+    data.write_text("x,y,z,los,best_pair,g0,g1\n" + "1.0,2.0,30.0,NLOS,1,0.25,0.5\n")
+    inputs = ["--policy", "tree"] if command == "mission" else ["--dataset", str(data)]
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        rc = main([command, "--config", _write_cfg(tmp_path), "--model", str(path), *inputs,
+                   "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    against = "arrays 256" if command == "mission" else "dataset 2"
+    assert f"tree model has 10000000 pairs, {against}" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 8 * 2**20
 
 
 def test_best_pair_outside_the_gain_columns_exits_2(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from trace_oracle import mirror_point
 
-from skycell.blueprint import offset_plan
+from skycell.blueprint import TRACE_BATCH, offset_plan
 from skycell.config import base_route, default_scene, load_config
 from skycell.geometry import (
     PATH_KINDS,
@@ -22,6 +22,7 @@ from skycell.geometry import (
     trace_path_arrays,
     trace_paths,
 )
+from skycell import kernels
 from skycell.kernels import _seg_blocked_np_many
 from skycell.mobility import positions_ahead, uav_state
 
@@ -407,21 +408,25 @@ def test_batched_receivers_off_the_shipped_scene_match_the_oracle(max_order, gro
     assert (kinds["R2"] > 0) == (max_order >= 2 and ground_reflection)
 
 
+# each of ten UAVs' position and the next moves a pass traces with it
+_PER_UAV = 1 + max(1, TRACE_BATCH // 10 - 1)
+
+
 def _loop_passes(rng, n_draws=6):
     """Receiver layouts as the loop's radio pass makes them, each from a seeded point of
-    the shipped route: one UAV's position and its next 15 moves, and ten UAVs 3 m apart
-    across the route, as the swarm benchmark flies them, each position followed by its
-    next move."""
+    the shipped route: one UAV's position and its next TRACE_BATCH - 1 moves, and ten
+    UAVs 3 m apart across the route, as the swarm benchmark flies them, each position
+    followed by the moves traced with it."""
     cfg = load_config()
     route, dt = base_route(cfg), cfg["episode"]["sampling_interval"]
     lone = positions_ahead(uav_state("uav0", route), dt, 10**6)
     fans = [positions_ahead(uav_state(f"uav{i}", offset_plan(route, 3.0 * (i - 4.5))), dt, 10**6)
             for i in range(10)]
     for _ in range(n_draws):
-        k = int(rng.integers(0, len(lone) - 16))
-        yield "lone", np.array(lone[k:k + 16])
-        k = int(rng.integers(0, len(fans[0]) - 2))
-        yield "fan", np.array([p for fan in fans for p in fan[k:k + 2]])
+        k = int(rng.integers(0, len(lone) - TRACE_BATCH))
+        yield "lone", np.array(lone[k:k + TRACE_BATCH])
+        k = int(rng.integers(0, len(fans[0]) - _PER_UAV))
+        yield "fan", np.array([p for fan in fans for p in fan[k:k + _PER_UAV]])
 
 
 @pytest.mark.filterwarnings("error")
@@ -435,7 +440,7 @@ def test_passes_laid_out_as_in_the_loop_match_the_oracle():
     tx = shipped.tx.position
     kinds = Counter()
     for layout, points in _loop_passes(np.random.default_rng(2800)):
-        assert len(points) == {"lone": 16, "fan": 20}[layout]
+        assert len(points) == {"lone": TRACE_BATCH, "fan": 10 * _PER_UAV}[layout]
         for scene, ground in ((shipped, True), (ground_only, True), (ground_only, False)):
             paths = trace_path_arrays(scene, tx, points, ground_reflection=ground)
             for m, point in enumerate(points):
@@ -448,6 +453,111 @@ def test_passes_laid_out_as_in_the_loop_match_the_oracle():
     # LOS plus the ground bounce, then LOS alone
     assert kinds[False, True] == 2 * kinds[False, False] > 0
     assert kinds[True, True] > kinds[False, True]
+
+
+def _crossing(a, b, planes):
+    """(M, N) mask: segment a->b crosses row n's face strictly inside the segment, with
+    a (M, 3, N) and b (3, N) along the row's cols, as the enumeration tests it."""
+    den = b[..., 0, :] - a[..., 0, :]
+    t = (planes.coord - a[..., 0, :]) / den
+    uv = a[..., 1:, :] + t[..., None, :] * (b[..., 1:, :] - a[..., 1:, :])
+    on_face = ((uv >= planes.lo) & (uv <= planes.hi)).all(axis=-2)
+    return (np.abs(den) > kernels._PAR_EPS) & (t > 0.0) & (t < 1.0) & on_face
+
+
+@st.composite
+def _wall_passes(draw):
+    """A scene of 1-3 random walls with a transmitter in front of one, at times
+    close to the ground, and 1-80
+    receivers laid out to straddle a wall face's plane (some on it), on one height
+    (a flat box, at times a roof's), far apart over and past the scene or close
+    together; or one receiver, the tightest box, in front of a pair's second face (a
+    first-order face where the tree has no pair), on the line from the row's image
+    through a point on an edge of the face."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["straddle", "flat", "far", "close", "edge"]))
+    m = 1 if layout == "edge" else draw(st.integers(1, 80))
+    ground = draw(st.booleans())
+    walls = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = rng.uniform([5.0, 5.0, 0.0], [400.0, 400.0, 0.0])
+        hi = lo + rng.uniform([2.0, 2.0, 20.0], [80.0, 80.0, 150.0])
+        walls.append(Building(tuple(lo), tuple(hi), CONCRETE))
+    scene = Scene(719.2, 693.4, TxPose((1.0, 1.0, 1.0)), walls)
+    wall = walls[int(rng.integers(len(walls)))]
+    axis = int(rng.integers(2))
+    face = wall.max_corner[axis] if rng.random() < 0.5 else wall.min_corner[axis]
+    tx = rng.uniform(1.0, 300.0, 3)
+    tx[axis] = face + rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 80.0)
+    if rng.random() < 0.3:  # a low transmitter: second images just below the ground
+        tx[2] = rng.uniform(0.05, 2.0)
+    if layout == "straddle":
+        rx = np.column_stack([rng.uniform(0.0, 500.0, m), rng.uniform(0.0, 500.0, m),
+                              rng.uniform(1.0, 160.0, m)])
+        rx[:, axis] = face + rng.uniform(-30.0, 30.0, m)
+        rx[rng.random(m) < 0.2, axis] = face
+    elif layout == "flat":
+        z = wall.max_corner[2] if rng.random() < 0.3 else rng.uniform(1.0, 160.0)
+        rx = np.column_stack([rng.uniform(0.0, 500.0, (m, 2)), np.full(m, z)])
+    elif layout == "far":
+        rx = rng.uniform([-300.0, -300.0, 1.0], [1000.0, 1000.0, 400.0], (m, 3))
+    elif layout == "close":
+        rx = rng.uniform(1.0, 300.0, 3) + rng.normal(0.0, rng.uniform(0.1, 10.0), (m, 3))
+        rx[:, 2] = np.abs(rx[:, 2]) + 0.5
+    else:
+        tree = scene.image_tree(tuple(tx.tolist()), ground=ground)
+        planes = tree.plane_j if tree.pair_j.size else tree.r1
+        n = int(rng.integers(planes.coord.size))
+        on_face = np.array([planes.coord[n], *rng.uniform(planes.lo[:, n], planes.hi[:, n])])
+        k = 1 + int(rng.integers(2))  # the in-plane axis put on the lower or upper edge
+        on_face[k] = (planes.lo, planes.hi)[int(rng.integers(2))][k - 1, n]
+        rx = np.empty((1, 3))
+        rx[0, planes.cols[:, n]] = on_face + rng.uniform(0.05, 3.0) * (on_face - planes.img[:, n])
+        rx[:, 2] = np.maximum(rx[:, 2], 0.5)
+    return scene, tuple(tx.tolist()), rx, ground
+
+
+@given(_wall_passes())
+@settings(max_examples=40, deadline=None)
+def test_the_cull_keeps_every_pair_a_receiver_can_reach(case):
+    """Whatever the pass's receivers, the cull of the image tree to their box keeps
+    every face pair that some receiver passes the first test against in the dense
+    (receiver, pair) grid, and each receiver's run of the path arrays (culled from
+    kernels._CULL_MIN_RX receivers on) equals its oracle bundle."""
+    scene, tx, rx, ground = case
+    tree = scene.image_tree(tx, ground=ground)
+    f_axis, f_coord, f_sign = tree.faces[:3]
+    in_front = f_sign * (rx[:, f_axis] - f_coord) > kernels._FACE_EPS  # (M, faces)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        first = _crossing(rx[:, tree.plane_j.cols], tree.plane_j.img, tree.plane_j)
+    first &= in_front[:, tree.pair_j]
+    reached = first.any(axis=0)
+    culled = kernels._cull(tree, rx)
+    assert (set(zip(tree.pair_i[reached].tolist(), tree.pair_j[reached].tolist()))
+            <= set(zip(culled.pair_i.tolist(), culled.pair_j.tolist())))
+    paths = trace_path_arrays(scene, tx, rx, ground_reflection=ground)
+    for m, point in enumerate(rx):
+        _assert_run_is_bundle(paths, m, trace_oracle.trace_paths(scene, tx, point,
+                                                                 ground_reflection=ground))
+
+
+def test_a_pair_whose_second_image_lies_just_behind_its_face_is_kept():
+    """A transmitter 0.5 m above the ground in front of a wall puts the second image of
+    the pair (wall, ground) 0.5 m below the ground, strictly behind it: the tree keeps
+    the pair, and the receiver whose path bounces off the wall and then the ground
+    gets that path, as in its oracle bundle."""
+    wall = Building((100.0, 100.0, 0.0), (120.0, 300.0, 60.0), CONCRETE)
+    scene = Scene(719.2, 693.4, TxPose((1.0, 1.0, 1.0)), [wall])
+    tx, rx = (90.0, 200.0, 0.5), (50.0, 200.0, 1.0)
+    tree = scene.image_tree(tx)
+    f_axis, f_coord, f_sign = tree.faces[:3]
+    wall_face = int(np.nonzero((f_axis == 0) & (f_coord == 100.0))[0][0])
+    ground = f_axis.size - 1
+    assert (wall_face, ground) in set(zip(tree.pair_i.tolist(), tree.pair_j.tolist()))
+    ref = trace_oracle.trace_paths(scene, tx, rx)
+    assert [p.vertices for p in ref.paths if p.kind == "R2"] == [((100.0, 200.0, 0.25),
+                                                                  (90.0, 200.0, 0.0))]
+    _assert_run_is_bundle(trace_path_arrays(scene, tx, [rx]), 0, ref)
 
 
 def test_image_tree_cached_for_scene_tx_only():
