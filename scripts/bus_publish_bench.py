@@ -3,9 +3,12 @@
     PYTHONPATH=src python3 scripts/bus_publish_bench.py [--publishes 20000]
 
 Eight subscriptions match the published topic (exact, '*' and '>' patterns)
-and two do not. Publishes run in blocks of 100; each subscription is drained
+and two do not. Each publish sends the position text with its doc, as the
+loop does. Publishes run in blocks of 100; each subscription is drained
 between blocks, outside the timed span. Prints the median and the quartiles
-of the per-block cost.
+of the per-block cost, then those of the first ``.doc`` read of a message
+published as text alone (the parse such a message costs its first reader),
+timed over the same blocks.
 """
 
 from __future__ import annotations
@@ -14,15 +17,20 @@ import argparse
 import statistics
 import time
 
-from skycell.bus import Broker
+from skycell.bus import Broker, position_text
 
 TOPIC = "3D.mobility.positions"
 MATCHING = (
     TOPIC, TOPIC, TOPIC, "3D.*.positions", "*.mobility.positions", "3D.>", "*.*.*", ">",
 )
 OTHERS = ("communications.state", "*.events")
-PAYLOAD = '{"UE_type": "UAV", "UE_Id": "uav0", "position": {"x": 12.5, "y": -3.25, "z": 40.0}}'
+PAYLOAD, DOC = position_text("UAV", "uav0", 12.5, -3.25, 40.0)
 BLOCK = 100
+
+
+def _quartiles(per_block) -> str:
+    q1, med, q3 = statistics.quantiles(per_block, n=4)
+    return f"{med:.2f} us (quartiles {q1:.2f}-{q3:.2f})"
 
 
 def main() -> None:
@@ -33,16 +41,26 @@ def main() -> None:
         ap.error(f"--publishes must be at least {2 * BLOCK}, got {args.publishes}")
     broker = Broker()
     subs = [broker.subscribe(p) for p in MATCHING + OTHERS]
-    per_block = []
+    publish, first_read = [], []
     for _ in range(args.publishes // BLOCK):
         t0 = time.perf_counter()
         for _ in range(BLOCK):
-            broker.publish(TOPIC, PAYLOAD, publisher="uav0")
-        per_block.append((time.perf_counter() - t0) / BLOCK * 1e6)
+            broker.publish(TOPIC, PAYLOAD, publisher="uav0", doc=DOC)
+        publish.append((time.perf_counter() - t0) / BLOCK * 1e6)
         delivered = sum(len(s.drain()) for s in subs)
         assert delivered == BLOCK * len(MATCHING), delivered
-    q1, med, q3 = statistics.quantiles(per_block, n=4)
-    print(f"publish to {len(MATCHING)} subscribers: {med:.2f} us (quartiles {q1:.2f}-{q3:.2f})")
+        for _ in range(BLOCK):
+            broker.publish(TOPIC, PAYLOAD, publisher="uav0")
+        messages = subs[0].drain()
+        for s in subs[1:]:
+            s.drain()
+        t0 = time.perf_counter()
+        for msg in messages:
+            msg.doc
+        first_read.append((time.perf_counter() - t0) / BLOCK * 1e6)
+        assert messages[-1].doc == DOC
+    print(f"publish to {len(MATCHING)} subscribers: {_quartiles(publish)}")
+    print(f"first .doc read of a text-only message: {_quartiles(first_read)}")
 
 
 if __name__ == "__main__":

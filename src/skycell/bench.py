@@ -43,6 +43,7 @@ class TimingReport:
     t_comms_s: float
     t_ai_s: float
     tp_min_s: float = float("nan")
+    t_loop_s: float = float("nan")  # the episode's wall time outside its module steps
     error: str | None = None
 
     @property
@@ -60,6 +61,7 @@ class TimingReport:
             "t_mobility_s": self.t_mobility_s,
             "t_comms_s": self.t_comms_s,
             "t_ai_s": self.t_ai_s,
+            "t_loop_s": self.t_loop_s,
             "error": self.error,
         }
 
@@ -88,7 +90,7 @@ def run_benchmark(
     ep = orch.EpisodeConfig(n_snapshots, sampling_interval, orch.ALL_IN_LOOP, seed)
     # each repetition runs every count in turn, so drift in host speed over
     # the run hits all counts alike; repetition 0 is the discarded warm-up
-    samples = [([], [], [], []) for _ in uav_counts]  # tp, t_mobility, t_comms, t_ai
+    samples = [([], [], [], [], []) for _ in uav_counts]  # tp, t_mobility, t_comms, t_ai, t_loop
     errors = [None] * len(uav_counts)
     for rep in range(repetitions + 1):
         for k, count in enumerate(uav_counts):
@@ -110,13 +112,14 @@ def run_benchmark(
                 continue
             if rep == 0:
                 continue  # warm-up
-            tp, tm, tc, ta = samples[k]
+            tp, tm, tc, ta, tl = samples[k]
             tp.append(log.wall_clock_s)
             tm.append(log.timings["3D"])
             tc.append(log.timings["communications"])
             ta.append(log.timings["ai"])
+            tl.append(log.wall_clock_s - sum(log.timings.values()))
     reports = []
-    for count, (tp, tm, tc, ta), error in zip(uav_counts, samples, errors):
+    for count, (tp, tm, tc, ta, tl), error in zip(uav_counts, samples, errors):
         if error is not None:
             reports.append(
                 TimingReport(count, n_snapshots, float("nan"), n_snapshots * sampling_interval,
@@ -133,6 +136,7 @@ def run_benchmark(
                 t_comms_s=statistics.median(tc),
                 t_ai_s=statistics.median(ta),
                 tp_min_s=min(tp),
+                t_loop_s=statistics.median(tl),
             )
         )
     return reports

@@ -13,8 +13,10 @@ does not fit the message contract (the gains vector, one entry per beam pair)
 moves by direct reference, mirroring the file-based flow of heavyweight
 simulators. loop_modules builds every category's modules, in order.
 
-Each message text is built by its bus template when it is sent. A held
-snapshot reuses only its sweep and the broker's parsed docs.
+Each message is built when it is sent: its bus template gives the text and
+the doc the text encodes, from the same values, and the broker hands that doc
+to every reader, so no module parses JSON. A held snapshot reuses only its
+sweep.
 
 Communications keeps one queue of SweepResults per UE, headed by the sweep of
 its published position. A UE's next positions are fixed by its route (a hold
@@ -96,7 +98,8 @@ class MobilityModule(orch.ModuleHandle):
                 self._hold[ue_id] -= 1
             else:
                 state = self.states[ue_id] = step_kinematics(state, self.sampling_interval)
-            broker.publish(orch.POSITIONS_TOPIC, position_payload(state), publisher=ue_id)
+            text, doc = position_payload(state)
+            broker.publish(orch.POSITIONS_TOPIC, text, publisher=ue_id, doc=doc)
 
 
 class ReplayModule(orch.ModuleHandle):
@@ -132,8 +135,8 @@ class ReplayModule(orch.ModuleHandle):
         if self._k >= len(self._frames):
             raise RuntimeError("replay source exhausted: episode longer than recording")
         for ue_type, ue_id, pos in self._frames[self._k]:
-            text = position_text(ue_type, ue_id, *pos)
-            broker.publish(orch.POSITIONS_TOPIC, text, publisher=ue_id)
+            text, doc = position_text(ue_type, ue_id, *pos)
+            broker.publish(orch.POSITIONS_TOPIC, text, publisher=ue_id, doc=doc)
         self._k += 1
 
 
@@ -238,8 +241,8 @@ class CommsModule(orch.ModuleHandle):
         for doc in docs:
             ue_id = doc["UE_Id"]
             result = self.queues[ue_id][0]
-            payload = pair_text(doc["UE_type"], ue_id, result.best_pair)
-            broker.publish(orch.BEST_PAIR_TOPIC, payload, publisher=self.name)
+            text, pair_doc = pair_text(doc["UE_type"], ue_id, result.best_pair)
+            broker.publish(orch.BEST_PAIR_TOPIC, text, publisher=self.name, doc=pair_doc)
             if self.sweep_hook is not None:
                 self.sweep_hook(t, ue_id, result)
             if self.reports_throughput:
@@ -249,8 +252,8 @@ class CommsModule(orch.ModuleHandle):
     def report_throughput(self, doc: dict, pair: int, broker: Broker) -> float:
         """Throughput of the chosen pair for the UE of a position message, published."""
         tput = throughput_mbps(float(self.current(doc["UE_Id"]).gains[pair]), self.cfg)
-        text = throughput_text(doc["UE_type"], doc["UE_Id"], tput)
-        broker.publish(orch.THROUGHPUT_TOPIC, text, publisher=self.name)
+        text, tput_doc = throughput_text(doc["UE_type"], doc["UE_Id"], tput)
+        broker.publish(orch.THROUGHPUT_TOPIC, text, publisher=self.name, doc=tput_doc)
         return tput
 
 
@@ -281,8 +284,8 @@ class PolicyModule(orch.ModuleHandle):
             pos = position_of(doc)
             grid = self.comms.current(ue_id).gains.reshape(self.comms.pair_grid)
             pair = policy_decide(self.policy, pos, grid, self.rng)
-            payload = pair_text(doc["UE_type"], ue_id, pair)
-            broker.publish(orch.DECISION_TOPIC, payload, publisher=self.name)
+            text, pair_doc = pair_text(doc["UE_type"], ue_id, pair)
+            broker.publish(orch.DECISION_TOPIC, text, publisher=self.name, doc=pair_doc)
             tput = self.comms.report_throughput(doc, pair, broker)
             self.on_throughput(t, broker, ue_id, pos, tput)
 

@@ -10,7 +10,6 @@ safe for concurrent publishers and subscribers.
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import math
@@ -26,11 +25,6 @@ QUEUE_HIGH_WATER = 10_000
 # distinct published topics whose subscriber tuples a broker keeps; a library
 # caller may publish any topic and the bound is cheap (oldest entry goes)
 ROUTE_CACHE_SIZE = 1024
-# distinct payload texts whose parsed doc a broker keeps, least recently read
-# goes first; a held UE republishes one text, so a small bound catches it.
-# A longer text is parsed per message, which bounds what the cache holds.
-DOC_CACHE_SIZE = 256
-DOC_CACHE_MAX_CHARS = 4096
 
 
 class TopicError(ValueError):
@@ -86,29 +80,44 @@ def json_leaf(v) -> str:
     return json.dumps(v)
 
 
-# The per-UE message texts, each json.dumps of its doc byte for byte (key order,
-# ", " and ": " separators): a fixed template with its leaves filled in, so the
-# wire format of these messages is written in this module only.
-def position_text(ue_type: str, ue_id: str, x, y, z) -> str:
-    return '{"UE_type": %s, "UE_Id": %s, "position": {"x": %s, "y": %s, "z": %s}}' % (
+# json.loads reads a leaf of these types back as its own value (nan and inf included);
+# a subclass (a numpy float, an IntEnum) comes back as its base type
+_LEAF_TYPES = frozenset((str, int, float, bool))
+
+
+# The per-UE messages, each (text, doc) from the same values: the text is json.dumps of
+# the doc byte for byte (key order, ", " and ": " separators), a fixed template with its
+# leaves filled in, and the doc is what json.loads reads back from the text: the values
+# as given, or the text parsed when a leaf would come back as another type. So the wire
+# format of these messages is written in this module only, and a reader of a published
+# doc never parses its text.
+def position_text(ue_type: str, ue_id: str, x, y, z) -> tuple:
+    text = '{"UE_type": %s, "UE_Id": %s, "position": {"x": %s, "y": %s, "z": %s}}' % (
         json_leaf(ue_type), json_leaf(ue_id), json_leaf(x), json_leaf(y), json_leaf(z)
     )
+    if (type(ue_type) in _LEAF_TYPES and type(ue_id) in _LEAF_TYPES and type(x) in _LEAF_TYPES
+            and type(y) in _LEAF_TYPES and type(z) in _LEAF_TYPES):
+        return text, {"UE_type": ue_type, "UE_Id": ue_id, "position": {"x": x, "y": y, "z": z}}
+    return text, json.loads(text)
 
 
-def pair_text(ue_type: str, ue_id: str, pair) -> str:
-    return '{"UE_type": %s, "UE_Id": %s, "pair": %s}' % (
+def pair_text(ue_type: str, ue_id: str, pair) -> tuple:
+    text = '{"UE_type": %s, "UE_Id": %s, "pair": %s}' % (
         json_leaf(ue_type), json_leaf(ue_id), json_leaf(pair)
     )
+    if type(ue_type) in _LEAF_TYPES and type(ue_id) in _LEAF_TYPES and type(pair) in _LEAF_TYPES:
+        return text, {"UE_type": ue_type, "UE_Id": ue_id, "pair": pair}
+    return text, json.loads(text)
 
 
-def throughput_text(ue_type: str, ue_id: str, throughput) -> str:
-    return '{"UE_type": %s, "UE_Id": %s, "throughput": %s}' % (
+def throughput_text(ue_type: str, ue_id: str, throughput) -> tuple:
+    text = '{"UE_type": %s, "UE_Id": %s, "throughput": %s}' % (
         json_leaf(ue_type), json_leaf(ue_id), json_leaf(throughput)
     )
-
-
-def _decode(text: str):
-    return json.loads(text)
+    if (type(ue_type) in _LEAF_TYPES and type(ue_id) in _LEAF_TYPES
+            and type(throughput) in _LEAF_TYPES):
+        return text, {"UE_type": ue_type, "UE_Id": ue_id, "throughput": throughput}
+    return text, json.loads(text)
 
 
 _UNPARSED = object()
@@ -116,9 +125,9 @@ _UNPARSED = object()
 
 @dataclass(slots=True, unsafe_hash=True)
 class Message:
-    """One published message: its fields, and the payload parsed on demand.
+    """One published message: its fields, and the doc its payload encodes.
 
-    Messages with equal fields compare equal; the parser and ``doc`` are not fields.
+    Messages with equal fields compare equal; the doc is not a field.
     """
 
     topic: str
@@ -126,17 +135,15 @@ class Message:
     seq: int
     publisher: str
     publish_time: float
-    _parse: object = field(default=_decode, repr=False, compare=False)
-    _doc: object = field(default=_UNPARSED, init=False, repr=False, compare=False)
+    _doc: object = field(default=_UNPARSED, repr=False, compare=False)
 
     @property
     def doc(self):
-        """The payload parsed as JSON, shared by every message with equal payload
-        text on one broker (its DOC_CACHE_SIZE most recently read texts of at most
-        DOC_CACHE_MAX_CHARS characters): treat as read-only."""
+        """The payload as JSON: the doc its publisher sent with it, as is, or else the
+        payload parsed on the first read. Shared by every reader: treat as read-only."""
         doc = self._doc
         if doc is _UNPARSED:
-            doc = self._doc = self._parse(self.payload)
+            doc = self._doc = json.loads(self.payload)
         return doc
 
 
@@ -177,8 +184,9 @@ class Broker:
 
     Each published topic is validated once and mapped to the tuple of
     subscriptions whose compiled pattern matches it; the map is cleared
-    whenever the subscription set changes. Payloads are parsed through one
-    bounded cache, so messages with equal payload text share one doc.
+    whenever the subscription set changes. A message published with its doc
+    hands that doc to every reader; one published as text alone is parsed on
+    its first read.
     """
 
     def __init__(self, max_payload_bytes: int = MAX_PAYLOAD_BYTES):
@@ -187,7 +195,6 @@ class Broker:
         self._routes: dict = {}  # published topic -> matching subscriptions
         self._seq: dict = {}
         self._virtual_time = 0.0
-        self._parse = functools.lru_cache(maxsize=DOC_CACHE_SIZE)(_decode)
         self.max_payload_bytes = max_payload_bytes
 
     def set_virtual_time(self, t: float) -> None:
@@ -203,7 +210,11 @@ class Broker:
         self._routes[topic] = subs
         return subs
 
-    def publish(self, topic: str, payload: str, publisher: str = "default") -> int:
+    def publish(self, topic: str, payload: str, publisher: str = "default",
+                doc=_UNPARSED) -> int:
+        """Queue payload on every matching subscription; returns its per-publisher,
+        per-topic sequence number. doc, when given, is what json.loads(payload) returns
+        (a bus text's own doc): readers take it as is, and nothing is parsed."""
         if not isinstance(topic, str):  # ahead of the lookup: a list topic is unhashable
             raise TopicError(f"topic must be a non-empty string, got {topic!r}")
         with self._lock:
@@ -223,8 +234,7 @@ class Broker:
             key = (publisher, topic)
             seq = self._seq.get(key, 0) + 1
             self._seq[key] = seq
-            parse = self._parse if len(payload) <= DOC_CACHE_MAX_CHARS else _decode
-            msg = Message(topic, payload, seq, publisher, self._virtual_time, parse)
+            msg = Message(topic, payload, seq, publisher, self._virtual_time, doc)
             for sub in subs:
                 sub._deliver(msg)
         return seq

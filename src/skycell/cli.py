@@ -117,6 +117,9 @@ def cmd_run(cfg: dict, args, out: Path) -> dict:
     comms_cfg = cfgmod.comms_config(cfg)
     ep = _episode_config(cfg)
     replay_path = None
+    if cfg["replay_log"] and ep.category != orch.AI_COMM_IN_LOOP:
+        raise ConfigError(f"replay_log (--replay PATH) is read only in episode.category "
+                          f"{orch.AI_COMM_IN_LOOP}, got episode.category {ep.category}")
     if ep.category == orch.AI_COMM_IN_LOOP:
         replay_path = cfg["replay_log"]
         if not replay_path:

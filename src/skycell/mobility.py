@@ -137,7 +137,8 @@ def positions_ahead(state: UeState, dt: float, k: int) -> list:
     return ahead
 
 
-def position_payload(state: UeState) -> str:
+def position_payload(state: UeState) -> tuple:
+    """The state's position message: its text and the doc the text encodes."""
     return position_text(state.ue_type, state.ue_id, *state.position)
 
 

@@ -47,6 +47,7 @@ def test_benchmark_reports(small_reports):
         assert r.rtf == pytest.approx(r.tp_s / r.tv_s, abs=1e-15)
         assert r.t_mobility_s + r.t_comms_s + r.t_ai_s <= r.tp_s
         assert 0 < r.tp_min_s <= r.tp_s
+        assert 0 < r.t_loop_s < r.tp_s
 
 
 def test_benchmark_csv_and_json(tmp_path, small_reports):
@@ -60,6 +61,7 @@ def test_benchmark_csv_and_json(tmp_path, small_reports):
     assert docs[0]["n_uavs"] == 1
     assert docs[0]["rtf"] == pytest.approx(docs[0]["Tp_s"] / docs[0]["Tv_s"])
     assert docs[0]["Tp_min_s"] <= docs[0]["Tp_s"]
+    assert docs[0]["t_loop_s"] == small_reports[0].t_loop_s
 
 
 def test_benchmark_rejects_bad_args():

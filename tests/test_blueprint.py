@@ -184,12 +184,12 @@ def test_policy_module_rejects_model_of_other_pair_count():
                 PolicyModule(Policy(kind="tree", model=model), comms, rng)
 
 
-def test_each_message_is_decoded_once_per_snapshot(monkeypatch):
-    """Each distinct payload text is parsed at most once, and every reader gets that doc:
-    the orchestrator, comms and policy read every position message through Message.doc."""
-    decoded = []
+def test_no_message_is_parsed_and_every_reader_gets_its_doc(monkeypatch):
+    """Every position message carries the doc its text encodes, so the episode parses no
+    JSON: the orchestrator, comms and policy each read that doc through Message.doc."""
+    parses = []
     monkeypatch.setattr(bus, "json", types.SimpleNamespace(
-        loads=lambda text: decoded.append(text) or json.loads(text)))
+        loads=lambda text: parses.append(text) or json.loads(text), dumps=json.dumps))
     reads = collections.Counter()  # id of a position message -> reads of its doc
     doc = bus.Message.doc
 
@@ -214,10 +214,9 @@ def test_each_message_is_decoded_once_per_snapshot(monkeypatch):
     positions = probe.drain()
     assert len(positions) == 6 * 2
     assert all(reads[id(msg)] == 3 for msg in positions)
-    assert len(decoded) == len(set(decoded))
-    texts = {msg.payload for msg in positions}
-    assert len(texts) == 6 + 4  # uav0 moves every snapshot, uav1 from its fourth on
-    assert {text for text in decoded if "position" in json.loads(text)} == texts
+    assert parses == []
+    for msg in positions:
+        assert msg.doc == json.loads(msg.payload)
 
 
 def test_a_held_snapshot_reuses_its_sweep_and_encodes_per_send(monkeypatch):
@@ -273,9 +272,9 @@ def test_message_texts_are_json_dumps_of_a_fresh_doc(ue_id, position, pair, tput
     says its own value."""
     x, y, z = position
     state = UeState("PERSON", ue_id, position, 0.0)
-    assert position_payload(state) == json.dumps(
+    assert position_payload(state)[0] == json.dumps(
         {"UE_type": "PERSON", "UE_Id": ue_id, "position": {"x": x, "y": y, "z": z}})
-    assert bus.pair_text("CAR", ue_id, pair) == json.dumps(
+    assert bus.pair_text("CAR", ue_id, pair)[0] == json.dumps(
         {"UE_type": "CAR", "UE_Id": ue_id, "pair": pair})
     broker, comms = _comms(_WALLED)
     # a policy built on comms takes its throughput report over: the step sends the pair
@@ -328,10 +327,9 @@ def test_held_throughput_reports_follow_their_pair(monkeypatch):
         assert text == json.dumps({"UE_type": "UAV", "UE_Id": "uav0", "throughput": tput})
 
 
-def test_broker_state_is_fixed_by_the_loop_not_its_length(monkeypatch):
-    """The loop publishes a fixed set of (publisher, topic) pairs, so longer runs add none;
-    the sweep cache and the doc cache are bounded by the UEs and DOC_CACHE_SIZE."""
-    monkeypatch.setattr(bus, "DOC_CACHE_SIZE", 16)  # so that both runs reach it
+def test_broker_state_is_fixed_by_the_loop_not_its_length():
+    """The loop publishes a fixed set of (publisher, topic) pairs, so longer runs add none,
+    and the sweep queues are bounded by the UEs."""
     cfg = load_config(None)
     route = base_route(cfg)
     scene = load_scene(cfg)
@@ -348,13 +346,12 @@ def test_broker_state_is_fixed_by_the_loop_not_its_length(monkeypatch):
         log = orch.run_episode(ep, [mob, comms, ai], broker=broker,
                                stop_early=lambda rec: routes.append(len(broker._routes)))
         assert len(log.records) == n_snapshots
-        return (len(broker._seq), routes[-1], len(comms.queues),
-                broker._parse.cache_info().currsize)
+        return len(broker._seq), routes[-1], len(comms.queues)
 
     short, long = broker_after(5), broker_after(40)
     assert short == long
     assert short[0] >= 3  # one position key per UAV at least
-    assert short[2:] == (3, 16)
+    assert short[2] == 3
 
 
 def test_episodes_on_one_broker_close_their_subscriptions():
@@ -793,8 +790,9 @@ def test_bus_publish_bench_script_runs():
     ok = _run_script("bus_publish_bench.py", "--publishes", 200)
     assert ok.returncode == 0, ok.stderr
     lines = ok.stdout.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("publish to 8 subscribers: ")
-    assert lines[0].endswith(")") and " us (quartiles " in lines[0]
+    assert len(lines) == 2 and lines[0].startswith("publish to 8 subscribers: ")
+    assert lines[1].startswith("first .doc read of a text-only message: ")
+    assert all(line.endswith(")") and " us (quartiles " in line for line in lines)
     short = _run_script("bus_publish_bench.py", "--publishes", 50)
     assert short.returncode == 2
     assert "--publishes must be at least 200, got 50" in short.stderr

@@ -2,12 +2,15 @@ import json
 import logging
 import sys
 import threading
+import types
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skycell import bus
+from skycell.mobility import UE_TYPES
 from skycell.bus import (
     Broker,
     PayloadTooLarge,
@@ -126,17 +129,37 @@ def test_publish_after_unsubscribe_reaches_only_live_subscriptions():
     assert [m.payload for m in later.drain()] == ["3"]
 
 
-def test_message_doc_is_decoded_once_and_shared():
+def test_a_text_only_message_is_parsed_once_on_its_first_read(monkeypatch):
+    parses = []
+    monkeypatch.setattr(bus, "json", types.SimpleNamespace(
+        loads=lambda text: parses.append(text) or json.loads(text)))
     broker = Broker()
     a, b = broker.subscribe("x.y"), broker.subscribe("x.>")
     payload = '{"k": [1, 2.5], "s": "t"}'
     broker.publish("x.y", payload)
     (ma,), (mb,) = a.drain(), b.drain()
     assert ma is mb
+    assert parses == []  # not at publish
     assert ma.doc == json.loads(payload)
     assert ma.doc is mb.doc
+    assert parses == [payload]
     assert ma.payload == payload  # the wire text is untouched
     assert ma == bus.Message("x.y", payload, 1, "default", 0.0)
+    broker.publish("x.y", payload)  # an equal text is another message, parsed on its own
+    assert a.drain()[0].doc is not ma.doc
+    assert parses == [payload, payload]
+
+
+def test_a_published_doc_is_returned_as_is(monkeypatch):
+    monkeypatch.setattr(bus, "json", None)  # nothing may parse
+    broker = Broker()
+    a, b = broker.subscribe("x.y"), broker.subscribe("x.*")
+    text, doc = bus.pair_text("UAV", "uav0", 7)
+    broker.publish("x.y", text, publisher="ai", doc=doc)
+    (ma,), (mb,) = a.drain(), b.drain()
+    assert ma is mb
+    assert ma.doc is doc
+    assert ma == bus.Message("x.y", text, 1, "ai", 0.0)
 
 
 def test_message_repr_equality_and_hash_follow_its_five_fields():
@@ -144,37 +167,42 @@ def test_message_repr_equality_and_hash_follow_its_five_fields():
     assert repr(m) == (
         "Message(topic='x.y', payload='{\"k\": 1}', seq=3, publisher='pub', publish_time=0.5)"
     )
-    twin = bus.Message("x.y", '{"k": 1}', 3, "pub", 0.5, json.loads)
-    assert twin.doc == {"k": 1}  # a parsed doc and another parser are not fields
+    twin = bus.Message("x.y", '{"k": 1}', 3, "pub", 0.5, {"k": 1})
+    assert twin.doc == {"k": 1}  # a doc is not a field
     assert m == twin and hash(m) == hash(twin) == hash(("x.y", '{"k": 1}', 3, "pub", 0.5))
     assert len({m, twin}) == 1
     assert m != bus.Message("x.y", '{"k": 1}', 4, "pub", 0.5)
     assert m != ("x.y", '{"k": 1}', 3, "pub", 0.5)
 
 
-def test_equal_payload_texts_share_one_doc_within_the_cache_bound(monkeypatch):
-    monkeypatch.setattr(bus, "DOC_CACHE_SIZE", 2)
-    broker = Broker()
-    sub = broker.subscribe("x.y")
-    text = '{"k": [1, 2.5]}'
-    broker.publish("x.y", text)
-    broker.publish("x.y", "".join(['{"k": ', '[1, 2.5]}']))  # equal text, another object
-    first, second = sub.drain()
-    assert first != second
-    assert first.doc is second.doc
-    for other in ('{"a": 1}', '{"b": 2}'):  # two other texts push it out of the cache
-        broker.publish("x.y", other)
-        assert sub.drain()[0].doc == json.loads(other)
-    broker.publish("x.y", text)
-    (third,) = sub.drain()
-    assert third.doc == first.doc
-    assert third.doc is not first.doc
-    monkeypatch.setattr(bus, "DOC_CACHE_MAX_CHARS", len(text) - 1)  # too long to keep
-    broker.publish("x.y", text)
-    broker.publish("x.y", text)
-    fourth, fifth = sub.drain()
-    assert fourth.doc == fifth.doc
-    assert fourth.doc is not fifth.doc
+def _typed(doc):
+    """doc with each leaf as (type, repr): equal only where every leaf has the same type
+    and value, -0.0 and nan told apart."""
+    if type(doc) is dict:
+        return {key: _typed(value) for key, value in doc.items()}
+    return (type(doc), repr(doc))
+
+
+_coord = st.one_of(
+    st.floats(), st.integers(), st.integers(-2**53, 2**53).map(float), st.just(-0.0),
+    st.floats().map(np.float64),
+)
+
+
+@given(ue_type=st.sampled_from(UE_TYPES), ue_id=st.text(max_size=8),
+       position=st.tuples(_coord, _coord, _coord),
+       pair=st.one_of(st.integers(0, 255), st.booleans(), _coord), throughput=_coord)
+@example(ue_type="UAV", ue_id="üav-零", position=(-0.0, 3, 40.0), pair=True, throughput=-0.0)
+@settings(max_examples=200, deadline=None)
+def test_message_texts_and_docs_agree(ue_type, ue_id, position, pair, throughput):
+    """Each bus text is json.dumps of its doc, and its doc is what json.loads reads back
+    from the text, a type for a type at every leaf: -0.0, ints next to integral floats,
+    True as a pair, non-ASCII ids, nan and inf, and numpy floats (read back as float)."""
+    for text, doc in (bus.position_text(ue_type, ue_id, *position),
+                      bus.pair_text(ue_type, ue_id, pair),
+                      bus.throughput_text(ue_type, ue_id, throughput)):
+        assert text == json.dumps(doc)
+        assert _typed(doc) == _typed(json.loads(text))
 
 
 def test_high_water_warning_once(monkeypatch, caplog):

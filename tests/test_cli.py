@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from skycell import orchestrator as orch
 from skycell.ai import TOPK_GRID, BeamDataset, DecisionTreeModel, TreeNode, train_tree
 from skycell.cli import main
 from skycell.config import LEAVES, default_config, load_config
@@ -81,6 +82,22 @@ def test_run_replay_without_log_exits_2(tmp_path):
     cfg = _write_cfg(tmp_path, episode={"n_snapshots": 4, "seed": 3,
                                         "category": "AiCommInLoop"})
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("category", ["AllInLoop", "Mob3dCommInLoop"])
+def test_run_replay_outside_its_category_exits_2(tmp_path, capsys, category):
+    """Only AiCommInLoop replays a log; any other category would fly a seeded route and
+    ignore it, so a replay log there is rejected before --out is made."""
+    recorded = tmp_path / "rec"
+    assert main(["run", "--config", _write_cfg(tmp_path), "--out", str(recorded)]) == 0
+    one = tmp_path / "one.jsonl"
+    one.write_text((recorded / "episode.jsonl").read_text().splitlines()[0] + "\n")
+    cfg = _write_cfg(tmp_path, episode={"category": category})
+    out = tmp_path / "x"
+    assert main(["run", "--config", cfg, "--replay", str(one), "--out", str(out)]) == 2
+    assert (f"error: replay_log (--replay PATH) is read only in episode.category AiCommInLoop, "
+            f"got episode.category {category}") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dataset_rows_and_invariant(tmp_path):
@@ -523,6 +540,38 @@ def _leaf_model_flags(tmp_path):
 def _relative(flags):
     """The same flags with each path given relative to tmp_path, the first run's directory."""
     return lambda p: [os.path.relpath(a, p) if os.path.isabs(a) else a for a in flags(p)]
+
+
+@pytest.mark.parametrize(
+    "command, config, flags",
+    [
+        ("run", {}, lambda p: ["--policy", "oracle"]),
+        ("run", {"episode": {"category": "Mob3dCommInLoop"}}, lambda p: []),
+        ("run", {"episode": {"category": "AiCommInLoop"}}, _replay_log),
+        ("dataset", {}, lambda p: []),
+        ("mission", {}, lambda p: ["--policy", "random"]),
+        ("mission", {}, lambda p: ["--policy", "tree", *_leaf_model_flags(p)]),
+    ],
+    ids=["run-oracle", "run-mob3d", "run-replay", "dataset", "mission-random", "mission-tree"],
+)
+def test_no_episode_parses_json(tmp_path, monkeypatch, command, config, flags):
+    """Every message the shipped modules publish carries its doc, so no episode of any
+    category calls json.loads; reading the config and a replay log is not in the loop."""
+    flags = flags(tmp_path)
+    parses = []
+    episode, loads = orch.run_episode, json.loads
+
+    def counted(*args, **kwargs):
+        json.loads = lambda *a, **k: parses.append(a) or loads(*a, **k)
+        try:
+            return episode(*args, **kwargs)
+        finally:
+            json.loads = loads
+
+    monkeypatch.setattr(orch, "run_episode", counted)
+    cfg = _write_cfg(tmp_path, **config)
+    assert main([command, "--config", cfg, *flags, "--out", str(tmp_path / "out")]) == 0
+    assert parses == []
 
 
 @pytest.mark.parametrize(

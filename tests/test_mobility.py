@@ -74,18 +74,19 @@ def test_consecutive_published_positions_identical_while_paused():
     mobility.hold("uav0", 1)  # a shorter hold never cuts a longer one short
     payloads = _fly(mobility, 3)
     assert payloads[0] == payloads[1] == payloads[2]
-    assert payloads[0] == position_payload(uav_state("uav0", straight_plan()))
+    assert payloads[0] == position_payload(uav_state("uav0", straight_plan()))[0]
 
 
 def test_position_payload_wire_shape():
     state = UeState("UAV", "uav0", (0.0, 0.0, 0.0), 5.0)
-    doc = json.loads(position_payload(state))
+    text, doc = position_payload(state)
     assert doc == {"UE_type": "UAV", "UE_Id": "uav0", "position": {"x": 0.0, "y": 0.0, "z": 0.0}}
+    assert json.loads(text) == doc
 
 
 def test_payload_round_trip():
     state = UeState("CAR", "car3", (12.5, -3.25, 0.5), 10.0)
-    doc = json.loads(position_payload(state))
+    doc = json.loads(position_payload(state)[0])
     assert (doc["UE_type"], doc["UE_Id"]) == ("CAR", "car3")
     assert (doc["position"]["x"], doc["position"]["y"], doc["position"]["z"]) == state.position
 
@@ -95,11 +96,12 @@ _coord = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers
 
 @given(position=st.tuples(_coord, _coord, _coord), ue_id=st.text(max_size=8))
 def test_position_payload_is_a_fresh_encoding(position, ue_id):
-    """A state's position text is json.dumps of a fresh doc, -0.0 and integers included."""
+    """A state's position text is json.dumps of a fresh doc, -0.0 and integers included,
+    and its doc is that doc."""
     state = UeState("CAR", ue_id, position, 1.0)
     x, y, z = position
-    fresh = json.dumps({"UE_type": "CAR", "UE_Id": ue_id, "position": {"x": x, "y": y, "z": z}})
-    assert position_payload(state) == fresh
+    fresh = {"UE_type": "CAR", "UE_Id": ue_id, "position": {"x": x, "y": y, "z": z}}
+    assert position_payload(state) == (json.dumps(fresh), fresh)
 
 
 @pytest.mark.parametrize("a, b", [((0.0, 325.0, 40.0), (-0.0, 325.0, 40.0)),
@@ -108,9 +110,9 @@ def test_equal_states_keep_their_own_texts(a, b):
     """0.0 == -0.0 and 325 == 325.0 compare and hash alike, but each state says its own."""
     first, second = UeState("UAV", "uav0", a, 5.0), UeState("UAV", "uav0", b, 5.0)
     assert first == second and hash(first) == hash(second)
-    assert position_payload(first) != position_payload(second)
+    assert position_payload(first)[0] != position_payload(second)[0]
     for state in (first, second):
-        assert position_payload(state) == json.dumps(
+        assert position_payload(state)[0] == json.dumps(
             {"UE_type": "UAV", "UE_Id": "uav0", "position": dict(zip("xyz", state.position))})
 
 
