@@ -21,6 +21,10 @@ numpy tracer, which also lays out the path table; the rest is the Python and
 numpy work around it: gains, angles, sorting, synthesis and the sweep), then
 the tracemalloc peak of one more pass, run untimed because tracing slows
 allocation. This is the per-layer measure behind blueprint.TRACE_BATCH.
+A last line gives the median and the quartiles of kernels.build_image_tree on
+the shipped scene with its ground over --passes builds, and the tree's pair
+count: the build runs once per Scene, so its cost falls on a run's setup, not
+on a pass.
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ def main() -> None:
     route = base_route(cfg)
     half_width = cfg["mobility"]["corridor_half_width"]
     lo, hi = Corridor(route.start, route.end, half_width).bounds()
-    comms = CommsModule(default_scene(), comms_config(cfg))
+    scene = default_scene()
+    comms = CommsModule(scene, comms_config(cfg))
     rng = np.random.default_rng(0)
 
     def uniform(m):
@@ -108,6 +113,16 @@ def main() -> None:
         q1, med, q3 = statistics.quantiles(per_rx, n=4)
         print(f"{label}: {med:.3f} ms per receiver (quartiles {q1:.3f}-{q3:.3f}), "
               f"kernel {statistics.median(share):.0%} of the pass, peak {peak / 1024:.0f} KB")
+
+    faces = scene.faces()
+    build_ms = []
+    for _ in range(args.passes):
+        t0 = time.perf_counter()
+        tree = kernels.build_image_tree(scene.tx.position, *faces)
+        build_ms.append((time.perf_counter() - t0) * 1e3)
+    q1, med, q3 = statistics.quantiles(build_ms, n=4)
+    print(f"image tree build: {med:.3f} ms (quartiles {q1:.3f}-{q3:.3f}), "
+          f"{tree.pair_i.size} pairs")
 
 
 if __name__ == "__main__":

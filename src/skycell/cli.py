@@ -162,6 +162,7 @@ def cmd_run(cfg: dict, args, out: Path) -> dict:
 
 
 def cmd_dataset(cfg: dict, args, out: Path) -> dict:
+    cfg["episode"]["category"] = orch.MOB3D_COMM_IN_LOOP  # the category the flights run in
     seed, interval = cfg["episode"]["seed"], cfg["episode"]["sampling_interval"]
     n_episodes = cfg["dataset"]["episodes"]
     scene = cfgmod.load_scene(cfg)
@@ -254,13 +255,18 @@ def cmd_eval(cfg: dict, args, out: Path) -> dict:
 
 
 def cmd_mission(cfg: dict, args, out: Path) -> dict:
-    seed = cfg["episode"]["seed"]
+    episode = cfg["episode"]
+    if episode["category"] != orch.ALL_IN_LOOP:
+        raise ConfigError(f"mission flies episode.category {orch.ALL_IN_LOOP} only, "
+                          f"got episode.category {episode['category']}")
+    seed = episode["seed"]
     scene = cfgmod.load_scene(cfg)
     comms_cfg = cfgmod.comms_config(cfg)
     policy = _policy(cfg)
     mission_cfg = cfgmod.mission_config(cfg)
     plan = cfgmod.seeded_route(cfg, cfgmod.stream_seed(seed, "mission-route"))
-    ep = _episode_config(cfg, category=orch.ALL_IN_LOOP, n_snapshots=mission_cfg.max_snapshots)
+    episode["n_snapshots"] = mission_cfg.max_snapshots  # the cap the mission runs to
+    ep = _episode_config(cfg)
     metrics, log = run_mission(
         scene,
         plan,

@@ -11,7 +11,9 @@ pass (Sionna RT batches receivers the same way, arXiv:2303.11103) into one
 path table, LOS, R1 and R2 rows alike. A pass of at least _CULL_MIN_RX
 receivers first culls the tree to the pairs that its receivers' bounding box
 can reach (:func:`_cull`), so nearby receivers are tested against the pairs
-they can see, not against the whole tree. The (receiver, face) and (receiver,
+they can see, not against the whole tree. One reach test, :func:`_seen`,
+prunes both: face j's box against face i when the tree is built, the
+receivers' box against face j on each pass. The (receiver, face) and (receiver,
 pair) grids are tested densely once; the candidates they keep are flat
 indices, split by hand into receiver and face or pair, and each later test
 runs on the candidates the one before it left, with their points axis-major
@@ -42,10 +44,6 @@ _PRUNE_EPS = 1e-6
 # whatever the pass, which the smaller dense grids repay from about 16 receivers on
 # the shipped scene (an in-process A/B of CommsModule._sweep along the shipped route)
 _CULL_MIN_RX = 16
-# row k is the one-hot mask of axis k
-_AXES = np.eye(3, dtype=bool)
-# the 8 corners of a box: True picks the upper bound on that axis
-_CORNERS = np.array([[(c >> b) & 1 for b in range(3)] for c in range(8)], dtype=bool)
 
 
 def _split(ok):
@@ -218,82 +216,57 @@ class ImageTree:
 
 
 def _face_boxes(f_axis, f_coord, f_uv):
-    """Each face rectangle as a 3D box (lo, hi), grown by _PRUNE_EPS."""
-    nf = f_axis.shape[0]
-    rows = np.arange(nf)
-    lo = np.empty((nf, 3))
-    hi = np.empty((nf, 3))
-    lo[rows, f_axis] = hi[rows, f_axis] = f_coord
-    lo[rows, (f_axis + 1) % 3], hi[rows, (f_axis + 1) % 3] = f_uv[:, 0], f_uv[:, 1]
-    lo[rows, (f_axis + 2) % 3], hi[rows, (f_axis + 2) % 3] = f_uv[:, 2], f_uv[:, 3]
-    return lo - _PRUNE_EPS, hi + _PRUNE_EPS
-
-
-def _clip_front(lo, hi, axes, coords, signs):
-    """Clip boxes to the closed half-spaces in front of planes."""
-    on_axis = _AXES[axes]
-    c = coords[:, None]
-    lo = np.where(on_axis & (signs > 0)[:, None], np.maximum(lo, c), lo)
-    hi = np.where(on_axis & (signs < 0)[:, None], np.minimum(hi, c), hi)
-    return lo, hi
+    """Each face rectangle as a 3D box, grown by _PRUNE_EPS: (2, faces, 3), lo then hi."""
+    rows = np.arange(f_axis.shape[0])
+    box = np.empty((2, rows.size, 3))
+    box[:, rows, f_axis] = f_coord
+    box[:, rows, (f_axis + 1) % 3] = f_uv[:, :2].T
+    box[:, rows, (f_axis + 2) % 3] = f_uv[:, 2:].T
+    box[0] -= _PRUNE_EPS
+    box[1] += _PRUNE_EPS
+    return box
 
 
 def build_image_tree(tx, f_axis, f_coord, f_sign, f_uv, f_refl) -> ImageTree:
     """First-order images and the pruned second-order pair list for tx.
 
-    A pair (i, j) is kept only if all four conservative tests pass:
-    face i faces the transmitter; each face has a part in front of the
-    other; seen from the first image (central projection onto plane i),
-    the part of face j in front of face i can land on the part of face i in
-    front of face j; and the second image lies strictly behind face j. A
-    path off i then j needs the first three, since its second bounce point
-    projects from the first image to its first bounce point; and a receiver
-    in front of face j meets plane j at t <= 0 or t >= 1 on its segment to a
-    second image that is not strictly behind it, rounding included (the
-    computed |coord - rx| is at least |image - rx|), so such a pair has no
-    candidate.
+    A pair (i, j) is kept only if all three conservative tests pass: face i
+    faces the transmitter; some point of face j can reach face i from the
+    first image (:func:`_seen` on face i's row, given face j's box), as a
+    path's second bounce point does its first; and the second image lies
+    strictly behind face j. A receiver in front of face j meets plane j at
+    t <= 0 or t >= 1 on its segment to a second image that is not strictly
+    behind it, rounding included (the computed |coord - rx| is at least
+    |image - rx|), so such a pair has no candidate. The faces need no test
+    for lying in front of each other: _seen keeps face j only where it
+    reaches the front of plane i, and a second image behind face j puts the
+    first image in front of plane j, so every point _seen projects from
+    face j towards it, and so the part of face i it finds, lies on or in
+    front of plane j.
     """
     tx = np.asarray(tx, dtype=np.float64)
     nf = f_axis.shape[0]
     tx_side = f_sign * (tx[f_axis] - f_coord) > _FACE_EPS
     img1 = _mirror_rows(np.broadcast_to(tx, (nf, 3)).copy(), f_axis, f_coord)
+    per_face = (img1, f_axis, f_coord, f_sign, f_uv, f_refl)
 
-    lo, hi = _face_boxes(f_axis, f_coord, f_uv)
-    # ahead[i, j]: some point of face j lies on or in front of plane i
-    ahead = np.where(
-        (f_sign > 0)[:, None], hi[:, f_axis].T >= f_coord[:, None], lo[:, f_axis].T <= f_coord[:, None]
-    )
-    I, J = np.nonzero(tx_side[:, None] & ahead & ahead.T & ~np.eye(nf, dtype=bool))
-    lo_j, hi_j = _clip_front(lo[J], hi[J], f_axis[I], f_coord[I], f_sign[I])
-    lo_i, hi_i = _clip_front(lo[I], hi[I], f_axis[J], f_coord[J], f_sign[J])
-
-    # corners of the clipped face-j boxes, projected from img1 onto plane i;
-    # img1 lies strictly behind plane i, so the central projection keeps the
-    # box convex and the projected corners bound every projected point
-    corners = np.where(_CORNERS[:, None, :], hi_j, lo_j)  # (8, P, 3)
-    axis = f_axis[I]
-    x_a = corners[:, np.arange(I.size), axis]
-    t = (f_coord[I] - x_a) / (img1[I, axis] - x_a)
-    proj = img1[I] - corners
-    proj *= t[:, :, None]
-    proj += corners
-    # overlap with the clipped face-i box across plane i's two in-plane axes
-    within = (proj.min(axis=0) <= hi_i) & (proj.max(axis=0) >= lo_i)
-    keep = (within | _AXES[axis]).all(axis=1)
-    I, J = I[keep], J[keep]
+    I, J = np.nonzero(tx_side[:, None] & ~np.eye(nf, dtype=bool))
+    plane_i = _planes(*(v[I] for v in per_face))
+    pairs = _seen(plane_i, _face_boxes(f_axis, f_coord, f_uv)[:, J, plane_i.cols])
+    I, J = I[pairs], J[pairs]
     img2 = _mirror_rows(img1[I], f_axis[J], f_coord[J])
     behind = f_sign[J] * (img2[np.arange(J.size), f_axis[J]] - f_coord[J]) < 0.0
-    I, J, img2 = I[behind], J[behind], img2[behind]
+    I, J, img2, pairs = I[behind], J[behind], img2[behind], pairs[behind]
 
     r1_faces = np.nonzero(tx_side)[0]
     return ImageTree(
         tx=tx,
         faces=(f_axis, f_coord, f_sign, f_uv, f_refl),
         r1_faces=r1_faces,
-        r1=_planes(*(v[r1_faces] for v in (img1, f_axis, f_coord, f_sign, f_uv, f_refl))),
+        r1=_planes(*(v[r1_faces] for v in per_face)),
         pair_i=I,
         pair_j=J,
-        plane_i=_planes(*(v[I] for v in (img1, f_axis, f_coord, f_sign, f_uv, f_refl))),
+        plane_i=_rows(plane_i, pairs),
         plane_j=_planes(img2, f_axis[J], f_coord[J], f_sign[J], f_uv[J], f_refl[I] * f_refl[J]),
     )
 
@@ -352,23 +325,23 @@ def _second_order(tree, rx, rxt, rx_side):
             h2.take(keep, axis=1))
 
 
-def _seen(planes, box):
-    """Indices, in order, of the rows of planes that some receiver in the box (2, 3),
-    its (lo, hi) corners, can pass the enumeration's first test against: lie in
-    front of the row's face, with its segment to the row's image crossing the face.
-    Every row's image must lie strictly behind its face, as build_image_tree makes
-    each pair's second image.
+def _seen(planes, b):
+    """Indices, in order, of the rows of planes that some point of a box can pass the
+    enumeration's test against: lie in front of the row's face, with its segment to
+    the row's image crossing the face. b (2, 3, N) holds the box's lo and hi bounds
+    along each row's cols; every row's image must lie strictly behind its face.
 
-    Conservative, as build_image_tree's pruning: the box, clipped to the closed
-    half-space in front of the face (a row whose face has the whole box behind
-    it is dropped), is projected from the image onto the face plane, and the
-    projection's bounds must overlap the face grown by _PRUNE_EPS. A box point d
-    in front of the plane, with the image e behind it, projects to
-    p + t * (img - p) with t = d / (d + e), in [0, 1) and rising with d; so along
-    each in-plane axis the projection's lower bound is that of the box moved at
-    one of the two clipped face-axis bounds, and likewise its upper bound.
+    Conservative: the box, clipped to the closed half-space in front of the face
+    (a row whose face has the whole box behind it is dropped), is projected from
+    the image onto the face plane, and the projection's bounds must overlap the
+    face grown by _PRUNE_EPS, a margin far above the rounding of any crossing
+    point. A box point d in front of the plane, with the image e behind it,
+    projects to p + t * (img - p) with t = d / (d + e), in [0, 1) and rising with
+    d; so along each in-plane axis the projection's lower bound is that of the
+    box moved at one of the two clipped face-axis bounds, and likewise its upper
+    bound. A point that passes the test lies in the clipped box, and its crossing
+    is its projection, so its row is kept.
     """
-    b = box.take(planes.cols, axis=1)  # (2, 3, N): bound, then the row's cols
     sign, coord, img = planes.sign, planes.coord, planes.img
     d = sign * (b[:, 0] - coord)
     keep = np.maximum(d[0], d[1]) >= 0.0
@@ -391,7 +364,8 @@ def _cull(tree, rx) -> ImageTree:
     """The tree with only the pairs whose second face the receivers' bounding box
     can reach (see _seen), in their original order: the step beam tracing takes
     after building the tree, culling it to the receiver region."""
-    pairs = _seen(tree.plane_j, np.stack([rx.min(axis=0), rx.max(axis=0)]))
+    box = np.stack([rx.min(axis=0), rx.max(axis=0)])
+    pairs = _seen(tree.plane_j, box.take(tree.plane_j.cols, axis=1))
     return replace(tree, pair_i=tree.pair_i.take(pairs), pair_j=tree.pair_j.take(pairs),
                    plane_i=_rows(tree.plane_i, pairs), plane_j=_rows(tree.plane_j, pairs))
 

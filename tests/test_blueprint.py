@@ -774,11 +774,13 @@ def test_radio_pass_bench_script_runs():
 
     ok = run(2)
     assert ok.returncode == 0, ok.stderr
-    lines = ok.stdout.splitlines()
+    *lines, build = ok.stdout.splitlines()
     n = blueprint.TRACE_BATCH
     assert [line.split(":")[0] for line in lines] == [
         "M=1", "M=4", "M=8", "M=10", "M=16", "M=20", "M=32", "M=64", f"M={n} along one route",
         f"M={10 * max(2, n // 10)} across ten routes"]
+    assert build.startswith("image tree build: ") and " ms (quartiles " in build
+    assert build.endswith("), 440 pairs")
     assert all(" ms per receiver (quartiles " in line and line.endswith(" KB") for line in lines)
     assert all(" kernel " in line and "% of the pass, peak " in line for line in lines)
     short = run(1)

@@ -173,6 +173,45 @@ def test_mission_writes_rescue_curve(tmp_path):
     assert all(a > b for a, b in zip(waits, waits[1:]))
 
 
+@pytest.mark.parametrize("category", ["Mob3dCommInLoop", "AiCommInLoop"])
+def test_mission_in_another_category_exits_2(tmp_path, capsys, category):
+    """The mission flies AllInLoop only, so a config that asks for another category is
+    rejected before --out is made, not flown as AllInLoop under a manifest that says
+    otherwise."""
+    cfg = _write_cfg(tmp_path, episode={"category": category, "n_snapshots": 4})
+    out = tmp_path / "m"
+    assert main(["mission", "--config", cfg, "--out", str(out)]) == 2
+    assert (f"error: mission flies episode.category AllInLoop only, "
+            f"got episode.category {category}") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mission_and_dataset_manifests_record_what_ran(tmp_path, monkeypatch):
+    """mission runs to mission.max_snapshots and dataset flies Mob3dCommInLoop, and each
+    manifest's config says so; the mission re-run from that config writes the same log."""
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_cfg(tmp_path, mission={"max_snapshots": 40})
+    first, again = tmp_path / "m", tmp_path / "again"
+    assert main(["mission", "--config", cfg, "--out", str(first)]) == 0
+    config = json.loads((first / "manifest.json").read_text())["config"]
+    assert config["episode"]["category"] == "AllInLoop"
+    assert config["episode"]["n_snapshots"] == config["mission"]["max_snapshots"] == 40
+    resolved = tmp_path / "resolved.json"
+    resolved.write_text(json.dumps(config))
+    assert main(["mission", "--config", str(resolved), "--out", str(again)]) == 0
+    assert (again / "episode.jsonl").read_bytes() == (first / "episode.jsonl").read_bytes()
+
+    default = tmp_path / "default"
+    assert main(["mission", "--config", _write_cfg(tmp_path), "--out", str(default)]) == 0
+    episode = json.loads((default / "manifest.json").read_text())["config"]["episode"]
+    assert episode["n_snapshots"] == default_config()["mission"]["max_snapshots"]
+
+    ds = tmp_path / "ds"
+    assert main(["dataset", "--config", _write_cfg(tmp_path), "--out", str(ds)]) == 0
+    episode = json.loads((ds / "manifest.json").read_text())["config"]["episode"]
+    assert episode["category"] == "Mob3dCommInLoop"
+
+
 def test_mission_tree_without_model_exits_2(tmp_path):
     cfg = _write_cfg(tmp_path)
     assert main(["mission", "--config", cfg, "--policy", "tree",

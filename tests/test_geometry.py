@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from collections import Counter
@@ -467,8 +468,8 @@ def _crossing(a, b, planes):
 
 @st.composite
 def _wall_passes(draw):
-    """A scene of 1-3 random walls with a transmitter in front of one, at times
-    close to the ground, and 1-80
+    """A scene of 1-3 random walls, some floating above the ground, with a
+    transmitter in front of one, at times close to the ground, and 1-80
     receivers laid out to straddle a wall face's plane (some on it), on one height
     (a flat box, at times a roof's), far apart over and past the scene or close
     together; or one receiver, the tightest box, in front of a pair's second face (a
@@ -481,6 +482,8 @@ def _wall_passes(draw):
     walls = []
     for _ in range(draw(st.integers(1, 3))):
         lo = rng.uniform([5.0, 5.0, 0.0], [400.0, 400.0, 0.0])
+        if rng.random() < 0.3:  # a floating box: a bottom face, and pairs with it
+            lo[2] = rng.uniform(5.0, 80.0)
         hi = lo + rng.uniform([2.0, 2.0, 20.0], [80.0, 80.0, 150.0])
         walls.append(Building(tuple(lo), tuple(hi), CONCRETE))
     scene = Scene(719.2, 693.4, TxPose((1.0, 1.0, 1.0)), walls)
@@ -569,6 +572,22 @@ def test_image_tree_cached_for_scene_tx_only():
     assert scene.image_tree(other) is not scene.image_tree(other)
     n_faces = scene.faces()[0].size
     assert 0 < tree.pair_i.size < n_faces * (n_faces - 1)
+
+
+@pytest.mark.parametrize("ground,n_pairs,digest", [
+    (True, 440, "70533b3126ef7151fec6f57a830428010d2dc2958e644e03e7eb1e688836adf2"),
+    (False, 350, "b247853dda747c28a7b7f4f5f42899f90868aa3bf516368f07600d7f092ba090"),
+])
+def test_shipped_image_tree_pair_list_is_pinned(ground, n_pairs, digest):
+    """The shipped tree's pairs, in (i, j) order: the oracle comparisons pass for any
+    conservative pruning, so only this pin catches a weaker one, which would slow
+    every pass. Without the test that the second image lies behind face j, which also
+    makes the two faces face each other, the tree keeps 838 pairs with the ground."""
+    scene = default_scene()
+    tree = scene.image_tree(scene.tx.position, ground=ground)
+    assert tree.pair_i.size == n_pairs
+    pairs = np.stack([tree.pair_i, tree.pair_j]).astype("<i8").tobytes()
+    assert hashlib.sha256(pairs).hexdigest() == digest
 
 
 def test_trace_batch_validation():
