@@ -48,31 +48,33 @@ class BeamDataset:
     @classmethod
     def from_rows(cls, rows) -> "BeamDataset":
         if not rows:  # no sweep seen, so no gain columns
-            return cls._checked(np.zeros((0, 3)), [], np.zeros(0, dtype=np.int64), np.zeros((0, 0)))
+            return cls._checked(np.zeros((0, 3)), [], [], np.zeros((0, 0)))
         return cls._checked(
             np.array([r[0] for r in rows], dtype=float),
             [r[1] for r in rows],
-            np.array([r[2] for r in rows], dtype=np.int64),
+            [r[2] for r in rows],
             np.array([r[3] for r in rows], dtype=float),
         )
 
     @classmethod
     def _checked(cls, positions, los, best, gains) -> "BeamDataset":
-        """The dataset of these columns; a ValueError names the first row a CSV cannot hold."""
+        """The dataset of these columns; a ValueError names the first row a CSV cannot hold.
+
+        ``best`` holds integers of any size, each checked before it is stored as int64.
+        """
         for i, c in enumerate(los):
             if c not in LOS_CLASSES:
                 raise ValueError(f"row {i}: los {c!r} is not one of {LOS_CLASSES}")
-        bad = (best < 0) | (best >= gains.shape[1])
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(
-                f"row {i}: best_pair {int(best[i])} is outside the {gains.shape[1]} gain columns"
-            )
+        for i, b in enumerate(best):
+            if not 0 <= b < gains.shape[1]:
+                raise ValueError(
+                    f"row {i}: best_pair {b} is outside the {gains.shape[1]} gain columns"
+                )
         for name, values in (("position", positions), ("gain", gains)):
             bad = ~np.isfinite(values).all(axis=1)
             if bad.any():
                 raise ValueError(f"row {int(np.argmax(bad))}: a {name} is not a finite number")
-        return cls(positions, np.array(los, dtype=object), best, gains)
+        return cls(positions, np.array(los, dtype=object), np.array(best, dtype=np.int64), gains)
 
     def save_csv(self, path) -> None:
         """Header, then one ``\\r\\n`` line per row, floats as their shortest ``repr``.
@@ -122,7 +124,7 @@ class BeamDataset:
         return cls._checked(
             np.array(positions, dtype=float).reshape(len(los), 3),
             los,
-            np.array(best, dtype=np.int64),
+            best,
             np.array(gains, dtype=float).reshape(len(los), n_pairs),
         )
 
@@ -284,7 +286,6 @@ def _best_split(x, y, n_classes, min_leaf):
         cum = np.cumsum(onehot, axis=0)  # cum[k-1] = class counts of first k rows
         total = cum[-1]
         ks = np.arange(min_leaf, n - min_leaf + 1)
-        ks = ks[(ks >= 1) & (ks <= n - 1)]
         if ks.size == 0:
             continue
         distinct = xs[ks - 1] < xs[ks]

@@ -319,12 +319,15 @@ def offset_plan(plan: TrajectoryPlan, offset_m: float) -> TrajectoryPlan:
     )
 
 
+DATASET_MAX_SNAPSHOTS = 2000  # the cap a dataset flight runs to, whatever its route
+
+
 def generate_dataset_rows(
     scene: Scene,
     plan: TrajectoryPlan,
     comms_cfg: CommsConfig,
     sampling_interval: float = 0.5,
-    max_snapshots: int = 2000,
+    max_snapshots: int = DATASET_MAX_SNAPSHOTS,
 ):
     """Fly one route in the dataset category and sweep every snapshot.
 

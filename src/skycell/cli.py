@@ -29,7 +29,8 @@ from .ai import (
     topk_accuracy,
     train_tree,
 )
-from .blueprint import MobilityModule, PolicyModule, ReplayModule, generate_dataset_rows, loop_modules
+from .blueprint import (DATASET_MAX_SNAPSHOTS, MobilityModule, PolicyModule, ReplayModule,
+                        generate_dataset_rows, loop_modules)
 from .config import ConfigError
 from .mission import DEGRADATION_CEILING_MBPS, estimate_rescue_curve, run_mission
 
@@ -103,6 +104,14 @@ def _episode_config(cfg: dict, **changes) -> orch.EpisodeConfig:
     return orch.EpisodeConfig(**{**cfg["episode"], **changes})
 
 
+def _all_in_loop_only(cfg: dict, command: str) -> None:
+    """A command that flies AllInLoop alone refuses a config asking for another category."""
+    category = cfg["episode"]["category"]
+    if category != orch.ALL_IN_LOOP:
+        raise ConfigError(f"{command} flies episode.category {orch.ALL_IN_LOOP} only, "
+                          f"got episode.category {category}")
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -163,6 +172,7 @@ def cmd_run(cfg: dict, args, out: Path) -> dict:
 
 def cmd_dataset(cfg: dict, args, out: Path) -> dict:
     cfg["episode"]["category"] = orch.MOB3D_COMM_IN_LOOP  # the category the flights run in
+    cfg["episode"]["n_snapshots"] = DATASET_MAX_SNAPSHOTS  # the cap each flight runs to
     seed, interval = cfg["episode"]["seed"], cfg["episode"]["sampling_interval"]
     n_episodes = cfg["dataset"]["episodes"]
     scene = cfgmod.load_scene(cfg)
@@ -255,10 +265,8 @@ def cmd_eval(cfg: dict, args, out: Path) -> dict:
 
 
 def cmd_mission(cfg: dict, args, out: Path) -> dict:
+    _all_in_loop_only(cfg, "mission")
     episode = cfg["episode"]
-    if episode["category"] != orch.ALL_IN_LOOP:
-        raise ConfigError(f"mission flies episode.category {orch.ALL_IN_LOOP} only, "
-                          f"got episode.category {episode['category']}")
     seed = episode["seed"]
     scene = cfgmod.load_scene(cfg)
     comms_cfg = cfgmod.comms_config(cfg)
@@ -295,6 +303,7 @@ def cmd_mission(cfg: dict, args, out: Path) -> dict:
 
 
 def cmd_bench(cfg: dict, args, out: Path) -> dict:
+    _all_in_loop_only(cfg, "bench")
     scene = cfgmod.load_scene(cfg)
     try:
         counts = [int(c) for c in args.counts.split(",") if c.strip()]
@@ -312,6 +321,7 @@ def cmd_bench(cfg: dict, args, out: Path) -> dict:
         repetitions=cfg["bench"]["repetitions"],
         seed=cfg["episode"]["seed"],
     )
+    cfg["episode"]["n_snapshots"] = reports[0].n_snapshots  # the snapshots each count flew
     out.mkdir(parents=True, exist_ok=True)
     bench_mod.write_csv(reports, out / "bench.csv")
     bench_mod.write_json(reports, out / "bench.json")

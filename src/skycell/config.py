@@ -11,7 +11,6 @@ bounds, checked once when the config is loaded.
 from __future__ import annotations
 
 import json
-import math
 import operator
 import zlib
 from importlib import resources
@@ -23,7 +22,7 @@ from .ai import POLICY_KINDS
 from .geometry import Scene
 from .mission import MissionConfig
 from .mobility import Corridor, TrajectoryPlan, random_waypoints
-from .orchestrator import CATEGORIES
+from .orchestrator import CATEGORIES, finite_number
 from .phy import CommsConfig, UpaConfig
 
 
@@ -78,25 +77,16 @@ def _merge(base: dict, override, where: str = "") -> dict:
     return out
 
 
-def _finite(value) -> bool:
-    """A JSON integer or float that is finite: a boolean, text, NaN, an infinity or an
-    integer beyond the float range is no number."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # a JSON integer beyond the float range
-        return False
-
-
 def _point(value) -> bool:
     """[x, y, z] of finite numbers above the ground plane: every route point is one."""
-    return type(value) is list and len(value) == 3 and all(map(_finite, value)) and value[2] > 0
+    return type(value) is list and len(value) == 3 and all(map(finite_number, value)) and value[2] > 0
 
 
 _KINDS = {  # kind -> (test of a value, what the error message calls it)
     "int": (lambda v: type(v) is int, "an integer"),
     "bool": (lambda v: type(v) is bool, "a boolean"),
-    "number": (_finite, "a finite number"),
-    "numbers": (lambda v: type(v) is list and all(map(_finite, v)), "a list of finite numbers"),
+    "number": (finite_number, "a finite number"),
+    "numbers": (lambda v: type(v) is list and all(map(finite_number, v)), "a list of finite numbers"),
     "point": (_point, "[x, y, z] of finite numbers with z > 0"),
     "points": (lambda v: type(v) is list and all(map(_point, v)),
                "a list of [x, y, z] points with z > 0"),

@@ -141,6 +141,8 @@ class Scene:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scene":
+        if type(doc) is not dict:
+            raise ValueError(f"scene must be a JSON object, got {type(doc).__name__}")
         materials = dict(DEFAULT_MATERIALS)
         materials.update(doc.get("materials", {}))
 
@@ -251,11 +253,11 @@ def trace_paths(
     scene: Scene,
     tx,
     rx,
-    max_order: int = 2,
     carrier_hz: float = 4e10,
     ground_reflection: bool = True,
 ) -> PathBundle:
-    """Enumerate LOS and specular paths from tx to rx, with complex gains.
+    """Enumerate LOS, first- and second-order specular paths from tx to rx, with
+    complex gains.
 
     Per-path amplitude is lambda/(4*pi*length) scaled by the product of the
     reflection coefficients met along the way; phase is -2*pi*length/lambda.
@@ -264,7 +266,7 @@ def trace_paths(
     rx = np.asarray(rx, dtype=np.float64)
     if rx.shape != (3,):
         raise ValueError("rx must be one 3D point")
-    paths = trace_path_arrays(scene, tx, rx[None, :], max_order, carrier_hz, ground_reflection)
+    paths = trace_path_arrays(scene, tx, rx[None, :], carrier_hz, ground_reflection)
     return PathBundle(paths=tuple(
         PropagationPath(PATH_KINDS[kind], tuple(map(tuple, points[:kind])), length, tuple(aod),
                         tuple(aoa), gain)
@@ -276,7 +278,6 @@ def trace_path_arrays(
     scene: Scene,
     tx,
     rx,
-    max_order: int = 2,
     carrier_hz: float = 4e10,
     ground_reflection: bool = True,
 ) -> PathArrays:
@@ -298,12 +299,9 @@ def trace_path_arrays(
         raise ValueError("tx and rx must differ")
     if tx[2] <= 0 or (rx[:, 2] <= 0).any():
         raise ValueError("tx and rx must be above the ground plane")
-    if not 0 <= max_order <= 2:
-        raise ValueError("max_order must be 0, 1 or 2")
 
     tree = scene.image_tree(tx, ground=ground_reflection)
-    rows, kinds, points, lengths, aod_dir, aoa_dir, refl = kernels.trace_batch(
-        tree, rx, scene.boxes, max_order)
+    rows, kinds, points, lengths, aod_dir, aoa_dir, refl = kernels.trace_batch(tree, rx, scene.boxes)
 
     lam = SPEED_OF_LIGHT / carrier_hz
     mag = lam / (4.0 * math.pi * lengths) * refl

@@ -8,10 +8,10 @@ packs every constant a pass reads per first-order face and per pair into
 rows of :class:`Planes`, so a pass gathers each from one row.
 :func:`trace_batch` enumerates the paths to many receivers in one vectorised
 pass (Sionna RT batches receivers the same way, arXiv:2303.11103) into one
-path table, LOS, R1 and R2 rows alike. A pass of at least _CULL_MIN_RX
-receivers first culls the tree to the pairs that its receivers' bounding box
-can reach (:func:`_cull`), so nearby receivers are tested against the pairs
-they can see, not against the whole tree. One reach test, :func:`_seen`,
+path table, LOS, R1 and R2 rows alike. Every pass first culls the tree to
+the pairs that its receivers' bounding box can reach (:func:`_cull`), so
+nearby receivers are tested against the pairs they can see, not against the
+whole tree. One reach test, :func:`_seen`,
 prunes both: face j's box against face i when the tree is built, the
 receivers' box against face j on each pass. The (receiver, face) and (receiver,
 pair) grids are tested densely once; the candidates they keep are flat
@@ -40,10 +40,6 @@ _FACE_EPS = 1e-9
 # margin by which the static pair pruning grows every face; far above the
 # rounding of any reflection point, so pruning never drops a valid path
 _PRUNE_EPS = 1e-6
-# the fewest receivers a pass culls the image tree for: the cull costs about 50 us
-# whatever the pass, which the smaller dense grids repay from about 16 receivers on
-# the shipped scene (an in-process A/B of CommsModule._sweep along the shipped route)
-_CULL_MIN_RX = 16
 
 
 def _split(ok):
@@ -68,8 +64,6 @@ def _seg_blocked_np_many(p, q, boxes):
     result.
     """
     blocked = np.zeros(p.shape[0], dtype=bool)
-    if boxes.shape[0] == 0 or p.shape[0] == 0:
-        return blocked
     p = np.ascontiguousarray(p.T)
     q = np.ascontiguousarray(q.T)
     bt = np.ascontiguousarray(boxes.T)
@@ -363,14 +357,15 @@ def _rows(planes, keep) -> Planes:
 def _cull(tree, rx) -> ImageTree:
     """The tree with only the pairs whose second face the receivers' bounding box
     can reach (see _seen), in their original order: the step beam tracing takes
-    after building the tree, culling it to the receiver region."""
-    box = np.stack([rx.min(axis=0), rx.max(axis=0)])
+    after building the tree, culling it to the receiver region. No receivers make an
+    empty box, which keeps no pair."""
+    box = np.stack([rx.min(axis=0, initial=np.inf), rx.max(axis=0, initial=-np.inf)])
     pairs = _seen(tree.plane_j, box.take(tree.plane_j.cols, axis=1))
     return replace(tree, pair_i=tree.pair_i.take(pairs), pair_j=tree.pair_j.take(pairs),
                    plane_i=_rows(tree.plane_i, pairs), plane_j=_rows(tree.plane_j, pairs))
 
 
-def trace_batch(tree: ImageTree, rx, boxes, max_order: int) -> tuple:
+def trace_batch(tree: ImageTree, rx, boxes) -> tuple:
     """Enumerate valid LOS/R1/R2 paths from the tree's transmitter to each rx row.
 
     Returns one table with a row per path, (rows, kinds, points, lengths,
@@ -380,11 +375,11 @@ def trace_batch(tree: ImageTree, rx, boxes, max_order: int) -> tuple:
     along (P, 3), and the product of the reflection coefficients it meets.
     Rows are in enumeration order: LOS, R1, then R2, each by receiver, then
     first order by face and second order by (i, j). Callers apply gains and
-    sorting. A pass of at least _CULL_MIN_RX receivers enumerates on the tree
-    culled to their bounding box, which keeps every pair a receiver can reach,
-    in order, so the table does not depend on which receivers share a pass. All
-    occlusion tests run as one broad-phase call. Points stay axis-major, (3, N),
-    from the enumeration to the occlusion test.
+    sorting. Second order enumerates on the tree culled to the receivers'
+    bounding box, which keeps every pair a receiver can reach, in order, so the
+    table does not depend on which receivers share a pass. All occlusion tests
+    run as one broad-phase call. Points stay axis-major, (3, N), from the
+    enumeration to the occlusion test.
     """
     tx = tree.tx[:, None]
     rx = np.asarray(rx, dtype=np.float64).reshape(-1, 3)
@@ -392,18 +387,9 @@ def trace_batch(tree: ImageTree, rx, boxes, max_order: int) -> tuple:
     n_rx = rx.shape[0]
     f_axis, f_coord, f_sign, _f_uv, _f_refl = tree.faces
     rx_side = f_sign * (rx.take(f_axis, axis=1) - f_coord) > _FACE_EPS
-
-    empty = np.zeros((3, 0))
-    no_rows = np.zeros(0, dtype=np.int64)
-    m1, refl1, img1, h1_1 = no_rows, no_rows, empty, empty
-    m2, refl2, img2, h1_2, h2_2 = no_rows, no_rows, empty, empty, empty
-    if max_order >= 1 and f_axis.shape[0]:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            m1, refl1, img1, h1_1 = _first_order(tree, rx, rxt, rx_side)
-            if max_order >= 2:
-                if n_rx >= _CULL_MIN_RX:
-                    tree = _cull(tree, rx)
-                m2, refl2, img2, h1_2, h2_2 = _second_order(tree, rx, rxt, rx_side)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m1, refl1, img1, h1_1 = _first_order(tree, rx, rxt, rx_side)
+        m2, refl2, img2, h1_2, h2_2 = _second_order(_cull(tree, rx), rx, rxt, rx_side)
 
     # the candidates, LOS then R1 then R2. A LOS path has no bounce: its first point
     # is rx, and its last point and last image are tx

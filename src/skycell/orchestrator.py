@@ -83,6 +83,15 @@ class ModuleHandle:
         raise NotImplementedError
 
 
+def finite_number(value) -> bool:
+    """A JSON integer or float that is finite: a boolean, text, NaN, an infinity or an
+    integer beyond the float range is no number."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        return False
+
+
 def _replay_state(u) -> tuple:
     """A recorded UE state: a known UE_type, a string UE_Id and a list of exactly
     three finite JSON numbers."""
@@ -93,7 +102,7 @@ def _replay_state(u) -> tuple:
         raise ValueError(f"episode-log UE_Id must be a string, got {ue_id!r}")
     if type(pos) is not list or len(pos) != 3 or not all(type(v) in (int, float) for v in pos):
         raise ValueError(f"episode-log position must be a list of three numbers, got {pos!r}")
-    if not all(math.isfinite(v) for v in pos if type(v) is float):  # json reads NaN, Infinity
+    if not all(map(finite_number, pos)):  # json reads NaN, Infinity and integers of any size
         raise ValueError(f"episode-log position must be finite, got {pos!r}")
     return ue_type, ue_id, tuple(pos)
 

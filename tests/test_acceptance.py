@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+import trace_oracle
 from trace_oracle import mirror_point
 
 from skycell.ai import TOPK_GRID, BeamDataset, DecisionTreeModel, Policy, topk_accuracy
@@ -29,6 +30,7 @@ from skycell.geometry import (
     SPEED_OF_LIGHT,
     Building,
     Material,
+    PathBundle,
     Scene,
     TxPose,
     trace_paths,
@@ -168,7 +170,10 @@ def test_criterion_5_ray_tracer():
               float(rng.uniform(5, 120)))
         rx = (face_x + side * float(rng.uniform(1, 80)), float(rng.uniform(210, 290)),
               float(rng.uniform(5, 120)))
-        bundle = trace_paths(scene, tx, rx, max_order=1, ground_reflection=False)
+        paths = trace_paths(scene, tx, rx, ground_reflection=False).paths
+        bundle = PathBundle(tuple(p for p in paths if p.kind != "R2"))
+        assert bundle == trace_oracle.trace_paths(scene, tx, rx, max_order=1,
+                                                  ground_reflection=False)
         for path in (p for p in bundle.paths if p.kind == "R1"):
             if abs(path.vertices[0][0] - face_x) > 1e-6:
                 continue

@@ -13,6 +13,7 @@ import pytest
 
 from skycell import orchestrator as orch
 from skycell.ai import TOPK_GRID, BeamDataset, DecisionTreeModel, TreeNode, train_tree
+from skycell.blueprint import DATASET_MAX_SNAPSHOTS
 from skycell.cli import main
 from skycell.config import LEAVES, default_config, load_config
 from skycell.orchestrator import EpisodeLog
@@ -187,8 +188,9 @@ def test_mission_in_another_category_exits_2(tmp_path, capsys, category):
 
 
 def test_mission_and_dataset_manifests_record_what_ran(tmp_path, monkeypatch):
-    """mission runs to mission.max_snapshots and dataset flies Mob3dCommInLoop, and each
-    manifest's config says so; the mission re-run from that config writes the same log."""
+    """mission runs to mission.max_snapshots and dataset flies Mob3dCommInLoop, each flight
+    to the dataset cap, and each manifest's config says so; the mission re-run from that
+    config writes the same log."""
     monkeypatch.chdir(tmp_path)
     cfg = _write_cfg(tmp_path, mission={"max_snapshots": 40})
     first, again = tmp_path / "m", tmp_path / "again"
@@ -210,6 +212,7 @@ def test_mission_and_dataset_manifests_record_what_ran(tmp_path, monkeypatch):
     assert main(["dataset", "--config", _write_cfg(tmp_path), "--out", str(ds)]) == 0
     episode = json.loads((ds / "manifest.json").read_text())["config"]["episode"]
     assert episode["category"] == "Mob3dCommInLoop"
+    assert episode["n_snapshots"] == DATASET_MAX_SNAPSHOTS
 
 
 def test_mission_tree_without_model_exits_2(tmp_path):
@@ -252,9 +255,13 @@ def test_train_dataset_too_small_exits_2(tmp_path):
 
 
 def test_bench_csv(tmp_path):
+    """Each count flies bench.virtual_seconds, four snapshots at the 0.5 s interval, and the
+    manifest's config records that count, not the config's eight."""
     cfg = _write_cfg(tmp_path, bench={"virtual_seconds": 2.0, "repetitions": 1})
     out = tmp_path / "bench"
     assert main(["bench", "--config", cfg, "--counts", "1,2", "--out", str(out)]) == 0
+    assert [r["n_snapshots"] for r in json.loads((out / "bench.json").read_text())] == [4, 4]
+    assert json.loads((out / "manifest.json").read_text())["config"]["episode"]["n_snapshots"] == 4
     lines = (out / "bench.csv").read_text().strip().splitlines()
     assert lines[0] == "n_uavs,Tp_s,Tv_s,rtf,t_mobility_s,t_comms_s,t_ai_s"
     assert len(lines) == 3
@@ -288,12 +295,16 @@ _FAST_BENCH = {"virtual_seconds": 1.0, "repetitions": 1}
         ("run", {}, ["--policy", "tree"],
          "policy.kind tree needs policy.model_path (--model PATH), got null"),
         ("bench", {"bench": _FAST_BENCH}, ["--counts", "0"], "--counts needs positive integers"),
+        ("bench", {"bench": _FAST_BENCH, "episode": {"category": "Mob3dCommInLoop"}},
+         ["--counts", "1"],
+         "bench flies episode.category AllInLoop only, got episode.category Mob3dCommInLoop"),
         ("run", {"scene": "missing-scene.json"}, [], "cannot load scene: [Errno 2]"),
         ("train", {}, ["--test-dataset", "missing.csv"], "cannot read test dataset: [Errno 2]"),
     ],
     ids=["bench-interval-multiple", "mission-targets-over-fractions", "run-replay-without-log",
          "mission-cap-over-table", "mission-tree-without-model", "run-tree-without-model",
-         "bench-zero-count", "run-missing-scene-file", "train-missing-test-dataset"],
+         "bench-zero-count", "bench-in-another-category", "run-missing-scene-file",
+         "train-missing-test-dataset"],
 )
 def test_a_failed_check_leaves_no_out(tmp_path, capsys, command, doc, flags, message):
     """A command makes --out just before its first write, so a check that fails exits 2
@@ -732,6 +743,16 @@ def _run_in_subprocess(cfg, out):
     )
 
 
+@pytest.mark.parametrize("text, kind", [("[1]", "list"), ("null", "NoneType"), ('"a"', "str")])
+def test_scene_file_holding_no_object_exits_2(tmp_path, capsys, text, kind):
+    path = tmp_path / "scene.json"
+    path.write_text(text)
+    out = tmp_path / "x"
+    assert main(["run", "--config", _write_cfg(tmp_path, scene=str(path)), "--out", str(out)]) == 2
+    assert f"error: scene must be a JSON object, got {kind}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("scene", [0, True, 5], ids=["zero", "true", "five"])
 def test_scene_of_another_type_exits_2(tmp_path, scene):
     """open() would take the number as a file descriptor."""
@@ -908,6 +929,24 @@ def test_best_pair_outside_the_gain_columns_exits_2(tmp_path, capsys):
     assert "best_pair 5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_best_pair_beyond_int64_exits_2(tmp_path, capsys, command):
+    """A best_pair of 400 digits is refused by its row, as any pair outside the gain
+    columns is, before it would overflow the int64 column."""
+    huge = 10**400
+    path = tmp_path / "bad.csv"
+    path.write_text(f"x,y,z,los,best_pair,g0,g1\n1.0,2.0,30.0,NLOS,1,0.5,0.25\n"
+                    f"3.0,4.0,30.0,NLOS,{huge},0.5,0.25\n")
+    model_path = tmp_path / "model.json"
+    DecisionTreeModel(TreeNode(counts=np.ones(2, dtype=np.int64)), 1, 2).save(model_path)
+    flags = ["--model", str(model_path)] if command == "eval" else []
+    out = tmp_path / "o"
+    assert main([command, "--config", _write_cfg(tmp_path), *flags, "--dataset", str(path),
+                 "--out", str(out)]) == 2
+    assert f"row 1: best_pair {huge} is outside the 2 gain columns" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _GOOD_ROW = "1.0,2.0,30.0,NLOS,2,0.5,0.25,0.75"
 
 
@@ -1047,6 +1086,11 @@ def test_empty_replay_log_exits_2(tmp_path, capsys):
         ('{"t": 0.0, "ue_states": [{"UE_type": "UAV", "UE_Id": "uav0", "position": [300,'
          ' Infinity, 40]}], "chosen_pair": 1, "throughput_mbps": 5.0, "events": []}',
          "episode-log position must be finite, got [300, inf, 40]"),
+        pytest.param('{"t": 0.0, "ue_states": [{"UE_type": "UAV", "UE_Id": "uav0", "position":'
+                     ' [1' + "0" * 400 + ', 325, 40]}], "chosen_pair": 1, "throughput_mbps": 5.0,'
+                     ' "events": []}',
+                     "episode-log position must be finite, got [1" + "0" * 400 + ", 325, 40]",
+                     id="position-of-400-digits"),
     ],
 )
 def test_malformed_replay_record_exits_2(tmp_path, capsys, line, message):

@@ -17,6 +17,8 @@ from skycell.geometry import (
     SPEED_OF_LIGHT,
     Building,
     Material,
+    PathArrays,
+    PathBundle,
     Scene,
     TxPose,
     los_class,
@@ -36,6 +38,18 @@ def empty_scene():
 
 def box_scene(lo, hi):
     return Scene(719.2, 693.4, TxPose((100.0, 100.0, 50.0)), [Building(lo, hi, CONCRETE)])
+
+
+def _up_to(bundle, k):
+    """The bundle's paths of reflection order k or less, in bundle order: the paths the
+    oracle enumerates at max_order k."""
+    return PathBundle(tuple(p for p in bundle.paths if PATH_KINDS.index(p.kind) <= k))
+
+
+def _arrays_up_to(paths, k):
+    """The path arrays' rows of reflection order k or less, in order."""
+    keep = paths.kinds <= k
+    return PathArrays(*(v[keep] for v in paths))
 
 
 def test_mirror_point_examples():
@@ -120,7 +134,9 @@ def test_single_wall_image_length():
     )
     tx = (15.0, 10.0, 10.0)
     rx = (13.0, 14.0, 10.0)
-    bundle = trace_paths(scene, tx, rx, max_order=1, ground_reflection=False)
+    bundle = _up_to(trace_paths(scene, tx, rx, ground_reflection=False), 1)
+    _assert_same_bundle(bundle, trace_oracle.trace_paths(scene, tx, rx, max_order=1,
+                                                         ground_reflection=False))
     r1 = [p for p in bundle.paths if p.kind == "R1"]
     assert len(r1) == 1
     mirrored = mirror_point(tx, 0, 10.0)
@@ -138,8 +154,9 @@ def test_spec_wall_example_length_value():
 
 def test_blocked_los_no_reflectors_gives_outage():
     scene = box_scene((40, 40, 0), (60, 60, 100))
-    bundle = trace_paths(scene, (20, 50, 50), (80, 50, 50), max_order=0,
-                         ground_reflection=False)
+    bundle = _up_to(trace_paths(scene, (20, 50, 50), (80, 50, 50), ground_reflection=False), 0)
+    _assert_same_bundle(bundle, trace_oracle.trace_paths(scene, (20, 50, 50), (80, 50, 50),
+                                                         max_order=0, ground_reflection=False))
     assert not bundle.paths
     assert not bundle.los_present
     assert los_class(bundle) == "outage"
@@ -188,7 +205,9 @@ def test_image_method_identity_randomized():
         rx = (face_x + side * rng.uniform(1, 80), rng.uniform(210, 290), rng.uniform(5, 120))
         if tx == rx:
             continue
-        bundle = trace_paths(scene, tx, rx, max_order=1, ground_reflection=False)
+        bundle = _up_to(trace_paths(scene, tx, rx, ground_reflection=False), 1)
+        _assert_same_bundle(bundle, trace_oracle.trace_paths(scene, tx, rx, max_order=1,
+                                                             ground_reflection=False))
         for path in (p for p in bundle.paths if p.kind == "R1"):
             if abs(path.vertices[0][0] - face_x) > 1e-6:
                 continue  # bounce off another face of the same box
@@ -252,8 +271,6 @@ def test_trace_rejects_degenerate_and_out_of_range():
         trace_paths(scene, (1, 1, 1), (1, 1, 1))
     with pytest.raises(ValueError):
         trace_paths(scene, (1, 1, -5), (2, 2, 10))
-    with pytest.raises(ValueError):
-        trace_paths(scene, (1, 1, 5), (2, 2, 10), max_order=3)
 
 
 def _assert_same_bundle(got, ref):
@@ -296,8 +313,8 @@ def test_tracer_matches_oracle():
         a, b = _random_points(rng, scene, 2)
         _assert_same_bundle(trace_paths(scene, a, b), trace_oracle.trace_paths(scene, a, b))
 
-    # criterion 5's random walls, every max order and both ground flags; max_order 0
-    # leaves the R1 and R2 records empty
+    # criterion 5's random walls and both ground flags, the bundle also filtered to the
+    # oracle's lower orders; order 0 leaves no R1 or R2 path
     concrete = Material("concrete", 0.5)
     for _ in range(60):
         x0 = float(rng.uniform(5, 300))
@@ -311,10 +328,10 @@ def test_tracer_matches_oracle():
              float(rng.uniform(5, 120)))
         b = (face_x + side * float(rng.uniform(1, 80)), float(rng.uniform(210, 290)),
              float(rng.uniform(5, 120)))
-        for kwargs in ({}, {"max_order": 1, "ground_reflection": False}, {"max_order": 0},
-                       {"ground_reflection": False}):
-            ref = trace_oracle.trace_paths(walls, a, b, **kwargs)
-            _assert_same_bundle(trace_paths(walls, a, b, **kwargs), ref)
+        for order, ground in ((2, True), (1, False), (0, True), (2, False)):
+            ref = trace_oracle.trace_paths(walls, a, b, max_order=order, ground_reflection=ground)
+            _assert_same_bundle(_up_to(trace_paths(walls, a, b, ground_reflection=ground), order),
+                                ref)
             kinds.update(q.kind for q in ref.paths)
 
     assert min(kinds["LOS"], kinds["R1"], kinds["R2"]) >= 50, kinds
@@ -379,11 +396,11 @@ def test_path_arrays_equal_the_oracle_in_bundle_order(points):
 @pytest.mark.parametrize("max_order", [0, 1, 2])
 @pytest.mark.parametrize("ground_reflection", [True, False])
 def test_batched_receivers_off_the_shipped_scene_match_the_oracle(max_order, ground_reflection):
-    """2-6 receivers per pass on random-wall scenes: each receiver's run equals its oracle
-    bundle bit for bit, with the R1 or R2 part of the path table empty at max_order 0 and
-    1 and wherever no bounce survives. The first receiver of each pass shares a
-    coordinate with the transmitter, where rx - tx and tx - rx differ in the sign of a
-    zero."""
+    """2-6 receivers per pass on random-wall scenes: each receiver's run of the path
+    arrays, filtered to reflection order max_order or less, equals its oracle bundle at
+    that order bit for bit, with no R1 or R2 row at order 0 and 1 and wherever no bounce
+    survives. The first receiver of each pass shares a coordinate with the transmitter,
+    where rx - tx and tx - rx differ in the sign of a zero."""
     rng = np.random.default_rng(2700 + 3 * max_order + ground_reflection)
     kinds = Counter()
     for _ in range(30):
@@ -396,8 +413,8 @@ def test_batched_receivers_off_the_shipped_scene_match_the_oracle(max_order, gro
                                   rng.uniform(210, 290, n), rng.uniform(5, 120, n)])
         shared = rng.integers(0, 3)
         points[0, shared] = tx[shared]
-        paths = trace_path_arrays(walls, tx, points, max_order=max_order,
-                                  ground_reflection=ground_reflection)
+        paths = _arrays_up_to(trace_path_arrays(walls, tx, points,
+                                                ground_reflection=ground_reflection), max_order)
         for m, point in enumerate(points):
             ref = trace_oracle.trace_paths(walls, tx, point, max_order=max_order,
                                            ground_reflection=ground_reflection)
@@ -525,8 +542,8 @@ def _wall_passes(draw):
 def test_the_cull_keeps_every_pair_a_receiver_can_reach(case):
     """Whatever the pass's receivers, the cull of the image tree to their box keeps
     every face pair that some receiver passes the first test against in the dense
-    (receiver, pair) grid, and each receiver's run of the path arrays (culled from
-    kernels._CULL_MIN_RX receivers on) equals its oracle bundle."""
+    (receiver, pair) grid, and each receiver's run of the path arrays, every pass culled,
+    equals its oracle bundle."""
     scene, tx, rx, ground = case
     tree = scene.image_tree(tx, ground=ground)
     f_axis, f_coord, f_sign = tree.faces[:3]
@@ -594,6 +611,10 @@ def test_trace_batch_validation():
     scene = empty_scene()
     tx = (1.0, 1.0, 5.0)
     assert [a.shape[0] for a in trace_path_arrays(scene, tx, np.zeros((0, 3)))] == [0] * 7
+    # no receivers cull the shipped tree to no pair
+    shipped = default_scene()
+    assert [a.shape[0] for a in trace_path_arrays(shipped, shipped.tx.position,
+                                                  np.zeros((0, 3)))] == [0] * 7
     with pytest.raises(ValueError):
         trace_path_arrays(scene, tx, [(2.0, 2.0, 10.0), tx])
     with pytest.raises(ValueError):
