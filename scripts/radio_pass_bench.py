@@ -37,9 +37,9 @@ import tracemalloc
 import numpy as np
 
 from skycell import kernels
-from skycell.blueprint import TRACE_BATCH, CommsModule, offset_plan
+from skycell.blueprint import TRACE_BATCH, CommsModule, MobilityModule, offset_plan
 from skycell.config import base_route, comms_config, default_scene, load_config
-from skycell.mobility import Corridor, positions_ahead, uav_state
+from skycell.mobility import Corridor
 
 BATCHES = (1, 4, 8, 10, 16, 20, 32, 64)
 
@@ -72,9 +72,9 @@ def main() -> None:
         return draw
 
     dt = cfg["episode"]["sampling_interval"]
-    lone = positions_ahead(uav_state("uav", route), dt, 10**6)
-    fans = [positions_ahead(uav_state(f"uav{i}", offset_plan(route, 3.0 * (i - 4.5))), dt, 10**6)
-            for i in range(10)]
+    lone = MobilityModule({"uav": route}, dt).upcoming("uav", 10**6)
+    fleet = MobilityModule({f"uav{i}": offset_plan(route, 3.0 * (i - 4.5)) for i in range(10)}, dt)
+    fans = [fleet.upcoming(ue_id, 10**6) for ue_id in fleet.states]
     per_uav = 1 + max(1, TRACE_BATCH // 10 - 1)  # each position and the moves traced with it
     passes = [(f"M={m}", m, uniform(m)) for m in BATCHES] + [
         (f"M={TRACE_BATCH} along one route", TRACE_BATCH, along([lone], TRACE_BATCH)),

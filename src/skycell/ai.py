@@ -109,7 +109,7 @@ class BeamDataset:
             header = fh.readline().rstrip("\r\n").split(",")
             n_pairs = len(header) - len(CSV_HEADER)
             if header != CSV_HEADER + [f"g{i}" for i in range(n_pairs)]:
-                raise ValueError(f"unexpected dataset header in {path}")
+                raise ValueError("unexpected dataset header")
             for i, line in enumerate(fh):
                 fields = line.rstrip("\r\n").split(",")
                 if len(fields) != len(header):

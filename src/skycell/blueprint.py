@@ -48,7 +48,6 @@ from .mobility import (
     TrajectoryPlan,
     position_of,
     position_payload,
-    positions_ahead,
     step_kinematics,
     uav_state,
 )
@@ -73,21 +72,34 @@ class MobilityModule(orch.ModuleHandle):
         self.sampling_interval = sampling_interval
         self.states = {ue_id: uav_state(ue_id, plan) for ue_id, plan in plans.items()}
         self._hold = {ue_id: 0 for ue_id in plans}
+        self._routes = {}  # UE_Id -> the states its moves step through; see _route
 
     def hold(self, ue_id: str, n_snapshots: int) -> None:
         """Keep a UE stationary for the next n snapshots."""
         self._hold[ue_id] = max(self._hold[ue_id], n_snapshots)
 
+    def _route(self, ue_id: str, k: int) -> deque:
+        """The UE's stepped route: the state it is in, then the states its next moves step
+        to, stepped on to k of them unless the route ends first. A hold delays these moves
+        and never changes them; a state set from outside starts a new route."""
+        state = self.states[ue_id]
+        route = self._routes.get(ue_id)
+        if route is None or route[0] is not state:
+            route = self._routes[ue_id] = deque((state,))
+        while len(route) <= k and not route[-1].done:
+            route.append(step_kinematics(route[-1], self.sampling_interval))
+        return route
+
     def upcoming(self, ue_id: str, k: int) -> list:
         """The next k positions the UE publishes as it moves; fewer once its route ends.
 
-        The steps run inside mobility.positions_ahead, so perfbench's mobility.step
-        span, which wraps this module's step_kinematics, still counts published moves.
-        Empty for a UE this module does not move.
+        Each state of a route is stepped once, whether upcoming or step reaches it first,
+        by this module's step_kinematics, so the span perfbench puts on that name (its
+        mobility.step) counts every state once. Empty for a UE this module does not move.
         """
-        if ue_id not in self.states:
+        if k <= 0 or ue_id not in self.states:
             return []
-        return positions_ahead(self.states[ue_id], self.sampling_interval, k)
+        return [state.position for state in islice(self._route(ue_id, k), 1, k + 1)]
 
     def route_complete(self, ue_id: str) -> bool:
         return self.states[ue_id].done
@@ -97,7 +109,10 @@ class MobilityModule(orch.ModuleHandle):
             if self._hold[ue_id] > 0:
                 self._hold[ue_id] -= 1
             else:
-                state = self.states[ue_id] = step_kinematics(state, self.sampling_interval)
+                route = self._route(ue_id, 1)
+                if len(route) > 1:  # else the route has ended
+                    route.popleft()
+                    state = self.states[ue_id] = route[0]
             text, doc = position_payload(state)
             broker.publish(orch.POSITIONS_TOPIC, text, publisher=ue_id, doc=doc)
 

@@ -92,11 +92,9 @@ def _policy(cfg: dict) -> Policy:
             raise ConfigError("policy.kind tree needs policy.model_path (--model PATH), "
                               f"got {json.dumps(model_path)}")
         arrays = cfgmod.comms_config(cfg)
-        try:
-            model = DecisionTreeModel.load(
-                model_path, arrays.tx_upa.n_elements * arrays.rx_upa.n_elements, "arrays")
-        except OSError as exc:
-            raise ConfigError(f"cannot read model: {exc}") from exc
+        n_pairs = arrays.tx_upa.n_elements * arrays.rx_upa.n_elements
+        model = cfgmod.read_input("cannot read model", model_path,
+                                  lambda path: DecisionTreeModel.load(path, n_pairs, "arrays"))
     return Policy(kind=kind, model=model)
 
 
@@ -134,10 +132,8 @@ def cmd_run(cfg: dict, args, out: Path) -> dict:
         if not replay_path:
             raise ConfigError(f"episode.category {ep.category} needs replay_log (--replay PATH), "
                               f"got {json.dumps(replay_path)}")
-        try:
-            recorded = orch.EpisodeLog.read_jsonl(replay_path)
-        except OSError as exc:
-            raise ConfigError(f"cannot read replay log: {exc}") from exc
+        recorded = cfgmod.read_input("cannot read replay log", replay_path,
+                                     orch.EpisodeLog.read_jsonl)
         if not recorded.records:
             raise ConfigError(f"replay log {replay_path} has no records")
         source = ReplayModule(recorded.records)
@@ -212,10 +208,7 @@ def _write_table(table: list, path: Path) -> None:
 
 
 def cmd_train(cfg: dict, args, out: Path) -> dict:
-    try:
-        full = filter_nlos(BeamDataset.load_csv(args.dataset))
-    except OSError as exc:
-        raise ConfigError(f"cannot read dataset: {exc}") from exc
+    full = filter_nlos(cfgmod.read_input("cannot read dataset", args.dataset, BeamDataset.load_csv))
     if len(full) < 2:
         raise ConfigError("dataset too small to split after NLOS filtering")
     d = cfg["dataset"]
@@ -226,10 +219,8 @@ def cmd_train(cfg: dict, args, out: Path) -> dict:
 
     grids = {"validation": validation}
     if args.test_dataset:
-        try:
-            test = filter_nlos(BeamDataset.load_csv(args.test_dataset))
-        except OSError as exc:
-            raise ConfigError(f"cannot read test dataset: {exc}") from exc
+        test = filter_nlos(cfgmod.read_input("cannot read test dataset", args.test_dataset,
+                                             BeamDataset.load_csv))
         if len(test):
             grids["test"] = test
     table = _topk_table(model, grids)
@@ -248,11 +239,10 @@ def cmd_train(cfg: dict, args, out: Path) -> dict:
 
 
 def cmd_eval(cfg: dict, args, out: Path) -> dict:
-    try:
-        ds = BeamDataset.load_csv(args.dataset)
-        model = DecisionTreeModel.load(cfg["policy"]["model_path"], ds.gains.shape[1], "dataset")
-    except OSError as exc:
-        raise ConfigError(f"cannot read inputs: {exc}") from exc
+    ds = cfgmod.read_input("cannot read dataset", args.dataset, BeamDataset.load_csv)
+    model = cfgmod.read_input(
+        "cannot read model", cfg["policy"]["model_path"],
+        lambda path: DecisionTreeModel.load(path, ds.gains.shape[1], "dataset"))
     ds = filter_nlos(ds)
     if len(ds) == 0:
         raise ConfigError("evaluation dataset is empty after filtering")

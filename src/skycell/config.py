@@ -181,16 +181,30 @@ def _check(cfg: dict) -> None:
                 raise ConfigError(f"{key} must be {each}{op} {limit}, got {json.dumps(value)}")
 
 
+def read_input(lead: str, path, read):
+    """read(path), or a ConfigError that begins with lead, such as "cannot read model":
+    a file that cannot be opened keeps the OSError's text, which names the path, and
+    one that does not decode (not UTF-8, not its format) or holds a value that read
+    refuses has its path named before the ValueError's text."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise ConfigError(f"{lead}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{lead}: {path}: {exc}") from exc
+
+
+def _json_file(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def load_config(path=None, overrides=None) -> dict:
     """Shipped defaults, deep-merged with the user's JSON when given, then each dotted
     key of overrides set to its value; every leaf is then checked against LEAVES."""
     cfg = default_config()
     if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                cfg = _merge(cfg, json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
+        cfg = _merge(cfg, read_input("cannot read config", path, _json_file))
     for key, value in (overrides or {}).items():
         node, name = _slot(cfg, key)
         node[name] = value
@@ -205,10 +219,11 @@ def load_scene(cfg: dict) -> Scene:
             return Scene.from_dict(source)
         if source in ("builtin", None):
             return default_scene()
-        return Scene.from_file(source)
+        # only the decode names the path: a decoded doc's own errors name its keys
+        return Scene.from_dict(read_input("cannot load scene", source, _json_file))
     except KeyError as exc:
         raise ConfigError(f"scene lacks key {exc}") from exc
-    except (OSError, TypeError) as exc:
+    except TypeError as exc:
         raise ConfigError(f"cannot load scene: {exc}") from exc
 
 

@@ -42,8 +42,8 @@ class TrajectoryPlan:
     speed_mps: float = 5.0
 
     def __post_init__(self):
-        if not self.speed_mps > 0:
-            raise ValueError(f"route speed_mps must be > 0, got {self.speed_mps}")
+        if not 0 < self.speed_mps < math.inf:
+            raise ValueError(f"route speed_mps must be > 0 and finite, got {self.speed_mps}")
 
     @property
     def points(self) -> tuple:
@@ -106,35 +106,30 @@ def uav_state(ue_id: str, plan: TrajectoryPlan) -> UeState:
 
 def step_kinematics(state: UeState, dt: float) -> UeState:
     """Advance along the remaining route by speed*dt, never overshooting."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     if not state.waypoints or state.speed == 0:
         return state
-    pos = np.asarray(state.position, dtype=float)
     remaining = state.speed * dt
+    if not remaining < math.inf:  # NaN fails this too
+        raise ValueError(f"a step must be finite, got speed {state.speed} over dt {dt}")
+    x, y, z = map(float, state.position)
     waypoints = list(state.waypoints)
     while remaining > 0 and waypoints:
-        target = np.asarray(waypoints[0], dtype=float)
-        leg = target - pos
+        wx, wy, wz = map(float, waypoints[0])
+        dx, dy, dz = wx - x, wy - y, wz - z
+        leg = np.array((dx, dy, dz))
         dist = math.sqrt(leg.dot(leg))  # np.linalg.norm's own arithmetic
         if dist <= remaining:
-            pos = target
+            x, y, z = wx, wy, wz
             waypoints.pop(0)
             remaining -= dist
         else:
-            pos = pos + leg * (remaining / dist)
+            f = remaining / dist  # float arithmetic has the bits of numpy's pos + leg * f
+            x, y, z = x + dx * f, y + dy * f, z + dz * f
             remaining = 0.0
     speed = state.speed if waypoints else 0.0
-    return UeState(state.ue_type, state.ue_id, tuple(pos.tolist()), speed, tuple(waypoints))
-
-
-def positions_ahead(state: UeState, dt: float, k: int) -> list:
-    """The positions of the next k kinematics steps from state, fewer once the route ends."""
-    ahead = []
-    while len(ahead) < k and not state.done:
-        state = step_kinematics(state, dt)
-        ahead.append(state.position)
-    return ahead
+    return UeState(state.ue_type, state.ue_id, (x, y, z), speed, tuple(waypoints))
 
 
 def position_payload(state: UeState) -> tuple:

@@ -58,8 +58,9 @@ class EpisodeConfig:
     def __post_init__(self):
         if self.n_snapshots < 1:
             raise ValueError("n_snapshots must be >= 1")
-        if self.sampling_interval <= 0:
-            raise ValueError("sampling_interval must be > 0")
+        if not 0 < self.sampling_interval < math.inf:
+            raise ValueError(
+                f"sampling_interval must be finite and > 0, got {self.sampling_interval}")
         if self.category not in CATEGORIES:
             raise ValueError(f"category must be one of {CATEGORIES}, got {self.category!r}")
 
@@ -188,10 +189,13 @@ class EpisodeLog:
     def read_jsonl(cls, path) -> "EpisodeLog":
         log = cls()
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for n, line in enumerate(fh, 1):
                 line = line.strip()
                 if line:
-                    log.records.append(SnapshotRecord.from_json(line))
+                    try:
+                        log.records.append(SnapshotRecord.from_json(line))
+                    except ValueError as exc:
+                        raise ValueError(f"line {n}: {exc}") from exc
         return log
 
 

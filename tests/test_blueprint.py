@@ -614,6 +614,89 @@ def test_upcoming_lists_the_moves_the_ue_publishes():
     assert mob.upcoming("u1", 3) == []  # a UE the module does not move
 
 
+_near_point = st.tuples(st.floats(0.0, 30.0), st.floats(0.0, 30.0), st.floats(1.0, 30.0))
+
+
+@st.composite
+def _short_plans(draw):
+    """Routes of up to about 150 moves, so upcoming's k often reaches past their end."""
+    points = draw(st.lists(_near_point, min_size=2, max_size=4))
+    return TrajectoryPlan(points[0], points[-1], tuple(points[1:-1]), draw(st.floats(2.0, 20.0)))
+
+
+_source_ops = st.lists(st.one_of(
+    st.tuples(st.just("upcoming"), st.integers(0, 3), st.integers(-2, 160)),
+    st.tuples(st.just("hold"), st.integers(0, 2), st.integers(0, 3)),
+    st.tuples(st.just("step"), st.just(0), st.just(0)),
+    # set a UE's state from outside: the start of a route, or the state it is in
+    st.tuples(st.just("set"), st.integers(0, 2), st.integers(-1, 2)),
+), max_size=60)
+
+
+@given(plans=st.lists(_short_plans(), min_size=1, max_size=3), ops=_source_ops)
+# u0 is set back to its route's start once it has moved and listed its next moves
+@example(plans=[_LONG], ops=[("step", 0, 0), ("step", 0, 0), ("upcoming", 0, 3), ("set", 0, 0),
+                             ("step", 0, 0)])
+@settings(max_examples=100, deadline=None)
+def test_upcoming_changes_nothing_the_position_source_publishes(plans, ops):
+    """Under any interleaving of upcoming (k from -2 to past the route's end, for a UE the
+    module moves or not), hold, step and an outside set of a UE's state, the module
+    publishes, text for text, what a twin that is never asked for upcoming publishes, and
+    each upcoming(ue, k) lists the UE's next k moves: the positions it publishes when it
+    next moves, fewer only when its route ends after them."""
+    routes = {f"u{i}": p for i, p in enumerate(plans)}
+    asked, twin = blueprint.MobilityModule(routes, 0.5), blueprint.MobilityModule(routes, 0.5)
+    brokers = Broker(), Broker()
+    subs = [b.subscribe(orch.POSITIONS_TOPIC) for b in brokers]
+    listed = {}  # UE_Id -> (moves upcoming listed and not yet made, whether the route ends there)
+
+    def step():
+        before = dict(twin.states)
+        asked.step(0.0, brokers[0])
+        twin.step(0.0, brokers[1])
+        assert [m.payload for m in subs[0].drain()] == [m.payload for m in subs[1].drain()]
+        for ue_id, state in twin.states.items():
+            moves, ends = listed.get(ue_id, ((), False))
+            if state is not before[ue_id] and moves:  # it moved
+                assert state.position == moves[0]
+                listed[ue_id] = moves[1:], ends
+                if ends and len(moves) == 1:  # the last move listed ends the route
+                    assert state.done
+
+    for op, i, n in ops:
+        ue_id = f"u{i % len(plans)}"
+        if op == "upcoming":
+            ue_id = f"u{i}"  # u{len(plans)} and on: a UE the module does not move
+            moves = asked.upcoming(ue_id, n)
+            if ue_id not in routes or n <= 0:
+                assert moves == []
+                continue
+            assert len(moves) <= n
+            old, _ = listed.get(ue_id, ((), False))
+            assert moves[:len(old)] == list(old[:len(moves)])
+            listed[ue_id] = tuple(moves), len(moves) < n
+            if not moves:
+                assert twin.states[ue_id].done
+        elif op == "hold":
+            asked.hold(ue_id, n)
+            twin.hold(ue_id, n)
+        elif op == "set":
+            if n < 0:
+                asked.states[ue_id] = asked.states[ue_id]
+                twin.states[ue_id] = twin.states[ue_id]
+            else:
+                state = blueprint.uav_state(ue_id, plans[n % len(plans)])
+                asked.states[ue_id] = twin.states[ue_id] = state
+                listed.pop(ue_id, None)
+        else:
+            step()
+    for _ in range(400):  # make every listed move
+        if not any(moves for moves, _ in listed.values()):
+            break
+        step()
+    assert not any(moves for moves, _ in listed.values())
+
+
 def test_a_queue_that_does_not_lead_to_the_published_position_is_dropped():
     broker = Broker()
     mob = blueprint.MobilityModule({"u0": _LONG}, 0.5)

@@ -1186,6 +1186,56 @@ def test_eval_of_a_model_with_bad_sizes_or_counts_exits_2(tmp_path, capsys, text
     assert not out.exists()
 
 
+# each input file: the flags that make a command read bad as it, the lead of its error
+# and its format
+_INPUTS = {
+    "config": (lambda tmp, bad: ["run", "--config", str(bad)], "cannot read config", "json"),
+    "scene": (lambda tmp, bad: ["run", "--config", _write_cfg(tmp, scene=str(bad))],
+              "cannot load scene", "json"),
+    "replay": (lambda tmp, bad: ["run", "--config", _write_cfg(
+        tmp, episode={"category": "AiCommInLoop"}), "--replay", str(bad)],
+               "cannot read replay log", "jsonl"),
+    "model": (lambda tmp, bad: ["mission", "--config", _write_cfg(tmp), "--policy", "tree",
+                                "--model", str(bad)], "cannot read model", "json"),
+    "dataset": (lambda tmp, bad: ["train", "--config", _write_cfg(tmp), "--dataset", str(bad)],
+                "cannot read dataset", "csv"),
+    "test-dataset": (lambda tmp, bad: ["train", "--config", _write_cfg(tmp),
+                                       *_nlos_dataset_flags(tmp), "--test-dataset", str(bad)],
+                     "cannot read test dataset", "csv"),
+    "eval-model": (lambda tmp, bad: ["eval", "--config", _write_cfg(tmp), "--model", str(bad),
+                                     *_nlos_dataset_flags(tmp)], "cannot read model", "json"),
+    "eval-dataset": (lambda tmp, bad: ["eval", "--config", _write_cfg(tmp),
+                                       *_leaf_model_flags(tmp), "--dataset", str(bad)],
+                     "cannot read dataset", "csv"),
+}
+# a file of each format cut short, and the error it decodes to
+_CUT_SHORT = {
+    "json": ('{"bounds": ', "Expecting value: line 1 column 12 (char 11)"),
+    "jsonl": ('{"t": 0.0,', "line 1: Expecting property name enclosed in double quotes"),
+    "csv": ("x,y,z,los,best_pair,g0,g1\n1.0,2.0", "row 0: 2 fields, the header has 7"),
+}
+
+
+@pytest.mark.parametrize("failure", ["cut-short", "not-utf-8"])
+@pytest.mark.parametrize("which", list(_INPUTS))
+def test_an_input_that_does_not_decode_is_named_with_its_path(tmp_path, capsys, which,
+                                                              failure):
+    """A file cut short, or not UTF-8, exits 2 with the error an unreadable file gets,
+    with its path, and makes no --out."""
+    flags, lead, kind = _INPUTS[which]
+    text, error = _CUT_SHORT[kind]
+    bad = (tmp_path / f"bad.{kind}").resolve()
+    if failure == "cut-short":
+        bad.write_text(text)
+    else:
+        bad.write_bytes(b"\xff" + text.encode())
+        error = "'utf-8' codec can't decode byte 0xff in position 0"
+    out = tmp_path / "out"
+    assert main([*flags(tmp_path, bad), "--out", str(out)]) == 2
+    assert f"error: {lead}: {bad}: {error}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_of_a_malformed_model_exits_2(tmp_path, capsys):
     """A split on a fourth coordinate is refused when the model is read, before any row
     reaches it."""

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from trace_oracle import mirror_point
 
-from skycell.blueprint import TRACE_BATCH, offset_plan
+from skycell.blueprint import TRACE_BATCH, MobilityModule, offset_plan
 from skycell.config import base_route, default_scene, load_config
 from skycell.geometry import (
     PATH_KINDS,
@@ -27,7 +27,6 @@ from skycell.geometry import (
 )
 from skycell import kernels
 from skycell.kernels import _seg_blocked_np_many
-from skycell.mobility import positions_ahead, uav_state
 
 CONCRETE = Material("concrete", 0.5)
 
@@ -437,9 +436,9 @@ def _loop_passes(rng, n_draws=6):
     followed by the moves traced with it."""
     cfg = load_config()
     route, dt = base_route(cfg), cfg["episode"]["sampling_interval"]
-    lone = positions_ahead(uav_state("uav0", route), dt, 10**6)
-    fans = [positions_ahead(uav_state(f"uav{i}", offset_plan(route, 3.0 * (i - 4.5))), dt, 10**6)
-            for i in range(10)]
+    lone = MobilityModule({"uav0": route}, dt).upcoming("uav0", 10**6)
+    fleet = MobilityModule({f"uav{i}": offset_plan(route, 3.0 * (i - 4.5)) for i in range(10)}, dt)
+    fans = [fleet.upcoming(ue_id, 10**6) for ue_id in fleet.states]
     for _ in range(n_draws):
         k = int(rng.integers(0, len(lone) - TRACE_BATCH))
         yield "lone", np.array(lone[k:k + TRACE_BATCH])

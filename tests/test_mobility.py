@@ -122,6 +122,21 @@ def test_plan_rejects_a_speed_that_is_not_positive(speed):
         straight_plan(speed=speed)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_step_that_is_not_finite_is_refused(bad):
+    """A NaN step would leave the UE unmoved and an infinite one jump it to the route's
+    end; an interval or a speed that makes one is refused, as a zero interval is."""
+    with pytest.raises(ValueError, match=f"dt must be finite and > 0, got {bad}"):
+        step_kinematics(uav_state("uav0", straight_plan()), bad)
+    with pytest.raises(ValueError, match=f"sampling_interval must be finite and > 0, got {bad}"):
+        orch.EpisodeConfig(n_snapshots=3, sampling_interval=bad)
+    with pytest.raises(ValueError, match=f"speed_mps must be > 0 and finite, got {bad}"):
+        straight_plan(speed=bad)
+    state = UeState("UAV", "uav0", (0.0, 0.0, 40.0), bad, ((10.0, 0.0, 40.0),))
+    with pytest.raises(ValueError, match=f"a step must be finite, got speed {bad} over dt 0.5"):
+        step_kinematics(state, 0.5)
+
+
 def test_two_uavs_publish_distinct_messages():
     plan = straight_plan()
     mobility = MobilityModule({"uav0": plan, "uav1": plan}, 0.5)
