@@ -199,9 +199,7 @@ class CommsModule(orch.ModuleHandle):
 
     def _sweep(self, positions) -> list:
         """One SweepResult per position: one trace, one synthesis and one sweep for them all."""
-        paths = trace_path_arrays(
-            self.scene, self.scene.tx.position, positions, carrier_hz=self.cfg.carrier_hz
-        )
+        paths = trace_path_arrays(self.scene, positions, carrier_hz=self.cfg.carrier_hz)
         # a receiver without paths sums none: its zero channel sweeps to all-zero gains
         # and best pair 0, its outage
         counts = np.bincount(paths.rows, minlength=len(positions))
@@ -357,9 +355,8 @@ def generate_dataset_rows(
     mobility = MobilityModule({"uav0": plan}, sampling_interval)
     category = orch.MOB3D_COMM_IN_LOOP
     modules = loop_modules(category, scene, comms_cfg, mobility, sweep_hook=hook)
-    n_cap = min(max_snapshots, int(np.ceil(plan.total_length / (plan.speed_mps * sampling_interval))) + 2)
     cfg = orch.EpisodeConfig(
-        n_snapshots=n_cap, sampling_interval=sampling_interval, category=category
+        n_snapshots=max_snapshots, sampling_interval=sampling_interval, category=category
     )
     orch.run_episode(cfg, modules, stop_early=lambda rec: mobility.route_complete("uav0"))
     return rows

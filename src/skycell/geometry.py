@@ -4,8 +4,9 @@ The scene is a flat ground plane plus axis-aligned box buildings inside a
 rectangular boundary. Multipath components are enumerated exactly with the
 image method: line of sight, single specular bounces off every building face
 and the ground, and double bounces via nested mirror images. No diffraction
-or diffuse scattering. The scene packs its buildings into box rows once, at
-construction, and caches the image tree of its own transmitter.
+or diffuse scattering. The scene holds the transmitter, and the tracer
+traces from it alone. The scene packs its buildings into box rows once, at
+construction, and caches the transmitter's image tree once per ground flag.
 :func:`trace_path_arrays` traces many receivers in one pass, adds gains and
 angles to the kernel's path table and returns the sorted paths as arrays
 (PathArrays), the one batched form, which the radio pass uses;
@@ -135,7 +136,7 @@ class Scene:
         for b, (x0, y0, _z0, x1, y1, _z1) in zip(self.buildings, self.boxes.tolist()):
             if x0 < 0 or y0 < 0 or x1 > self.length or y1 > self.width:
                 raise ValueError(f"building {b} outside scene bounds")
-        self._trees = {}  # ground flag -> image tree of the scene's own transmitter
+        self._trees = {}  # ground flag -> image tree of the transmitter
 
     # -- construction ------------------------------------------------------
 
@@ -169,11 +170,6 @@ class Scene:
             ground_material=mat(doc.get("ground_material", "concrete")),
         )
 
-    @classmethod
-    def from_file(cls, path) -> "Scene":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
     # -- arrays for the kernels ---------------------------------------------
 
     def faces(self, ground: bool = True):
@@ -206,16 +202,10 @@ class Scene:
             np.asarray(refls, dtype=np.float64),
         )
 
-    def image_tree(self, tx, ground: bool = True) -> kernels.ImageTree:
-        """Static image tree for a transmitter; cached only for the scene's own.
-
-        Any other transmitter gets a fresh, uncached tree, so the cache holds
-        at most one tree per ground flag.
-        """
-        if np.asarray(tx, dtype=np.float64).tolist() != list(self.tx.position):
-            return kernels.build_image_tree(tx, *self.faces(ground))
+    def image_tree(self, ground: bool = True) -> kernels.ImageTree:
+        """Static image tree of the transmitter, built once per ground flag."""
         if ground not in self._trees:
-            self._trees[ground] = kernels.build_image_tree(tx, *self.faces(ground))
+            self._trees[ground] = kernels.build_image_tree(self.tx.position, *self.faces(ground))
         return self._trees[ground]
 
 
@@ -251,13 +241,13 @@ def _angles(directions) -> np.ndarray:
 
 def trace_paths(
     scene: Scene,
-    tx,
     rx,
+    *,
     carrier_hz: float = 4e10,
     ground_reflection: bool = True,
 ) -> PathBundle:
-    """Enumerate LOS, first- and second-order specular paths from tx to rx, with
-    complex gains.
+    """Enumerate LOS, first- and second-order specular paths from the scene's
+    transmitter to rx, with complex gains.
 
     Per-path amplitude is lambda/(4*pi*length) scaled by the product of the
     reflection coefficients met along the way; phase is -2*pi*length/lambda.
@@ -266,7 +256,8 @@ def trace_paths(
     rx = np.asarray(rx, dtype=np.float64)
     if rx.shape != (3,):
         raise ValueError("rx must be one 3D point")
-    paths = trace_path_arrays(scene, tx, rx[None, :], carrier_hz, ground_reflection)
+    paths = trace_path_arrays(scene, rx[None, :], carrier_hz=carrier_hz,
+                              ground_reflection=ground_reflection)
     return PathBundle(paths=tuple(
         PropagationPath(PATH_KINDS[kind], tuple(map(tuple, points[:kind])), length, tuple(aod),
                         tuple(aoa), gain)
@@ -276,31 +267,30 @@ def trace_paths(
 
 def trace_path_arrays(
     scene: Scene,
-    tx,
     rx,
+    *,
     carrier_hz: float = 4e10,
     ground_reflection: bool = True,
 ) -> PathArrays:
     """The paths of :func:`trace_paths` for every row of rx (M, 3), as arrays.
 
-    The receivers share one vectorised pass over the transmitter's image
-    tree, which the scene caches for its own transmitter. Gains and angles
-    are array expressions of the kernel's path table, with every cos, sin,
-    atan2 and hypot taken from libm, so each path carries the bits the
-    one-receiver scalar formulas give.
+    The receivers share one vectorised pass over the image tree of the
+    scene's transmitter, which the scene caches. Gains and angles are array
+    expressions of the kernel's path table, with every cos, sin, atan2 and
+    hypot taken from libm, so each path carries the bits the one-receiver
+    scalar formulas give.
     """
-    tx = np.asarray(tx, dtype=np.float64)
     rx = np.asarray(rx, dtype=np.float64)
-    if tx.shape != (3,) or rx.ndim != 2 or rx.shape[1] != 3:
+    if rx.ndim != 2 or rx.shape[1] != 3:
         raise ValueError("tx must be a 3D point and rx an (M, 3) array")
-    if not (np.isfinite(tx).all() and np.isfinite(rx).all()):
+    if not np.isfinite(rx).all():
         raise ValueError("tx and rx must be finite")
-    if (rx == tx).all(axis=1).any():
+    if (rx == scene.tx.position).all(axis=1).any():
         raise ValueError("tx and rx must differ")
-    if tx[2] <= 0 or (rx[:, 2] <= 0).any():
+    if (rx[:, 2] <= 0).any():
         raise ValueError("tx and rx must be above the ground plane")
 
-    tree = scene.image_tree(tx, ground=ground_reflection)
+    tree = scene.image_tree(ground_reflection)
     rows, kinds, points, lengths, aod_dir, aoa_dir, refl = kernels.trace_batch(tree, rx, scene.boxes)
 
     lam = SPEED_OF_LIGHT / carrier_hz

@@ -44,6 +44,9 @@ class TrajectoryPlan:
     def __post_init__(self):
         if not 0 < self.speed_mps < math.inf:
             raise ValueError(f"route speed_mps must be > 0 and finite, got {self.speed_mps}")
+        for point in self.points:
+            if not all(map(math.isfinite, point)):
+                raise ValueError(f"route point must be finite, got {tuple(map(float, point))}")
 
     @property
     def points(self) -> tuple:

@@ -64,10 +64,6 @@ class EpisodeConfig:
         if self.category not in CATEGORIES:
             raise ValueError(f"category must be one of {CATEGORIES}, got {self.category!r}")
 
-    @property
-    def virtual_duration_s(self) -> float:
-        return self.n_snapshots * self.sampling_interval
-
 
 class ModuleHandle:
     """Contract every in-loop module satisfies."""

@@ -163,14 +163,14 @@ def test_criterion_5_ray_tracer():
         wall = Building((x0, float(rng.uniform(1, 200)), 0.0),
                         (x0 + float(rng.uniform(2, 30)), float(rng.uniform(300, 600)),
                          float(rng.uniform(40, 150))), concrete)
-        scene = Scene(719.2, 693.4, TxPose((1, 1, 1)), [wall])
         side = 1 if rng.random() < 0.5 else -1
         face_x = wall.max_corner[0] if side > 0 else wall.min_corner[0]
         tx = (face_x + side * float(rng.uniform(1, 80)), float(rng.uniform(210, 290)),
               float(rng.uniform(5, 120)))
         rx = (face_x + side * float(rng.uniform(1, 80)), float(rng.uniform(210, 290)),
               float(rng.uniform(5, 120)))
-        paths = trace_paths(scene, tx, rx, ground_reflection=False).paths
+        scene = Scene(719.2, 693.4, TxPose(tx), [wall])
+        paths = trace_paths(scene, rx, ground_reflection=False).paths
         bundle = PathBundle(tuple(p for p in paths if p.kind != "R2"))
         assert bundle == trace_oracle.trace_paths(scene, tx, rx, max_order=1,
                                                   ground_reflection=False)
@@ -180,14 +180,15 @@ def test_criterion_5_ray_tracer():
             expected = float(np.linalg.norm(np.asarray(rx) - mirror_point(tx, 0, face_x)))
             assert path.length == pytest.approx(expected, rel=1e-9)
             checked += 1
-        fwd = sorted(p.length for p in trace_paths(scene, tx, rx).paths)
-        rev = sorted(p.length for p in trace_paths(scene, rx, tx).paths)
+        fwd = sorted(p.length for p in trace_paths(scene, rx).paths)
+        # reciprocity: the same wall with the transmitter at the receiver's end
+        reverse = Scene(719.2, 693.4, TxPose(rx), [wall])
+        rev = sorted(p.length for p in trace_paths(reverse, tx).paths)
         assert np.allclose(fwd, rev, rtol=1e-9)
     assert checked >= 200
 
     free = Scene(719.2, 693.4, TxPose((0, 0, 50)), [])
-    path = trace_paths(free, (0, 0, 50), (100, 0, 50), carrier_hz=4e10,
-                       ground_reflection=False).paths[0]
+    path = trace_paths(free, (100, 0, 50), carrier_hz=4e10, ground_reflection=False).paths[0]
     assert abs(abs(path.gain) - 5.964e-6) <= 1e-9
     _report(5, "image-method lengths, reciprocity, free-space gain 5.964e-6 at 100 m / 40 GHz", t0)
 

@@ -65,9 +65,9 @@ def test_step_traces_each_moved_ue_once(monkeypatch):
     calls = []  # the receivers of each batch trace call
     real = blueprint.trace_path_arrays
 
-    def spy(scene, tx, rx, **kwargs):
+    def spy(scene, rx, **kwargs):
         calls.append([tuple(p) for p in rx])
-        return real(scene, tx, rx, **kwargs)
+        return real(scene, rx, **kwargs)
 
     monkeypatch.setattr(blueprint, "trace_path_arrays", spy)
     broker, comms = _comms(scene)
@@ -80,7 +80,7 @@ def test_step_traces_each_moved_ue_once(monkeypatch):
     assert calls == [[a, b, a]]
     assert [json.loads(m.payload)["UE_Id"] for m in best.drain()] == ["u2", "u0", "u1"]
     for ue_id, pos in (("u2", a), ("u0", b), ("u1", a)):
-        bundle = trace_paths(scene, scene.tx.position, pos)
+        bundle = trace_paths(scene, pos)
         assert comms.current(ue_id).los == los_class(bundle)
 
     # only the UE that moved is traced again; a snapshot with none traces nothing
@@ -151,7 +151,7 @@ def test_step_matches_per_ue_oracle_sweeps(first, moves, orders):
             comms.step(0.5 * k, broker)
         moved = [positions[u] for u in sent
                  if u not in before or before[u].position != positions[u]]
-        assert [[tuple(p) for p in c.args[2]] for c in batch.call_args_list] == (
+        assert [[tuple(p) for p in c.args[1]] for c in batch.call_args_list] == (
             [moved] if moved else [])
         wire = [(m.doc["UE_Id"], m.doc["pair"]) for m in best.drain()]
         expected = []
@@ -422,7 +422,7 @@ def _run(source, category, n_snapshots):
                                    modules, broker=broker)
         except orch.EpisodeAbort as exc:
             return exc
-    traced = [[tuple(p) for p in c.args[2]] for c in batch.call_args_list]
+    traced = [[tuple(p) for p in c.args[1]] for c in batch.call_args_list]
     return ([(m.topic, m.payload) for m in wire.drain()], sweeps,
             [rec.to_json() for rec in log.records], traced)
 
@@ -713,7 +713,7 @@ def test_a_queue_that_does_not_lead_to_the_published_position_is_dropped():
         comms.step(1.0, broker)
     moved = (152.5, 253.0, 40.0)
     offset = [(150.0 + 2.5 * x, 253.0, 40.0) for x in range(1, blueprint.TRACE_BATCH + 1)]
-    assert [[tuple(p) for p in c.args[2]] for c in batch.call_args_list] == [
+    assert [[tuple(p) for p in c.args[1]] for c in batch.call_args_list] == [
         [_step(x) for x in range(1, blueprint.TRACE_BATCH + 1)], offset]
     assert offset[0] == moved
     assert comms.current("u0").position == moved
@@ -783,7 +783,7 @@ def test_a_hand_built_list_looks_ahead():
             log = orch.run_episode(orch.EpisodeConfig(n_snapshots=n_snapshots,
                                                       category=category),
                                    [source, comms, policy])
-        return log, [len(c.args[2]) for c in batch.call_args_list], comms.source
+        return log, [len(c.args[1]) for c in batch.call_args_list], comms.source
 
     per_ue = blueprint.TRACE_BATCH // 10  # each position and its next moves
     assert per_ue >= 2
@@ -803,9 +803,9 @@ def test_every_entry_point_traces_a_lone_uav_ahead(tmp_path, monkeypatch, entry)
     receivers = []
     real = blueprint.trace_path_arrays
 
-    def spy(scene, tx, rx, **kwargs):
+    def spy(scene, rx, **kwargs):
         receivers.append(len(rx))
-        return real(scene, tx, rx, **kwargs)
+        return real(scene, rx, **kwargs)
 
     monkeypatch.setattr(blueprint, "trace_path_arrays", spy)
     _ENTRY_POINTS[entry](tmp_path)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from trace_oracle import mirror_point
 
 from skycell.blueprint import TRACE_BATCH, MobilityModule, offset_plan
-from skycell.config import base_route, default_scene, load_config
+from skycell.config import base_route, default_scene, load_config, load_scene
 from skycell.geometry import (
     PATH_KINDS,
     SPEED_OF_LIGHT,
@@ -37,6 +37,12 @@ def empty_scene():
 
 def box_scene(lo, hi):
     return Scene(719.2, 693.4, TxPose((100.0, 100.0, 50.0)), [Building(lo, hi, CONCRETE)])
+
+
+def _from(scene, tx):
+    """The scene with its transmitter at tx, the point the tracer traces from."""
+    return Scene(scene.length, scene.width, TxPose(tuple(map(float, tx))), scene.buildings,
+                 scene.ground_material)
 
 
 def _up_to(bundle, k):
@@ -108,9 +114,8 @@ def test_occlusion_matches_the_oracle(segments, boxes):
 
 
 def test_free_space_gain():
-    scene = empty_scene()
-    bundle = trace_paths(scene, (0, 0, 50), (100, 0, 50), carrier_hz=4e10,
-                         ground_reflection=False)
+    scene = _from(empty_scene(), (0, 0, 50))
+    bundle = trace_paths(scene, (100, 0, 50), carrier_hz=4e10, ground_reflection=False)
     assert len(bundle.paths) == 1
     path = bundle.paths[0]
     assert path.kind == "LOS"
@@ -127,13 +132,13 @@ def test_free_space_gain():
 def test_single_wall_image_length():
     # wall at x=0 (east face of a slab filling x<=0 is not possible inside
     # bounds; use a thin slab with its +x face at x=10 and mirror about it)
-    scene = Scene(
-        719.2, 693.4, TxPose((50, 50, 50)),
-        [Building((5.0, 0.1, 0.0), (10.0, 100.0, 60.0), CONCRETE)],
-    )
     tx = (15.0, 10.0, 10.0)
     rx = (13.0, 14.0, 10.0)
-    bundle = _up_to(trace_paths(scene, tx, rx, ground_reflection=False), 1)
+    scene = Scene(
+        719.2, 693.4, TxPose(tx),
+        [Building((5.0, 0.1, 0.0), (10.0, 100.0, 60.0), CONCRETE)],
+    )
+    bundle = _up_to(trace_paths(scene, rx, ground_reflection=False), 1)
     _assert_same_bundle(bundle, trace_oracle.trace_paths(scene, tx, rx, max_order=1,
                                                          ground_reflection=False))
     r1 = [p for p in bundle.paths if p.kind == "R1"]
@@ -152,8 +157,8 @@ def test_spec_wall_example_length_value():
 
 
 def test_blocked_los_no_reflectors_gives_outage():
-    scene = box_scene((40, 40, 0), (60, 60, 100))
-    bundle = _up_to(trace_paths(scene, (20, 50, 50), (80, 50, 50), ground_reflection=False), 0)
+    scene = _from(box_scene((40, 40, 0), (60, 60, 100)), (20, 50, 50))
+    bundle = _up_to(trace_paths(scene, (80, 50, 50), ground_reflection=False), 0)
     _assert_same_bundle(bundle, trace_oracle.trace_paths(scene, (20, 50, 50), (80, 50, 50),
                                                          max_order=0, ground_reflection=False))
     assert not bundle.paths
@@ -162,20 +167,20 @@ def test_blocked_los_no_reflectors_gives_outage():
 
 
 def test_los_class_cases():
-    scene = empty_scene()
-    with_ground = trace_paths(scene, (10, 10, 30), (60, 10, 30))
+    scene = _from(empty_scene(), (10, 10, 30))
+    with_ground = trace_paths(scene, (60, 10, 30))
     assert with_ground.los_present and los_class(with_ground) == "LOS"
-    blocked = Scene(719.2, 693.4, TxPose((100, 100, 50)),
+    blocked = Scene(719.2, 693.4, TxPose((10, 10, 30)),
                     [Building((30, 5, 0), (40, 20, 100), CONCRETE),
                      Building((0.1, 40, 0), (100, 45, 60), CONCRETE)])
-    nl = trace_paths(blocked, (10, 10, 30), (60, 10, 30))
+    nl = trace_paths(blocked, (60, 10, 30))
     assert not nl.los_present and los_class(nl) == "NLOS"
     assert all(p.kind in ("R1", "R2") for p in nl.paths) and nl.paths
 
 
 def test_ground_reflection_geometry():
-    scene = empty_scene()
-    bundle = trace_paths(scene, (0, 0, 30), (40, 0, 30))
+    scene = _from(empty_scene(), (0, 0, 30))
+    bundle = trace_paths(scene, (40, 0, 30))
     kinds = [p.kind for p in bundle.paths]
     assert kinds == ["LOS", "R1"]
     ground = bundle.paths[1]
@@ -204,7 +209,7 @@ def test_image_method_identity_randomized():
         rx = (face_x + side * rng.uniform(1, 80), rng.uniform(210, 290), rng.uniform(5, 120))
         if tx == rx:
             continue
-        bundle = _up_to(trace_paths(scene, tx, rx, ground_reflection=False), 1)
+        bundle = _up_to(trace_paths(_from(scene, tx), rx, ground_reflection=False), 1)
         _assert_same_bundle(bundle, trace_oracle.trace_paths(scene, tx, rx, max_order=1,
                                                              ground_reflection=False))
         for path in (p for p in bundle.paths if p.kind == "R1"):
@@ -230,8 +235,8 @@ def test_reciprocity_path_length_multisets():
     for _ in range(25):
         a = (rng.uniform(10, 300), rng.uniform(10, 300), rng.uniform(5, 100))
         b = (rng.uniform(10, 300), rng.uniform(10, 300), rng.uniform(5, 100))
-        fwd = sorted(p.length for p in trace_paths(scene, a, b).paths)
-        rev = sorted(p.length for p in trace_paths(scene, b, a).paths)
+        fwd = sorted(p.length for p in trace_paths(_from(scene, a), b).paths)
+        rev = sorted(p.length for p in trace_paths(_from(scene, b), a).paths)
         assert len(fwd) == len(rev)
         assert np.allclose(fwd, rev, rtol=1e-9)
 
@@ -246,8 +251,8 @@ def test_monotone_occlusion_adding_building_never_adds_los():
     for _ in range(60):
         a = (rng.uniform(10, 300), rng.uniform(10, 300), rng.uniform(5, 100))
         b = (rng.uniform(10, 300), rng.uniform(10, 300), rng.uniform(5, 100))
-        before = trace_paths(base, a, b).los_present
-        after = trace_paths(bigger, a, b).los_present
+        before = trace_paths(_from(base, a), b).los_present
+        after = trace_paths(_from(bigger, a), b).los_present
         assert not (after and not before)
 
 
@@ -259,7 +264,7 @@ def test_path_lengths_never_below_direct_distance():
         a = (rng.uniform(10, 200), rng.uniform(10, 200), rng.uniform(5, 80))
         b = (rng.uniform(10, 200), rng.uniform(10, 200), rng.uniform(5, 80))
         direct = math.dist(a, b)
-        for p in trace_paths(scene, a, b).paths:
+        for p in trace_paths(_from(scene, a), b).paths:
             assert p.length >= direct - 1e-9
             assert abs(p.gain) <= (SPEED_OF_LIGHT / 4e10) / (4 * math.pi * direct) + 1e-15
 
@@ -267,9 +272,9 @@ def test_path_lengths_never_below_direct_distance():
 def test_trace_rejects_degenerate_and_out_of_range():
     scene = empty_scene()
     with pytest.raises(ValueError):
-        trace_paths(scene, (1, 1, 1), (1, 1, 1))
+        trace_paths(_from(scene, (1, 1, 1)), (1, 1, 1))
     with pytest.raises(ValueError):
-        trace_paths(scene, (1, 1, -5), (2, 2, 10))
+        _from(scene, (1, 1, -5))
 
 
 def _assert_same_bundle(got, ref):
@@ -296,21 +301,21 @@ def test_tracer_matches_oracle():
     kinds = Counter()
     rng = np.random.default_rng(0)
 
-    # shipped scene, its own transmitter (cached tree), single and batched
+    # shipped scene and its cached tree, single and batched
     scene = default_scene()
     tx = scene.tx.position
     points = _random_points(rng, scene, 120)
-    batch = trace_path_arrays(scene, tx, points)
+    batch = trace_path_arrays(scene, points)
     for m, p in enumerate(points):
         ref = trace_oracle.trace_paths(scene, tx, p)
         _assert_run_is_bundle(batch, m, ref)
-        _assert_same_bundle(trace_paths(scene, tx, p), ref)
+        _assert_same_bundle(trace_paths(scene, p), ref)
         kinds.update(q.kind for q in ref.paths)
 
-    # shipped scene, arbitrary transmitters (uncached trees)
+    # shipped buildings, arbitrary transmitters (a scene each)
     for _ in range(40):
         a, b = _random_points(rng, scene, 2)
-        _assert_same_bundle(trace_paths(scene, a, b), trace_oracle.trace_paths(scene, a, b))
+        _assert_same_bundle(trace_paths(_from(scene, a), b), trace_oracle.trace_paths(scene, a, b))
 
     # criterion 5's random walls and both ground flags, the bundle also filtered to the
     # oracle's lower orders; order 0 leaves no R1 or R2 path
@@ -329,8 +334,8 @@ def test_tracer_matches_oracle():
              float(rng.uniform(5, 120)))
         for order, ground in ((2, True), (1, False), (0, True), (2, False)):
             ref = trace_oracle.trace_paths(walls, a, b, max_order=order, ground_reflection=ground)
-            _assert_same_bundle(_up_to(trace_paths(walls, a, b, ground_reflection=ground), order),
-                                ref)
+            _assert_same_bundle(
+                _up_to(trace_paths(_from(walls, a), b, ground_reflection=ground), order), ref)
             kinds.update(q.kind for q in ref.paths)
 
     assert min(kinds["LOS"], kinds["R1"], kinds["R2"]) >= 50, kinds
@@ -347,11 +352,10 @@ _coord = st.tuples(
 @settings(max_examples=25, deadline=None)
 @given(st.lists(_coord, min_size=1, max_size=6), st.randoms(use_true_random=False))
 def test_batch_equals_single_calls_in_any_order(points, rnd):
-    tx = _SHIPPED.tx.position
-    singles = [trace_paths(_SHIPPED, tx, p) for p in points]
+    singles = [trace_paths(_SHIPPED, p) for p in points]
     order = list(range(len(points)))
     rnd.shuffle(order)
-    batch = trace_path_arrays(_SHIPPED, tx, [points[k] for k in order])
+    batch = trace_path_arrays(_SHIPPED, [points[k] for k in order])
     assert (np.diff(batch.rows) >= 0).all()
     for m, k in enumerate(order):
         _assert_run_is_bundle(batch, m, singles[k])
@@ -386,7 +390,7 @@ def test_path_arrays_equal_the_oracle_in_bundle_order(points):
     """Each receiver's run of the path arrays holds its oracle bundle bit for bit, in
     bundle order: kind, length, gain, AoD and AoA."""
     tx = _SHIPPED.tx.position
-    paths = trace_path_arrays(_SHIPPED, tx, points)
+    paths = trace_path_arrays(_SHIPPED, points)
     assert (np.diff(paths.rows) >= 0).all()
     for m, point in enumerate(points):
         _assert_run_is_bundle(paths, m, trace_oracle.trace_paths(_SHIPPED, tx, point))
@@ -412,7 +416,7 @@ def test_batched_receivers_off_the_shipped_scene_match_the_oracle(max_order, gro
                                   rng.uniform(210, 290, n), rng.uniform(5, 120, n)])
         shared = rng.integers(0, 3)
         points[0, shared] = tx[shared]
-        paths = _arrays_up_to(trace_path_arrays(walls, tx, points,
+        paths = _arrays_up_to(trace_path_arrays(_from(walls, tx), points,
                                                 ground_reflection=ground_reflection), max_order)
         for m, point in enumerate(points):
             ref = trace_oracle.trace_paths(walls, tx, point, max_order=max_order,
@@ -459,14 +463,14 @@ def test_passes_laid_out_as_in_the_loop_match_the_oracle():
     for layout, points in _loop_passes(np.random.default_rng(2800)):
         assert len(points) == {"lone": TRACE_BATCH, "fan": 10 * _PER_UAV}[layout]
         for scene, ground in ((shipped, True), (ground_only, True), (ground_only, False)):
-            paths = trace_path_arrays(scene, tx, points, ground_reflection=ground)
+            paths = trace_path_arrays(scene, points, ground_reflection=ground)
             for m, point in enumerate(points):
                 ref = trace_oracle.trace_paths(scene, tx, point, ground_reflection=ground)
                 _assert_run_is_bundle(paths, m, ref)
                 kinds[scene is shipped, ground] += len(ref.paths)
-    tree = ground_only.image_tree(tx)
+    tree = ground_only.image_tree()
     assert tree.r1_faces.size == 1 and tree.pair_i.size == 0
-    assert ground_only.image_tree(tx, ground=False).r1_faces.size == 0
+    assert ground_only.image_tree(ground=False).r1_faces.size == 0
     # LOS plus the ground bounce, then LOS alone
     assert kinds[False, True] == 2 * kinds[False, False] > 0
     assert kinds[True, True] > kinds[False, True]
@@ -502,7 +506,6 @@ def _wall_passes(draw):
             lo[2] = rng.uniform(5.0, 80.0)
         hi = lo + rng.uniform([2.0, 2.0, 20.0], [80.0, 80.0, 150.0])
         walls.append(Building(tuple(lo), tuple(hi), CONCRETE))
-    scene = Scene(719.2, 693.4, TxPose((1.0, 1.0, 1.0)), walls)
     wall = walls[int(rng.integers(len(walls)))]
     axis = int(rng.integers(2))
     face = wall.max_corner[axis] if rng.random() < 0.5 else wall.min_corner[axis]
@@ -510,6 +513,7 @@ def _wall_passes(draw):
     tx[axis] = face + rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 80.0)
     if rng.random() < 0.3:  # a low transmitter: second images just below the ground
         tx[2] = rng.uniform(0.05, 2.0)
+    scene = Scene(719.2, 693.4, TxPose(tuple(tx.tolist())), walls)
     if layout == "straddle":
         rx = np.column_stack([rng.uniform(0.0, 500.0, m), rng.uniform(0.0, 500.0, m),
                               rng.uniform(1.0, 160.0, m)])
@@ -524,7 +528,7 @@ def _wall_passes(draw):
         rx = rng.uniform(1.0, 300.0, 3) + rng.normal(0.0, rng.uniform(0.1, 10.0), (m, 3))
         rx[:, 2] = np.abs(rx[:, 2]) + 0.5
     else:
-        tree = scene.image_tree(tuple(tx.tolist()), ground=ground)
+        tree = scene.image_tree(ground)
         planes = tree.plane_j if tree.pair_j.size else tree.r1
         n = int(rng.integers(planes.coord.size))
         on_face = np.array([planes.coord[n], *rng.uniform(planes.lo[:, n], planes.hi[:, n])])
@@ -544,7 +548,7 @@ def test_the_cull_keeps_every_pair_a_receiver_can_reach(case):
     (receiver, pair) grid, and each receiver's run of the path arrays, every pass culled,
     equals its oracle bundle."""
     scene, tx, rx, ground = case
-    tree = scene.image_tree(tx, ground=ground)
+    tree = scene.image_tree(ground)
     f_axis, f_coord, f_sign = tree.faces[:3]
     in_front = f_sign * (rx[:, f_axis] - f_coord) > kernels._FACE_EPS  # (M, faces)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -554,7 +558,7 @@ def test_the_cull_keeps_every_pair_a_receiver_can_reach(case):
     culled = kernels._cull(tree, rx)
     assert (set(zip(tree.pair_i[reached].tolist(), tree.pair_j[reached].tolist()))
             <= set(zip(culled.pair_i.tolist(), culled.pair_j.tolist())))
-    paths = trace_path_arrays(scene, tx, rx, ground_reflection=ground)
+    paths = trace_path_arrays(scene, rx, ground_reflection=ground)
     for m, point in enumerate(rx):
         _assert_run_is_bundle(paths, m, trace_oracle.trace_paths(scene, tx, point,
                                                                  ground_reflection=ground))
@@ -566,9 +570,9 @@ def test_a_pair_whose_second_image_lies_just_behind_its_face_is_kept():
     the pair, and the receiver whose path bounces off the wall and then the ground
     gets that path, as in its oracle bundle."""
     wall = Building((100.0, 100.0, 0.0), (120.0, 300.0, 60.0), CONCRETE)
-    scene = Scene(719.2, 693.4, TxPose((1.0, 1.0, 1.0)), [wall])
     tx, rx = (90.0, 200.0, 0.5), (50.0, 200.0, 1.0)
-    tree = scene.image_tree(tx)
+    scene = Scene(719.2, 693.4, TxPose(tx), [wall])
+    tree = scene.image_tree()
     f_axis, f_coord, f_sign = tree.faces[:3]
     wall_face = int(np.nonzero((f_axis == 0) & (f_coord == 100.0))[0][0])
     ground = f_axis.size - 1
@@ -576,16 +580,15 @@ def test_a_pair_whose_second_image_lies_just_behind_its_face_is_kept():
     ref = trace_oracle.trace_paths(scene, tx, rx)
     assert [p.vertices for p in ref.paths if p.kind == "R2"] == [((100.0, 200.0, 0.25),
                                                                   (90.0, 200.0, 0.0))]
-    _assert_run_is_bundle(trace_path_arrays(scene, tx, [rx]), 0, ref)
+    _assert_run_is_bundle(trace_path_arrays(scene, [rx]), 0, ref)
 
 
 def test_image_tree_cached_for_scene_tx_only():
     scene = default_scene()
-    tree = scene.image_tree(scene.tx.position)
-    assert scene.image_tree(np.array(scene.tx.position)) is tree
-    assert scene.image_tree(scene.tx.position, ground=False) is not tree
-    other = (100.0, 100.0, 30.0)
-    assert scene.image_tree(other) is not scene.image_tree(other)
+    tree = scene.image_tree()
+    assert scene.image_tree(ground=True) is tree
+    assert scene.image_tree(ground=False) is not tree
+    assert scene.image_tree(ground=False) is scene.image_tree(ground=False)
     n_faces = scene.faces()[0].size
     assert 0 < tree.pair_i.size < n_faces * (n_faces - 1)
 
@@ -600,34 +603,38 @@ def test_shipped_image_tree_pair_list_is_pinned(ground, n_pairs, digest):
     every pass. Without the test that the second image lies behind face j, which also
     makes the two faces face each other, the tree keeps 838 pairs with the ground."""
     scene = default_scene()
-    tree = scene.image_tree(scene.tx.position, ground=ground)
+    tree = scene.image_tree(ground)
     assert tree.pair_i.size == n_pairs
     pairs = np.stack([tree.pair_i, tree.pair_j]).astype("<i8").tobytes()
     assert hashlib.sha256(pairs).hexdigest() == digest
 
 
 def test_trace_batch_validation():
-    scene = empty_scene()
     tx = (1.0, 1.0, 5.0)
-    assert [a.shape[0] for a in trace_path_arrays(scene, tx, np.zeros((0, 3)))] == [0] * 7
+    scene = _from(empty_scene(), tx)
+    assert [a.shape[0] for a in trace_path_arrays(scene, np.zeros((0, 3)))] == [0] * 7
     # no receivers cull the shipped tree to no pair
     shipped = default_scene()
-    assert [a.shape[0] for a in trace_path_arrays(shipped, shipped.tx.position,
-                                                  np.zeros((0, 3)))] == [0] * 7
+    assert [a.shape[0] for a in trace_path_arrays(shipped, np.zeros((0, 3)))] == [0] * 7
     with pytest.raises(ValueError):
-        trace_path_arrays(scene, tx, [(2.0, 2.0, 10.0), tx])
+        trace_path_arrays(scene, [(2.0, 2.0, 10.0), tx])
     with pytest.raises(ValueError):
-        trace_path_arrays(scene, tx, [(2.0, 2.0, 10.0), (3.0, 3.0, -1.0)])
+        trace_path_arrays(scene, [(2.0, 2.0, 10.0), (3.0, 3.0, -1.0)])
     with pytest.raises(ValueError):
-        trace_path_arrays(scene, tx, [2.0, 2.0, 10.0])
+        trace_path_arrays(scene, [2.0, 2.0, 10.0])
+    # the transmitter is the scene's: a call that still passes one fails, not traces from it
+    with pytest.raises(TypeError):
+        trace_path_arrays(scene, tx, [(2.0, 2.0, 10.0)])
+    with pytest.raises(TypeError):
+        trace_paths(scene, tx, (2.0, 2.0, 10.0))
     # a NaN compares false with everything, so only a finiteness check stops it
     for rx in [(math.nan, 300.0, 40.0), (2.0, 2.0, math.inf), (2.0, -math.inf, 10.0)]:
         with pytest.raises(ValueError, match="must be finite"):
-            trace_path_arrays(scene, tx, [(2.0, 2.0, 10.0), rx])
+            trace_path_arrays(scene, [(2.0, 2.0, 10.0), rx])
         with pytest.raises(ValueError, match="must be finite"):
-            trace_paths(scene, tx, rx)
-        with pytest.raises(ValueError, match="must be finite"):
-            trace_path_arrays(scene, rx, [(2.0, 2.0, 10.0)])
+            trace_paths(scene, rx)
+        with pytest.raises(ValueError, match="must be three finite numbers"):
+            _from(scene, rx)
 
 
 def test_scene_from_file_reads_a_hand_written_doc(tmp_path):
@@ -639,7 +646,7 @@ def test_scene_from_file_reads_a_hand_written_doc(tmp_path):
     }
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(doc))
-    loaded = Scene.from_file(path)
+    loaded = load_scene({"scene": str(path)})
     assert loaded.length == 719.2
     assert loaded.tx == TxPose((360.0, 399.5, 120.0), azimuth_deg=-90.0, downtilt_deg=45.0)
     assert loaded.buildings[0].min_corner == (10, 10, 0)

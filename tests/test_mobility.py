@@ -137,6 +137,20 @@ def test_a_step_that_is_not_finite_is_refused(bad):
         step_kinematics(state, 0.5)
 
 
+@pytest.mark.parametrize("where", ["start", "waypoint", "end"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_plan_rejects_a_point_that_is_not_finite(where, bad):
+    """A route point that is not finite would put the UE at NaN on its first step; the
+    plan refuses it and names the point."""
+    points = {"start": [200.0, 325.0, 40.0], "waypoint": [250.0, 325.0, 40.0],
+              "end": [300.0, 325.0, 40.0]}
+    points[where][{"start": 0, "waypoint": 1, "end": 2}[where]] = bad
+    with pytest.raises(ValueError, match=r"route point must be finite, got \(") as err:
+        TrajectoryPlan(start=tuple(points["start"]), end=tuple(points["end"]),
+                       waypoints=(tuple(points["waypoint"]),))
+    assert repr(bad) in str(err.value)
+
+
 def test_two_uavs_publish_distinct_messages():
     plan = straight_plan()
     mobility = MobilityModule({"uav0": plan, "uav1": plan}, 0.5)
