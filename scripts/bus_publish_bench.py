@@ -8,7 +8,9 @@ loop does. Publishes run in blocks of 100; each subscription is drained
 between blocks, outside the timed span. Prints the median and the quartiles
 of the per-block cost, then those of the first ``.doc`` read of a message
 published as text alone (the parse such a message costs its first reader),
-timed over the same blocks.
+then the cost of building one position text, one pair text (``value_text``)
+and one one-UE episode-log line (``SnapshotRecord.to_json``), each timed over
+the same blocks.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import argparse
 import statistics
 import time
 
-from skycell.bus import Broker, position_text
+from skycell.bus import Broker, position_text, value_text
+from skycell.orchestrator import SnapshotRecord
 
 TOPIC = "3D.mobility.positions"
 MATCHING = (
@@ -25,6 +28,8 @@ MATCHING = (
 )
 OTHERS = ("communications.state", "*.events")
 PAYLOAD, DOC = position_text("UAV", "uav0", 12.5, -3.25, 40.0)
+RECORD = SnapshotRecord(t=12.5, ue_states=[("UAV", "uav0", (12.5, -3.25, 40.0))],
+                        chosen_pair=17, throughput_mbps=845.25)
 BLOCK = 100
 
 
@@ -41,7 +46,7 @@ def main() -> None:
         ap.error(f"--publishes must be at least {2 * BLOCK}, got {args.publishes}")
     broker = Broker()
     subs = [broker.subscribe(p) for p in MATCHING + OTHERS]
-    publish, first_read = [], []
+    publish, first_read, position, value, record = [], [], [], [], []
     for _ in range(args.publishes // BLOCK):
         t0 = time.perf_counter()
         for _ in range(BLOCK):
@@ -59,8 +64,24 @@ def main() -> None:
             msg.doc
         first_read.append((time.perf_counter() - t0) / BLOCK * 1e6)
         assert messages[-1].doc == DOC
+        t0 = time.perf_counter()
+        for _ in range(BLOCK):
+            position_text("UAV", "uav0", 12.5, -3.25, 40.0)
+        t1 = time.perf_counter()
+        for _ in range(BLOCK):
+            value_text("pair", "UAV", "uav0", 17)
+        t2 = time.perf_counter()
+        for _ in range(BLOCK):
+            RECORD.to_json()
+        t3 = time.perf_counter()
+        position.append((t1 - t0) / BLOCK * 1e6)
+        value.append((t2 - t1) / BLOCK * 1e6)
+        record.append((t3 - t2) / BLOCK * 1e6)
     print(f"publish to {len(MATCHING)} subscribers: {_quartiles(publish)}")
     print(f"first .doc read of a text-only message: {_quartiles(first_read)}")
+    print(f"position_text: {_quartiles(position)}")
+    print(f"value_text: {_quartiles(value)}")
+    print(f"one-UE SnapshotRecord.to_json: {_quartiles(record)}")
 
 
 if __name__ == "__main__":

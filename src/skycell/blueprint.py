@@ -40,7 +40,7 @@ import numpy as np
 
 from . import orchestrator as orch
 from .ai import Policy, policy_decide
-from .bus import Broker, pair_text, position_text, throughput_text
+from .bus import Broker, position_text, value_text
 # trace_paths and synthesize_channel stay importable here: perfbench's spans
 # wrap these one-receiver names on this module
 from .geometry import Scene, trace_path_arrays, trace_paths  # noqa: F401
@@ -254,7 +254,7 @@ class CommsModule(orch.ModuleHandle):
         for doc in docs:
             ue_id = doc["UE_Id"]
             result = self.queues[ue_id][0]
-            text, pair_doc = pair_text(doc["UE_type"], ue_id, result.best_pair)
+            text, pair_doc = value_text("pair", doc["UE_type"], ue_id, result.best_pair)
             broker.publish(orch.BEST_PAIR_TOPIC, text, publisher=self.name, doc=pair_doc)
             if self.sweep_hook is not None:
                 self.sweep_hook(t, ue_id, result)
@@ -265,7 +265,7 @@ class CommsModule(orch.ModuleHandle):
     def report_throughput(self, doc: dict, pair: int, broker: Broker) -> float:
         """Throughput of the chosen pair for the UE of a position message, published."""
         tput = throughput_mbps(float(self.current(doc["UE_Id"]).gains[pair]), self.cfg)
-        text, tput_doc = throughput_text(doc["UE_type"], doc["UE_Id"], tput)
+        text, tput_doc = value_text("throughput", doc["UE_type"], doc["UE_Id"], tput)
         broker.publish(orch.THROUGHPUT_TOPIC, text, publisher=self.name, doc=tput_doc)
         return tput
 
@@ -297,7 +297,7 @@ class PolicyModule(orch.ModuleHandle):
             pos = position_of(doc)
             grid = self.comms.current(ue_id).gains.reshape(self.comms.pair_grid)
             pair = policy_decide(self.policy, pos, grid, self.rng)
-            text, pair_doc = pair_text(doc["UE_type"], ue_id, pair)
+            text, pair_doc = value_text("pair", doc["UE_type"], ue_id, pair)
             broker.publish(orch.DECISION_TOPIC, text, publisher=self.name, doc=pair_doc)
             tput = self.comms.report_throughput(doc, pair, broker)
             self.on_throughput(t, broker, ue_id, pos, tput)

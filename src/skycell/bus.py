@@ -70,14 +70,21 @@ def topic_matches(pattern: str, topic: str) -> bool:
     )
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def json_leaf(v) -> str:
-    """v as json.dumps writes it; text, ints and finite floats skip the encoder."""
+    """v as json.dumps(v, sort_keys=True, separators=(",", ":")) writes it, which for a
+    scalar is also what json.dumps(v) writes. Text, ints and finite floats skip the
+    encoder, and a list or a tuple joins the leaves of its items."""
     tv = type(v)
     if tv is str:
         return encode_basestring_ascii(v)
     if tv is int or (tv is float and math.isfinite(v)):
         return repr(v)
-    return json.dumps(v)
+    if tv is list or tv is tuple:
+        return "[" + ",".join(map(json_leaf, v)) + "]"
+    return _encode(v)
 
 
 # json.loads reads a leaf of these types back as its own value (nan and inf included);
@@ -87,10 +94,11 @@ _LEAF_TYPES = frozenset((str, int, float, bool))
 
 # The per-UE messages, each (text, doc) from the same values: the text is json.dumps of
 # the doc byte for byte (key order, ", " and ": " separators), a fixed template with its
-# leaves filled in, and the doc is what json.loads reads back from the text: the values
-# as given, or the text parsed when a leaf would come back as another type. So the wire
-# format of these messages is written in this module only, and a reader of a published
-# doc never parses its text.
+# scalar leaves filled in by json_leaf, and the doc is what json.loads reads back from
+# the text: the values as given, or the text parsed when a leaf would come back as
+# another type. A position has its own nested template; a pair or a throughput is one
+# value under its key. So the wire format of these messages is written in this module
+# only, and a reader of a published doc never parses its text.
 def position_text(ue_type: str, ue_id: str, x, y, z) -> tuple:
     text = '{"UE_type": %s, "UE_Id": %s, "position": {"x": %s, "y": %s, "z": %s}}' % (
         json_leaf(ue_type), json_leaf(ue_id), json_leaf(x), json_leaf(y), json_leaf(z)
@@ -101,22 +109,13 @@ def position_text(ue_type: str, ue_id: str, x, y, z) -> tuple:
     return text, json.loads(text)
 
 
-def pair_text(ue_type: str, ue_id: str, pair) -> tuple:
-    text = '{"UE_type": %s, "UE_Id": %s, "pair": %s}' % (
-        json_leaf(ue_type), json_leaf(ue_id), json_leaf(pair)
+def value_text(key: str, ue_type: str, ue_id: str, value) -> tuple:
+    """The message of one value under key ("pair" or "throughput") for a UE."""
+    text = '{"UE_type": %s, "UE_Id": %s, "%s": %s}' % (
+        json_leaf(ue_type), json_leaf(ue_id), key, json_leaf(value)
     )
-    if type(ue_type) in _LEAF_TYPES and type(ue_id) in _LEAF_TYPES and type(pair) in _LEAF_TYPES:
-        return text, {"UE_type": ue_type, "UE_Id": ue_id, "pair": pair}
-    return text, json.loads(text)
-
-
-def throughput_text(ue_type: str, ue_id: str, throughput) -> tuple:
-    text = '{"UE_type": %s, "UE_Id": %s, "throughput": %s}' % (
-        json_leaf(ue_type), json_leaf(ue_id), json_leaf(throughput)
-    )
-    if (type(ue_type) in _LEAF_TYPES and type(ue_id) in _LEAF_TYPES
-            and type(throughput) in _LEAF_TYPES):
-        return text, {"UE_type": ue_type, "UE_Id": ue_id, "throughput": throughput}
+    if type(ue_type) in _LEAF_TYPES and type(ue_id) in _LEAF_TYPES and type(value) in _LEAF_TYPES:
+        return text, {"UE_type": ue_type, "UE_Id": ue_id, key: value}
     return text, json.loads(text)
 
 

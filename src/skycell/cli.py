@@ -388,7 +388,7 @@ def main(argv=None) -> int:
         cfg = cfgmod.load_config(args.config, _overrides(args))
         out = Path(args.out)
         extra = args.func(cfg, args, out)
-        cfgmod.write_manifest(out, args.command, cfg["episode"]["seed"], cfg, extra)
+        cfgmod.write_manifest(out, args.command, cfg, extra)
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -269,8 +269,8 @@ def seeded_route(cfg: dict, seed_entropy) -> TrajectoryPlan:
     )
 
 
-def write_manifest(out_dir: Path, command: str, seed: int, cfg: dict, extra: dict = None) -> None:
-    doc = {"command": command, "seed": seed, "config": cfg}
+def write_manifest(out_dir: Path, command: str, cfg: dict, extra: dict = None) -> None:
+    doc = {"command": command, "seed": cfg["episode"]["seed"], "config": cfg}
     if extra:
         doc.update(extra)
     with open(Path(out_dir) / "manifest.json", "w", encoding="utf-8") as fh:

@@ -282,13 +282,13 @@ def trace_path_arrays(
     """
     rx = np.asarray(rx, dtype=np.float64)
     if rx.ndim != 2 or rx.shape[1] != 3:
-        raise ValueError("tx must be a 3D point and rx an (M, 3) array")
+        raise ValueError("rx must be an (M, 3) array")
     if not np.isfinite(rx).all():
-        raise ValueError("tx and rx must be finite")
+        raise ValueError("rx must be finite")
     if (rx == scene.tx.position).all(axis=1).any():
         raise ValueError("tx and rx must differ")
     if (rx[:, 2] <= 0).any():
-        raise ValueError("tx and rx must be above the ground plane")
+        raise ValueError("rx must be above the ground plane")
 
     tree = scene.image_tree(ground_reflection)
     rows, kinds, points, lengths, aod_dir, aoa_dir, refl = kernels.trace_batch(tree, rx, scene.boxes)

@@ -104,24 +104,6 @@ def _replay_state(u) -> tuple:
     return ue_type, ue_id, tuple(pos)
 
 
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
-def _leaf(v) -> str:
-    """v as _encode writes it; text, finite numbers and lists of them skip the encoder."""
-    tv = type(v)
-    if tv is str or tv is int or tv is float:
-        return json_leaf(v)
-    if tv is list or tv is tuple:
-        return _leaf_list(v)
-    return _encode(v)
-
-
-def _leaf_list(items) -> str:
-    """The JSON array of an iterable's items."""
-    return "[" + ",".join(map(_leaf, items)) + "]"
-
-
 @dataclass
 class SnapshotRecord:
     t: float
@@ -131,19 +113,20 @@ class SnapshotRecord:
     events: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        """One compact line with sorted keys, as json.dumps(sort_keys=True) writes it.
+        """One line as json.dumps(sort_keys=True, separators=(",", ":")) writes it.
 
-        The keys are fixed, so only the leaf values go through the encoder.
+        The keys are fixed, so only the leaves, positions and events included, go
+        through bus.json_leaf.
         """
         states = ",".join(
-            '{"UE_Id":%s,"UE_type":%s,"position":%s}' % (_leaf(i), _leaf(k), _leaf_list(p))
+            '{"UE_Id":%s,"UE_type":%s,"position":%s}' % (json_leaf(i), json_leaf(k), json_leaf(p))
             for k, i, p in self.ue_states
         )
         return '{"chosen_pair":%s,"events":%s,"t":%s,"throughput_mbps":%s,"ue_states":[%s]}' % (
-            _leaf(self.chosen_pair),
-            _leaf(self.events),
-            _leaf(self.t),
-            _leaf(self.throughput_mbps),
+            json_leaf(self.chosen_pair),
+            json_leaf(self.events),
+            json_leaf(self.t),
+            json_leaf(self.throughput_mbps),
             states,
         )
 
@@ -151,12 +134,21 @@ class SnapshotRecord:
     def from_json(cls, line: str) -> "SnapshotRecord":
         doc = json.loads(line)
         try:
+            for key, valid, what in (  # each as run_episode writes it
+                ("t", finite_number, "a finite number"),
+                ("chosen_pair", lambda v: type(v) is int, "an integer"),  # a boolean is none
+                ("throughput_mbps", finite_number, "a finite number"),
+                ("events", lambda v: type(v) is list and all(type(e) is str for e in v),
+                 "a list of strings"),
+            ):
+                if not valid(doc[key]):
+                    raise ValueError(f"episode-log {key} must be {what}, got {doc[key]!r}")
             record = cls(
                 t=doc["t"],
                 ue_states=[_replay_state(u) for u in doc["ue_states"]],
                 chosen_pair=doc["chosen_pair"],
                 throughput_mbps=doc["throughput_mbps"],
-                events=list(doc["events"]),
+                events=doc["events"],
             )
             seen = set()
             for _, ue_id, _ in record.ue_states:  # a UE has one position per snapshot

@@ -274,7 +274,7 @@ def test_message_texts_are_json_dumps_of_a_fresh_doc(ue_id, position, pair, tput
     state = UeState("PERSON", ue_id, position, 0.0)
     assert position_payload(state)[0] == json.dumps(
         {"UE_type": "PERSON", "UE_Id": ue_id, "position": {"x": x, "y": y, "z": z}})
-    assert bus.pair_text("CAR", ue_id, pair)[0] == json.dumps(
+    assert bus.value_text("pair", "CAR", ue_id, pair)[0] == json.dumps(
         {"UE_type": "CAR", "UE_Id": ue_id, "pair": pair})
     broker, comms = _comms(_WALLED)
     # a policy built on comms takes its throughput report over: the step sends the pair
@@ -875,8 +875,11 @@ def test_bus_publish_bench_script_runs():
     ok = _run_script("bus_publish_bench.py", "--publishes", 200)
     assert ok.returncode == 0, ok.stderr
     lines = ok.stdout.splitlines()
-    assert len(lines) == 2 and lines[0].startswith("publish to 8 subscribers: ")
+    assert len(lines) == 5 and lines[0].startswith("publish to 8 subscribers: ")
     assert lines[1].startswith("first .doc read of a text-only message: ")
+    assert lines[2].startswith("position_text: ")
+    assert lines[3].startswith("value_text: ")
+    assert lines[4].startswith("one-UE SnapshotRecord.to_json: ")
     assert all(line.endswith(")") and " us (quartiles " in line for line in lines)
     short = _run_script("bus_publish_bench.py", "--publishes", 50)
     assert short.returncode == 2

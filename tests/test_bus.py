@@ -154,7 +154,7 @@ def test_a_published_doc_is_returned_as_is(monkeypatch):
     monkeypatch.setattr(bus, "json", None)  # nothing may parse
     broker = Broker()
     a, b = broker.subscribe("x.y"), broker.subscribe("x.*")
-    text, doc = bus.pair_text("UAV", "uav0", 7)
+    text, doc = bus.value_text("pair", "UAV", "uav0", 7)
     broker.publish("x.y", text, publisher="ai", doc=doc)
     (ma,), (mb,) = a.drain(), b.drain()
     assert ma is mb
@@ -199,10 +199,31 @@ def test_message_texts_and_docs_agree(ue_type, ue_id, position, pair, throughput
     from the text, a type for a type at every leaf: -0.0, ints next to integral floats,
     True as a pair, non-ASCII ids, nan and inf, and numpy floats (read back as float)."""
     for text, doc in (bus.position_text(ue_type, ue_id, *position),
-                      bus.pair_text(ue_type, ue_id, pair),
-                      bus.throughput_text(ue_type, ue_id, throughput)):
+                      bus.value_text("pair", ue_type, ue_id, pair),
+                      bus.value_text("throughput", ue_type, ue_id, throughput)):
         assert text == json.dumps(doc)
         assert _typed(doc) == _typed(json.loads(text))
+
+
+_json_value = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+              st.floats().map(np.float64)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.tuples(inner, inner),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+@given(value=_json_value)
+@example(value=[1, (2.5, "é"), {"b": [], "a": None}])
+@settings(max_examples=200, deadline=None)
+def test_json_leaf_is_one_compact_sorted_dumps(value):
+    """json_leaf writes any value as one compact, sorted json.dumps, lists and tuples
+    included; a scalar's text is also its plain json.dumps, so a message template
+    filled with scalars stays json.dumps of its doc."""
+    assert bus.json_leaf(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+    if type(value) not in (list, tuple, dict):
+        assert bus.json_leaf(value) == json.dumps(value)
 
 
 def test_high_water_warning_once(monkeypatch, caplog):

@@ -1086,6 +1086,23 @@ def test_empty_replay_log_exits_2(tmp_path, capsys):
         ('{"t": 0.0, "ue_states": [{"UE_type": "UAV", "UE_Id": "uav0", "position": [300,'
          ' Infinity, 40]}], "chosen_pair": 1, "throughput_mbps": 5.0, "events": []}',
          "episode-log position must be finite, got [300, inf, 40]"),
+        ('{"t": "noon", "ue_states": [], "chosen_pair": 1, "throughput_mbps": 5.0,'
+         ' "events": []}', "episode-log t must be a finite number, got 'noon'"),
+        ('{"t": NaN, "ue_states": [], "chosen_pair": 1, "throughput_mbps": 5.0, "events": []}',
+         "episode-log t must be a finite number, got nan"),
+        ('{"t": 0.0, "ue_states": [], "chosen_pair": true, "throughput_mbps": 5.0,'
+         ' "events": []}', "episode-log chosen_pair must be an integer, got True"),
+        ('{"t": 0.0, "ue_states": [], "chosen_pair": 1.0, "throughput_mbps": 5.0,'
+         ' "events": []}', "episode-log chosen_pair must be an integer, got 1.0"),
+        ('{"t": 0.0, "ue_states": [], "chosen_pair": 1, "throughput_mbps": null,'
+         ' "events": []}', "episode-log throughput_mbps must be a finite number, got None"),
+        ('{"t": 0.0, "ue_states": [], "chosen_pair": 1, "throughput_mbps": Infinity,'
+         ' "events": []}', "episode-log throughput_mbps must be a finite number, got inf"),
+        ('{"t": 0.0, "ue_states": [], "chosen_pair": 1, "throughput_mbps": 5.0,'
+         ' "events": "stalled"}', "episode-log events must be a list of strings, got 'stalled'"),
+        ('{"t": 0.0, "ue_states": [], "chosen_pair": 1, "throughput_mbps": 5.0,'
+         ' "events": ["found", 3]}',
+         "episode-log events must be a list of strings, got ['found', 3]"),
         pytest.param('{"t": 0.0, "ue_states": [{"UE_type": "UAV", "UE_Id": "uav0", "position":'
                      ' [1' + "0" * 400 + ', 325, 40]}], "chosen_pair": 1, "throughput_mbps": 5.0,'
                      ' "events": []}',

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -635,6 +636,18 @@ def test_trace_batch_validation():
             trace_paths(scene, rx)
         with pytest.raises(ValueError, match="must be three finite numbers"):
             _from(scene, rx)
+
+
+@pytest.mark.parametrize("rx, text", [
+    ([2.0, 2.0, 10.0], "rx must be an (M, 3) array"),
+    ([(2.0, 2.0, 10.0), (math.nan, 2.0, 10.0)], "rx must be finite"),
+    ([(2.0, 2.0, 10.0), (3.0, 3.0, -1.0)], "rx must be above the ground plane"),
+])
+def test_trace_errors_name_the_receivers(rx, text):
+    """These checks read the receivers alone (the scene checked its transmitter), so
+    their texts name no transmitter."""
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        trace_path_arrays(_from(empty_scene(), (1.0, 1.0, 5.0)), rx)
 
 
 def test_scene_from_file_reads_a_hand_written_doc(tmp_path):
