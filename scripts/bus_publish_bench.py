@@ -10,7 +10,11 @@ of the per-block cost, then those of the first ``.doc`` read of a message
 published as text alone (the parse such a message costs its first reader),
 then the cost of building one position text, one pair text (``value_text``)
 and one one-UE episode-log line (``SnapshotRecord.to_json``), each timed over
-the same blocks.
+the same blocks. The last line is one mission snapshot's bus traffic, in the
+loop's order on a broker holding the loop's eight subscriptions: the virtual
+time set, the position published to its three subscribers (communications, AI
+and the orchestrator), the pair, Ready, throughput and decision published to one
+each, the barrier's ``next_message`` and seven drains.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import argparse
 import statistics
 import time
 
+from skycell import orchestrator as orch
 from skycell.bus import Broker, position_text, value_text
 from skycell.orchestrator import SnapshotRecord
 
@@ -30,7 +35,33 @@ OTHERS = ("communications.state", "*.events")
 PAYLOAD, DOC = position_text("UAV", "uav0", 12.5, -3.25, 40.0)
 RECORD = SnapshotRecord(t=12.5, ue_states=[("UAV", "uav0", (12.5, -3.25, 40.0))],
                         chosen_pair=17, throughput_mbps=845.25)
+PAIR, PAIR_DOC = value_text("pair", "UAV", "uav0", 17)
+TPUT, TPUT_DOC = value_text("throughput", "UAV", "uav0", 845.25)
 BLOCK = 100
+
+
+def _snapshot_bus(t: float) -> float:
+    """Seconds for BLOCK snapshots' bus traffic, as one mission snapshot makes it."""
+    broker = Broker()
+    ready, pos, tput, best, decision, events = (broker.subscribe(p) for p in (
+        orch.READY_TOPIC, orch.POSITIONS_TOPIC, orch.THROUGHPUT_TOPIC, orch.BEST_PAIR_TOPIC,
+        orch.DECISION_TOPIC, orch.EVENTS_PATTERN))
+    comms, ai = broker.subscribe(orch.POSITIONS_TOPIC), broker.subscribe(orch.POSITIONS_TOPIC)
+    t0 = time.perf_counter()
+    for k in range(BLOCK):
+        broker.set_virtual_time(t + k)
+        broker.publish(orch.POSITIONS_TOPIC, PAYLOAD, publisher="uav0", doc=DOC)
+        comms.drain()
+        broker.publish(orch.BEST_PAIR_TOPIC, PAIR, publisher="communications", doc=PAIR_DOC)
+        broker.publish(orch.READY_TOPIC, orch.READY_PAYLOAD, publisher="communications")
+        broker.publish(orch.THROUGHPUT_TOPIC, TPUT, publisher="communications", doc=TPUT_DOC)
+        ready.next_message()
+        ai.drain()
+        broker.publish(orch.DECISION_TOPIC, PAIR, publisher="ai", doc=PAIR_DOC)
+        pos.drain(), best.drain(), decision.drain(), tput.drain(), events.drain()
+    elapsed = time.perf_counter() - t0
+    assert broker.publish(orch.POSITIONS_TOPIC, PAYLOAD, publisher="uav0") == BLOCK + 1
+    return elapsed
 
 
 def _quartiles(per_block) -> str:
@@ -46,8 +77,8 @@ def main() -> None:
         ap.error(f"--publishes must be at least {2 * BLOCK}, got {args.publishes}")
     broker = Broker()
     subs = [broker.subscribe(p) for p in MATCHING + OTHERS]
-    publish, first_read, position, value, record = [], [], [], [], []
-    for _ in range(args.publishes // BLOCK):
+    publish, first_read, position, value, record, snapshot = [], [], [], [], [], []
+    for block in range(args.publishes // BLOCK):
         t0 = time.perf_counter()
         for _ in range(BLOCK):
             broker.publish(TOPIC, PAYLOAD, publisher="uav0", doc=DOC)
@@ -77,11 +108,13 @@ def main() -> None:
         position.append((t1 - t0) / BLOCK * 1e6)
         value.append((t2 - t1) / BLOCK * 1e6)
         record.append((t3 - t2) / BLOCK * 1e6)
+        snapshot.append(_snapshot_bus(block * BLOCK) / BLOCK * 1e6)
     print(f"publish to {len(MATCHING)} subscribers: {_quartiles(publish)}")
     print(f"first .doc read of a text-only message: {_quartiles(first_read)}")
     print(f"position_text: {_quartiles(position)}")
     print(f"value_text: {_quartiles(value)}")
     print(f"one-UE SnapshotRecord.to_json: {_quartiles(record)}")
+    print(f"one mission snapshot's bus traffic: {_quartiles(snapshot)}")
 
 
 if __name__ == "__main__":

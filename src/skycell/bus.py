@@ -4,8 +4,9 @@ Topics are dot-separated segments ("3D.mobility.positions"). Subscription
 patterns may use "*" to match exactly one segment and a trailing ">" to match
 one or more segments. Delivery is per-publisher, per-topic FIFO with no
 replay and no persistence. Reads never block: every module step is a
-synchronous call, so a reader takes what is already queued. The broker is
-safe for concurrent publishers and subscribers.
+synchronous call, so a reader takes what is already queued. One lock per broker
+guards its routes, sequence numbers and queues: a publish delivers under it and
+a read takes it, so the broker is safe for concurrent publishers and readers.
 """
 
 from __future__ import annotations
@@ -147,23 +148,22 @@ class Message:
 
 
 class Subscription:
-    """FIFO delivery queue for one wildcard pattern, compiled at subscribe."""
+    """FIFO queue for one wildcard pattern; publish delivers under the broker's lock."""
 
-    def __init__(self, pattern: str):
+    def __init__(self, pattern: str, lock: threading.Lock):
         self.pattern = pattern
         self.segments = split_topic(pattern, allow_wildcards=True)
         self._items: deque = deque()
-        self._lock = threading.Lock()
+        self._lock = lock
         self._warned = False
 
     def _deliver(self, msg: Message) -> None:
-        with self._lock:
-            self._items.append(msg)
-            if not self._warned and len(self._items) > QUEUE_HIGH_WATER:
-                self._warned = True
-                logger.warning(
-                    "subscription %r exceeded %d queued messages", self.pattern, QUEUE_HIGH_WATER
-                )
+        self._items.append(msg)
+        if not self._warned and len(self._items) > QUEUE_HIGH_WATER:
+            self._warned = True
+            logger.warning(
+                "subscription %r exceeded %d queued messages", self.pattern, QUEUE_HIGH_WATER
+            )
 
     def next_message(self):
         """Oldest queued message, or None when the queue is empty."""
@@ -231,15 +231,14 @@ class Broker:
                     f"payload of {len(payload)} chars exceeds {self.max_payload_bytes} bytes"
                 )
             key = (publisher, topic)
-            seq = self._seq.get(key, 0) + 1
-            self._seq[key] = seq
+            seq = self._seq[key] = self._seq.get(key, 0) + 1
             msg = Message(topic, payload, seq, publisher, self._virtual_time, doc)
             for sub in subs:
                 sub._deliver(msg)
         return seq
 
     def subscribe(self, pattern: str) -> Subscription:
-        sub = Subscription(pattern)
+        sub = Subscription(pattern, self._lock)
         with self._lock:
             self._subs.append(sub)
             self._routes.clear()

@@ -136,6 +136,11 @@ def cmd_run(cfg: dict, args, out: Path) -> dict:
                                      orch.EpisodeLog.read_jsonl)
         if not recorded.records:
             raise ConfigError(f"replay log {replay_path} has no records")
+        for k, record in enumerate(recorded.records):  # replayed at the recording's clock
+            if record.t != k * ep.sampling_interval:
+                raise ConfigError(
+                    f"replay log {replay_path} record {k} has t {record.t}, not {k} times "
+                    f"episode.sampling_interval {ep.sampling_interval}")
         source = ReplayModule(recorded.records)
         ep = _episode_config(cfg, n_snapshots=min(ep.n_snapshots, len(recorded.records)))
     else:

@@ -875,11 +875,12 @@ def test_bus_publish_bench_script_runs():
     ok = _run_script("bus_publish_bench.py", "--publishes", 200)
     assert ok.returncode == 0, ok.stderr
     lines = ok.stdout.splitlines()
-    assert len(lines) == 5 and lines[0].startswith("publish to 8 subscribers: ")
+    assert len(lines) == 6 and lines[0].startswith("publish to 8 subscribers: ")
     assert lines[1].startswith("first .doc read of a text-only message: ")
     assert lines[2].startswith("position_text: ")
     assert lines[3].startswith("value_text: ")
     assert lines[4].startswith("one-UE SnapshotRecord.to_json: ")
+    assert lines[5].startswith("one mission snapshot's bus traffic: ")
     assert all(line.endswith(")") and " us (quartiles " in line for line in lines)
     short = _run_script("bus_publish_bench.py", "--publishes", 50)
     assert short.returncode == 2

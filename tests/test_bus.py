@@ -239,8 +239,10 @@ def test_high_water_warning_once(monkeypatch, caplog):
     assert len(sub.drain()) == 10
 
 
-def test_publish_races_subscription_churn_and_drains():
-    """Four publishers, a subscribe/unsubscribe loop and a drainer share one broker."""
+def _race(read):
+    """Four publishers, a subscribe/unsubscribe loop and a reader calling read(sub),
+    which returns a list of messages, share one broker and so its one lock. Every
+    (publisher, topic) sequence number reaches the reader once and in order."""
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -258,11 +260,11 @@ def test_publish_races_subscription_churn_and_drains():
             while not stop.is_set():
                 broker.unsubscribe(broker.subscribe("t.*"))
 
-        def drain():
+        def reader():
             while not stop.is_set():
-                got.extend(stable.drain())
+                got.extend(read(stable))
 
-        helpers = [threading.Thread(target=f, daemon=True) for f in (churn, drain)]
+        helpers = [threading.Thread(target=f, daemon=True) for f in (churn, reader)]
         publishers = [threading.Thread(target=publish, args=(p,), daemon=True) for p in names]
         for t in helpers + publishers:
             t.start()
@@ -275,14 +277,40 @@ def test_publish_races_subscription_churn_and_drains():
             assert not t.is_alive()
     finally:
         sys.setswitchinterval(old_interval)
-    got.extend(stable.drain())
+    while rest := read(stable):
+        got.extend(rest)
     assert len(got) == len(names) * n
     last = {}
     for msg in got:  # per (publisher, topic): every seq once, in order
         key = (msg.publisher, msg.topic)
         assert msg.seq == last.get(key, 0) + 1
         last[key] = msg.seq
+    assert last == {(p, f"t.k{k}"): len(range(k, n, 3)) for p in names for k in range(3)}
     assert broker._subs == [stable]
+
+
+def test_a_broker_makes_one_lock_and_its_subscriptions_share_it(monkeypatch):
+    made = []
+    real_lock = threading.Lock
+
+    def lock():
+        made.append(real_lock())
+        return made[-1]
+
+    monkeypatch.setattr(bus.threading, "Lock", lock)
+    broker = Broker()
+    subs = [broker.subscribe(p) for p in ("a.b", "a.*", ">")]
+    assert made == [broker._lock]
+    assert all(sub._lock is broker._lock for sub in subs)
+
+
+def test_publish_races_subscription_churn_and_drains():
+    _race(lambda sub: sub.drain())
+
+
+def test_next_message_races_publishers_and_subscription_churn():
+    """The orchestrator's barrier reads Ready with next_message."""
+    _race(lambda sub: [msg] if (msg := sub.next_message()) is not None else [])
 
 
 def test_concurrent_publishers_keep_per_publisher_fifo():

@@ -101,6 +101,31 @@ def test_run_replay_outside_its_category_exits_2(tmp_path, capsys, category):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("interval", [1.0, 0.5])
+def test_a_replay_runs_at_the_clock_it_was_recorded_at(tmp_path, capsys, interval):
+    """Each record k of a replay log is at t = k * episode.sampling_interval, or the
+    replay would stamp the recorded positions with other times; a log recorded at 0.5 s
+    is refused at 1.0 s before --out is made."""
+    recorded = tmp_path / "rec"
+    assert main(["run", "--config", _write_cfg(tmp_path, episode={"n_snapshots": 4}),
+                 "--out", str(recorded)]) == 0
+    cfg = _write_cfg(tmp_path, episode={"n_snapshots": 4, "category": "AiCommInLoop",
+                                        "sampling_interval": interval})
+    out = tmp_path / "x"
+    rc = main(["run", "--config", cfg, "--replay", str(recorded / "episode.jsonl"),
+               "--out", str(out)])
+    if interval == 0.5:
+        assert rc == 0
+        assert [r.t for r in EpisodeLog.read_jsonl(out / "episode.jsonl").records] == [
+            0.0, 0.5, 1.0, 1.5]
+        return
+    assert rc == 2
+    log = (recorded / "episode.jsonl").resolve()
+    assert (f"replay log {log} record 1 has t 0.5, not 1 times episode.sampling_interval 1.0"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_dataset_rows_and_invariant(tmp_path):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "ds"
